@@ -30,6 +30,7 @@ from typing import Iterator, Optional
 
 from .errors import StepCapExceeded
 from .fol import (
+    BOT,
     CoNomConst,
     CoNomTV,
     Eq,
@@ -47,6 +48,7 @@ from .fol import (
     Rel,
     TruthConst,
     FreshVars,
+    parse_fo,
     print_fo,
     simplify_display,
     standard_translation,
@@ -321,10 +323,6 @@ class _Move:
     eliminated: tuple[str, ...] = ()
     introduced: tuple[Formula, ...] = ()
     fresh: tuple[int, int] = (0, 0)  # updated (nominal, co-nominal) counters
-
-
-def _pinned(system: System, a_const: Const) -> Inequality:
-    return Inequality(Nom(RESERVED_NOM), a_const)
 
 
 def _replace(system: System, index: int, new: tuple[Inequality, ...]) -> System:
@@ -723,7 +721,9 @@ def _local_display(
     x = FoVar("x")
     rest = [ineq for ineq in system if ineq != pinned]
     if not rest:
-        return Preceq(TruthConst(alg.element_name(a), a), TruthConst("1", 1))
+        # i0 <= a => i0 <= m0 for every m0 holds only when no nominal fits
+        # below a, that is when a is bottom
+        return Preceq(TruthConst(alg.element_name(a), a), BOT)
     parts: list[Fo] = []
     fresh = FreshVars(prefix="u")
     for ineq in rest:
@@ -777,7 +777,6 @@ def run_alba(
     a: int,
     alg: HeytingAlgebra,
     step_cap: int = 10_000,
-    want_global: bool = False,
 ) -> AlbaResult:
     source = input_inequality(target, alg)
     a_const = Const(alg.element_name(a), a)
@@ -830,8 +829,16 @@ def run_alba(
             displays.append(print_fo(closed))
         else:
             displays.append(print_fo(simplify_display(branch_correspondent(b.system))))
-    result.display = "  AND  ".join(displays)
+    result.display = DISPLAY_SEPARATOR.join(displays)
     return result
+
+
+DISPLAY_SEPARATOR = "  AND  "
+
+
+def parse_display(display: str, alg: HeytingAlgebra) -> Fo:
+    """The first-order condition a printed `display` stands for."""
+    return _fo_fold([parse_fo(part, alg) for part in display.split(DISPLAY_SEPARATOR)])
 
 
 # -- system comparison helpers ---------------------------------------------------------

@@ -1,9 +1,13 @@
 """Evaluation budgets for the brute-force oracles.
 
-Every exhaustive enumeration (valuations, frames, fuzzy predicate sets)
-charges work units against a budget.  When the budget runs out the oracle
-raises BudgetExceeded instead of silently truncating: an oracle result must
-never be partial.
+Every exhaustive enumeration charges work units against a budget.  In the
+table kernel (`fol.CompiledFo`, which also evaluates `semantics.valid_at`)
+one unit is one table cell: each evaluation charges every cell of its plan
+before it builds any table, so a refusal allocates nothing.  The reference
+evaluators charge one unit per node visited (`fol.fo_eval`) and per
+valuation (`semantics.iter_valuations`).  When the budget runs out the
+oracle raises BudgetExceeded instead of silently truncating: an oracle
+result must never be partial.
 """
 
 from __future__ import annotations
@@ -39,6 +43,3 @@ class Budget:
             raise BudgetExceeded(
                 f"evaluation budget exceeded ({self.used} > {self.cap})"
             )
-
-    def remaining(self) -> int:
-        return max(self.cap - self.used, 0)

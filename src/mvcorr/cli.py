@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fol import parse_fo, print_fo, simplify_display, to_dict
 from .heyting import HeytingAlgebra, resolve_algebra
-from .alba import run_alba
+from .alba import parse_display, run_alba
 from .oracle import correspondence_oracle
 from .semantics import a_true_at, eval_formula, parse_model_text
 from .svb import svb_correspondent
@@ -260,8 +260,7 @@ def cmd_alba(args) -> int:
     alg = resolve_algebra(args.algebra)
     a = alg.element(args.value)
     target = parse_input(args.formula, alg)
-    result = run_alba(target, a, alg, step_cap=args.step_cap,
-                      want_global=args.want_global)
+    result = run_alba(target, a, alg, step_cap=args.step_cap)
     payload = _base_payload(args, alg, "alba")
     payload.update(
         input=args.formula,
@@ -297,13 +296,19 @@ def cmd_alba(args) -> int:
     status = 0 if result.succeeded else 1
     if result.succeeded and args.verify:
         sizes = _parse_sizes(args.verify)
-        report = _verify_output(
-            args, alg, result.source, a, result.correspondent, sizes, crisp=True
+        # the printed display is checked as parsed back, like a user's --fo
+        checked = (
+            ("verification", result.correspondent),
+            ("display_verification", parse_display(result.display, alg)),
         )
-        payload["verification"] = report.describe()
-        lines.append(f"verification: {report.describe()}")
-        if not report.passed:
-            status = 1
+        for key, alpha in checked:
+            report = _verify_output(
+                args, alg, result.source, a, alpha, sizes, crisp=True
+            )
+            payload[key] = report.describe()
+            lines.append(f"{key.replace('_', ' ')}: {report.describe()}")
+            if not report.passed:
+                status = 1
     _report(args, payload, lines)
     return status
 

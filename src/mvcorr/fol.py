@@ -4,18 +4,23 @@ Formulas are evaluated over frames into the same algebra as modal formulas.
 Equality and the comparison connective `=<` are crisp (value bottom or
 top); individual quantifiers take meets/joins over the state set, predicate
 quantifiers enumerate all fuzzy subsets (budgeted), and truth-value
-quantifiers range over the join- or meet-irreducibles.
+quantifiers range over the join- or meet-irreducibles.  `fo_eval` is the
+reference evaluator; `CompiledFo` is the table kernel every oracle uses.
 
 `standard_translation` embeds modal formulas; the output is clean (no
 variable occurs both free and bound, distinct quantifiers bind distinct
-variables).  `simplify_display` is a bounded, sound rewriter used only for
+variables).  `validity_claim` extends it to the second-order sentence of
+local a-validity, which is how the oracles check the modal side.
+`simplify_display` is a bounded, sound rewriter used only for
 presentation; verification always runs on unsimplified formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from operator import getitem
 from typing import Optional
 
 from .budget import Budget
@@ -210,22 +215,6 @@ def free_individual_symbols(f: Fo) -> set[Term]:
                 out.add(t)
         if isinstance(node, (Forall, Exists)):
             walk(node.body, bound | {node.var})
-        else:
-            for c in fo_children(node):
-                walk(c, bound)
-
-    walk(f, frozenset())
-    return out
-
-
-def free_tv_symbols(f: Fo) -> set[Fo]:
-    out: set[Fo] = set()
-
-    def walk(node: Fo, bound: frozenset[Fo]) -> None:
-        if isinstance(node, (NomTV, CoNomTV)) and node not in bound:
-            out.add(node)
-        if isinstance(node, (ForallTV, ExistsTV)):
-            walk(node.body, bound | {node.sym})
         else:
             for c in fo_children(node):
                 walk(c, bound)
@@ -442,256 +431,269 @@ def _restore(env: dict, key, saved) -> None:
 
 
 class CompiledFo:
-    """Slot-compiled evaluator for one (interpretation, formula) pair.
+    """A formula tabulated over one interpretation by the table kernel.
 
-    Every free or bound symbol gets a slot in a positional environment;
-    each quantifier-bearing subformula memoizes its value on the projection
-    of the environment to the slots it reads.  Produces the same values as
-    fo_eval, much faster under assignment sweeps.
+    Every subformula becomes a flat row-major table with one axis per free
+    symbol, axes ordered by binding depth so that each quantifier folds the
+    last axis of its body; connectives broadcast their operands through
+    index maps into the algebra's operation tables.  Symbols the
+    interpretation fixes are pinned instead.  The plan depends only on the
+    algebra, the formula, the frame size and the pinned symbols; per frame
+    only the subformulas that read the relation run, and `value(env)` reads
+    the root table.  Values equal fo_eval's.  The budget is charged one unit
+    per table cell of the plan, before any table is built.
     """
 
     def __init__(self, interp: FoInterp, f: Fo, budget: Budget | None = None):
-        self.interp = interp
-        self.alg = interp.frame.algebra
-        self.budget = budget
-        self.slots: dict = {}
-        self._memos: list[dict] = []
-        self.fn = self._compile(f)
-
-    def _slot(self, sym) -> int:
-        if sym not in self.slots:
-            self.slots[sym] = len(self.slots)
-        return self.slots[sym]
+        frame = interp.frame
+        pins = tuple(tuple(d.items()) for d in (interp.consts, interp.tvs, interp.preds))
+        plan = _plan(frame.algebra, f, frame.size, pins)
+        self.cells = plan.cells
+        if budget is not None:
+            budget.charge(plan.cells)
+        self.root = plan.root
+        self.table = plan.run(frame.rel)
 
     def value(self, env: dict | None = None) -> int:
-        values = [None] * len(self.slots)
-        if env:
-            for sym, v in env.items():
-                if sym in self.slots:
-                    values[self.slots[sym]] = v
-        return self.fn(values)
+        """Value under an assignment of the free symbols that are not pinned."""
+        env = {} if env is None else env
+        index = 0
+        for sym, stride, base in self.root:
+            if sym not in env:
+                raise UnboundSymbol(f"free symbol {sym} is unbound")
+            v = env[sym]
+            if base:  # a predicate row, numbered in `product` order
+                row, v = v, 0
+                for digit in row:
+                    v = v * base + digit
+            index += v * stride
+        return self.table[index]
 
-    def reset(self) -> None:
-        for memo in self._memos:
-            memo.clear()
 
-    def _term(self, t: Term):
-        if isinstance(t, (NomConst, CoNomConst)) and t in self.interp.consts:
-            fixed = self.interp.consts[t]
-            return lambda env: fixed
-        slot = self._slot(t)
+_ROWS = "rows"  # the domain of a predicate axis: every fuzzy subset
+_GATHER, _OP, _FOLD = range(3)
 
-        def read(env):
-            v = env[slot]
-            if v is None:
-                raise UnboundSymbol(f"individual symbol {t} is unbound")
-            return v
 
-        return read
+class _Plan:
+    """The tables one formula needs on frames of one size.
 
-    def _free_slots(self, f: Fo) -> tuple[int, ...]:
-        free: set[int] = set()
+    Construction only walks the formula, numbering the axes (unpinned free
+    symbols count down from -1, binders up from 0 in preorder, so sorted
+    axes are in binding-depth order) and listing the nodes in postorder as
+    (axes, cells, step, constant).  The first `run` allocates the tables,
+    after the caller has charged `cells`.
+    """
 
-        def walk(node: Fo, bound: frozenset) -> None:
-            for t in terms_of(node):
-                if t not in bound and t in self.slots:
-                    free.add(self.slots[t])
-            if isinstance(node, Pred) and node.name not in bound:
-                if node.name in self.slots:
-                    free.add(self.slots[node.name])
-            if isinstance(node, (NomTV, CoNomTV)) and node not in bound:
-                if node in self.slots:
-                    free.add(self.slots[node])
-            if isinstance(node, (Forall, Exists)):
-                walk(node.body, bound | {node.var})
-            elif isinstance(node, (ForallPred, ExistsPred)):
-                walk(node.body, bound | {node.name})
-            elif isinstance(node, (ForallTV, ExistsTV)):
-                walk(node.body, bound | {node.sym})
-            else:
-                for c in fo_children(node):
-                    walk(c, bound)
+    def __init__(self, alg: HeytingAlgebra, f: Fo, size: int, pins: tuple):
+        self.alg = alg
+        self.size = size
+        self.pinned = {k: v for group in pins for k, v in group}
+        self.domains: dict[int, object] = {}
+        self.sizes: dict[int, int] = {}
+        self.free: dict = {}
+        self.nodes: list[tuple] = []
+        self.bound = 0
+        self._walk(f, {})
+        self.cells = sum(node[1] for node in self.nodes)
+        strides = _strides(self.nodes[-1][0], self.sizes)
+        self.root = tuple(  # (symbol, stride, row base for predicates)
+            (sym, strides.get(a, 0), alg.n if self.domains[a] is _ROWS else 0)
+            for sym, a in self.free.items()
+        )
+        self.rel_slot = len(self.nodes)  # the frame's relation, row-major
+        self.tables: list | None = None  # built by the first run
+        self.steps: list = []
 
-        walk(f, frozenset())
-        return tuple(sorted(free))
+    # -- shape ------------------------------------------------------------------
 
-    def _has_quantifier(self, f: Fo) -> bool:
-        if isinstance(f, (Forall, Exists, ForallPred, ExistsPred, ForallTV, ExistsTV)):
-            return True
-        return any(self._has_quantifier(c) for c in fo_children(f))
+    def _axis(self, axis: int, domain) -> None:
+        self.domains[axis] = domain
+        self.sizes[axis] = self.alg.n ** self.size if domain is _ROWS else len(domain)
 
-    def _compile(self, f: Fo):
+    def _symbol(self, sym, scope: dict) -> tuple:
+        """(axis, None) for a symbol with an axis, (None, value) when pinned."""
+        if sym in scope:
+            return scope[sym], None
+        if sym in self.pinned:
+            return None, self.pinned[sym]
+        if sym not in self.free:
+            axis = self.free[sym] = -1 - len(self.free)
+            if isinstance(sym, str):
+                self._axis(axis, _ROWS)
+            elif isinstance(sym, Term):
+                self._axis(axis, range(self.size))
+            else:  # a free truth-value symbol may take any element
+                self._axis(axis, range(self.alg.n))
+        return self.free[sym], None
+
+    def _add(self, axes: tuple, step: tuple, constant: bool) -> int:
+        cells = 1
+        for a in axes:
+            cells *= self.sizes[a]
+        self.nodes.append((axes, cells, step, constant))
+        return len(self.nodes) - 1
+
+    def _leaf(self, operands: tuple, fn, reads_rel: bool = False) -> int:
+        axes = tuple(sorted({a for a, _ in operands if a is not None}))
+        return self._add(axes, ("leaf", operands, fn), not reads_rel)
+
+    def _walk(self, f: Fo, scope: dict) -> int:
         alg = self.alg
-        fn = self._compile_raw(f)
-        if self._has_quantifier(f):
-            slots = self._free_slots(f)
-            memo: dict = {}
-            self._memos.append(memo)
-
-            def memoized(env, fn=fn, slots=slots, memo=memo):
-                key = tuple(env[s] for s in slots)
-                hit = memo.get(key, -1)
-                if hit < 0:
-                    hit = fn(env)
-                    memo[key] = hit
-                return hit
-
-            return memoized
-        return fn
-
-    def _compile_raw(self, f: Fo):
-        alg = self.alg
-        interp = self.interp
         top, bot = alg.top, alg.bot
-        if isinstance(f, Eq):
-            lt, rt = self._term(f.lhs), self._term(f.rhs)
-            return lambda env: top if lt(env) == rt(env) else bot
-        if isinstance(f, Rel):
-            lt, rt = self._term(f.lhs), self._term(f.rhs)
-            rel = interp.frame.rel
-            return lambda env: rel[lt(env)][rt(env)]
-        if isinstance(f, Pred):
-            at = self._term(f.arg)
-            if f.name in interp.preds:
-                row = interp.preds[f.name]
-                return lambda env: row[at(env)]
-            slot = self._slot(f.name)
-
-            def pred(env):
-                row = env[slot]
-                if row is None:
-                    raise UnboundSymbol(f"predicate {f.name} is unbound")
-                return row[at(env)]
-
-            return pred
         if isinstance(f, TruthConst):
-            idx = f.index
-            return lambda env: idx
+            return self._leaf((), lambda: f.index)
         if isinstance(f, (NomTV, CoNomTV)):
-            if f in interp.tvs:
-                fixed = interp.tvs[f]
-                return lambda env: fixed
-            slot = self._slot(f)
-
-            def tv(env, f=f):
-                v = env[slot]
-                if v is None:
-                    raise UnboundSymbol(f"truth-value symbol {f} is unbound")
-                return v
-
-            return tv
-        if isinstance(f, FoOr):
-            lf, rf = self._compile(f.lhs), self._compile(f.rhs)
-            join = alg.join
-
-            def disj(env):
-                left = lf(env)
-                if left == top:
-                    return left
-                return join(left, rf(env))
-
-            return disj
-        if isinstance(f, FoAnd):
-            lf, rf = self._compile(f.lhs), self._compile(f.rhs)
-            meet = alg.meet
-
-            def conj(env):
-                left = lf(env)
-                if left == bot:
-                    return left
-                return meet(left, rf(env))
-
-            return conj
-        if isinstance(f, FoImplies):
-            lf, rf = self._compile(f.lhs), self._compile(f.rhs)
-            imp = alg.imp
-
-            def impl(env):
-                left = lf(env)
-                if left == bot:
-                    return top
-                return imp(left, rf(env))
-
-            return impl
-        if isinstance(f, FoMinus):
-            lf, rf = self._compile(f.lhs), self._compile(f.rhs)
-            coimp = alg.coimp
-            return lambda env: coimp(lf(env), rf(env))
-        if isinstance(f, Preceq):
-            lf, rf = self._compile(f.lhs), self._compile(f.rhs)
-            le = alg.le
-            return lambda env: top if le(lf(env), rf(env)) else bot
-        if isinstance(f, (Forall, Exists)):
-            slot = self._slot(f.var)
-            body = self._compile(f.body)
-            size = interp.frame.size
-            is_forall = isinstance(f, Forall)
-            meet, join = alg.meet, alg.join
-            budget = self.budget
-
-            def quant(env):
-                if budget is not None:
-                    budget.charge(size)
-                out = top if is_forall else bot
-                saved = env[slot]
-                for w in range(size):
-                    env[slot] = w
-                    v = body(env)
-                    out = meet(out, v) if is_forall else join(out, v)
-                    if out == (bot if is_forall else top):
-                        break
-                env[slot] = saved
-                return out
-
-            return quant
-        if isinstance(f, (ForallPred, ExistsPred)):
-            slot = self._slot(f.name)
-            body = self._compile(f.body)
-            size = interp.frame.size
-            is_forall = isinstance(f, ForallPred)
-            meet, join = alg.meet, alg.join
-            budget = self.budget
-
-            def pquant(env):
-                out = top if is_forall else bot
-                saved = env[slot]
-                for row in product(range(alg.n), repeat=size):
-                    if budget is not None:
-                        budget.charge()
-                    env[slot] = row
-                    v = body(env)
-                    out = meet(out, v) if is_forall else join(out, v)
-                    if out == (bot if is_forall else top):
-                        break
-                env[slot] = saved
-                return out
-
-            return pquant
-        if isinstance(f, (ForallTV, ExistsTV)):
-            slot = self._slot(f.sym)
-            body = self._compile(f.body)
-            domain = (
-                alg.join_irreducibles
-                if isinstance(f.sym, NomTV)
-                else alg.meet_irreducibles
-            )
-            is_forall = isinstance(f, ForallTV)
-            meet, join = alg.meet, alg.join
-
-            def tvquant(env):
-                out = top if is_forall else bot
-                saved = env[slot]
-                for v in domain:
-                    env[slot] = v
-                    value = body(env)
-                    out = meet(out, value) if is_forall else join(out, value)
-                    if out == (bot if is_forall else top):
-                        break
-                env[slot] = saved
-                return out
-
-            return tvquant
+            return self._leaf((self._symbol(f, scope),), lambda v: v)
+        if isinstance(f, Eq):
+            operands = (self._symbol(f.lhs, scope), self._symbol(f.rhs, scope))
+            return self._leaf(operands, lambda s, t: top if s == t else bot)
+        if isinstance(f, Rel):
+            n = self.size
+            operands = (self._symbol(f.lhs, scope), self._symbol(f.rhs, scope))
+            # tabulated as positions in the row-major relation of each frame
+            return self._leaf(operands, lambda s, t: s * n + t, reads_rel=True)
+        if isinstance(f, Pred):
+            operands = (self._symbol(f.name, scope), self._symbol(f.arg, scope))
+            return self._leaf(operands, lambda row, s: row[s])
+        if isinstance(f, (FoOr, FoAnd, FoImplies, FoMinus, Preceq)):
+            if isinstance(f, Preceq):
+                op = [[top if le else bot for le in row] for row in alg.leq]
+            else:
+                op = {FoOr: alg.join_table, FoAnd: alg.meet_table,
+                      FoImplies: alg.imp_table, FoMinus: alg.coimp_table}[type(f)]
+            left, right = self._walk(f.lhs, scope), self._walk(f.rhs, scope)
+            laxes, _, _, lconst = self.nodes[left]
+            raxes, _, _, rconst = self.nodes[right]
+            axes = tuple(sorted(set(laxes) | set(raxes)))
+            return self._add(axes, ("op", op, left, right), lconst and rconst)
+        if isinstance(f, (Forall, Exists, ForallPred, ExistsPred, ForallTV, ExistsTV)):
+            forall = isinstance(f, (Forall, ForallPred, ForallTV))
+            if isinstance(f, (Forall, Exists)):
+                sym, domain = f.var, range(self.size)
+            elif isinstance(f, (ForallPred, ExistsPred)):
+                sym, domain = f.name, _ROWS
+            else:
+                sym = f.sym
+                domain = (alg.join_irreducibles if isinstance(sym, NomTV)
+                          else alg.meet_irreducibles)
+            axis = self.bound
+            self.bound += 1
+            self._axis(axis, domain)
+            body = self._walk(f.body, {**scope, sym: axis})
+            baxes, _, _, constant = self.nodes[body]
+            if not self.sizes[axis]:  # empty domain: the fold's unit
+                return self._leaf((), lambda: top if forall else bot)
+            if not baxes or baxes[-1] != axis:  # vacuous quantifier
+                return body
+            op, unit = (alg.meet_table, top) if forall else (alg.join_table, bot)
+            return self._add(baxes[:-1], ("fold", op, body, self.sizes[axis], unit), constant)
         raise TypeError(f"not a first-order formula: {f!r}")
+
+    # -- tables -----------------------------------------------------------------
+
+    def _values(self, axis: int):
+        domain = self.domains[axis]
+        if domain is _ROWS:
+            return list(product(range(self.alg.n), repeat=self.size))
+        return domain
+
+    def _build(self) -> None:
+        # slots: one per node, the relation, then constants broadcast to the
+        # axes of the operation that reads them
+        tables: list = [None] * (self.rel_slot + 1)
+        steps: list = []
+        for i, (axes, _, step, constant) in enumerate(self.nodes):
+            if step[0] == "leaf":
+                _, operands, fn = step
+                where = {a: k for k, a in enumerate(axes)}
+                table = [
+                    fn(*[v if a is None else combo[where[a]] for a, v in operands])
+                    for combo in product(*(self._values(a) for a in axes))
+                ]
+                if constant:
+                    tables[i] = table
+                    continue
+                task = (_GATHER, (self.rel_slot, table))  # positions in rel
+            elif step[0] == "op":
+                _, op, left, right = step
+                task = (_OP, op, self._operand(axes, left, tables),
+                        self._operand(axes, right, tables))
+            else:
+                task = (_FOLD,) + step[1:]
+            if constant:
+                tables[i] = _execute(task, tables)
+            else:
+                steps.append((i, task))
+        self.steps, self.tables = steps, tables
+
+    def _operand(self, axes: tuple, child: int, tables: list) -> tuple:
+        """(slot, index map or None) through which an operation reads a
+        child; a constant child is broadcast to the operation's axes once."""
+        index = _index_map(axes, self.nodes[child][0], self.sizes)
+        if tables[child] is None or index is None:
+            return child, index
+        tables.append([tables[child][j] for j in index])
+        return len(tables) - 1, None
+
+    def run(self, rel) -> list[int]:
+        """Root table of the formula on a frame with this relation matrix."""
+        if self.tables is None:
+            self._build()
+        tables = self.tables.copy()
+        tables[self.rel_slot] = [v for row in rel for v in row]
+        for i, task in self.steps:
+            tables[i] = _execute(task, tables)
+        return tables[self.rel_slot - 1]
+
+
+# plans hold no frame data; a few dozen cover the sizes of one oracle run
+_plan = lru_cache(maxsize=32)(_Plan)
+
+
+def _execute(task: tuple, tables: list) -> list[int]:
+    kind = task[0]
+    if kind == _GATHER:
+        slot, index = task[1]
+        return list(map(tables[slot].__getitem__, index))
+    if kind == _OP:
+        _, op, (lslot, lindex), (rslot, rindex) = task
+        lhs = tables[lslot] if lindex is None else map(tables[lslot].__getitem__, lindex)
+        rhs = tables[rslot] if rindex is None else map(tables[rslot].__getitem__, rindex)
+        return list(map(getitem, map(op.__getitem__, lhs), rhs))
+    _, op, body, m, unit = task
+    table = tables[body]
+    if m >= 8 or len(table) < m * m:  # few long chunks: fold distinct values
+        out = []
+        for i in range(0, len(table), m):
+            acc = unit
+            for v in set(table[i:i + m]):
+                acc = op[acc][v]
+            out.append(acc)
+        return out
+    out = table[0::m]
+    for k in range(1, m):
+        out = list(map(getitem, map(op.__getitem__, out), table[k::m]))
+    return out
+
+
+def _strides(axes: tuple, sizes: dict) -> dict:
+    out, stride = {}, 1
+    for a in reversed(axes):
+        out[a] = stride
+        stride *= sizes[a]
+    return out
+
+
+def _index_map(parent: tuple, child: tuple, sizes: dict) -> list[int] | None:
+    """Position in the child's table of each cell of the parent's table."""
+    if parent == child:
+        return None
+    stride = _strides(child, sizes)
+    out = [0]
+    for a in parent:
+        step = stride.get(a, 0)
+        out = [base + k * step for base in out for k in range(sizes[a])]
+    return out
 
 
 def fo_a_truth(
@@ -791,6 +793,34 @@ def standard_translation(
         raise TypeError(f"not a modal formula: {node!r}")
 
     return st(f, x)
+
+
+@lru_cache(maxsize=64)
+def validity_claim(
+    target: ModalFormula | syntax.Inequality, a: int, alg: HeytingAlgebra
+) -> Fo:
+    """Second-order translation of local a-validity, with x free:
+    `A p... A c_i. A C_i... ((@a & ST(lhs)) =< ST(rhs))` for lhs <= rhs and
+    `@a =< ST(f)` under the same prefix for a formula f.  By correctness of
+    the translation its value at x = w is top exactly when the target is
+    a-valid at w, bottom otherwise."""
+    fresh = FreshVars()
+    degree = TruthConst(alg.element_name(a), a)
+    if isinstance(target, syntax.Inequality):
+        used = syntax.atoms(target.lhs) | syntax.atoms(target.rhs)
+        lhs = FoAnd(degree, standard_translation(target.lhs, fresh=fresh))
+        out: Fo = Preceq(lhs, standard_translation(target.rhs, fresh=fresh))
+    else:
+        used = syntax.atoms(target)
+        out = Preceq(degree, standard_translation(target, fresh=fresh))
+    for atom in sorted(used, key=str, reverse=True):
+        if isinstance(atom, syntax.Var):
+            out = ForallPred(atom.name, out)
+        elif isinstance(atom, syntax.Nom):
+            out = Forall(NomConst(atom.name), ForallTV(NomTV(atom.name), out))
+        else:
+            out = Forall(CoNomConst(atom.name), ForallTV(CoNomTV(atom.name), out))
+    return out
 
 
 def st_faithfulness_check(model: Model, f, budget: Budget | None = None) -> bool:

@@ -267,11 +267,6 @@ class HeytingAlgebra:
         return join_irr, meet_irr, kappa, lam
 
 
-def co_implication(alg: HeytingAlgebra, a: int, b: int) -> int:
-    """Pseudo-difference a - b, the meet of all c with a <= b | c."""
-    return alg.coimp(a, b)
-
-
 def irreducibles(alg: HeytingAlgebra):
     """Join-/meet-irreducible elements with the kappa and lam maps."""
     return alg.join_irreducibles, alg.meet_irreducibles, alg.kappa, alg.lam

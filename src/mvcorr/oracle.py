@@ -12,14 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .budget import Budget
 from .errors import MvcorrError
 from .fol import (
     CompiledFo,
     Fo,
-    FoInterp,
     FoVar,
     Term,
     free_individual_symbols,
@@ -108,57 +107,14 @@ def correspondence_oracle(
     threshold = a if fo_threshold is None else fo_threshold
     budget = Budget() if budget is None else budget
 
-    frames: list[Frame] = []
-    for size in sizes:
-        frames.extend(iter_frames(alg, size))
-    if samples:
-        frames.extend(sample_frames(alg, sample_size, samples, seed))
+    def modal(frame: Frame):
+        return lambda w: valid_at(frame, target, w, a, budget)
 
-    states_checked = 0
-    for idx, frame in enumerate(frames):
-        interp = interp_for_frame(frame)
-        checker = _LocalTruth(interp, alpha, free_var, budget)
-        for w in range(frame.size):
-            states_checked += 1
-            modal = valid_at(frame, target, w, a, budget)
-            fo = checker.holds(w, threshold)
-            if modal != fo:
-                return OracleReport(
-                    False,
-                    idx + 1,
-                    states_checked,
-                    Counterexample(frame, w, modal, fo),
-                )
-    return OracleReport(True, len(frames), states_checked)
-
-
-class _LocalTruth:
-    """a-truth of a one-free-variable condition, cached per frame."""
-
-    def __init__(self, interp: FoInterp, alpha: Fo, free_var: Term,
-                 budget: Budget | None):
-        self.interp = interp
-        self.free_var = free_var
-        self.evaluator = CompiledFo(interp, alpha, budget)
-        self.open_syms = sorted(
-            (
-                t
-                for t in free_individual_symbols(alpha)
-                if t != free_var and t not in interp.consts
-            ),
-            key=str,
-        )
-
-    def holds(self, w: int, threshold: int) -> bool:
-        alg = self.interp.frame.algebra
-        for combo in product(
-            range(self.interp.frame.size), repeat=len(self.open_syms)
-        ):
-            env = {self.free_var: w}
-            env.update(zip(self.open_syms, combo))
-            if not alg.le(threshold, self.evaluator.value(env)):
-                return False
-        return True
+    return _first_disagreement(
+        _frames(alg, sizes, samples, sample_size, seed),
+        modal,
+        _local_truth(alpha, threshold, free_var, budget),
+    )
 
 
 def fo_agree(
@@ -176,22 +132,66 @@ def fo_agree(
 ) -> OracleReport:
     """Pointwise agreement of two local first-order conditions."""
     budget = Budget() if budget is None else budget
-    frames: list[Frame] = []
+    return _first_disagreement(
+        _frames(alg, sizes, samples, sample_size, seed),
+        _local_truth(alpha, threshold_alpha, free_var, budget),
+        _local_truth(beta, threshold_beta, free_var, budget),
+    )
+
+
+def _frames(
+    alg: HeytingAlgebra, sizes: Iterable[int], samples: int, sample_size: int,
+    seed: int,
+) -> Iterator[Frame]:
+    """The frames of every size asked for, then the seeded samples, built
+    only as they are checked, so a counterexample ends the enumeration."""
     for size in sizes:
-        frames.extend(iter_frames(alg, size))
+        yield from iter_frames(alg, size)
     if samples:
-        frames.extend(sample_frames(alg, sample_size, samples, seed))
-    states_checked = 0
-    for idx, frame in enumerate(frames):
-        interp = interp_for_frame(frame)
-        ca = _LocalTruth(interp, alpha, free_var, budget)
-        cb = _LocalTruth(interp, beta, free_var, budget)
+        yield from sample_frames(alg, sample_size, samples, seed)
+
+
+def _first_disagreement(
+    frames: Iterable[Frame],
+    left: Callable[[Frame], Callable[[int], bool]],
+    right: Callable[[Frame], Callable[[int], bool]],
+) -> OracleReport:
+    """Compare two per-state verdicts, frame by frame and state by state."""
+    frames_checked = states_checked = 0
+    for frames_checked, frame in enumerate(frames, 1):
+        left_at, right_at = left(frame), right(frame)
         for w in range(frame.size):
             states_checked += 1
-            va = ca.holds(w, threshold_alpha)
-            vb = cb.holds(w, threshold_beta)
-            if va != vb:
+            lv, rv = left_at(w), right_at(w)
+            if lv != rv:
                 return OracleReport(
-                    False, idx + 1, states_checked, Counterexample(frame, w, va, vb)
+                    False, frames_checked, states_checked,
+                    Counterexample(frame, w, lv, rv),
                 )
-    return OracleReport(True, len(frames), states_checked)
+    return OracleReport(True, frames_checked, states_checked)
+
+
+def _local_truth(
+    alpha: Fo, threshold: int, free_var: Term, budget: Budget
+) -> Callable[[Frame], Callable[[int], bool]]:
+    """Per frame, the states at which a one-free-variable condition holds to
+    degree `threshold` under every assignment of its other free symbols."""
+    open_syms = sorted(
+        (t for t in free_individual_symbols(alpha) if t != free_var), key=str
+    )
+
+    def per_frame(frame: Frame) -> Callable[[int], bool]:
+        evaluator = CompiledFo(interp_for_frame(frame), alpha, budget)
+        le = frame.algebra.le
+
+        def holds(w: int) -> bool:
+            for combo in product(range(frame.size), repeat=len(open_syms)):
+                env = {free_var: w}
+                env.update(zip(open_syms, combo))
+                if not le(threshold, evaluator.value(env)):
+                    return False
+            return True
+
+        return holds
+
+    return per_frame

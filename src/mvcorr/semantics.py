@@ -6,9 +6,9 @@ usual recursive clauses, with box/diamond taking meets/joins over all
 states weighted by the relation.  Nominals must take a join-irreducible
 value at exactly one state (and bottom elsewhere); co-nominals dually.
 
-`a_valid_at` quantifies over every valuation of the atoms occurring in the
-formula, which is exhaustive and budgeted; it is the ground truth the
-rewriting pipelines are verified against.
+`valid_at` (local a-validity, quantifying over every valuation of the atoms
+occurring in the formula) is exhaustive and budgeted; it is the ground
+truth the rewriting pipelines are verified against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .syntax import (
     Minus,
     Nom,
     Or,
-    QuasiInequality,
     Var,
     atoms,
 )
@@ -202,20 +201,6 @@ def check_inequality(model: Model, ineq: Inequality, w, a: int) -> bool:
     return alg.le(alg.meet(a, lhs), rhs)
 
 
-def inequality_true(model: Model, ineq: Inequality, a: int | None = None) -> bool:
-    """Global truth of an inequality in a model (optionally a-relativized)."""
-    a = model.frame.algebra.top if a is None else a
-    return all(
-        check_inequality(model, ineq, w, a) for w in range(model.frame.size)
-    )
-
-
-def quasi_inequality_true(model: Model, quasi: QuasiInequality) -> bool:
-    if not all(inequality_true(model, p) for p in quasi.premises):
-        return True
-    return inequality_true(model, quasi.conclusion)
-
-
 # -- valuation enumeration ----------------------------------------------------
 
 
@@ -261,45 +246,24 @@ def iter_valuations(
         yield val
 
 
-def a_valid_at(
-    frame: Frame, f: Formula, w, a: int, budget: Budget | None = None
+def valid_at(
+    frame: Frame, target, w, a: int, budget: Budget | None = None
 ) -> bool:
-    """f is a-true at w under every valuation of its atoms."""
+    """Local a-validity at w under every valuation of the atoms: a below the
+    value of a formula, or a & lhs below rhs for an inequality lhs <= rhs.
+    Evaluated by the table kernel on `fol.validity_claim` with x pinned to
+    w; `compile_eval` over `iter_valuations` is its reference."""
+    from .fol import CompiledFo, FoInterp, FoVar, validity_claim  # fol imports us
+
     if isinstance(w, str):
         w = frame.state_index(w)
     alg = frame.algebra
-    fn = compile_eval(f, frame)
-    return all(
-        alg.le(a, fn(val, w))
-        for val in iter_valuations(frame, atoms(f), budget)
-    )
+    interp = FoInterp(frame, {}, {FoVar("x"): w}, {})
+    claim = validity_claim(target, a, alg)
+    return CompiledFo(interp, claim, budget).value() == alg.top
 
 
-def a_valid(frame: Frame, f: Formula, a: int, budget: Budget | None = None) -> bool:
-    return all(a_valid_at(frame, f, w, a, budget) for w in range(frame.size))
-
-
-def inequality_valid_at(
-    frame: Frame, ineq: Inequality, w, a: int, budget: Budget | None = None
-) -> bool:
-    """Local frame a-validity of lhs <= rhs: a & lhs below rhs, all valuations."""
-    if isinstance(w, str):
-        w = frame.state_index(w)
-    alg = frame.algebra
-    lf = compile_eval(ineq.lhs, frame)
-    rf = compile_eval(ineq.rhs, frame)
-    used = atoms(ineq.lhs) | atoms(ineq.rhs)
-    return all(
-        alg.le(alg.meet(a, lf(val, w)), rf(val, w))
-        for val in iter_valuations(frame, used, budget)
-    )
-
-
-def valid_at(frame: Frame, target, w, a: int, budget: Budget | None = None) -> bool:
-    """Local a-validity of a formula or inequality."""
-    if isinstance(target, Inequality):
-        return inequality_valid_at(frame, target, w, a, budget)
-    return a_valid_at(frame, target, w, a, budget)
+a_valid_at = inequality_valid_at = valid_at
 
 
 # -- complex algebra ----------------------------------------------------------

@@ -222,11 +222,6 @@ def polarity(f: Formula, var: str) -> str:
     return MIXED
 
 
-def ineq_polarity(ineq: Inequality, var: str) -> str:
-    """Polarity of var in an inequality, read as lhs -> rhs."""
-    return polarity(Implies(ineq.lhs, ineq.rhs), var)
-
-
 # -- tokenizer ---------------------------------------------------------------
 
 TOKEN_RE = re.compile(

@@ -8,6 +8,7 @@ from mvcorr.alba import (
     first_approximation,
     input_inequality,
     normalize_fresh_names,
+    parse_display,
     preprocess,
     reduce_system,
     run_alba,
@@ -28,6 +29,7 @@ from mvcorr.syntax import (
     Var,
     parse_formula,
     parse_inequality,
+    parse_input,
 )
 from mvcorr.trees import is_inductive
 
@@ -231,6 +233,21 @@ def test_output_matches_named_property_size1(text, prop):
             P, res.source, a, frame_property(prop), sizes=[1]
         )
         assert rep.passed, rep.describe()
+
+
+@pytest.mark.parametrize("text", sorted(NAMED_AXIOMS) + ["p <= @0"])
+def test_display_is_oracle_equivalent(text):
+    # the printed display, parsed back, is checked like the correspondent;
+    # `p <= @0` reduces to the pinned inequality alone, whose closed form
+    # is `@a =< @0`
+    for a in range(P.n):
+        res = run_alba(parse_input(text, P), a, P)
+        assert res.succeeded
+        rep = correspondence_oracle(
+            P, res.source, a, parse_display(res.display, P), sizes=[1, 2],
+            fo_threshold=P.top,
+        )
+        assert rep.passed, (P.element_name(a), res.display, rep.describe())
 
 
 def test_transitivity_axiom_output_oracle_equivalent():

@@ -158,3 +158,20 @@ def test_budget_env_override(monkeypatch, capsys):
     )
     assert code == 1
     assert "inconclusive" in err
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p", "p <= @0"],
+)
+def test_alba_verify_passes_within_default_budget(monkeypatch, capsys, formula):
+    # both the correspondent and the printed display are oracle-checked
+    monkeypatch.delenv("MVCORR_BUDGET", raising=False)
+    code, out, _ = run_cli(
+        capsys,
+        "alba", "--algebra", "paper-P", "--value", "gamma",
+        "--formula", formula, "--verify", "sizes=1,2",
+    )
+    assert code == 0
+    assert "\nverification: PASS (630 frames" in out
+    assert "\ndisplay verification: PASS (630 frames" in out

@@ -1,0 +1,174 @@
+"""The table kernel against the reference evaluators it replaced.
+
+`fol.CompiledFo` is checked against `fol.fo_eval`, and `semantics.valid_at`
+(the kernel on the second-order translation) against brute force over
+`compile_eval` and `iter_valuations`; the oracle's first counterexample is
+checked against a reference loop built from the same two references.
+"""
+
+import random
+import tracemalloc
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mvcorr.alba import run_alba
+from mvcorr.budget import Budget
+from mvcorr.errors import BudgetExceeded
+from mvcorr.fol import (
+    CompiledFo,
+    ForallPred,
+    FoVar,
+    Pred,
+    Preceq,
+    fo_eval,
+    free_individual_symbols,
+    free_pred_names,
+    interp_for_frame,
+)
+from mvcorr.heyting import builtin_algebra
+from mvcorr.oracle import correspondence_oracle, iter_frames
+from mvcorr.randomgen import random_formula, random_fo, random_frame
+from mvcorr.semantics import Frame, compile_eval, iter_valuations, valid_at
+from mvcorr.syntax import Inequality, atoms, parse_formula
+
+P = builtin_algebra("paper-P")
+X = FoVar("x")
+NAMED_AXIOMS = ("p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p")
+CORRESPONDENTS = {
+    (text, a): run_alba(parse_formula(text, P), a, P).correspondent
+    for text in NAMED_AXIOMS
+    for a in range(P.n)
+}
+
+
+def assert_kernel_matches_fo_eval(frame, f):
+    """Every assignment of f's free symbols: states, and all predicate rows."""
+    interp = interp_for_frame(frame)
+    kernel = CompiledFo(interp, f)
+    terms = sorted(free_individual_symbols(f), key=str)
+    preds = sorted(free_pred_names(f))
+    rows = list(product(range(P.n), repeat=frame.size))
+    for states in product(range(frame.size), repeat=len(terms)):
+        for assigned in product(rows, repeat=len(preds)):
+            env = {**dict(zip(terms, states)), **dict(zip(preds, assigned))}
+            assert kernel.value(env) == fo_eval(interp, f, env), (f, env)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_fo_eval_on_random_formulas(seed):
+    # shadowed variable names (x and y are rebound) and free predicates
+    rng = random.Random(seed)
+    size = rng.choice([1, 2, 3])
+    preds = ("p", "q") if size < 3 else ("p",)
+    f = random_fo(rng, P, preds=preds, depth=rng.choice([2, 3, 4]))
+    assert_kernel_matches_fo_eval(random_frame(rng, P, size), f)
+
+
+@pytest.mark.parametrize("key", sorted(CORRESPONDENTS), ids=str)
+@settings(deadline=None, max_examples=4)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_fo_eval_on_correspondents(key, seed):
+    # truth-value quantifiers, =< and nominal constants
+    rng = random.Random(seed)
+    frame = random_frame(rng, P, rng.choice([1, 2, 3]))
+    assert_kernel_matches_fo_eval(frame, CORRESPONDENTS[key])
+
+
+def brute_valid_at(frame, target, w, a):
+    """Local a-validity by enumerating every valuation (the reference)."""
+    if isinstance(target, Inequality):
+        lhs, rhs = compile_eval(target.lhs, frame), compile_eval(target.rhs, frame)
+        used = atoms(target.lhs) | atoms(target.rhs)
+        return all(
+            P.le(P.meet(a, lhs(val, w)), rhs(val, w))
+            for val in iter_valuations(frame, used)
+        )
+    fn = compile_eval(target, frame)
+    return all(P.le(a, fn(val, w)) for val in iter_valuations(frame, atoms(target)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10**6))
+def test_valid_at_matches_brute_force(seed):
+    # nominals, co-nominals, co-implication, inverse modalities, constants
+    rng = random.Random(seed)
+    size = rng.choice([1, 2])
+    frame = random_frame(rng, P, size)
+    depth = rng.choice([1, 2, 3])
+    target = random_formula(rng, P, ("p", "q"), depth, extended=True)
+    if rng.random() < 0.5:
+        target = Inequality(target, random_formula(rng, P, ("p", "q"), depth, extended=True))
+    for a in range(P.n):
+        for w in range(size):
+            assert valid_at(frame, target, w, a) == brute_valid_at(frame, target, w, a)
+
+
+def reference_first_counterexample(target, a, alpha, sizes):
+    """(frame number, state) of the first disagreement, by the references."""
+    count = 0
+    for size in sizes:
+        for frame in iter_frames(P, size):
+            count += 1
+            interp = interp_for_frame(frame)
+            for w in range(size):
+                fo = P.le(P.top, fo_eval(interp, alpha, {X: w}))
+                if brute_valid_at(frame, target, w, a) != fo:
+                    return count, w
+    return None
+
+
+@pytest.mark.parametrize(
+    "text,at,checked_at",
+    [
+        ("p -> <>p", "gamma", "1"),
+        ("p -> <>p", "1", "alpha"),
+        ("[]p -> <>p", "alpha", "beta"),
+        ("p -> []<>p", "beta", "gamma"),
+        ("<>p -> <><>p", "gamma", "0"),
+    ],
+)
+def test_first_counterexample_matches_reference_loop(text, at, checked_at):
+    # the correspondent computed at one value, checked at another
+    a, b = P.element(at), P.element(checked_at)
+    res = run_alba(parse_formula(text, P), a, P)
+    report = correspondence_oracle(
+        P, res.source, b, res.correspondent, sizes=[1, 2], fo_threshold=P.top
+    )
+    assert not report.passed
+    ce = report.counterexample
+    want = reference_first_counterexample(res.source, b, res.correspondent, [1, 2])
+    assert (report.frames_checked, ce.state) == want
+
+
+# -- budget: one unit per table cell, charged before any table is built ----------
+
+
+def test_budget_charges_plan_cells_up_front():
+    frame = random_frame(random.Random(4), P, 2)
+    alpha = CORRESPONDENTS[("<><>p -> <>p", P.element("gamma"))]
+    cells = CompiledFo(interp_for_frame(frame), alpha).cells
+    with pytest.raises(BudgetExceeded):
+        CompiledFo(interp_for_frame(frame), alpha, Budget(cells - 1))
+    budget = Budget(cells)
+    CompiledFo(interp_for_frame(frame), alpha, budget)
+    assert budget.used == cells
+
+
+def test_budget_refusal_allocates_nothing():
+    # two predicate quantifiers over 7 states: 5^14 cells at the matrix
+    size = 7
+    frame = Frame(P, tuple(f"w{i}" for i in range(size)),
+                  tuple((P.bot,) * size for _ in range(size)))
+    f = ForallPred("p", ForallPred("q", Preceq(Pred("p", X), Pred("q", X))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            CompiledFo(interp_for_frame(frame), f, Budget(10**7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
