@@ -3,9 +3,11 @@
 Every exhaustive enumeration charges work units against a budget.  In the
 table kernel (`fol.CompiledFo`, which also evaluates `semantics.valid_at`)
 one unit is one table cell: each evaluation charges every cell of its plan
-before it builds any table, so a refusal allocates nothing.  The reference
-evaluators charge one unit per node visited (`fol.fo_eval`) and per
-valuation (`semantics.iter_valuations`).  When the budget runs out the
+before it builds any table, so a refusal allocates nothing.  The per-step
+checker `stepcheck` charges the same way, one unit per table cell, for each
+frame before it builds that frame's tables.  The reference evaluators charge
+one unit per node visited (`fol.fo_eval`) and per valuation
+(`semantics.iter_valuations`).  When the budget runs out the
 oracle raises BudgetExceeded instead of silently truncating: an oracle
 result must never be partial.
 """

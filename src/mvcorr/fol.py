@@ -168,6 +168,9 @@ class ExistsTV(Fo):
     body: Fo
 
 
+syntax.cache_hash(Term)
+syntax.cache_hash(Fo)
+
 BOT = TruthConst("0", 0)
 TOP = TruthConst("1", 1)
 
@@ -629,7 +632,7 @@ class _Plan:
     def _operand(self, axes: tuple, child: int, tables: list) -> tuple:
         """(slot, index map or None) through which an operation reads a
         child; a constant child is broadcast to the operation's axes once."""
-        index = _index_map(axes, self.nodes[child][0], self.sizes)
+        index = index_map(axes, self.nodes[child][0], self.sizes)
         if tables[child] is None or index is None:
             return child, index
         tables.append([tables[child][j] for j in index])
@@ -684,7 +687,7 @@ def _strides(axes: tuple, sizes: dict) -> dict:
     return out
 
 
-def _index_map(parent: tuple, child: tuple, sizes: dict) -> list[int] | None:
+def index_map(parent: tuple, child: tuple, sizes: dict) -> list[int] | None:
     """Position in the child's table of each cell of the parent's table."""
     if parent == child:
         return None

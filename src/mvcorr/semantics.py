@@ -134,46 +134,23 @@ def compile_eval(f: Formula, frame: Frame) -> Callable[[Valuation, int], int]:
         if isinstance(node, Minus):
             lf, rf = compile_node(node.lhs), compile_node(node.rhs)
             return lambda val, w: coimp(lf(val, w), rf(val, w))
-        if isinstance(node, Dia):
+        if isinstance(node, (Dia, Box, DiaInv, BoxInv)):
+            # a diamond joins relation-weighted meets and stops at top, a box
+            # meets relation-weighted implications and stops at bottom; the
+            # inverse modalities read the relation backwards
             sf = compile_node(node.sub)
-            def dia(val, w):
-                out = bot
+            diamond = isinstance(node, (Dia, DiaInv))
+            fold, weigh, unit, stop = (join, meet, bot, topv) if diamond else (meet, imp, topv, bot)
+            rows = rel if isinstance(node, (Dia, Box)) else tuple(zip(*rel))
+
+            def modal(val, w):
+                out, row = unit, rows[w]
                 for u in states:
-                    out = join(out, meet(rel[w][u], sf(val, u)))
-                    if out == topv:
+                    out = fold(out, weigh(row[u], sf(val, u)))
+                    if out == stop:
                         break
                 return out
-            return dia
-        if isinstance(node, Box):
-            sf = compile_node(node.sub)
-            def box(val, w):
-                out = topv
-                for u in states:
-                    out = meet(out, imp(rel[w][u], sf(val, u)))
-                    if out == bot:
-                        break
-                return out
-            return box
-        if isinstance(node, DiaInv):
-            sf = compile_node(node.sub)
-            def diainv(val, w):
-                out = bot
-                for u in states:
-                    out = join(out, meet(rel[u][w], sf(val, u)))
-                    if out == topv:
-                        break
-                return out
-            return diainv
-        if isinstance(node, BoxInv):
-            sf = compile_node(node.sub)
-            def boxinv(val, w):
-                out = topv
-                for u in states:
-                    out = meet(out, imp(rel[u][w], sf(val, u)))
-                    if out == bot:
-                        break
-                return out
-            return boxinv
+            return modal
         raise TypeError(f"not a formula: {node!r}")
 
     return compile_node(f)
@@ -204,7 +181,8 @@ def check_inequality(model: Model, ineq: Inequality, w, a: int) -> bool:
 # -- valuation enumeration ----------------------------------------------------
 
 
-def _atom_options(frame: Frame, atom: Formula) -> list[tuple[int, ...]]:
+def atom_options(frame: Frame, atom: Formula) -> list[tuple[int, ...]]:
+    """The rows over the states an atom can take, nominals' state by state."""
     alg = frame.algebra
     n = frame.size
     if isinstance(atom, Var):
@@ -232,18 +210,14 @@ def iter_valuations(
     frame: Frame,
     over: Iterable[Formula],
     budget: Budget | None = None,
-    fixed: Valuation | None = None,
 ) -> Iterator[Valuation]:
     """All valuations of the given atoms, nominal/co-nominal constraints kept."""
     over = sorted(set(over), key=str)
-    options = [_atom_options(frame, atom) for atom in over]
-    base = dict(fixed) if fixed else {}
+    options = [atom_options(frame, atom) for atom in over]
     for combo in product(*options):
         if budget is not None:
             budget.charge()
-        val = dict(base)
-        val.update(zip(over, combo))
-        yield val
+        yield dict(zip(over, combo))
 
 
 def valid_at(

@@ -100,6 +100,24 @@ class DiaInv(Formula):
     sub: Formula
 
 
+def cache_hash(base: type) -> None:
+    """Make each node class under `base` keep its hash after the first call:
+    the hash of a frozen dataclass walks the whole tree on every call, and
+    formulas key the evaluators' caches."""
+    for cls in base.__subclasses__():
+        def cached(self, field_hash=cls.__hash__):
+            try:
+                return self._hash
+            except AttributeError:
+                object.__setattr__(self, "_hash", field_hash(self))
+                return self._hash
+
+        cls.__hash__ = cached
+
+
+cache_hash(Formula)
+
+
 @dataclass(frozen=True)
 class Inequality:
     lhs: Formula

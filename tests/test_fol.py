@@ -43,6 +43,7 @@ from mvcorr.fol import (
     simplify_display,
     standard_translation,
     subst_pred,
+    validity_claim,
 )
 from mvcorr.heyting import builtin_algebra
 from mvcorr.randomgen import random_formula, random_frame, random_model
@@ -51,6 +52,20 @@ from mvcorr.syntax import Box, Dia, Var, parse_formula, parse_inequality
 
 P = builtin_algebra("paper-P")
 X, Y = FoVar("x"), FoVar("y")
+
+
+def test_equal_fo_formulas_hash_equal_after_caching():
+    # nodes keep their hash after the first call, so equal claims built
+    # separately must still agree as cache keys
+    for text in ("p <= []<>p", "<><>p <= <>p", "#i <= <>$m"):
+        first = validity_claim.__wrapped__(parse_inequality(text, P), P.top, P)
+        second = validity_claim.__wrapped__(parse_inequality(text, P), P.top, P)
+        assert first is not second
+        assert hash(first) == hash(second) == hash(first)
+        assert first == second and {first: 1}[second] == 1
+        assert standard_translation(parse_formula("[]p", P)) != standard_translation(
+            parse_formula("<>p", P))
+    assert hash(FoVar("x")) == hash(X) and {NomConst("i"): 1}[NomConst("i")] == 1
 
 
 def pel(name):
