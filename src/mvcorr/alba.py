@@ -675,7 +675,7 @@ def _fresh_symbols(system: System) -> tuple[list[str], list[str]]:
     return noms, conoms
 
 
-def branch_correspondent(system: System, free_var: FoVar = FoVar("x")) -> Fo:
+def branch_correspondent(system: System) -> Fo:
     """First-order form of `system => i0 <= m0` with `c_i0` freed to x."""
     fresh = FreshVars()
     u, v = FoVar("x1"), FoVar("x2")
@@ -697,7 +697,7 @@ def branch_correspondent(system: System, free_var: FoVar = FoVar("x")) -> Fo:
         NomTV(RESERVED_NOM),
         Forall(CoNomConst(RESERVED_CONOM), ForallTV(CoNomTV(RESERVED_CONOM), out)),
     )
-    return subst_term(out, NomConst(RESERVED_NOM), free_var)
+    return subst_term(out, NomConst(RESERVED_NOM), FoVar("x"))
 
 
 def _fo_fold(parts: list[Fo]) -> Fo:
@@ -816,19 +816,13 @@ def run_alba(
 
     result.quasi = [branch_quasi(b.system) for b in branches]
     parts = [branch_correspondent(b.system) for b in branches]
-    correspondent = parts[0]
-    for p in parts[1:]:
-        correspondent = FoAnd(correspondent, p)
-    result.correspondent = correspondent
-    result.correspondent_global = Forall(FoVar("x"), correspondent)
+    result.correspondent = _fo_fold(parts)
+    result.correspondent_global = Forall(FoVar("x"), result.correspondent)
 
-    displays: list[str] = []
-    for b in branches:
+    displays = []
+    for b, part in zip(branches, parts):
         closed = _local_display(b.system, pinned, alg, a)
-        if closed is not None:
-            displays.append(print_fo(closed))
-        else:
-            displays.append(print_fo(simplify_display(branch_correspondent(b.system))))
+        displays.append(print_fo(simplify_display(part) if closed is None else closed))
     result.display = DISPLAY_SEPARATOR.join(displays)
     return result
 

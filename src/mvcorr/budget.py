@@ -5,10 +5,9 @@ table kernel (`fol.CompiledFo`, which also evaluates `semantics.valid_at`)
 one unit is one table cell: each evaluation charges every cell of its plan
 before it builds any table, so a refusal allocates nothing.  The per-step
 checker `stepcheck` charges the same way, one unit per table cell, for each
-frame before it builds that frame's tables.  The reference evaluators charge
-one unit per node visited (`fol.fo_eval`) and per valuation
-(`semantics.iter_valuations`).  When the budget runs out the
-oracle raises BudgetExceeded instead of silently truncating: an oracle
+frame before it builds that frame's tables.  The reference evaluator
+`fol.fo_eval` charges one unit per node visited.  When the budget runs out
+the oracle raises BudgetExceeded instead of silently truncating: an oracle
 result must never be partial.
 """
 
@@ -28,7 +27,7 @@ def default_cap() -> int:
         try:
             return int(raw)
         except ValueError:
-            raise BudgetExceeded(f"bad {ENV_VAR} value: {raw!r}")
+            raise ValueError(f"bad {ENV_VAR} value: {raw!r}") from None
     return DEFAULT_CAP
 
 

@@ -829,14 +829,15 @@ def validity_claim(
 def st_faithfulness_check(model: Model, f, budget: Budget | None = None) -> bool:
     """Dual-path check: the modal value at every state equals the value of
     the translation in the corresponding first-order model."""
-    from .semantics import eval_formula
+    from .semantics import compile_eval
 
     interp = interp_for_model(model)
     translated = standard_translation(f)
     x = FoVar("x")
+    values = compile_eval(f, model.frame)(model.valuation)
     return all(
-        eval_formula(model, f, w) == fo_eval(interp, translated, {x: w}, budget)
-        for w in range(model.frame.size)
+        value == fo_eval(interp, translated, {x: w}, budget)
+        for w, value in enumerate(values)
     )
 
 
@@ -1127,9 +1128,9 @@ def _eq_solution(part: Fo, var: Term) -> Optional[Term]:
     return None
 
 
-def simplify_display(f: Fo, max_rounds: int = 40) -> Fo:
-    """Sound bounded rewriting toward textbook shapes; display only."""
-    for _ in range(max_rounds):
+def simplify_display(f: Fo) -> Fo:
+    """Sound rewriting toward textbook shapes, at most 40 rounds; display only."""
+    for _ in range(40):
         nxt = _simplify_once(f)
         if nxt == f:
             return f

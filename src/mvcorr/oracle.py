@@ -20,7 +20,6 @@ from .fol import (
     CompiledFo,
     Fo,
     FoVar,
-    Term,
     free_individual_symbols,
     has_pred_nodes,
     interp_for_frame,
@@ -93,7 +92,6 @@ def correspondence_oracle(
     sample_size: int = 3,
     seed: int = 0,
     budget: Budget | None = None,
-    free_var: Term = FoVar("x"),
     fo_threshold: int | None = None,
 ) -> OracleReport:
     """Check that `alpha[x := w]` tracks local a-validity of `target`.
@@ -113,7 +111,7 @@ def correspondence_oracle(
     return _first_disagreement(
         _frames(alg, sizes, samples, sample_size, seed),
         modal,
-        _local_truth(alpha, threshold, free_var, budget),
+        _local_truth(alpha, threshold, budget),
     )
 
 
@@ -128,14 +126,13 @@ def fo_agree(
     sample_size: int = 3,
     seed: int = 0,
     budget: Budget | None = None,
-    free_var: Term = FoVar("x"),
 ) -> OracleReport:
     """Pointwise agreement of two local first-order conditions."""
     budget = Budget() if budget is None else budget
     return _first_disagreement(
         _frames(alg, sizes, samples, sample_size, seed),
-        _local_truth(alpha, threshold_alpha, free_var, budget),
-        _local_truth(beta, threshold_beta, free_var, budget),
+        _local_truth(alpha, threshold_alpha, budget),
+        _local_truth(beta, threshold_beta, budget),
     )
 
 
@@ -172,13 +169,12 @@ def _first_disagreement(
 
 
 def _local_truth(
-    alpha: Fo, threshold: int, free_var: Term, budget: Budget
+    alpha: Fo, threshold: int, budget: Budget
 ) -> Callable[[Frame], Callable[[int], bool]]:
-    """Per frame, the states at which a one-free-variable condition holds to
-    degree `threshold` under every assignment of its other free symbols."""
-    open_syms = sorted(
-        (t for t in free_individual_symbols(alpha) if t != free_var), key=str
-    )
+    """Per frame, the states at which a condition on x holds to degree
+    `threshold` under every assignment of its other free symbols."""
+    x = FoVar("x")
+    open_syms = sorted((t for t in free_individual_symbols(alpha) if t != x), key=str)
 
     def per_frame(frame: Frame) -> Callable[[int], bool]:
         evaluator = CompiledFo(interp_for_frame(frame), alpha, budget)
@@ -186,7 +182,7 @@ def _local_truth(
 
         def holds(w: int) -> bool:
             for combo in product(range(frame.size), repeat=len(open_syms)):
-                env = {free_var: w}
+                env = {x: w}
                 env.update(zip(open_syms, combo))
                 if not le(threshold, evaluator.value(env)):
                     return False

@@ -1,10 +1,12 @@
 """Frames, models, formula evaluation and validity over a finite algebra.
 
 A frame carries an algebra-valued accessibility relation; a model adds an
-algebra-valued valuation.  Truth of a formula at a state is computed by the
-usual recursive clauses, with box/diamond taking meets/joins over all
-states weighted by the relation.  Nominals must take a join-irreducible
-value at exactly one state (and bottom elsewhere); co-nominals dually.
+algebra-valued valuation.  A formula's value on a frame is a vector with
+one value per state, an element of the frame's complex algebra:
+connectives act state by state, and box/diamond map a vector to its
+`modal_image`, meets/joins over all states weighted by the relation.
+Nominals must take a join-irreducible value at exactly one state (and
+bottom elsewhere); co-nominals dually.
 
 `valid_at` (local a-validity, quantifying over every valuation of the atoms
 occurring in the formula) is exhaustive and budgeted; it is the ground
@@ -13,8 +15,9 @@ truth the rewriting pipelines are verified against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
+from operator import getitem
 from typing import Callable, Iterable, Iterator
 
 import yaml
@@ -98,69 +101,64 @@ class Model:
                 raise InvalidModel(f"valuation key {atom} is not an atom")
 
 
-def compile_eval(f: Formula, frame: Frame) -> Callable[[Valuation, int], int]:
-    """Compile a formula to a closure value(valuation, state) over the frame.
+def compile_eval(f: Formula, frame: Frame) -> Callable[[Valuation], tuple[int, ...]]:
+    """Compile a formula to a closure valuation -> its values over all states.
 
-    Compiling once and calling per valuation keeps exhaustive validity
-    checks cheap; the closure raises UnboundAtom for missing atoms.
+    Each subformula is evaluated once per call, as a vector over the states:
+    connectives map the algebra's tables over their operands' vectors, and
+    modalities take the `modal_image` of theirs, computed once per distinct
+    operand vector the closure meets.  The closure raises UnboundAtom for
+    missing atoms.
     """
     alg = frame.algebra
-    rel = frame.rel
-    n = frame.size
-    states = range(n)
-    meet, join, imp, coimp = alg.meet, alg.join, alg.imp, alg.coimp
-    bot, topv = alg.bot, alg.top
+    ops = {Or: alg.join_table, And: alg.meet_table, Implies: alg.imp_table,
+           Minus: alg.coimp_table}
+    cols = tuple(zip(*frame.rel))
 
-    def compile_node(node: Formula) -> Callable[[Valuation, int], int]:
+    def compile_node(node: Formula) -> Callable[[Valuation], tuple[int, ...]]:
         if isinstance(node, Const):
-            idx = node.index
-            return lambda val, w: idx
+            vector = (node.index,) * frame.size
+            return lambda val: vector
         if isinstance(node, (Var, Nom, CoNom)):
-            def lookup(val, w, node=node):
+            def lookup(val, node=node):
                 try:
-                    return val[node][w]
+                    return val[node]
                 except KeyError:
                     raise UnboundAtom(f"atom {node} is not in the valuation")
             return lookup
-        if isinstance(node, Or):
-            lf, rf = compile_node(node.lhs), compile_node(node.rhs)
-            return lambda val, w: join(lf(val, w), rf(val, w))
-        if isinstance(node, And):
-            lf, rf = compile_node(node.lhs), compile_node(node.rhs)
-            return lambda val, w: meet(lf(val, w), rf(val, w))
-        if isinstance(node, Implies):
-            lf, rf = compile_node(node.lhs), compile_node(node.rhs)
-            return lambda val, w: imp(lf(val, w), rf(val, w))
-        if isinstance(node, Minus):
-            lf, rf = compile_node(node.lhs), compile_node(node.rhs)
-            return lambda val, w: coimp(lf(val, w), rf(val, w))
+        if type(node) in ops:
+            op_row, lf, rf = ops[type(node)].__getitem__, compile_node(node.lhs), compile_node(node.rhs)
+            return lambda val: tuple(map(getitem, map(op_row, lf(val)), rf(val)))
         if isinstance(node, (Dia, Box, DiaInv, BoxInv)):
-            # a diamond joins relation-weighted meets and stops at top, a box
-            # meets relation-weighted implications and stops at bottom; the
-            # inverse modalities read the relation backwards
-            sf = compile_node(node.sub)
-            diamond = isinstance(node, (Dia, DiaInv))
-            fold, weigh, unit, stop = (join, meet, bot, topv) if diamond else (meet, imp, topv, bot)
-            rows = rel if isinstance(node, (Dia, Box)) else tuple(zip(*rel))
+            # the inverse modalities read the relation backwards
+            sf, diamond = compile_node(node.sub), isinstance(node, (Dia, DiaInv))
+            rows = frame.rel if isinstance(node, (Dia, Box)) else cols
+            # across valuations an operand takes few distinct vectors
+            images = {}
 
-            def modal(val, w):
-                out, row = unit, rows[w]
-                for u in states:
-                    out = fold(out, weigh(row[u], sf(val, u)))
-                    if out == stop:
-                        break
-                return out
+            def modal(val):
+                vector = sf(val)
+                if vector not in images:
+                    images[vector] = modal_image(alg, rows, vector, diamond)
+                return images[vector]
             return modal
         raise TypeError(f"not a formula: {node!r}")
 
     return compile_node(f)
 
 
+def modal_image(alg: HeytingAlgebra, rows, vector, diamond: bool) -> tuple[int, ...]:
+    """Per state w, the join over u of rows[w][u] & vector[u] (a diamond),
+    or the meet over u of rows[w][u] -> vector[u] (a box)."""
+    fold, weigh = (alg.join_all, alg.meet_table) if diamond else (alg.meet_all, alg.imp_table)
+    return tuple([fold(map(getitem, map(weigh.__getitem__, row), vector)) for row in rows])
+
+
 def eval_formula(model: Model, f: Formula, w) -> int:
     """Truth value of f at state w (by name or index)."""
     if isinstance(w, str):
         w = model.frame.state_index(w)
-    return compile_eval(f, model.frame)(model.valuation, w)
+    return compile_eval(f, model.frame)(model.valuation)[w]
 
 
 def a_true_at(model: Model, f: Formula, w, a: int) -> bool:
@@ -206,17 +204,11 @@ def atom_options(frame: Frame, atom: Formula) -> list[tuple[int, ...]]:
     raise UnboundAtom(f"not an atom: {atom}")
 
 
-def iter_valuations(
-    frame: Frame,
-    over: Iterable[Formula],
-    budget: Budget | None = None,
-) -> Iterator[Valuation]:
+def iter_valuations(frame: Frame, over: Iterable[Formula]) -> Iterator[Valuation]:
     """All valuations of the given atoms, nominal/co-nominal constraints kept."""
     over = sorted(set(over), key=str)
     options = [atom_options(frame, atom) for atom in over]
     for combo in product(*options):
-        if budget is not None:
-            budget.charge()
         yield dict(zip(over, combo))
 
 
@@ -280,20 +272,8 @@ def complex_algebra(frame: Frame, budget: Budget | None = None) -> ComplexAlgebr
     ]
     pointwise = HeytingAlgebra(names, leq, name="complex")
 
-    def dia_of(row):
-        return tuple(
-            alg.join_all(alg.meet(frame.rel[w][u], row[u]) for u in range(n))
-            for w in range(n)
-        )
-
-    def box_of(row):
-        return tuple(
-            alg.meet_all(alg.imp(frame.rel[w][u], row[u]) for u in range(n))
-            for w in range(n)
-        )
-
-    dia_op = [index[dia_of(row)] for row in carrier]
-    box_op = [index[box_of(row)] for row in carrier]
+    dia_op = [index[modal_image(alg, frame.rel, row, True)] for row in carrier]
+    box_op = [index[modal_image(alg, frame.rel, row, False)] for row in carrier]
 
     ca = ComplexAlgebra(frame, carrier, index, pointwise, dia_op, box_op)
     _validate_complex(ca, budget)

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
 from math import prod
-from operator import add, and_
+from operator import add
 from typing import Iterable, Optional
 
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
@@ -60,15 +59,13 @@ class _System:
         return own + max(1, len(self.ineqs)) * prod(sizes[a] for a in self.axes)
 
     def masks(self, frame: Frame, sizes: dict) -> bytes:
-        """Per cell, the bitmask of the states where every inequality holds
-        (bit w for state w, so frames have at most 8 states)."""
-        leq, cells = frame.algebra.leq, prod(sizes[a] for a in self.axes)
-        table = int.from_bytes(bytes([(1 << frame.size) - 1]) * cells, "little")
+        """Per cell, 1 when every inequality holds at every state, else 0."""
+        le, cells = frame.algebra.le, prod(sizes[a] for a in self.axes)
+        table = int.from_bytes(b"\1" * cells, "little")
         for ineq, (own, laxes, raxes) in zip(self.ineqs, self.own):
             lcodes, lvecs = _codes(ineq.lhs, laxes, frame)
             rcodes, rvecs = _codes(ineq.rhs, raxes, frame)
-            pair = bytes([sum(1 << w for w, (x, y) in enumerate(zip(lv, rv)) if leq[x][y])
-                          for lv in lvecs for rv in rvecs])
+            pair = bytes([all(map(le, lv, rv)) for lv in lvecs for rv in rvecs])
             left = self._gather([c * len(rvecs) for c in lcodes], own, laxes, sizes)
             positions = map(add, left, self._gather(rcodes, own, raxes, sizes))
             own_table = bytes(map(pair.__getitem__, positions))
@@ -87,9 +84,8 @@ class _System:
 def _codes(f, axes: tuple, frame: Frame) -> tuple[list, list]:
     """Dense code of f's value vector under each valuation of `axes` (sorted
     by name), and the vectors in code order."""
-    fn, states, ids = compile_eval(f, frame), range(frame.size), {}
-    codes = [ids.setdefault(tuple([fn(val, w) for w in states]), len(ids))
-             for val in iter_valuations(frame, axes)]
+    fn, ids = compile_eval(f, frame), {}
+    codes = [ids.setdefault(fn(val), len(ids)) for val in iter_valuations(frame, axes)]
     return codes, list(ids)
 
 
@@ -132,14 +128,12 @@ def verify_step(
 
     for frame in frames:
         sizes = {a: len(atom_options(frame, a)) for a in before.axes + private_after}
-        holds = bytes(v == (1 << frame.size) - 1 for v in range(256))  # mask -> 0/1
         if budget is not None:
             budget.charge(before.cells(sizes) + after.cells(sizes)
                           + 2 * prod(sizes[a] for a in shared))
-        lhs = _fold(before.masks(frame, sizes).translate(holds),
-                    prod(sizes[a] for a in private_before), universal_before)
-        rhs = _fold(after.masks(frame, sizes).translate(holds),
-                    prod(sizes[a] for a in private_after), False)
+        lhs = _fold(before.masks(frame, sizes), prod(sizes[a] for a in private_before),
+                    universal_before)
+        rhs = _fold(after.masks(frame, sizes), prod(sizes[a] for a in private_after), False)
         if lhs != rhs:
             k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             val = next(islice(iter_valuations(frame, shared), k, None))
@@ -156,25 +150,27 @@ def _verify_first_approximation(
     (source,) = step.before
     i0, m0 = Nom(RESERVED_NOM), CoNom(RESERVED_CONOM)
     variables = tuple(sorted(atoms(source.lhs) | atoms(source.rhs), key=str))
-    local = _System((source,), variables)
     # i0 options run state by state, so with i0 first the cells where it is
     # based at one state form one chunk
     premises = _System(step.after, (i0,) + variables + (m0,))
     conclusion = _System((Inequality(i0, m0),), premises.axes)
 
     for frame in frames:
-        n = frame.size
+        n, le = frame.size, frame.algebra.le
         sizes = {a: len(atom_options(frame, a)) for a in premises.axes}
-        holds = bytes(v == (1 << n) - 1 for v in range(256))  # mask -> 0/1
         if budget is not None:
-            budget.charge(sum(s.cells(sizes) for s in (local, premises, conclusion)))
-        valid = reduce(and_, set(local.masks(frame, sizes)))
-        held = int.from_bytes(premises.masks(frame, sizes).translate(holds), "little")
-        failed = ~int.from_bytes(conclusion.masks(frame, sizes).translate(holds), "little")
+            budget.charge(2 * prod(sizes[a] for a in variables)
+                          + premises.cells(sizes) + conclusion.cells(sizes))
+        lcodes, lvecs = _codes(source.lhs, variables, frame)
+        rcodes, rvecs = _codes(source.rhs, variables, frame)
+        pairs = {(lvecs[l], rvecs[r]) for l, r in zip(lcodes, rcodes)}
+        held = int.from_bytes(premises.masks(frame, sizes), "little")
+        failed = ~int.from_bytes(conclusion.masks(frame, sizes), "little")
         cells = prod(sizes.values())
         broken = _fold((held & failed).to_bytes(cells, "little"), cells // n, False)
         for w in range(n):
-            local_w, system = valid >> w & 1 == 1, broken[w] == 0
+            local_w = all(le(lv[w], rv[w]) for lv, rv in pairs)
+            system = broken[w] == 0
             if local_w != system:
                 return StepFailure(step, frame, f"local validity {local_w} at state {w}, "
                                    f"system validity {system}")

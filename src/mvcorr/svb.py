@@ -48,13 +48,14 @@ from .fol import (
     standard_translation,
 )
 from .semantics import Frame
-from .syntax import And, Box, Const, Dia, Formula, Or, Var, prop_vars
+from .syntax import And, Box, Const, Dia, Formula, Or, Var
 from .trees import (
     SahlAnd,
     SahlBox,
     SahlImplication,
     SahlOr,
     is_classical_sahlqvist,
+    is_negative_formula,
 )
 
 
@@ -72,7 +73,8 @@ class DefiniteImplication:
 def _lift_disjunctions(f: Formula) -> list[Formula]:
     """Antecedent as a join of definite antecedents; negative parts and
     boxed atoms are atomic here."""
-    if isinstance(f, Or) and is_boxed_free_decomposable(f):
+    # a disjunction that is itself a negative formula stays whole
+    if isinstance(f, Or) and not is_negative_formula(f):
         return _lift_disjunctions(f.lhs) + _lift_disjunctions(f.rhs)
     if isinstance(f, And):
         return [
@@ -85,16 +87,6 @@ def _lift_disjunctions(f: Formula) -> list[Formula]:
     return [f]
 
 
-def is_boxed_free_decomposable(f: Formula) -> bool:
-    # a disjunction that is itself a negative formula stays whole
-    vs = prop_vars(f)
-    if not vs:
-        return True
-    from .syntax import NEGATIVE, polarity
-
-    return not all(polarity(f, v) == NEGATIVE for v in vs)
-
-
 def _boxed_atom(f: Formula) -> Optional[tuple[str, int]]:
     depth = 0
     while isinstance(f, Box):
@@ -103,13 +95,6 @@ def _boxed_atom(f: Formula) -> Optional[tuple[str, int]]:
     if isinstance(f, Var):
         return f.name, depth
     return None
-
-
-def _negative(f: Formula) -> bool:
-    from .syntax import NEGATIVE, polarity
-
-    vs = prop_vars(f)
-    return bool(vs) and all(polarity(f, v) == NEGATIVE for v in vs)
 
 
 def _walk_definite(
@@ -137,7 +122,7 @@ def _walk_definite(
         out.rel.append(Rel(cur, nxt))
         _walk_definite(f.sub, nxt, out, ivars, st_fresh)
         return
-    if _negative(f):
+    if is_negative_formula(f):
         out.negatives.append(standard_translation(f, cur, st_fresh))
         return
     raise NotClassicalSahlqvist(f"not a definite antecedent part: {f}")

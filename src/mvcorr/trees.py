@@ -335,7 +335,8 @@ def _only_classical_constants(f: Formula) -> bool:
     return all(_only_classical_constants(c) for c in children(f))
 
 
-def _is_negative_formula(f: Formula) -> bool:
+def is_negative_formula(f: Formula) -> bool:
+    """Every propositional variable of f occurs negatively, and there is one."""
     vs = prop_vars(f)
     return all(polarity(f, v) == NEGATIVE for v in vs) if vs else False
 
@@ -357,7 +358,7 @@ def is_sahl_antecedent(f: Formula, definite: bool = False) -> bool:
         return is_sahl_antecedent(f.lhs, definite) and is_sahl_antecedent(f.rhs, definite)
     if isinstance(f, Dia):
         return is_sahl_antecedent(f.sub, definite)
-    return _is_negative_formula(f)
+    return is_negative_formula(f)
 
 
 def is_classical_sahlqvist(f: Formula) -> Optional[ClassicalDecomposition]:

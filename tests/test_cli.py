@@ -160,6 +160,17 @@ def test_budget_env_override(monkeypatch, capsys):
     assert "inconclusive" in err
 
 
+def test_bad_budget_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("MVCORR_BUDGET", "abc")
+    code, _, err = run_cli(
+        capsys,
+        "verify", "--algebra", "paper-P", "--value", "gamma",
+        "--formula", "p -> <>p", "--fo", "R(x, x)", "--sizes", "2",
+    )
+    assert code == 2
+    assert err == "error: bad MVCORR_BUDGET value: 'abc'\n"
+
+
 @pytest.mark.parametrize(
     "formula",
     ["p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p", "p <= @0"],

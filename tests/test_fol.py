@@ -47,7 +47,7 @@ from mvcorr.fol import (
 )
 from mvcorr.heyting import builtin_algebra
 from mvcorr.randomgen import random_formula, random_frame, random_model
-from mvcorr.semantics import Frame, Model, eval_formula
+from mvcorr.semantics import Frame, Model, compile_eval, eval_formula
 from mvcorr.syntax import Box, Dia, Var, parse_formula, parse_inequality
 
 P = builtin_algebra("paper-P")
@@ -204,14 +204,17 @@ def test_st_faithful_on_constants_and_nominals():
 @given(st.integers(0, 10_000))
 def test_st_faithfulness_random(seed):
     rng = random.Random(seed)
-    size = rng.choice([1, 2, 3])
+    size = rng.choice([1, 2, 3, 4])
     frame = random_frame(rng, P, size)
     phi = random_formula(rng, P, ("p", "q"), depth=rng.choice([1, 2, 3]), extended=True)
     model = random_model(rng, frame, phi)
     w = rng.randrange(size)
     interp = interp_for_model(model)
-    assert eval_formula(model, phi, w) == fo_eval(
-        interp, standard_translation(phi), {X: w}
+    translated = standard_translation(phi)
+    assert eval_formula(model, phi, w) == fo_eval(interp, translated, {X: w})
+    # the whole state vector, one first-order evaluation per state
+    assert compile_eval(phi, frame)(model.valuation) == tuple(
+        fo_eval(interp, translated, {X: u}) for u in range(size)
     )
 
 

@@ -84,11 +84,11 @@ def brute_valid_at(frame, target, w, a):
         lhs, rhs = compile_eval(target.lhs, frame), compile_eval(target.rhs, frame)
         used = atoms(target.lhs) | atoms(target.rhs)
         return all(
-            P.le(P.meet(a, lhs(val, w)), rhs(val, w))
+            P.le(P.meet(a, lhs(val)[w]), rhs(val)[w])
             for val in iter_valuations(frame, used)
         )
     fn = compile_eval(target, frame)
-    return all(P.le(a, fn(val, w)) for val in iter_valuations(frame, atoms(target)))
+    return all(P.le(a, fn(val)[w]) for val in iter_valuations(frame, atoms(target)))
 
 
 @settings(deadline=None, max_examples=80)

@@ -188,7 +188,7 @@ def test_monotonicity_of_positive_formulas():
                     v1 = {**fixed, Var("p"): r1}
                     v2 = {**fixed, Var("p"): r2}
                     for w in range(f.size):
-                        lo, hi = fn(v1, w), fn(v2, w)
+                        lo, hi = fn(v1)[w], fn(v2)[w]
                         if sign == POSITIVE:
                             assert P.le(lo, hi)
                         else:
@@ -207,10 +207,10 @@ def test_disjunction_lemma_small_instances():
         fn_psi = compile_eval(psi, f)
         for w in range(f.size):
             a1 = P.meet_all(
-                fn_phi(v, w) for v in iter_valuations(f, [Var("p")])
+                fn_phi(v)[w] for v in iter_valuations(f, [Var("p")])
             )
             a2 = P.meet_all(
-                fn_psi(v, w) for v in iter_valuations(f, [Var("q")])
+                fn_psi(v)[w] for v in iter_valuations(f, [Var("q")])
             )
             for a in range(P.n):
                 direct = a_valid_at(f, disj, w, a)

@@ -41,7 +41,7 @@ def _compiled(frame, ineqs):
 
 def _holds(pairs, frame, val):
     le = frame.algebra.le
-    return all(le(lf(val, w), rf(val, w)) for lf, rf in pairs for w in range(frame.size))
+    return all(le(lf(val)[w], rf(val)[w]) for lf, rf in pairs for w in range(frame.size))
 
 
 def _extension(pairs, frame, base, private, universal=False):
@@ -90,7 +90,7 @@ def _reference_first_approximation(step, frames):
         variables = sorted(atoms(source.lhs) | atoms(source.rhs), key=str)
         for w in range(n):
             local = all(
-                alg.le(lhs_fn(val, w), rhs_fn(val, w))
+                alg.le(lhs_fn(val)[w], rhs_fn(val)[w])
                 for val in iter_valuations(frame, variables)
             )
             system = True
@@ -240,6 +240,14 @@ def test_mutants_fail_somewhere():
 def test_bool2_steps_and_mutants_match_reference():
     for step in B2_STEPS + _mutants(B2_STEPS):
         assert_same_failure(step, B2_FRAMES)
+
+
+def test_frames_beyond_eight_states_match_reference():
+    frame = random_frame(random.Random(9), B2, 9)
+    steps = run_alba(parse_formula("p -> <>p", B2), B2.top, B2).all_steps()
+    assert {s.rule for s in steps} == {"first-approximation", "ackermann-right"}
+    for step in steps:
+        assert assert_same_failure(step, [frame]) is None
 
 
 # -- budget --------------------------------------------------------------------------
