@@ -4,11 +4,15 @@ Every exhaustive enumeration charges work units against a budget.  In the
 table kernel (`fol.CompiledFo`, which also evaluates `semantics.valid_at`)
 one unit is one table cell: each evaluation charges every cell of its plan
 before it builds any table, so a refusal allocates nothing.  The per-step
-checker `stepcheck` charges the same way, one unit per table cell, for each
-frame before it builds that frame's tables.  The reference evaluator
-`fol.fo_eval` charges one unit per node visited.  When the budget runs out
-the oracle raises BudgetExceeded instead of silently truncating: an oracle
-result must never be partial.
+checker `stepcheck` charges the same way, for each frame before it builds
+that frame's tables: one unit per cell of each subformula's code table over
+its own atoms (a subformula shared by several inequalities counts once),
+of each inequality's table over its atoms and of the system tables over
+all of the step's atoms.  The reference evaluator `fol.fo_eval` charges
+one unit per node visited.  When the budget runs out the oracle raises
+BudgetExceeded instead of silently truncating: an oracle result must never
+be partial.  A negative cap, given or from MVCORR_BUDGET, raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -25,9 +29,12 @@ def default_cap() -> int:
     raw = os.environ.get(ENV_VAR)
     if raw:
         try:
-            return int(raw)
+            cap = int(raw)
+            if cap < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(f"bad {ENV_VAR} value: {raw!r}") from None
+        return cap
     return DEFAULT_CAP
 
 
@@ -35,6 +42,8 @@ class Budget:
     """A decrementing work counter shared along one oracle run."""
 
     def __init__(self, cap: int | None = None):
+        if cap is not None and cap < 0:
+            raise ValueError(f"budget cap must not be negative, got {cap}")
         self.cap = default_cap() if cap is None else cap
         self.used = 0
 

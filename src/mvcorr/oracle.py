@@ -141,11 +141,23 @@ def _frames(
     seed: int,
 ) -> Iterator[Frame]:
     """The frames of every size asked for, then the seeded samples, built
-    only as they are checked, so a counterexample ends the enumeration."""
-    for size in sizes:
-        yield from iter_frames(alg, size)
-    if samples:
-        yield from sample_frames(alg, sample_size, samples, seed)
+    only as they are checked, so a counterexample ends the enumeration.
+    A request for frames without states raises ValueError at once."""
+    sizes = list(sizes)
+    if any(size < 1 for size in sizes):
+        raise ValueError(f"frame sizes must be at least 1, got {sizes}")
+    if samples < 0:
+        raise ValueError(f"sample count must not be negative, got {samples}")
+    if samples and sample_size < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample_size}")
+
+    def frames() -> Iterator[Frame]:
+        for size in sizes:
+            yield from iter_frames(alg, size)
+        if samples:
+            yield from sample_frames(alg, sample_size, samples, seed)
+
+    return frames()
 
 
 def _first_disagreement(

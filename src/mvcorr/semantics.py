@@ -41,6 +41,7 @@ from .syntax import (
     Or,
     Var,
     atoms,
+    children,
 )
 
 Valuation = dict[Formula, tuple[int, ...]]
@@ -104,16 +105,11 @@ class Model:
 def compile_eval(f: Formula, frame: Frame) -> Callable[[Valuation], tuple[int, ...]]:
     """Compile a formula to a closure valuation -> its values over all states.
 
-    Each subformula is evaluated once per call, as a vector over the states:
-    connectives map the algebra's tables over their operands' vectors, and
-    modalities take the `modal_image` of theirs, computed once per distinct
+    Each subformula is evaluated once per call, as a vector over the states,
+    by its `operation`; a modality's image is computed once per distinct
     operand vector the closure meets.  The closure raises UnboundAtom for
     missing atoms.
     """
-    alg = frame.algebra
-    ops = {Or: alg.join_table, And: alg.meet_table, Implies: alg.imp_table,
-           Minus: alg.coimp_table}
-    cols = tuple(zip(*frame.rel))
 
     def compile_node(node: Formula) -> Callable[[Valuation], tuple[int, ...]]:
         if isinstance(node, Const):
@@ -126,25 +122,38 @@ def compile_eval(f: Formula, frame: Frame) -> Callable[[Valuation], tuple[int, .
                 except KeyError:
                     raise UnboundAtom(f"atom {node} is not in the valuation")
             return lookup
-        if type(node) in ops:
-            op_row, lf, rf = ops[type(node)].__getitem__, compile_node(node.lhs), compile_node(node.rhs)
-            return lambda val: tuple(map(getitem, map(op_row, lf(val)), rf(val)))
-        if isinstance(node, (Dia, Box, DiaInv, BoxInv)):
-            # the inverse modalities read the relation backwards
-            sf, diamond = compile_node(node.sub), isinstance(node, (Dia, DiaInv))
-            rows = frame.rel if isinstance(node, (Dia, Box)) else cols
-            # across valuations an operand takes few distinct vectors
-            images = {}
+        op, subs = operation(frame, node), tuple(map(compile_node, children(node)))
+        if len(subs) == 2:
+            lf, rf = subs
+            return lambda val: op(lf(val), rf(val))
+        # across valuations an operand takes few distinct vectors
+        (sf,), images = subs, {}
 
-            def modal(val):
-                vector = sf(val)
-                if vector not in images:
-                    images[vector] = modal_image(alg, rows, vector, diamond)
-                return images[vector]
-            return modal
-        raise TypeError(f"not a formula: {node!r}")
+        def modal(val):
+            vector = sf(val)
+            if vector not in images:
+                images[vector] = op(vector)
+            return images[vector]
+        return modal
 
     return compile_node(f)
+
+
+_TABLES = {Or: "join_table", And: "meet_table", Implies: "imp_table", Minus: "coimp_table"}
+
+
+def operation(frame: Frame, node: Formula) -> Callable[..., tuple[int, ...]]:
+    """What a connective or a modality does to its operands' value vectors
+    on this frame: the algebra's table state by state, or `modal_image`."""
+    if type(node) in _TABLES:
+        op_row = getattr(frame.algebra, _TABLES[type(node)]).__getitem__
+        return lambda x, y: tuple(map(getitem, map(op_row, x), y))
+    if not isinstance(node, (Dia, Box, DiaInv, BoxInv)):
+        raise TypeError(f"not a formula: {node!r}")
+    # the inverse modalities read the relation backwards
+    rows = frame.rel if isinstance(node, (Dia, Box)) else tuple(zip(*frame.rel))
+    diamond = isinstance(node, (Dia, DiaInv))
+    return lambda vector: modal_image(frame.algebra, rows, vector, diamond)
 
 
 def modal_image(alg: HeytingAlgebra, rows, vector, diamond: bool) -> tuple[int, ...]:
@@ -219,12 +228,12 @@ def valid_at(
     value of a formula, or a & lhs below rhs for an inequality lhs <= rhs.
     Evaluated by the table kernel on `fol.validity_claim` with x pinned to
     w; `compile_eval` over `iter_valuations` is its reference."""
-    from .fol import CompiledFo, FoInterp, FoVar, validity_claim  # fol imports us
+    from .fol import _X, CompiledFo, FoInterp, validity_claim  # fol imports us
 
     if isinstance(w, str):
         w = frame.state_index(w)
     alg = frame.algebra
-    interp = FoInterp(frame, {}, {FoVar("x"): w}, {})
+    interp = FoInterp(frame, {}, {_X: w}, {})
     claim = validity_claim(target, a, alg)
     return CompiledFo(interp, claim, budget).value() == alg.top
 

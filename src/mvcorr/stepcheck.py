@@ -9,8 +9,9 @@ input inequality at a state to the system with the reserved atoms based at
 that state, and is checked by its own routine.
 
 Both checks are table operations over one axis per atom (row-major, as in
-`iter_valuations`): each inequality side is evaluated once per valuation of
-its own atoms, and the inequality per pair of value vectors that occurs.
+`iter_valuations`): per frame, each subformula gets one table of value
+codes over its own atoms, built bottom-up and shared by both systems, and
+each inequality is decided once per pair of value vectors that occurs.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Iterable, Optional
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
 from .budget import Budget
 from .fol import index_map
-from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations
-from .syntax import CoNom, Inequality, Nom, Var, atoms
+from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations, operation
+from .syntax import CoNom, Formula, Inequality, Nom, Var, atoms, children
 
 
 @dataclass
@@ -40,53 +41,105 @@ class StepFailure:
         return f"{self.step.describe()} | frame {rel}: {self.message}"
 
 
+class _Tables:
+    """One frame's dense codes of subformula values, shared by a step's systems.
+
+    A subformula's table holds, per valuation of its own atoms (sorted by
+    name, row-major as in `iter_valuations`), the code of its value vector;
+    the vectors follow in code order, one per distinct vector.  Subformulas
+    over at most one atom are evaluated with `compile_eval`; above them a
+    connective applies its `operation` once per pair of operand codes that
+    occurs, and a modality once per distinct vector of its operand.  `start`
+    drops the previous frame's tables.
+    """
+
+    def __init__(self, formulas: Iterable[Formula]):
+        self.axes: dict = {}  # every subformula with a table -> its atoms
+        for f in formulas:
+            self._plan(f)
+        self.maps: dict = {}  # index maps as arrays, per axes and axis sizes
+
+    def _plan(self, f: Formula) -> None:
+        if f not in self.axes:
+            self.axes[f] = tuple(sorted(atoms(f), key=str))
+            if len(self.axes[f]) > 1:
+                for sub in children(f):
+                    self._plan(sub)
+
+    def cells(self, sizes: dict) -> int:
+        """Cells of the subformula tables that one frame builds."""
+        return sum(prod(sizes[a] for a in axes) for axes in self.axes.values())
+
+    def start(self, frame: Frame, sizes: dict) -> None:
+        self.frame, self.sizes, self.memo = frame, sizes, {}
+
+    def __call__(self, f: Formula) -> tuple[list, list]:
+        """f's codes and vectors on the current frame."""
+        if f not in self.memo:
+            self.memo[f] = self._evaluate(f)
+        return self.memo[f]
+
+    def _evaluate(self, f: Formula) -> tuple[list, list]:
+        frame, ids = self.frame, {}
+        if len(self.axes[f]) <= 1:
+            fn = compile_eval(f, frame)
+            codes = [ids.setdefault(fn(val), len(ids))
+                     for val in iter_valuations(frame, self.axes[f])]
+            return codes, list(ids)
+        op, subs = operation(frame, f), children(f)
+        if len(subs) == 1:
+            codes, vecs = self(subs[0])
+            recode = [ids.setdefault(op(v), len(ids)) for v in vecs]
+            return list(map(recode.__getitem__, codes)), list(ids)
+        lhs, rhs = subs
+        lvecs, rvecs = self(lhs)[1], self(rhs)[1]
+        keys = list(self.pairs(lhs, rhs, self.axes[f]))
+        recode = {k: ids.setdefault(op(lvecs[k // len(rvecs)], rvecs[k % len(rvecs)]), len(ids))
+                  for k in dict.fromkeys(keys)}
+        return list(map(recode.__getitem__, keys)), list(ids)
+
+    def pairs(self, lhs: Formula, rhs: Formula, axes: tuple):
+        """Per cell of `axes`, lhs code * number of rhs vectors + rhs code."""
+        (lcodes, _), (rcodes, rvecs) = self(lhs), self(rhs)
+        left = self.gather([c * len(rvecs) for c in lcodes], axes, self.axes[lhs])
+        return map(add, left, self.gather(rcodes, axes, self.axes[rhs]))
+
+    def gather(self, table: list, parent: tuple, child: tuple):
+        """A table over `child` read at each cell of `parent`."""
+        key = (parent, child) + tuple(self.sizes[a] for a in parent)
+        if key not in self.maps:
+            index = index_map(parent, child, self.sizes)
+            self.maps[key] = None if index is None else array("l", index)
+        return table if self.maps[key] is None else map(table.__getitem__, self.maps[key])
+
+
 class _System:
     """Truth tables of a fixed inequality list over fixed atom axes."""
 
     def __init__(self, ineqs: Iterable[Inequality], axes: tuple):
         self.ineqs = tuple(ineqs)
         self.axes = axes
-        self.own = []  # per inequality: its atoms, its lhs atoms, its rhs atoms
-        for i in self.ineqs:
-            lhs, rhs = atoms(i.lhs), atoms(i.rhs)
-            own = tuple(a for a in axes if a in lhs | rhs)
-            self.own.append((own, tuple(sorted(lhs, key=str)), tuple(sorted(rhs, key=str))))
-        self.maps: dict = {}  # index maps as arrays, per axes and axis sizes
+        # per inequality, its atoms in axis order
+        self.own = [tuple(a for a in axes if a in atoms(i.lhs) | atoms(i.rhs))
+                    for i in self.ineqs]
 
     def cells(self, sizes: dict) -> int:
-        """Cells of the tables that one frame's `masks` builds."""
-        own = sum(prod(sizes[a] for a in s) for sides in self.own for s in sides)
+        """Cells of the inequality and system tables that one frame's
+        `masks` builds."""
+        own = sum(prod(sizes[a] for a in s) for s in self.own)
         return own + max(1, len(self.ineqs)) * prod(sizes[a] for a in self.axes)
 
-    def masks(self, frame: Frame, sizes: dict) -> bytes:
+    def masks(self, tables: _Tables) -> bytes:
         """Per cell, 1 when every inequality holds at every state, else 0."""
-        le, cells = frame.algebra.le, prod(sizes[a] for a in self.axes)
+        le, sizes = tables.frame.algebra.le, tables.sizes
+        cells = prod(sizes[a] for a in self.axes)
         table = int.from_bytes(b"\1" * cells, "little")
-        for ineq, (own, laxes, raxes) in zip(self.ineqs, self.own):
-            lcodes, lvecs = _codes(ineq.lhs, laxes, frame)
-            rcodes, rvecs = _codes(ineq.rhs, raxes, frame)
+        for ineq, own in zip(self.ineqs, self.own):
+            lvecs, rvecs = tables(ineq.lhs)[1], tables(ineq.rhs)[1]
             pair = bytes([all(map(le, lv, rv)) for lv in lvecs for rv in rvecs])
-            left = self._gather([c * len(rvecs) for c in lcodes], own, laxes, sizes)
-            positions = map(add, left, self._gather(rcodes, own, raxes, sizes))
-            own_table = bytes(map(pair.__getitem__, positions))
+            own_table = bytes(map(pair.__getitem__, tables.pairs(ineq.lhs, ineq.rhs, own)))
             table &= int.from_bytes(_repeat(own_table, own, self.axes, sizes), "little")
         return table.to_bytes(cells, "little")
-
-    def _gather(self, table: list, parent: tuple, child: tuple, sizes: dict):
-        """A table over `child` read at each cell of `parent`."""
-        key = (parent, child) + tuple(sizes[a] for a in parent)
-        if key not in self.maps:
-            index = index_map(parent, child, sizes)
-            self.maps[key] = None if index is None else array("l", index)
-        return table if self.maps[key] is None else map(table.__getitem__, self.maps[key])
-
-
-def _codes(f, axes: tuple, frame: Frame) -> tuple[list, list]:
-    """Dense code of f's value vector under each valuation of `axes` (sorted
-    by name), and the vectors in code order."""
-    fn, ids = compile_eval(f, frame), {}
-    codes = [ids.setdefault(fn(val), len(ids)) for val in iter_valuations(frame, axes)]
-    return codes, list(ids)
 
 
 def _repeat(table: bytes, own: tuple, axes: tuple, sizes: dict) -> bytes:
@@ -120,6 +173,7 @@ def verify_step(
     private_after = tuple(sorted(after_atoms & introduced, key=str))
     before = _System(step.before, shared + private_before)
     after = _System(step.after, shared + private_after)
+    tables = _Tables(side for i in step.before + step.after for side in (i.lhs, i.rhs))
 
     # a closed uniform variable ranges universally (the rule keeps the
     # extremal instance); an eliminated variable ranges existentially
@@ -129,11 +183,12 @@ def verify_step(
     for frame in frames:
         sizes = {a: len(atom_options(frame, a)) for a in before.axes + private_after}
         if budget is not None:
-            budget.charge(before.cells(sizes) + after.cells(sizes)
+            budget.charge(tables.cells(sizes) + before.cells(sizes) + after.cells(sizes)
                           + 2 * prod(sizes[a] for a in shared))
-        lhs = _fold(before.masks(frame, sizes), prod(sizes[a] for a in private_before),
+        tables.start(frame, sizes)
+        lhs = _fold(before.masks(tables), prod(sizes[a] for a in private_before),
                     universal_before)
-        rhs = _fold(after.masks(frame, sizes), prod(sizes[a] for a in private_after), False)
+        rhs = _fold(after.masks(tables), prod(sizes[a] for a in private_after), False)
         if lhs != rhs:
             k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             val = next(islice(iter_valuations(frame, shared), k, None))
@@ -154,18 +209,21 @@ def _verify_first_approximation(
     # based at one state form one chunk
     premises = _System(step.after, (i0,) + variables + (m0,))
     conclusion = _System((Inequality(i0, m0),), premises.axes)
+    tables = _Tables(side for i in (source,) + premises.ineqs + conclusion.ineqs
+                     for side in (i.lhs, i.rhs))
 
     for frame in frames:
         n, le = frame.size, frame.algebra.le
         sizes = {a: len(atom_options(frame, a)) for a in premises.axes}
         if budget is not None:
-            budget.charge(2 * prod(sizes[a] for a in variables)
+            budget.charge(tables.cells(sizes) + prod(sizes[a] for a in variables)
                           + premises.cells(sizes) + conclusion.cells(sizes))
-        lcodes, lvecs = _codes(source.lhs, variables, frame)
-        rcodes, rvecs = _codes(source.rhs, variables, frame)
-        pairs = {(lvecs[l], rvecs[r]) for l, r in zip(lcodes, rcodes)}
-        held = int.from_bytes(premises.masks(frame, sizes), "little")
-        failed = ~int.from_bytes(conclusion.masks(frame, sizes), "little")
+        tables.start(frame, sizes)
+        lvecs, rvecs = tables(source.lhs)[1], tables(source.rhs)[1]
+        pairs = {(lvecs[k // len(rvecs)], rvecs[k % len(rvecs)])
+                 for k in set(tables.pairs(source.lhs, source.rhs, variables))}
+        held = int.from_bytes(premises.masks(tables), "little")
+        failed = ~int.from_bytes(conclusion.masks(tables), "little")
         cells = prod(sizes.values())
         broken = _fold((held & failed).to_bytes(cells, "little"), cells // n, False)
         for w in range(n):

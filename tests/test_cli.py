@@ -172,6 +172,36 @@ def test_bad_budget_env_is_a_usage_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [
+        ["--budget", "-5"],
+        ["--samples", "-3"],
+        ["--samples", "2", "--sample-size", "0"],
+    ],
+)
+def test_bad_request_is_a_usage_error(monkeypatch, capsys, extra):
+    monkeypatch.delenv("MVCORR_BUDGET", raising=False)
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--formula", "p -> <>p", "--fo", "R(x,x)", "--sizes", "1", *extra,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_negative_budget_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("MVCORR_BUDGET", "-5")
+    code, _, err = run_cli(
+        capsys,
+        "verify", "--algebra", "paper-P", "--value", "gamma",
+        "--formula", "p -> <>p", "--fo", "R(x, x)", "--sizes", "2",
+    )
+    assert code == 2
+    assert err == "error: bad MVCORR_BUDGET value: '-5'\n"
+
+
+@pytest.mark.parametrize(
     "formula",
     ["p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p", "p <= @0"],
 )

@@ -78,3 +78,27 @@ def test_sampled_frames_deterministic():
     )
     assert r1.passed and r2.passed
     assert r1.frames_checked == r2.frames_checked
+
+
+@pytest.mark.parametrize(
+    "request_kw",
+    [
+        {"sizes": [1, 0]},
+        {"sizes": [-1]},
+        {"sizes": [1], "samples": -3},
+        {"sizes": [1], "samples": 2, "sample_size": 0},
+    ],
+)
+def test_vacuous_frame_requests_are_refused(monkeypatch, request_kw):
+    import mvcorr.oracle as oracle
+
+    built = []
+    monkeypatch.setattr(oracle, "iter_frames", lambda *a: built.append(a) or iter(()))
+    monkeypatch.setattr(oracle, "sample_frames", lambda *a: built.append(a) or [])
+    phi = parse_formula("p -> <>p", P)
+    with pytest.raises(ValueError):
+        correspondence_oracle(P, phi, P.top, Rel(X, X), **request_kw)
+    kw = dict(request_kw, threshold_alpha=P.top, threshold_beta=P.top)
+    with pytest.raises(ValueError):
+        fo_agree(P, Rel(X, X), Rel(X, X), **kw)
+    assert built == []

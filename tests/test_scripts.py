@@ -1,0 +1,49 @@
+"""The example scripts under scripts/ still run against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from mvcorr.heyting import builtin_algebra
+
+ROOT = Path(__file__).resolve().parents[1]
+AXIOMS = ("p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p")
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+
+
+def test_classify_examples():
+    done = run_script("classify_examples.py")
+    assert done.returncode == 0, done.stderr
+    verdicts = [line.strip() for line in done.stdout.splitlines()
+                if line.startswith("  ") and not line.startswith("    ")]
+    assert verdicts == [
+        "sahlqvist, order type p:d, q:1",
+        "not inductive",
+        "inductive, order type p:1, q:1, dependency p < q",
+    ]
+
+
+def test_property_sweep_one_ok_row_per_axiom_and_value():
+    done = run_script("property_sweep.py", "--sizes", "1")
+    assert done.returncode == 0, done.stderr
+    # rows read "<axiom> a=<value> <property> ok  (<seconds>s)"
+    rows = done.stdout.splitlines()
+    ok = []
+    for row in rows:
+        axiom, _, rest = row.partition(" a=")
+        fields = rest.split()
+        if fields[2:3] == ["ok"]:
+            ok.append((axiom.strip(), fields[0]))
+    P = builtin_algebra("paper-P")
+    values = [P.element_name(a) for a in range(P.n)]
+    assert sorted(ok) == sorted((axiom, v) for axiom in AXIOMS for v in values)
+    assert len(rows) == len(ok)

@@ -9,6 +9,7 @@ the same frame, the same first valuation, the same message.
 
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -16,14 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import generated_inductive, paper_inequalities
+from mvcorr import stepcheck
 from mvcorr.alba import RESERVED_CONOM, RESERVED_NOM, TraceStep, run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
 from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import iter_frames
-from mvcorr.randomgen import random_frame
+from mvcorr.randomgen import random_formula, random_frame
 from mvcorr.semantics import atom_options, compile_eval, iter_valuations
-from mvcorr.stepcheck import StepFailure, _show, verify_step
+from mvcorr.stepcheck import StepFailure, _show, _Tables, verify_step
 from mvcorr.syntax import CoNom, Inequality, Nom, Var, atoms, parse_formula, parse_inequality
 
 P = builtin_algebra("paper-P")
@@ -248,6 +250,55 @@ def test_frames_beyond_eight_states_match_reference():
     assert {s.rule for s in steps} == {"first-approximation", "ackermann-right"}
     for step in steps:
         assert assert_same_failure(step, [frame]) is None
+
+
+# -- bottom-up tables -------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_bottom_up_codes_match_compile_eval(seed, size):
+    # extended formulas: nominal i1, co-nominal m1, inverse modalities, minus
+    rng = random.Random(seed)
+    variables = ("p", "q") if size < 3 else ("p",)
+    f = random_formula(rng, P, variables, depth=4, extended=True)
+    while len(atoms(f)) < 2:
+        f = random_formula(rng, P, variables, depth=4, extended=True)
+    frame = random_frame(rng, P, size)
+    axes = sorted(atoms(f), key=str)
+    tables = _Tables([f])
+    tables.start(frame, {a: len(atom_options(frame, a)) for a in axes})
+    codes, vectors = tables(f)
+    fn = compile_eval(f, frame)
+    assert [vectors[c] for c in codes] == [fn(val) for val in iter_valuations(frame, axes)]
+    assert len(set(vectors)) == len(vectors)
+
+
+def test_shared_subformulas_compile_once_per_frame(monkeypatch):
+    compiled = Counter()
+
+    def counting(f, frame):
+        compiled[f] += 1
+        return compile_eval(f, frame)
+
+    monkeypatch.setattr(stepcheck, "compile_eval", counting)
+    step = _step("split-join", ["<>p \\/ []q <= []r"], ["<>p <= []r", "[]q <= []r"])
+    frames = [random_frame(random.Random(seed), P, 2) for seed in range(3)]
+    assert verify_step(step, frames) is None
+    # <>p, []q and []r occur in both systems, []r in all three inequalities
+    want = {parse_formula(t, P): len(frames) for t in ("<>p", "[]q", "[]r")}
+    assert compiled == want
+    # nothing is kept from one call to the next
+    verify_step(step, frames)
+    assert compiled == {f: 2 * n for f, n in want.items()}
+    # first-approximation: the conclusion #i0 <= $m0 shares its sides with
+    # the premises
+    compiled.clear()
+    steps = run_alba(parse_formula("p -> <>p", P), P.top, P).all_steps()
+    step = next(s for s in steps if s.rule == "first-approximation")
+    assert verify_step(step, frames) is None
+    assert {parse_formula("#i0", P), parse_formula("$m0", P)} <= set(compiled)
+    assert set(compiled.values()) == {len(frames)}
 
 
 # -- budget --------------------------------------------------------------------------
