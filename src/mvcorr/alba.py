@@ -26,10 +26,12 @@ first-order correspondent (the reserved `c_i0` becomes the free variable).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterator, Optional
 
 from .errors import StepCapExceeded
 from .fol import (
+    _conjoin,
     BOT,
     CoNomConst,
     CoNomTV,
@@ -450,12 +452,7 @@ def _try_ackermann(
 
 
 def _fold(op, parts: list[Formula], empty: Formula) -> Formula:
-    if not parts:
-        return empty
-    out = parts[0]
-    for p in parts[1:]:
-        out = op(out, p)
-    return out
+    return reduce(op, parts) if parts else empty
 
 
 def _approximation_moves(system: System, pinned: Inequality, jn) -> Iterator[_Move]:
@@ -680,7 +677,7 @@ def branch_correspondent(system: System) -> Fo:
     fresh = FreshVars()
     u, v = FoVar("x1"), FoVar("x2")
     premise_parts = [standard_translation(ineq, u, fresh) for ineq in system]
-    premise = Forall(u, _fo_fold(premise_parts))
+    premise = Forall(u, _conjoin(premise_parts))
     conclusion = Forall(
         v,
         standard_translation(
@@ -698,13 +695,6 @@ def branch_correspondent(system: System) -> Fo:
         Forall(CoNomConst(RESERVED_CONOM), ForallTV(CoNomTV(RESERVED_CONOM), out)),
     )
     return subst_term(out, NomConst(RESERVED_NOM), FoVar("x"))
-
-
-def _fo_fold(parts: list[Fo]) -> Fo:
-    out = parts[0]
-    for p in parts[1:]:
-        out = FoAnd(out, p)
-    return out
 
 
 def _local_display(
@@ -816,7 +806,7 @@ def run_alba(
 
     result.quasi = [branch_quasi(b.system) for b in branches]
     parts = [branch_correspondent(b.system) for b in branches]
-    result.correspondent = _fo_fold(parts)
+    result.correspondent = _conjoin(parts)
     result.correspondent_global = Forall(FoVar("x"), result.correspondent)
 
     displays = []
@@ -832,7 +822,7 @@ DISPLAY_SEPARATOR = "  AND  "
 
 def parse_display(display: str, alg: HeytingAlgebra) -> Fo:
     """The first-order condition a printed `display` stands for."""
-    return _fo_fold([parse_fo(part, alg) for part in display.split(DISPLAY_SEPARATOR)])
+    return _conjoin([parse_fo(part, alg) for part in display.split(DISPLAY_SEPARATOR)])
 
 
 # -- system comparison helpers ---------------------------------------------------------

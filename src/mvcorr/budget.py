@@ -3,12 +3,14 @@
 Every exhaustive enumeration charges work units against a budget.  In the
 table kernel (`fol.CompiledFo`, which also evaluates `semantics.valid_at`)
 one unit is one table cell: each evaluation charges every cell of its plan
-before it builds any table, so a refusal allocates nothing.  The per-step
-checker `stepcheck` charges the same way, for each frame before it builds
-that frame's tables: one unit per cell of each subformula's code table over
-its own atoms (a subformula shared by several inequalities counts once),
-of each inequality's table over its atoms and of the system tables over
-all of the step's atoms.  The reference evaluator `fol.fo_eval` charges
+before it builds any table, so a refusal allocates nothing.  `valid_at`
+charges a frame's degree table once, at the call that computes it; the
+calls for the frame's other states that reuse it charge nothing.  The
+per-step checker `stepcheck` charges the same way, for each frame before
+it builds that frame's tables: one unit per cell of each subformula's code
+table over its own atoms (a subformula shared by several inequalities
+counts once), of each inequality's table over its atoms and of the system
+tables over all of the step's atoms.  The reference evaluator `fol.fo_eval` charges
 one unit per node visited.  When the budget runs out the oracle raises
 BudgetExceeded instead of silently truncating: an oracle result must never
 be partial.  A negative cap, given or from MVCORR_BUDGET, raises

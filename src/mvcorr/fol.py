@@ -18,7 +18,7 @@ presentation; verification always runs on unsimplified formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from operator import getitem
 from typing import Optional
@@ -810,20 +810,42 @@ def validity_claim(
     fresh = FreshVars()
     degree = TruthConst(alg.element_name(a), a)
     if isinstance(target, syntax.Inequality):
-        used = syntax.atoms(target.lhs) | syntax.atoms(target.rhs)
         lhs = FoAnd(degree, standard_translation(target.lhs, fresh=fresh))
         out: Fo = Preceq(lhs, standard_translation(target.rhs, fresh=fresh))
     else:
-        used = syntax.atoms(target)
         out = Preceq(degree, standard_translation(target, fresh=fresh))
+    return _over_valuations(target, out)
+
+
+@lru_cache(maxsize=64)
+def degree_claim(target: ModalFormula | syntax.Inequality) -> Fo:
+    """The validity degree, with x free: `A p... A c_i. A C_i...
+    (ST(lhs) -> ST(rhs))` for lhs <= rhs, `ST(f)` under the same prefix for
+    a formula f.  As `a & l <= r` iff `a <= l -> r`, the target is a-valid
+    at w exactly when a is below the degree's value at x = w."""
+    fresh = FreshVars()
+    if isinstance(target, syntax.Inequality):
+        out: Fo = FoImplies(standard_translation(target.lhs, fresh=fresh),
+                            standard_translation(target.rhs, fresh=fresh))
+    else:
+        out = standard_translation(target, fresh=fresh)
+    return _over_valuations(target, out)
+
+
+def _over_valuations(target: ModalFormula | syntax.Inequality, body: Fo) -> Fo:
+    """`body` for every valuation of the target's atoms."""
+    if isinstance(target, syntax.Inequality):
+        used = syntax.atoms(target.lhs) | syntax.atoms(target.rhs)
+    else:
+        used = syntax.atoms(target)
     for atom in sorted(used, key=str, reverse=True):
         if isinstance(atom, syntax.Var):
-            out = ForallPred(atom.name, out)
+            body = ForallPred(atom.name, body)
         elif isinstance(atom, syntax.Nom):
-            out = Forall(NomConst(atom.name), ForallTV(NomTV(atom.name), out))
+            body = Forall(NomConst(atom.name), ForallTV(NomTV(atom.name), body))
         else:
-            out = Forall(CoNomConst(atom.name), ForallTV(CoNomTV(atom.name), out))
-    return out
+            body = Forall(CoNomConst(atom.name), ForallTV(CoNomTV(atom.name), body))
+    return body
 
 
 def st_faithfulness_check(model: Model, f, budget: Budget | None = None) -> bool:
@@ -1029,12 +1051,7 @@ def _flat_conjuncts(f: Fo) -> list[Fo]:
 
 
 def _conjoin(parts: list[Fo]) -> Fo:
-    if not parts:
-        return TOP
-    out = parts[0]
-    for p in parts[1:]:
-        out = FoAnd(out, p)
-    return out
+    return reduce(FoAnd, parts) if parts else TOP
 
 
 def _is_bot(f: Fo) -> bool:

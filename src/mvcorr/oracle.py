@@ -17,9 +17,9 @@ from typing import Callable, Iterable, Iterator, Optional
 from .budget import Budget
 from .errors import MvcorrError
 from .fol import (
+    _X,
     CompiledFo,
     Fo,
-    FoVar,
     free_individual_symbols,
     has_pred_nodes,
     interp_for_frame,
@@ -185,8 +185,7 @@ def _local_truth(
 ) -> Callable[[Frame], Callable[[int], bool]]:
     """Per frame, the states at which a condition on x holds to degree
     `threshold` under every assignment of its other free symbols."""
-    x = FoVar("x")
-    open_syms = sorted((t for t in free_individual_symbols(alpha) if t != x), key=str)
+    open_syms = sorted((t for t in free_individual_symbols(alpha) if t != _X), key=str)
 
     def per_frame(frame: Frame) -> Callable[[int], bool]:
         evaluator = CompiledFo(interp_for_frame(frame), alpha, budget)
@@ -194,7 +193,7 @@ def _local_truth(
 
         def holds(w: int) -> bool:
             for combo in product(range(frame.size), repeat=len(open_syms)):
-                env = {x: w}
+                env = {_X: w}
                 env.update(zip(open_syms, combo))
                 if not le(threshold, evaluator.value(env)):
                     return False

@@ -10,7 +10,9 @@ bottom elsewhere); co-nominals dually.
 
 `valid_at` (local a-validity, quantifying over every valuation of the atoms
 occurring in the formula) is exhaustive and budgeted; it is the ground
-truth the rewriting pipelines are verified against.
+truth the rewriting pipelines are verified against.  It compares a with
+the target's `validity_degree`, which one table of the kernel gives at
+every state of a frame.
 """
 
 from __future__ import annotations
@@ -221,24 +223,37 @@ def iter_valuations(frame: Frame, over: Iterable[Formula]) -> Iterator[Valuation
         yield dict(zip(over, combo))
 
 
+def validity_degree(frame: Frame, target, budget: Budget | None = None) -> tuple[int, ...]:
+    """Per state, the target's validity degree: one kernel table of
+    `fol.degree_claim`, with x free."""
+    from .fol import _X, CompiledFo, degree_claim, interp_for_frame  # fol imports us
+
+    kernel = CompiledFo(interp_for_frame(frame), degree_claim(target), budget)
+    return tuple(kernel.value({_X: w}) for w in range(frame.size))
+
+
+# (frame, target, budget, degree) of the last table; holding the frame and
+# budget, matched by identity, keeps their ids from being reused
+_last_degree: tuple = (None, None, None, ())
+
+
 def valid_at(
     frame: Frame, target, w, a: int, budget: Budget | None = None
 ) -> bool:
     """Local a-validity at w under every valuation of the atoms: a below the
     value of a formula, or a & lhs below rhs for an inequality lhs <= rhs.
-    Evaluated by the table kernel on `fol.validity_claim` with x pinned to
-    w; `compile_eval` over `iter_valuations` is its reference."""
-    from .fol import _X, CompiledFo, FoInterp, validity_claim  # fol imports us
-
+    By residuation, a below the `validity_degree` at w; the last degree
+    vector serves the next call on the same frame object, target and budget
+    object, charging nothing.  `compile_eval` over `iter_valuations` is its
+    reference."""
+    global _last_degree
     if isinstance(w, str):
         w = frame.state_index(w)
-    alg = frame.algebra
-    interp = FoInterp(frame, {}, {_X: w}, {})
-    claim = validity_claim(target, a, alg)
-    return CompiledFo(interp, claim, budget).value() == alg.top
-
-
-a_valid_at = inequality_valid_at = valid_at
+    last_frame, last_target, last_budget, degree = _last_degree
+    if not (last_frame is frame and last_budget is budget and last_target == target):
+        degree = validity_degree(frame, target, budget)
+        _last_degree = (frame, target, budget, degree)
+    return frame.algebra.le(a, degree[w])
 
 
 # -- complex algebra ----------------------------------------------------------
@@ -257,9 +272,6 @@ class ComplexAlgebra:
 
     def apply_dia(self, e: int) -> int:
         return self.dia_op[e]
-
-    def apply_box(self, e: int) -> int:
-        return self.box_op[e]
 
 
 def complex_algebra(frame: Frame, budget: Budget | None = None) -> ComplexAlgebra:
@@ -305,49 +317,16 @@ def _validate_complex(ca: ComplexAlgebra, budget: Budget | None) -> None:
                 raise InvalidModel("box operator does not preserve meets")
 
 
-def eval_in_complex(ca: ComplexAlgebra, f: Formula, assignment: dict[str, int]) -> int:
-    """Interpret a formula as a term in the complex algebra."""
-    alg = ca.algebra
-    base = ca.frame.algebra
-    if isinstance(f, Const):
-        return ca.index[tuple([f.index] * ca.frame.size)]
-    if isinstance(f, Var):
-        try:
-            return assignment[f.name]
-        except KeyError:
-            raise UnboundAtom(f.name)
-    if isinstance(f, Or):
-        return alg.join(eval_in_complex(ca, f.lhs, assignment),
-                        eval_in_complex(ca, f.rhs, assignment))
-    if isinstance(f, And):
-        return alg.meet(eval_in_complex(ca, f.lhs, assignment),
-                        eval_in_complex(ca, f.rhs, assignment))
-    if isinstance(f, Implies):
-        return alg.imp(eval_in_complex(ca, f.lhs, assignment),
-                       eval_in_complex(ca, f.rhs, assignment))
-    if isinstance(f, Minus):
-        return alg.coimp(eval_in_complex(ca, f.lhs, assignment),
-                         eval_in_complex(ca, f.rhs, assignment))
-    if isinstance(f, Dia):
-        return ca.apply_dia(eval_in_complex(ca, f.sub, assignment))
-    if isinstance(f, Box):
-        return ca.apply_box(eval_in_complex(ca, f.sub, assignment))
-    raise TypeError(f"complex-algebra terms cover the base language only: {f!r}")
-
-
 def complex_validates(ca: ComplexAlgebra, ineq: Inequality,
                       budget: Budget | None = None) -> bool:
-    """Equational validity of lhs <= rhs in the complex algebra."""
-    vars_ = sorted(
-        {a.name for a in (atoms(ineq.lhs) | atoms(ineq.rhs)) if isinstance(a, Var)}
-    )
-    for combo in product(range(ca.algebra.n), repeat=len(vars_)):
+    """Equational validity of lhs <= rhs in the complex algebra: both sides
+    evaluated as elements of it, value vectors over the frame's states,
+    under every valuation of the inequality's atoms."""
+    lhs, rhs = compile_eval(ineq.lhs, ca.frame), compile_eval(ineq.rhs, ca.frame)
+    for val in iter_valuations(ca.frame, atoms(ineq.lhs) | atoms(ineq.rhs)):
         if budget is not None:
             budget.charge()
-        assignment = dict(zip(vars_, combo))
-        lhs = eval_in_complex(ca, ineq.lhs, assignment)
-        rhs = eval_in_complex(ca, ineq.rhs, assignment)
-        if not ca.algebra.le(lhs, rhs):
+        if not ca.algebra.le(ca.index[lhs(val)], ca.index[rhs(val)]):
             return False
     return True
 

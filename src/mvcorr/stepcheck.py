@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from functools import reduce
+from itertools import islice, repeat
 from math import prod
-from operator import add
+from operator import add, and_, not_, or_
 from typing import Iterable, Optional
 
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
@@ -153,9 +154,20 @@ def _repeat(table: bytes, own: tuple, axes: tuple, sizes: dict) -> bytes:
 
 
 def _fold(table: bytes, chunk: int, universal: bool) -> bytes:
-    """Quantify out the trailing axes that span `chunk` cells."""
-    chunks = (table[i:i + chunk] for i in range(0, len(table), chunk))
-    return table if chunk == 1 else bytes(map(min if universal else max, chunks))
+    """Quantify out the trailing axes that span `chunk` cells: a cell is 1
+    when every (universal) or some (existential) cell of its chunk is 1.
+    The loop runs over the shorter of the two: the positions in a chunk
+    (AND/OR of the strided slices, each read as one integer) or the chunks
+    (a search for a 0 or a 1 in each)."""
+    count = len(table) // chunk
+    if chunk <= count:
+        slices = (int.from_bytes(table[k::chunk], "little") for k in range(chunk))
+        return reduce(and_ if universal else or_, slices).to_bytes(count, "little")
+    ends = range(chunk, len(table) + chunk, chunk)
+    chunks = map(table.__getitem__, map(slice, range(0, len(table), chunk), ends))
+    if universal:
+        return bytes(map(not_, map(bytes.__contains__, chunks, repeat(b"\0"))))
+    return bytes(map(bytes.__contains__, chunks, repeat(b"\1")))
 
 
 def verify_step(

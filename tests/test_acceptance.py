@@ -29,7 +29,7 @@ from mvcorr.fol import (
 from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, iter_frames, sample_frames
 from mvcorr.randomgen import random_fo, random_formula, random_frame, random_model
-from mvcorr.semantics import a_valid_at, eval_formula
+from mvcorr.semantics import eval_formula, valid_at
 from mvcorr.stepcheck import verify_step
 from mvcorr.svb import check_c_elimination, svb_correspondent
 from mvcorr.syntax import Const, Inequality, Nom, Var, children, parse_formula, parse_inequality
@@ -160,10 +160,10 @@ def test_criterion_3_disjunction_example(p_frames_upto2):
         for frame in p_frames_upto2:
             for w in range(frame.size):
                 # (a) never 1-valid, matching the bottom correspondent
-                assert not a_valid_at(frame, phi, w, P.top)
+                assert not valid_at(frame, phi, w, P.top)
                 # (b) a-valid exactly on a-reflexive states, a < 1
                 for a in (gamma, alpha, beta):
-                    assert a_valid_at(frame, phi, w, a) == P.le(
+                    assert valid_at(frame, phi, w, a) == P.le(
                         a, frame.rel[w][w]
                     ), (frame.rel, w, P.element_name(a))
 

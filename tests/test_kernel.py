@@ -2,8 +2,10 @@
 
 `fol.CompiledFo` is checked against `fol.fo_eval`, and `semantics.valid_at`
 (the kernel on the second-order translation) against brute force over
-`compile_eval` and `iter_valuations`; the oracle's first counterexample is
-checked against a reference loop built from the same two references.
+`compile_eval` and `iter_valuations`; the validity degree against the same
+brute force, and `valid_at` against the kernel on `fol.validity_claim`
+with x pinned; the oracle's first counterexample is checked against a
+reference loop built from the same two references.
 """
 
 import random
@@ -19,6 +21,7 @@ from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
 from mvcorr.fol import (
     CompiledFo,
+    FoInterp,
     ForallPred,
     FoVar,
     Pred,
@@ -27,12 +30,13 @@ from mvcorr.fol import (
     free_individual_symbols,
     free_pred_names,
     interp_for_frame,
+    validity_claim,
 )
 from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, iter_frames
 from mvcorr.randomgen import random_formula, random_fo, random_frame
-from mvcorr.semantics import Frame, compile_eval, iter_valuations, valid_at
-from mvcorr.syntax import Inequality, atoms, parse_formula
+from mvcorr.semantics import Frame, compile_eval, iter_valuations, valid_at, validity_degree
+from mvcorr.syntax import Implies, Inequality, atoms, parse_formula
 
 P = builtin_algebra("paper-P")
 X = FoVar("x")
@@ -105,6 +109,42 @@ def test_valid_at_matches_brute_force(seed):
     for a in range(P.n):
         for w in range(size):
             assert valid_at(frame, target, w, a) == brute_valid_at(frame, target, w, a)
+
+
+def random_target(rng, size):
+    """A formula or inequality with i1, m1, inverse modalities and `-`."""
+    variables = ("p", "q") if size < 3 else ("p",)
+    depth = rng.choice([1, 2, 3])
+    target = random_formula(rng, P, variables, depth, extended=True)
+    if rng.random() < 0.5:
+        target = Inequality(target, random_formula(rng, P, variables, depth, extended=True))
+    return target
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_validity_degree_is_the_meet_over_valuations(seed, size):
+    rng = random.Random(seed)
+    frame = random_frame(rng, P, size)
+    target = random_target(rng, size)
+    f = Implies(target.lhs, target.rhs) if isinstance(target, Inequality) else target
+    fn = compile_eval(f, frame)
+    values = [fn(val) for val in iter_valuations(frame, atoms(f))]
+    want = tuple(P.meet_all(v[w] for v in values) for w in range(size))
+    assert validity_degree(frame, target) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_valid_at_matches_the_pinned_validity_claim(seed, size):
+    rng = random.Random(seed)
+    frame = random_frame(rng, P, size)
+    target = random_target(rng, size)
+    for a in range(P.n):
+        claim = validity_claim(target, a, P)
+        for w in range(size):
+            pinned = CompiledFo(FoInterp(frame, {}, {X: w}, {}), claim).value()
+            assert valid_at(frame, target, w, a) == (pinned == P.top)
 
 
 def reference_first_counterexample(target, a, alpha, sizes):

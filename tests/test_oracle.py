@@ -2,10 +2,16 @@
 
 import pytest
 
-from mvcorr.errors import MvcorrError
-from mvcorr.fol import BOT, FoVar, Pred, Rel, frame_property, parse_fo
+import mvcorr.oracle as oracle
+from mvcorr.budget import Budget
+from mvcorr.errors import BudgetExceeded, MvcorrError
+from mvcorr.fol import (
+    BOT, CompiledFo, FoVar, Pred, Rel, degree_claim, frame_property, interp_for_frame,
+    parse_fo,
+)
 from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, fo_agree, iter_frames
+from mvcorr.semantics import valid_at
 from mvcorr.syntax import parse_formula, parse_inequality
 
 P = builtin_algebra("paper-P")
@@ -102,3 +108,67 @@ def test_vacuous_frame_requests_are_refused(monkeypatch, request_kw):
     with pytest.raises(ValueError):
         fo_agree(P, Rel(X, X), Rel(X, X), **kw)
     assert built == []
+
+
+# -- the degree table: one per frame, never shared between calls ---------------------
+
+
+def test_identical_oracle_calls_charge_alike():
+    # one sampled frame: the second call's frame equals the first's, and
+    # with the same budget object it must still be computed again
+    phi = parse_formula("p -> []<>p", P)
+    budget = Budget()
+    charged = []
+    for _ in range(2):
+        before = budget.used
+        report = correspondence_oracle(P, phi, P.element("gamma"), Rel(X, X), sizes=[],
+                                       samples=1, sample_size=2, seed=3, budget=budget)
+        assert report.frames_checked == 1
+        charged.append(budget.used - before)
+    assert charged[0] == charged[1] > 0
+
+
+def test_only_the_first_state_of_a_frame_charges(monkeypatch):
+    charges = []
+
+    def charging(frame, target, w, a, budget):
+        before = budget.used
+        out = valid_at(frame, target, w, a, budget)
+        charges.append((w, budget.used - before))
+        return out
+
+    monkeypatch.setattr(oracle, "valid_at", charging)
+    phi = parse_formula("p -> <>p", P)
+    report = correspondence_oracle(P, phi, P.element("gamma"), Rel(X, X), sizes=[2])
+    assert report.passed and len(charges) == report.states_checked == 1250
+    assert all((cells > 0) == (w == 0) for w, cells in charges)
+
+
+def test_refused_degree_table_is_not_kept():
+    phi = parse_formula("p -> []<>p", P)
+    frame = next(iter_frames(P, 2))
+    cells = CompiledFo(interp_for_frame(frame), degree_claim(phi)).cells
+    small = Budget(cells - 1)
+    for w in (0, 1):
+        with pytest.raises(BudgetExceeded):
+            valid_at(frame, phi, w, P.top, small)
+    budget = Budget(cells)
+    valid_at(frame, phi, 0, P.top, budget)
+    valid_at(frame, phi, 1, P.top, budget)
+    assert budget.used == cells
+    # another budget on the same frame object does not reuse the table
+    other = Budget()
+    valid_at(frame, phi, 1, P.top, other)
+    assert other.used == cells
+
+
+@pytest.mark.parametrize("text,value", [("p -> <>p", "gamma"), ("~p \\/ <>p", "1")])
+def test_one_modal_call_per_state_checked(monkeypatch, text, value):
+    # the benchmark's per-state seam: correspondence_oracle resolves
+    # valid_at through the oracle module once per state it checks
+    calls = []
+    monkeypatch.setattr(oracle, "valid_at", lambda *args: calls.append(args) or valid_at(*args))
+    report = correspondence_oracle(P, parse_formula(text, P), P.element(value), Rel(X, X),
+                                   sizes=[1, 2])
+    assert report.passed == (value == "gamma")
+    assert len(calls) == report.states_checked

@@ -13,16 +13,15 @@ from mvcorr.semantics import (
     Frame,
     Model,
     a_true_at,
-    a_valid_at,
     check_inequality,
     complex_algebra,
     complex_validates,
     compile_eval,
     eval_formula,
-    inequality_valid_at,
     iter_valuations,
     parse_frame_text,
     parse_model_text,
+    valid_at,
 )
 from mvcorr.syntax import (
     And,
@@ -109,7 +108,7 @@ def test_nominal_constraints_enforced():
 def test_zero_truth_is_trivial():
     phi = parse_formula("~p \\/ <>p", P)
     for loop in range(P.n):
-        assert a_valid_at(frame1(P, loop), phi, "w", P.bot)
+        assert valid_at(frame1(P, loop), phi, "w", P.bot)
 
 
 def test_gamma_validity_iff_gamma_reflexive_single_state():
@@ -117,7 +116,7 @@ def test_gamma_validity_iff_gamma_reflexive_single_state():
     g = pel("gamma")
     for loop in range(P.n):
         f = frame1(P, loop)
-        assert a_valid_at(f, phi, "w", g) == P.le(g, loop)
+        assert valid_at(f, phi, "w", g) == P.le(g, loop)
 
 
 def test_witness_valuation_breaks_gamma_validity():
@@ -132,7 +131,7 @@ def test_one_validity_of_classical_tautology_fails():
     # no frame 1-validates ~p | <>p
     phi = parse_formula("~p \\/ <>p", P)
     for loop in range(P.n):
-        assert not a_valid_at(frame1(P, loop), phi, "w", P.top)
+        assert not valid_at(frame1(P, loop), phi, "w", P.top)
 
 
 def test_a_true_antitone_in_a():
@@ -164,7 +163,7 @@ def test_budget_exceeded_is_reported():
     # a valid formula over three atoms forces the full 25^3 enumeration
     phi = parse_formula("p /\\ q /\\ r -> p", P)
     with pytest.raises(BudgetExceeded):
-        a_valid_at(f, phi, "u", P.top, Budget(50))
+        valid_at(f, phi, "u", P.top, Budget(50))
 
 
 def test_monotonicity_of_positive_formulas():
@@ -213,7 +212,7 @@ def test_disjunction_lemma_small_instances():
                 fn_psi(v)[w] for v in iter_valuations(f, [Var("q")])
             )
             for a in range(P.n):
-                direct = a_valid_at(f, disj, w, a)
+                direct = valid_at(f, disj, w, a)
                 split = P.le(a, P.join(a1, a2))
                 assert direct == split
 
@@ -255,7 +254,7 @@ def test_frame_validity_matches_complex_algebra():
         ca = complex_algebra(f)
         for ineq in ineqs:
             direct = all(
-                inequality_valid_at(f, ineq, w, P.top) for w in range(f.size)
+                valid_at(f, ineq, w, P.top) for w in range(f.size)
             )
             assert direct == complex_validates(ca, ineq), str(ineq)
 

@@ -25,7 +25,7 @@ from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import iter_frames
 from mvcorr.randomgen import random_formula, random_frame
 from mvcorr.semantics import atom_options, compile_eval, iter_valuations
-from mvcorr.stepcheck import StepFailure, _show, _Tables, verify_step
+from mvcorr.stepcheck import StepFailure, _fold, _show, _Tables, verify_step
 from mvcorr.syntax import CoNom, Inequality, Nom, Var, atoms, parse_formula, parse_inequality
 
 P = builtin_algebra("paper-P")
@@ -300,6 +300,18 @@ def test_shared_subformulas_compile_once_per_frame(monkeypatch):
     assert {parse_formula("#i0", P), parse_formula("$m0", P)} <= set(compiled)
     assert set(compiled.values()) == {len(frames)}
 
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 6, 25, 450, 625])
+def test_fold_matches_min_max(chunk):
+    # chunks both shorter and longer than the number of chunks
+    rng = random.Random(chunk)
+    for count in (1, 2, 7, 30):
+        for density in (0.1, 0.5, 0.97):
+            table = bytes(rng.random() < density for _ in range(chunk * count))
+            chunks = [table[i:i + chunk] for i in range(0, len(table), chunk)]
+            assert _fold(table, chunk, True) == bytes(map(min, chunks))
+            assert _fold(table, chunk, False) == bytes(map(max, chunks))
 
 # -- budget --------------------------------------------------------------------------
 
