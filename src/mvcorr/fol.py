@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from operator import getitem
-from typing import Optional
+from typing import Callable, Optional
 
 from .budget import Budget
 from .errors import UnboundSymbol
@@ -436,15 +436,17 @@ def _restore(env: dict, key, saved) -> None:
 class CompiledFo:
     """A formula tabulated over one interpretation by the table kernel.
 
-    Every subformula becomes a flat row-major table with one axis per free
-    symbol, axes ordered by binding depth so that each quantifier folds the
-    last axis of its body; connectives broadcast their operands through
-    index maps into the algebra's operation tables.  Symbols the
-    interpretation fixes are pinned instead.  The plan depends only on the
-    algebra, the formula, the frame size and the pinned symbols; per frame
-    only the subformulas that read the relation run, and `value(env)` reads
-    the root table.  Values equal fo_eval's.  The budget is charged one unit
-    per table cell of the plan, before any table is built.
+    Every subformula becomes a flat row-major `bytes` table, one element
+    index per cell, with one axis per free symbol, axes ordered by binding
+    depth so that each quantifier folds the last axis of its body.  A
+    connective repeats blocks of its operands' tables out to its own axes
+    (`broadcast`) and maps each pair of cells through the algebra's
+    operation table (`combiner`).  Symbols the interpretation fixes are
+    pinned instead.  The plan depends only on the algebra, the formula, the
+    frame size and the pinned symbols; per frame only the subformulas that
+    read the relation run, and `value(env)` reads the root table.  Values
+    equal fo_eval's.  The budget is charged one unit per table cell of the
+    plan, before any table is built.
     """
 
     def __init__(self, interp: FoInterp, f: Fo, budget: Budget | None = None):
@@ -484,7 +486,8 @@ class _Plan:
     symbols count down from -1, binders up from 0 in preorder, so sorted
     axes are in binding-depth order) and listing the nodes in postorder as
     (axes, cells, step, constant).  The first `run` allocates the tables,
-    after the caller has charged `cells`.
+    `bytes` of element indices, after the caller has charged `cells`; it
+    fixes each operand's `repeats` and each operation's `combiner`.
     """
 
     def __init__(self, alg: HeytingAlgebra, f: Fo, size: int, pins: tuple):
@@ -605,6 +608,7 @@ class _Plan:
         # axes of the operation that reads them
         tables: list = [None] * (self.rel_slot + 1)
         steps: list = []
+        n = self.alg.n
         for i, (axes, _, step, constant) in enumerate(self.nodes):
             if step[0] == "leaf":
                 _, operands, fn = step
@@ -614,15 +618,16 @@ class _Plan:
                     for combo in product(*(self._values(a) for a in axes))
                 ]
                 if constant:
-                    tables[i] = table
+                    tables[i] = bytes(table)
                     continue
-                task = (_GATHER, (self.rel_slot, table))  # positions in rel
+                task = (_GATHER, self.rel_slot, table)  # positions in rel
             elif step[0] == "op":
                 _, op, left, right = step
-                task = (_OP, op, self._operand(axes, left, tables),
+                task = (_OP, combiner(n, op), self._operand(axes, left, tables),
                         self._operand(axes, right, tables))
             else:
-                task = (_FOLD,) + step[1:]
+                _, op, body, m, unit = step
+                task = (_FOLD, combiner(n, op), op, body, m, unit)
             if constant:
                 tables[i] = _execute(task, tables)
             else:
@@ -630,20 +635,20 @@ class _Plan:
         self.steps, self.tables = steps, tables
 
     def _operand(self, axes: tuple, child: int, tables: list) -> tuple:
-        """(slot, index map or None) through which an operation reads a
-        child; a constant child is broadcast to the operation's axes once."""
-        index = index_map(axes, self.nodes[child][0], self.sizes)
-        if tables[child] is None or index is None:
-            return child, index
-        tables.append([tables[child][j] for j in index])
-        return len(tables) - 1, None
+        """(slot, `repeats`) through which an operation reads a child; a
+        constant child is broadcast to the operation's axes once."""
+        reps = repeats(self.nodes[child][0], axes, self.sizes)
+        if tables[child] is None or not reps:
+            return child, reps
+        tables.append(broadcast(tables[child], reps))
+        return len(tables) - 1, ()
 
-    def run(self, rel) -> list[int]:
+    def run(self, rel) -> bytes:
         """Root table of the formula on a frame with this relation matrix."""
         if self.tables is None:
             self._build()
         tables = self.tables.copy()
-        tables[self.rel_slot] = [v for row in rel for v in row]
+        tables[self.rel_slot] = b"".join(map(bytes, rel))
         for i, task in self.steps:
             tables[i] = _execute(task, tables)
         return tables[self.rel_slot - 1]
@@ -653,30 +658,91 @@ class _Plan:
 _plan = lru_cache(maxsize=32)(_Plan)
 
 
-def _execute(task: tuple, tables: list) -> list[int]:
+def _execute(task: tuple, tables: list) -> bytes:
     kind = task[0]
     if kind == _GATHER:
-        slot, index = task[1]
-        return list(map(tables[slot].__getitem__, index))
+        _, slot, positions = task
+        return bytes(map(tables[slot].__getitem__, positions))
     if kind == _OP:
-        _, op, (lslot, lindex), (rslot, rindex) = task
-        lhs = tables[lslot] if lindex is None else map(tables[lslot].__getitem__, lindex)
-        rhs = tables[rslot] if rindex is None else map(tables[rslot].__getitem__, rindex)
-        return list(map(getitem, map(op.__getitem__, lhs), rhs))
-    _, op, body, m, unit = task
-    table = tables[body]
-    if m >= 8 or len(table) < m * m:  # few long chunks: fold distinct values
-        out = []
-        for i in range(0, len(table), m):
-            acc = unit
-            for v in set(table[i:i + m]):
-                acc = op[acc][v]
-            out.append(acc)
+        _, combine, (lslot, lreps), (rslot, rreps) = task
+        return combine(broadcast(tables[lslot], lreps), broadcast(tables[rslot], rreps))
+    _, combine, op, body, m, unit = task
+    return fold(tables[body], m, combine, op, unit)
+
+
+def combiner(n: int, op: list) -> Callable[[bytes, bytes], bytes]:
+    """The operation with n x n table `op`, applied cell by cell to two
+    tables of equal length.  With n * n <= 256 each cell pair becomes one
+    packed code x * n + y, computed for all cells at once as one integer:
+    every digit stays below 256, so none carries, and one translate maps
+    the codes.  Larger algebras read the table cell by cell."""
+    if n * n <= 256:
+        codes = bytes(op[x][y] for x in range(n) for y in range(n)).ljust(256, b"\0")
+
+        def combine(lhs: bytes, rhs: bytes) -> bytes:
+            packed = int.from_bytes(lhs, "little") * n + int.from_bytes(rhs, "little")
+            return packed.to_bytes(len(lhs), "little").translate(codes)
+
+        return combine
+    rows = [bytes(row) for row in op]
+    return lambda lhs, rhs: bytes(map(getitem, map(rows.__getitem__, lhs), rhs))
+
+
+def fold(table: bytes, m: int, combine: Callable, op: list, unit: int) -> bytes:
+    """Fold every chunk of m consecutive cells with the operation `op`
+    (`combine` cell by cell): over the m strided slices when there are at
+    least as many chunks as cells per chunk, else over each chunk's
+    distinct values."""
+    if len(table) >= m * m:
+        out = table[0::m]
+        for k in range(1, m):
+            out = combine(out, table[k::m])
         return out
-    out = table[0::m]
-    for k in range(1, m):
-        out = list(map(getitem, map(op.__getitem__, out), table[k::m]))
-    return out
+    out = bytearray()
+    for i in range(0, len(table), m):
+        acc = unit
+        for v in set(table[i:i + m]):
+            acc = op[acc][v]
+        out.append(acc)
+    return bytes(out)
+
+
+def repeats(own: tuple, axes: tuple, sizes: dict) -> tuple:
+    """How `broadcast` takes a table over `own`, a subsequence of `axes`,
+    to `axes`: (m, inner) insertions, innermost first, each repeating every
+    block of `inner` cells m times.  Adjacent missing axes merge into one."""
+    reps: list = []
+    inner = 1
+    for a in reversed(axes):
+        m = sizes[a]
+        if a not in own and m > 1:
+            if reps and reps[-1][0] * reps[-1][1] == inner:
+                reps[-1] = (reps[-1][0] * m, reps[-1][1])
+            else:
+                reps.append((m, inner))
+        inner *= m
+    return tuple(reps)
+
+
+def broadcast(table: bytes, reps: tuple) -> bytes:
+    """A table with the `repeats` insertions applied.  A new outermost axis
+    repeats the table; a new inner axis loops over the blocks, or over the
+    positions in a repeated block (strided slice assignments), whichever
+    is shorter."""
+    for m, inner in reps:
+        cells = len(table)
+        if inner == cells:
+            table *= m
+        elif cells // inner <= m * inner:
+            table = b"".join([table[i:i + inner] * m for i in range(0, cells, inner)])
+        else:
+            out, span = bytearray(cells * m), inner * m
+            for j in range(inner):
+                column = table[j::inner]
+                for k in range(j, span, inner):
+                    out[k::span] = column
+            table = bytes(out)
+    return table
 
 
 def _strides(axes: tuple, sizes: dict) -> dict:
@@ -684,18 +750,6 @@ def _strides(axes: tuple, sizes: dict) -> dict:
     for a in reversed(axes):
         out[a] = stride
         stride *= sizes[a]
-    return out
-
-
-def index_map(parent: tuple, child: tuple, sizes: dict) -> list[int] | None:
-    """Position in the child's table of each cell of the parent's table."""
-    if parent == child:
-        return None
-    stride = _strides(child, sizes)
-    out = [0]
-    for a in parent:
-        step = stride.get(a, 0)
-        out = [base + k * step for base in out for k in range(sizes[a])]
     return out
 
 

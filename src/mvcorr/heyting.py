@@ -40,6 +40,9 @@ from .errors import (
     UnknownConstant,
 )
 
+# the table kernel (`fol.CompiledFo`) holds one element index per byte
+MAX_ELEMENTS = 256
+
 BOT_ALIASES = ("0", "bot", "false")
 TOP_ALIASES = ("1", "top", "true")
 
@@ -303,6 +306,9 @@ def load_algebra(spec: dict, name: str | None = None) -> HeytingAlgebra:
         raw_pairs = [(str(a), str(b)) for a, b in spec.get("leq", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidAlgebra(f"bad algebra description: {exc}")
+    if len(raw_names) > MAX_ELEMENTS:
+        raise InvalidAlgebra(f"{len(raw_names)} elements; at most {MAX_ELEMENTS} are "
+                             "supported, one byte per element in evaluation tables")
     index = {nm: i for i, nm in enumerate(raw_names)}
     if len(index) != len(raw_names):
         raise InvalidAlgebra("duplicate element names")

@@ -342,6 +342,9 @@ def parse_frame_text(text: str, alg: HeytingAlgebra) -> Frame:
         raise InvalidModel("frame needs a nonempty `states` list")
     rel = [[alg.bot] * len(states) for _ in states]
     idx = {s: i for i, s in enumerate(states)}
+    if len(idx) != len(states):
+        dup = next(s for s in states if states.count(s) > 1)
+        raise InvalidModel(f"state {dup!r} is listed more than once")
     for entry in doc.get("rel", []):
         try:
             src, dst, value = entry

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
 from .budget import Budget
-from .fol import index_map
+from .fol import _strides, broadcast, repeats
 from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations, operation
 from .syntax import CoNom, Formula, Inequality, Nom, Var, atoms, children
 
@@ -139,18 +139,21 @@ class _System:
             lvecs, rvecs = tables(ineq.lhs)[1], tables(ineq.rhs)[1]
             pair = bytes([all(map(le, lv, rv)) for lv in lvecs for rv in rvecs])
             own_table = bytes(map(pair.__getitem__, tables.pairs(ineq.lhs, ineq.rhs, own)))
-            table &= int.from_bytes(_repeat(own_table, own, self.axes, sizes), "little")
+            own_table = broadcast(own_table, repeats(own, self.axes, sizes))
+            table &= int.from_bytes(own_table, "little")
         return table.to_bytes(cells, "little")
 
 
-def _repeat(table: bytes, own: tuple, axes: tuple, sizes: dict) -> bytes:
-    """A table over `own`, a subsequence of `axes`, repeated along the others."""
-    inner = 1
-    for a in reversed(axes):
-        if a not in own:
-            table = b"".join([table[i:i + inner] * sizes[a] for i in range(0, len(table), inner)])
-        inner *= sizes[a]
-    return table
+def index_map(parent: tuple, child: tuple, sizes: dict) -> list[int] | None:
+    """Position in the child's table of each cell of the parent's table."""
+    if parent == child:
+        return None
+    stride = _strides(child, sizes)
+    out = [0]
+    for a in parent:
+        step = stride.get(a, 0)
+        out = [base + k * step for base in out for k in range(sizes[a])]
+    return out
 
 
 def _fold(table: bytes, chunk: int, universal: bool) -> bytes:

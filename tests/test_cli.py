@@ -1,6 +1,10 @@
 """CLI surface: exit codes, golden outputs, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,41 @@ def test_unknown_constant_exit_2(capsys):
         capsys, "alba", "--formula", "p -> <>p", "--value", "delta"
     )
     assert code == 2
+
+
+def test_oversized_algebra_exit_2(tmp_path, capsys):
+    names = [f"e{i}" for i in range(257)]
+    algebra = tmp_path / "chain257.json"
+    algebra.write_text(json.dumps({"elements": names,
+                                   "leq": [[a, b] for a, b in zip(names, names[1:])]}))
+    code, _, err = run_cli(capsys, "algebra", "check", "--algebra", str(algebra))
+    assert code == 2
+    assert "at most 256" in err
+
+
+def test_duplicate_state_names_exit_2(tmp_path, capsys):
+    model = tmp_path / "model.yaml"
+    model.write_text("states: [a, a]\nrel:\n  - [a, a, '1']\nval:\n  - [p, a, '1']\n")
+    code, _, err = run_cli(
+        capsys,
+        "eval", "--algebra", "paper-P", "--model", str(model),
+        "--formula", "<>p", "--state", "a", "--value", "1",
+    )
+    assert code == 2
+    assert "listed more than once" in err
+
+
+def test_python_m_runs_the_cli_from_a_checkout():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mvcorr", "alba", "--value", "gamma",
+         "--formula", "p -> <>p", "--verify", "sizes=1"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout
 
 
 def test_svb_with_comparison(capsys):

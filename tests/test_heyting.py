@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mvcorr.errors import NoBounds, NotALattice, NotDistributive, UnknownConstant
+from mvcorr.errors import (
+    InvalidAlgebra, NoBounds, NotALattice, NotDistributive, UnknownConstant,
+)
 from mvcorr.heyting import builtin_algebra, load_algebra, parse_algebra_text
 
 P = builtin_algebra("paper-P")
@@ -215,6 +217,12 @@ def test_non_distributive_diamond_rejected():
             }
         )
     assert len(excinfo.value.witness) == 3
+
+
+def test_more_elements_than_a_byte_holds_rejected():
+    names = [str(i) for i in range(257)]
+    with pytest.raises(InvalidAlgebra, match="at most 256"):
+        load_algebra({"elements": names, "leq": [[a, b] for a, b in zip(names, names[1:])]})
 
 
 def test_unknown_constant():

@@ -5,12 +5,16 @@
 `compile_eval` and `iter_valuations`; the validity degree against the same
 brute force, and `valid_at` against the kernel on `fol.validity_claim`
 with x pinned; the oracle's first counterexample is checked against a
-reference loop built from the same two references.
+reference loop built from the same two references.  The kernel's table
+primitives (`repeats`/`broadcast`, `combiner`, `fold`) are checked against
+index maps, the algebra's tables and a reference fold.
 """
 
 import random
 import tracemalloc
+from functools import reduce
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,19 +27,25 @@ from mvcorr.fol import (
     CompiledFo,
     FoInterp,
     ForallPred,
+    FoMinus,
     FoVar,
     Pred,
     Preceq,
+    broadcast,
+    combiner,
     fo_eval,
+    fold,
     free_individual_symbols,
     free_pred_names,
     interp_for_frame,
+    repeats,
     validity_claim,
 )
-from mvcorr.heyting import builtin_algebra
+from mvcorr.heyting import builtin_algebra, load_algebra
 from mvcorr.oracle import correspondence_oracle, iter_frames
 from mvcorr.randomgen import random_formula, random_fo, random_frame
 from mvcorr.semantics import Frame, compile_eval, iter_valuations, valid_at, validity_degree
+from mvcorr.stepcheck import index_map
 from mvcorr.syntax import Implies, Inequality, atoms, parse_formula
 
 P = builtin_algebra("paper-P")
@@ -54,7 +64,7 @@ def assert_kernel_matches_fo_eval(frame, f):
     kernel = CompiledFo(interp, f)
     terms = sorted(free_individual_symbols(f), key=str)
     preds = sorted(free_pred_names(f))
-    rows = list(product(range(P.n), repeat=frame.size))
+    rows = list(product(range(frame.algebra.n), repeat=frame.size))
     for states in product(range(frame.size), repeat=len(terms)):
         for assigned in product(rows, repeat=len(preds)):
             env = {**dict(zip(terms, states)), **dict(zip(preds, assigned))}
@@ -70,6 +80,19 @@ def test_kernel_matches_fo_eval_on_random_formulas(seed):
     preds = ("p", "q") if size < 3 else ("p",)
     f = random_fo(rng, P, preds=preds, depth=rng.choice([2, 3, 4]))
     assert_kernel_matches_fo_eval(random_frame(rng, P, size), f)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_fo_eval_past_the_packed_range(seed):
+    # 17 * 17 > 256: every operation reads the algebra's table cell by cell
+    chain = load_algebra({"elements": [str(i) for i in range(17)],
+                          "leq": [[str(i), str(i + 1)] for i in range(16)]})
+    rng = random.Random(seed)
+    size = rng.choice([1, 2])
+    g, h = (random_fo(rng, chain, preds=("p",), depth=rng.choice([1, 2, 3])) for _ in "gh")
+    f = rng.choice([g, FoMinus(g, h), Preceq(g, h), ForallPred("p", g)])
+    assert_kernel_matches_fo_eval(random_frame(rng, chain, size), f)
 
 
 @pytest.mark.parametrize("key", sorted(CORRESPONDENTS), ids=str)
@@ -212,3 +235,69 @@ def test_budget_refusal_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+# -- table primitives ---------------------------------------------------------------
+
+
+@st.composite
+def axes_and_table(draw):
+    """Axes with sizes 1-125 (at most 20 000 cells), a subsequence of them,
+    and a table over the subsequence."""
+    sizes, cells = {}, 1
+    for a in range(draw(st.integers(1, 5))):
+        sizes[a] = draw(st.integers(1, min(125, 20_000 // cells)))
+        cells *= sizes[a]
+    axes = tuple(sizes)
+    own = tuple(a for a in axes if draw(st.booleans()))
+    table = draw(st.binary(min_size=prod(sizes[a] for a in own),
+                           max_size=prod(sizes[a] for a in own)))
+    return axes, own, sizes, table
+
+
+@settings(deadline=None, max_examples=300)
+@given(axes_and_table())
+def test_broadcast_matches_index_map(case):
+    axes, own, sizes, table = case
+    index = index_map(axes, own, sizes)
+    want = table if index is None else bytes(table[i] for i in index)
+    assert broadcast(table, repeats(own, axes, sizes)) == want
+
+
+ALGEBRAS = {"bool2": builtin_algebra("bool2"), "paper-P": P}
+
+
+def operation_tables(alg):
+    leq = [[alg.top if le else alg.bot for le in row] for row in alg.leq]
+    return {"join": alg.join_table, "meet": alg.meet_table, "imp": alg.imp_table,
+            "coimp": alg.coimp_table, "=<": leq}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_packed_combine_matches_the_algebra_tables(name, data):
+    alg = ALGEBRAS[name]
+    cells = data.draw(st.integers(1, 600))
+    element = st.integers(0, alg.n - 1)
+    lhs = bytes(data.draw(st.lists(element, min_size=cells, max_size=cells)))
+    rhs = bytes(data.draw(st.lists(element, min_size=cells, max_size=cells)))
+    for op in operation_tables(alg).values():
+        assert combiner(alg.n, op)(lhs, rhs) == bytes(op[x][y] for x, y in zip(lhs, rhs))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@settings(deadline=None, max_examples=100)
+@given(st.data(), st.integers(1, 12), st.integers(1, 12), st.booleans())
+def test_fold_matches_a_reference_fold(name, data, m, count, forall):
+    # count >= m takes the strided branch, count < m the distinct-value one
+    alg = ALGEBRAS[name]
+    op, unit = (alg.meet_table, alg.top) if forall else (alg.join_table, alg.bot)
+    # cells from a drawn subset of the elements, so that folds often stay
+    # clear of bottom (meets) and top (joins)
+    elements = data.draw(st.lists(st.integers(0, alg.n - 1), min_size=1, unique=True))
+    table = bytes(data.draw(st.lists(st.sampled_from(elements),
+                                     min_size=m * count, max_size=m * count)))
+    want = bytes(reduce(lambda acc, v: op[acc][v], table[i:i + m], unit)
+                 for i in range(0, len(table), m))
+    assert fold(table, m, combiner(alg.n, op), op, unit) == want

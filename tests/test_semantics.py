@@ -270,6 +270,13 @@ rel:
 """
 
 
+def test_duplicate_state_names_rejected():
+    with pytest.raises(InvalidModel, match="'a' is listed more than once"):
+        parse_frame_text("states: [a, a]\nrel:\n  - [a, a, '1']\n", P)
+    with pytest.raises(InvalidModel):
+        parse_model_text("states: [a, b, a]\nval:\n  - [p, a, '1']\n", P)
+
+
 def test_parse_frame_and_model_text():
     f = parse_frame_text(FRAME_DOC, P)
     assert f.states == ("w", "v")
