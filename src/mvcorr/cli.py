@@ -18,15 +18,7 @@ from typing import Optional
 
 from . import __version__
 from .budget import Budget
-from .errors import (
-    BudgetExceeded,
-    FormulaSyntaxError,
-    InvalidAlgebra,
-    InvalidModel,
-    NotClassicalSahlqvist,
-    StepCapExceeded,
-    UnknownConstant,
-)
+from .errors import BudgetExceeded, MvcorrError, NotClassicalSahlqvist, StepCapExceeded
 from .fol import parse_fo, print_fo, simplify_display, to_dict
 from .heyting import HeytingAlgebra, resolve_algebra
 from .alba import parse_display, run_alba
@@ -412,13 +404,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         parser.error(f"unknown command {args.command}")
-    except (FormulaSyntaxError, UnknownConstant, InvalidAlgebra, InvalidModel,
-            ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (BudgetExceeded, StepCapExceeded) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 1
+    except (MvcorrError, ValueError, OSError) as exc:  # a bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 2
 
 

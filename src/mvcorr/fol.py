@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import islice, product
 from operator import getitem
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .budget import Budget
 from .errors import UnboundSymbol
@@ -433,8 +433,15 @@ def _restore(env: dict, key, saved) -> None:
         env[key] = saved
 
 
+# the ceiling on the cells of one batch's tables; a batch of one frame may
+# pass it, as a single frame always could
+BATCH_CELLS = 1 << 16
+
+
 class CompiledFo:
-    """A formula tabulated over one interpretation by the table kernel.
+    """A formula tabulated by the table kernel over one interpretation, and
+    over the frames of `following` too: a batch of frames of one size that
+    share the interpretation's pinned symbols.
 
     Every subformula becomes a flat row-major `bytes` table, one element
     index per cell, with one axis per free symbol, axes ordered by binding
@@ -443,26 +450,38 @@ class CompiledFo:
     (`broadcast`) and maps each pair of cells through the algebra's
     operation table (`combiner`).  Symbols the interpretation fixes are
     pinned instead.  The plan depends only on the algebra, the formula, the
-    frame size and the pinned symbols; per frame only the subformulas that
-    read the relation run, and `value(env)` reads the root table.  Values
-    equal fo_eval's.  The budget is charged one unit per table cell of the
-    plan, before any table is built.
+    frame size and the pinned symbols; per batch only the subformulas that
+    read the relation run, with the frames as their outermost axis, and
+    `value(env, frame)` reads the root table.  Values equal fo_eval's.
+
+    The budget is charged `cells`, one frame's table cells, before any
+    table is built.  The batch covers `frames` frames: `interp.frame`, then
+    those of `following` in order, as many as fit under `BATCH_CELLS` and
+    as the budget left after that charge can pay for.  It charges nothing
+    for them; whoever reads frame k > 0 charges `cells` for it first.
     """
 
-    def __init__(self, interp: FoInterp, f: Fo, budget: Budget | None = None):
+    def __init__(self, interp: FoInterp, f: Fo, budget: Budget | None = None,
+                 following: Iterable[Frame] = ()):
         frame = interp.frame
         pins = tuple(tuple(d.items()) for d in (interp.consts, interp.tvs, interp.preds))
         plan = _plan(frame.algebra, f, frame.size, pins)
         self.cells = plan.cells
+        room = BATCH_CELLS // plan.cells
         if budget is not None:
             budget.charge(plan.cells)
+            room = min(room, 1 + (budget.cap - budget.used) // plan.cells)
+        rels = [frame.rel, *(g.rel for g in islice(following, max(room - 1, 0)))]
+        self.frames = len(rels)
         self.root = plan.root
-        self.table = plan.run(frame.rel)
+        self.table = plan.run(rels)
+        self.span = len(self.table) // self.frames  # root cells per frame
 
-    def value(self, env: dict | None = None) -> int:
-        """Value under an assignment of the free symbols that are not pinned."""
+    def value(self, env: dict | None = None, frame: int = 0) -> int:
+        """Value on the batch's frame number `frame` under an assignment of
+        the free symbols that are not pinned."""
         env = {} if env is None else env
-        index = 0
+        index = frame * self.span
         for sym, stride, base in self.root:
             if sym not in env:
                 raise UnboundSymbol(f"free symbol {sym} is unbound")
@@ -487,7 +506,9 @@ class _Plan:
     axes are in binding-depth order) and listing the nodes in postorder as
     (axes, cells, step, constant).  The first `run` allocates the tables,
     `bytes` of element indices, after the caller has charged `cells`; it
-    fixes each operand's `repeats` and each operation's `combiner`.
+    fixes each operand's `repeats` and each operation's `combiner`.  The
+    constant tables (those of subformulas that never read the relation)
+    are kept; every `run` computes the others for its batch of frames.
     """
 
     def __init__(self, alg: HeytingAlgebra, f: Fo, size: int, pins: tuple):
@@ -620,7 +641,9 @@ class _Plan:
                 if constant:
                     tables[i] = bytes(table)
                     continue
-                task = (_GATHER, self.rel_slot, table)  # positions in rel
+                # positions in the relation, translated while they fit a byte
+                positions = bytes(table) if self.size * self.size <= 256 else table
+                task = (_GATHER, self.rel_slot, positions)
             elif step[0] == "op":
                 _, op, left, right = step
                 task = (_OP, combiner(n, op), self._operand(axes, left, tables),
@@ -629,43 +652,59 @@ class _Plan:
                 _, op, body, m, unit = step
                 task = (_FOLD, combiner(n, op), op, body, m, unit)
             if constant:
-                tables[i] = _execute(task, tables)
+                tables[i] = _execute(task, tables, 1)
             else:
                 steps.append((i, task))
         self.steps, self.tables = steps, tables
 
     def _operand(self, axes: tuple, child: int, tables: list) -> tuple:
-        """(slot, `repeats`) through which an operation reads a child; a
-        constant child is broadcast to the operation's axes once."""
+        """(slot, `repeats`, constant) through which an operation reads a
+        child; a constant child is broadcast to the operation's axes once."""
         reps = repeats(self.nodes[child][0], axes, self.sizes)
-        if tables[child] is None or not reps:
-            return child, reps
-        tables.append(broadcast(tables[child], reps))
-        return len(tables) - 1, ()
+        if tables[child] is None:
+            return child, reps, False
+        if reps:
+            tables.append(broadcast(tables[child], reps))
+            child = len(tables) - 1
+        return child, (), True
 
-    def run(self, rel) -> bytes:
-        """Root table of the formula on a frame with this relation matrix."""
+    def run(self, rels: list) -> bytes:
+        """Root table of the formula on a batch of frames with these relation
+        matrices.  Every table that reads the relation, and the root, has
+        the frames as its outermost axis: frame k owns the k-th of
+        len(rels) equal slices, which equals that frame's own table."""
         if self.tables is None:
             self._build()
         tables = self.tables.copy()
-        tables[self.rel_slot] = b"".join(map(bytes, rel))
+        flat = [b"".join(map(bytes, rel)) for rel in rels]
+        if self.size * self.size <= 256:  # translate tables
+            flat = [rel.ljust(256, b"\0") for rel in flat]
+        tables[self.rel_slot] = flat
         for i, task in self.steps:
-            tables[i] = _execute(task, tables)
-        return tables[self.rel_slot - 1]
+            tables[i] = _execute(task, tables, len(rels))
+        root = tables[self.rel_slot - 1]
+        return root * len(rels) if self.nodes[-1][3] else root
 
 
 # plans hold no frame data; a few dozen cover the sizes of one oracle run
 _plan = lru_cache(maxsize=32)(_Plan)
 
 
-def _execute(task: tuple, tables: list) -> bytes:
+def _execute(task: tuple, tables: list, frames: int) -> bytes:
+    """One step's table over a batch of `frames` frames.  A constant
+    operand of an operation that reads the relation is repeated once per
+    frame, since its table holds no frame axis."""
     kind = task[0]
     if kind == _GATHER:
         _, slot, positions = task
-        return bytes(map(tables[slot].__getitem__, positions))
+        if isinstance(positions, bytes):
+            return b"".join([positions.translate(rel) for rel in tables[slot]])
+        return b"".join([bytes(map(rel.__getitem__, positions)) for rel in tables[slot]])
     if kind == _OP:
-        _, combine, (lslot, lreps), (rslot, rreps) = task
-        return combine(broadcast(tables[lslot], lreps), broadcast(tables[rslot], rreps))
+        _, combine, (lslot, lreps, lconst), (rslot, rreps, rconst) = task
+        lhs = tables[lslot] * frames if lconst else broadcast(tables[lslot], lreps)
+        rhs = tables[rslot] * frames if rconst else broadcast(tables[rslot], rreps)
+        return combine(lhs, rhs)
     _, combine, op, body, m, unit = task
     return fold(tables[body], m, combine, op, unit)
 

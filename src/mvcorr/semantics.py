@@ -18,9 +18,9 @@ every state of a frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from operator import getitem
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import yaml
 
@@ -226,34 +226,64 @@ def iter_valuations(frame: Frame, over: Iterable[Formula]) -> Iterator[Valuation
 def validity_degree(frame: Frame, target, budget: Budget | None = None) -> tuple[int, ...]:
     """Per state, the target's validity degree: one kernel table of
     `fol.degree_claim`, with x free."""
+    return validity_degrees(frame, target, budget)[1][0]
+
+
+def validity_degrees(
+    frame: Frame, target, budget: Budget | None = None, following: Iterable[Frame] = ()
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The degree table's cells per frame, and the `validity_degree` vector
+    of `frame` and of each further frame of `following` that the same
+    batched kernel table covers (`fol.CompiledFo` charges `frame`'s cells
+    only)."""
     from .fol import _X, CompiledFo, degree_claim, interp_for_frame  # fol imports us
 
-    kernel = CompiledFo(interp_for_frame(frame), degree_claim(target), budget)
-    return tuple(kernel.value({_X: w}) for w in range(frame.size))
+    kernel = CompiledFo(interp_for_frame(frame), degree_claim(target), budget, following)
+    states = range(frame.size)
+    degrees = [tuple(kernel.value({_X: w}, k) for w in states) for k in range(kernel.frames)]
+    return kernel.cells, degrees
 
 
-# (frame, target, budget, degree) of the last table; holding the frame and
-# budget, matched by identity, keeps their ids from being reused
-_last_degree: tuple = (None, None, None, ())
+# (target, budget, frames, their indices by id, cells per frame, degree
+# vectors, index of the frame last charged) of the last batch's degree
+# table; holding the frames and the budget, matched by identity, keeps
+# their ids from being reused
+_last_degree: tuple = (None, None, (), {}, 0, [], -1)
 
 
 def valid_at(
-    frame: Frame, target, w, a: int, budget: Budget | None = None
+    frame: Frame, target, w, a: int, budget: Budget | None = None,
+    batch: Sequence[Frame] = (),
 ) -> bool:
     """Local a-validity at w under every valuation of the atoms: a below the
     value of a formula, or a & lhs below rhs for an inequality lhs <= rhs.
-    By residuation, a below the `validity_degree` at w; the last degree
-    vector serves the next call on the same frame object, target and budget
-    object, charging nothing.  `compile_eval` over `iter_valuations` is its
-    reference."""
+    By residuation, a below the `validity_degree` at w.  `compile_eval`
+    over `iter_valuations` is its reference.
+
+    `batch` is a run of frames of one size that holds `frame` (the oracle's
+    current batch).  A call on a frame that the last degree table does not
+    cover, for this target and budget object, builds a new one for `frame`
+    and the frames after it in `batch`, as many as `fol.CompiledFo` fits,
+    charging `frame`'s cells first.  A call on another frame the table
+    covers charges that frame's cells; further calls on the same frame
+    charge nothing.  So each frame is charged at its first state, as if it
+    had a table of its own."""
     global _last_degree
     if isinstance(w, str):
         w = frame.state_index(w)
-    last_frame, last_target, last_budget, degree = _last_degree
-    if not (last_frame is frame and last_budget is budget and last_target == target):
-        degree = validity_degree(frame, target, budget)
-        _last_degree = (frame, target, budget, degree)
-    return frame.algebra.le(a, degree[w])
+    last_target, last_budget, frames, index, cells, degrees, current = _last_degree
+    k = index.get(id(frame), -1)
+    if k < 0 or last_budget is not budget or last_target != target:
+        start = next((j for j, g in enumerate(batch) if g is frame), len(batch))
+        cells, degrees = validity_degrees(frame, target, budget,
+                                          islice(batch, start + 1, None))
+        frames = (frame, *islice(batch, start + 1, start + len(degrees)))
+        index = {id(g): j for j, g in enumerate(frames)}
+        k = 0
+    elif k != current and budget is not None:
+        budget.charge(cells)
+    _last_degree = (target, budget, frames, index, cells, degrees, k)
+    return frame.algebra.le(a, degrees[k][w])
 
 
 # -- complex algebra ----------------------------------------------------------

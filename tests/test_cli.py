@@ -229,6 +229,17 @@ def test_bad_request_is_a_usage_error(monkeypatch, capsys, extra):
     assert err.startswith("error: ")
 
 
+def test_free_predicate_candidate_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--value", "gamma", "--formula", "p -> <>p", "--fo", "P(x)",
+        "--sizes", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: correspondent must not contain free predicate symbols\n"
+
+
 def test_negative_budget_env_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("MVCORR_BUDGET", "-5")
     code, _, err = run_cli(

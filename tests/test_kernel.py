@@ -5,7 +5,8 @@
 `compile_eval` and `iter_valuations`; the validity degree against the same
 brute force, and `valid_at` against the kernel on `fol.validity_claim`
 with x pinned; the oracle's first counterexample is checked against a
-reference loop built from the same two references.  The kernel's table
+reference loop built from the same two references.  A batch's table is
+checked frame by frame against each frame's own table.  The kernel's table
 primitives (`repeats`/`broadcast`, `combiner`, `fold`) are checked against
 index maps, the algebra's tables and a reference fold.
 """
@@ -23,14 +24,21 @@ from hypothesis import strategies as st
 from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
+from mvcorr import fol
 from mvcorr.fol import (
+    BOT,
     CompiledFo,
+    Eq,
+    Exists,
+    FoAnd,
+    FoImplies,
     FoInterp,
     ForallPred,
     FoMinus,
     FoVar,
     Pred,
     Preceq,
+    Rel,
     broadcast,
     combiner,
     fo_eval,
@@ -50,6 +58,7 @@ from mvcorr.syntax import Implies, Inequality, atoms, parse_formula
 
 P = builtin_algebra("paper-P")
 X = FoVar("x")
+Y = FoVar("y")
 NAMED_AXIOMS = ("p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p")
 CORRESPONDENTS = {
     (text, a): run_alba(parse_formula(text, P), a, P).correspondent
@@ -103,6 +112,74 @@ def test_kernel_matches_fo_eval_on_correspondents(key, seed):
     rng = random.Random(seed)
     frame = random_frame(rng, P, rng.choice([1, 2, 3]))
     assert_kernel_matches_fo_eval(frame, CORRESPONDENTS[key])
+
+
+# -- batches: frames as the outermost axis ------------------------------------------
+
+
+def assert_batch_matches_single_frames(frames, f):
+    """Each frame's slice of the batched root table equals its own table."""
+    batch = CompiledFo(interp_for_frame(frames[0]), f, following=frames[1:])
+    assert batch.frames == min(len(frames), max(1, fol.BATCH_CELLS // batch.cells))
+    span = len(batch.table) // batch.frames
+    assert span * batch.frames == len(batch.table)
+    for k, frame in enumerate(frames[:batch.frames]):
+        single = CompiledFo(interp_for_frame(frame), f)
+        assert (single.frames, single.cells) == (1, batch.cells)
+        assert batch.table[k * span:(k + 1) * span] == single.table, (f, k)
+        env = {sym: 0 for sym, _, base in single.root if not base}
+        if len(env) == len(single.root):
+            assert batch.value(env, k) == single.value(env)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10**6))
+def test_batch_matches_single_frames(seed):
+    # 1-8 frames of one size from 1 to 3, random formulas or correspondents
+    rng = random.Random(seed)
+    size = rng.choice([1, 2, 3])
+    frames = [random_frame(rng, P, size) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.5:
+        f = CORRESPONDENTS[rng.choice(sorted(CORRESPONDENTS))]
+    else:
+        preds = ("p", "q") if size < 3 else ("p",)
+        f = random_fo(rng, P, preds=preds, depth=rng.choice([2, 3, 4]))
+    assert_batch_matches_single_frames(frames, f)
+
+
+@pytest.mark.parametrize("size", [2, 5, 17])
+@pytest.mark.parametrize("f", [
+    BOT,  # a constant root
+    FoAnd(Eq(X, Y), Rel(X, Y)),  # a constant operand on a relation's own axes
+    FoImplies(Rel(Y, X), Exists(Y, FoAnd(Rel(X, Y), Eq(X, Y)))),
+], ids=str)
+def test_batch_matches_single_frames_on_edge_cases(size, f):
+    # 17 * 17 > 256: relation positions no longer fit a byte and are
+    # gathered one by one instead of by translate
+    rng = random.Random(size)
+    assert_batch_matches_single_frames([random_frame(rng, P, size) for _ in range(3)], f)
+
+
+def test_batch_stops_at_the_cell_ceiling(monkeypatch):
+    f = CORRESPONDENTS[("<><>p -> <>p", P.element("gamma"))]
+    rng = random.Random(5)
+    frames = [random_frame(rng, P, 2) for _ in range(8)]
+    cells = CompiledFo(interp_for_frame(frames[0]), f).cells
+    for ceiling, covered in [(3 * cells + 1, 3), (cells - 1, 1), (10**9, 8)]:
+        monkeypatch.setattr(fol, "BATCH_CELLS", ceiling)
+        assert CompiledFo(interp_for_frame(frames[0]), f, following=frames[1:]).frames == covered
+        assert_batch_matches_single_frames(frames, f)
+
+
+def test_batch_covers_what_the_budget_can_pay_for():
+    f = CORRESPONDENTS[("p -> <>p", P.element("gamma"))]
+    rng = random.Random(6)
+    frames = [random_frame(rng, P, 2) for _ in range(8)]
+    cells = CompiledFo(interp_for_frame(frames[0]), f).cells
+    for cap, covered in [(cells, 1), (3 * cells - 1, 2), (3 * cells, 3), (100 * cells, 8)]:
+        budget = Budget(cap)
+        kernel = CompiledFo(interp_for_frame(frames[0]), f, budget, frames[1:])
+        assert (kernel.frames, budget.used) == (covered, cells)
 
 
 def brute_valid_at(frame, target, w, a):

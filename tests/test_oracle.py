@@ -1,17 +1,22 @@
 """Correspondence oracle on the worked disjunction example."""
 
+import random
+from itertools import product
+
 import pytest
 
+import mvcorr.fol as fol
 import mvcorr.oracle as oracle
+from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded, MvcorrError
 from mvcorr.fol import (
-    BOT, CompiledFo, FoVar, Pred, Rel, degree_claim, frame_property, interp_for_frame,
-    parse_fo,
+    BOT, CompiledFo, FoVar, Pred, Rel, degree_claim, frame_property,
+    free_individual_symbols, interp_for_frame, parse_fo,
 )
 from mvcorr.heyting import builtin_algebra
-from mvcorr.oracle import correspondence_oracle, fo_agree, iter_frames
-from mvcorr.semantics import valid_at
+from mvcorr.oracle import correspondence_oracle, fo_agree, iter_frames, sample_frames
+from mvcorr.semantics import Frame, valid_at, validity_degree
 from mvcorr.syntax import parse_formula, parse_inequality
 
 P = builtin_algebra("paper-P")
@@ -131,9 +136,9 @@ def test_identical_oracle_calls_charge_alike():
 def test_only_the_first_state_of_a_frame_charges(monkeypatch):
     charges = []
 
-    def charging(frame, target, w, a, budget):
+    def charging(frame, target, w, a, budget, *batch):
         before = budget.used
-        out = valid_at(frame, target, w, a, budget)
+        out = valid_at(frame, target, w, a, budget, *batch)
         charges.append((w, budget.used - before))
         return out
 
@@ -172,3 +177,149 @@ def test_one_modal_call_per_state_checked(monkeypatch, text, value):
                                    sizes=[1, 2])
     assert report.passed == (value == "gamma")
     assert len(calls) == report.states_checked
+
+
+# -- batches against a per-frame reference loop ---------------------------------------
+
+
+def reference_scan(frames, left, right):
+    """The oracle's verdict with tables of one frame each, every frame charged
+    as the scan reaches it (first-order side) and at its first state (modal
+    side)."""
+    checked = states = 0
+    for frame in frames:
+        checked += 1
+        left_at, right_at = left(frame), right(frame)
+        for w in range(frame.size):
+            states += 1
+            lv, rv = left_at(w), right_at(w)
+            if lv != rv:
+                return False, checked, states, frame.rel, w, lv, rv
+    return True, checked, states
+
+
+def reference_fo(alpha, threshold, budget):
+    open_syms = sorted((t for t in free_individual_symbols(alpha) if t != X), key=str)
+
+    def per_frame(frame):
+        kernel = CompiledFo(interp_for_frame(frame), alpha, budget)
+        return lambda w: all(
+            P.le(threshold, kernel.value({X: w, **dict(zip(open_syms, combo))}))
+            for combo in product(range(frame.size), repeat=len(open_syms))
+        )
+
+    return per_frame
+
+
+def reference_modal(target, a, budget):
+    def per_frame(frame):
+        degree = []
+
+        def at(w):
+            if not degree:
+                degree.extend(validity_degree(frame, target, budget))
+            return P.le(a, degree[w])
+
+        return at
+
+    return per_frame
+
+
+def report_tuple(report):
+    if report.passed:
+        return True, report.frames_checked, report.states_checked
+    ce = report.counterexample
+    return (False, report.frames_checked, report.states_checked, ce.frame.rel, ce.state,
+            ce.modal_verdict, ce.fo_verdict)
+
+
+def correspondent(text):
+    return run_alba(parse_formula(text, P), P.element("gamma"), P).correspondent
+
+
+GAMMA = P.element("gamma")
+# sizes 1 and 2, then `samples` three-state frames: a modal target at value
+# `a` against a first-order candidate at top, or two candidates
+SCANS = {
+    "PASS modal": dict(target="p -> []<>p", a=GAMMA, alpha=correspondent("p -> []<>p"),
+                       samples=3, seed=8),
+    "FAIL modal": dict(target="<>p -> <><>p", a=P.bot, alpha=correspondent("<>p -> <><>p"),
+                       samples=0, seed=0),
+    "PASS fo_agree": dict(alpha=frame_property("transitive"), threshold=P.top,
+                          beta=parse_fo("A y. A z. (R(x,y) & R(y,z)) =< R(x,z)", P),
+                          samples=0, seed=0),
+    # holds on frames of at most two states, not on the first sampled one
+    "FAIL fo_agree": dict(alpha=parse_fo("x = x", P), threshold=P.top, samples=2, seed=4,
+                          beta=parse_fo("A y. A z. (x = y | y = z | x = z | "
+                                        "(R(y, z) =< R(z, y)))", P)),
+}
+
+
+def batched(case, budget):
+    kw = dict(sizes=[1, 2], samples=case["samples"], sample_size=3, seed=case["seed"],
+              budget=budget)
+    if "target" in case:
+        return report_tuple(correspondence_oracle(
+            P, parse_formula(case["target"], P), case["a"], case["alpha"],
+            fo_threshold=P.top, **kw))
+    return report_tuple(fo_agree(P, case["alpha"], case["beta"], threshold_alpha=case["threshold"],
+                                 threshold_beta=P.top, **kw))
+
+
+def reference(case, budget):
+    frames = list(iter_frames(P, 1)) + list(iter_frames(P, 2))
+    frames += sample_frames(P, 3, case["samples"], case["seed"])
+    if "target" in case:
+        left = reference_modal(parse_formula(case["target"], P), case["a"], budget)
+        right = reference_fo(case["alpha"], P.top, budget)
+    else:
+        left = reference_fo(case["alpha"], case["threshold"], budget)
+        right = reference_fo(case["beta"], P.top, budget)
+    return reference_scan(frames, left, right)
+
+
+def outcome(scan, case, cap):
+    budget = Budget(cap)
+    try:
+        return scan(case, budget), budget.used
+    except BudgetExceeded:
+        return "refused", budget.used
+
+
+@pytest.mark.parametrize("frames_per_batch,cells_per_batch", [
+    (oracle.BATCH_FRAMES, fol.BATCH_CELLS),
+    (40, 2000),  # batches of 16, 32, 40, 40, ... frames, tables split inside them
+])
+@pytest.mark.parametrize("label", sorted(SCANS))
+def test_batches_charge_and_report_as_the_per_frame_loop(
+    monkeypatch, frames_per_batch, cells_per_batch, label
+):
+    # caps from one frame's cells - 1 to a full pass, most inside a batch
+    monkeypatch.setattr(oracle, "BATCH_FRAMES", frames_per_batch)
+    monkeypatch.setattr(fol, "BATCH_CELLS", cells_per_batch)
+    case, charges = SCANS[label], []
+    probe = Budget(10**12)
+    real_charge = probe.charge
+    probe.charge = lambda amount=1: charges.append(amount) or real_charge(amount)
+    want = reference(case, probe)
+    assert want[0] == label.startswith("PASS")
+    assert outcome(batched, case, 10**12) == (want, probe.used)
+    rng = random.Random(label)
+    caps = {charges[0] - 1, charges[0], probe.used - 1, probe.used}
+    caps |= {rng.randrange(charges[0], probe.used) for _ in range(8)}
+    for cap in sorted(caps):
+        assert outcome(batched, case, cap) == outcome(reference, case, cap), cap
+
+
+@pytest.mark.parametrize("name", ["bool2", "paper-P"])
+def test_frames_come_in_the_nested_generator_order(name):
+    alg = builtin_algebra(name)
+
+    def nested(size):
+        states = tuple(f"w{i}" for i in range(size))
+        for flat in product(range(alg.n), repeat=size * size):
+            rel = tuple(tuple(flat[i * size + j] for j in range(size)) for i in range(size))
+            yield Frame(alg, states, rel)
+
+    for size in (1, 2):
+        assert list(iter_frames(alg, size)) == list(nested(size))

@@ -11,12 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 AXIOMS = ("p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p")
 
 
-def run_script(name, *args):
+def run_script(name, *args, cwd=ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
     )
 
 
@@ -47,3 +47,10 @@ def test_property_sweep_one_ok_row_per_axiom_and_value():
     values = [P.element_name(a) for a in range(P.n)]
     assert sorted(ok) == sorted((axiom, v) for axiom in AXIOMS for v in values)
     assert len(rows) == len(ok)
+
+
+def test_run_acceptance_from_another_directory(tmp_path):
+    # criterion_1_, not criterion_1, which also selects the slow criterion 10
+    done = run_script("run_acceptance.py", "-k", "criterion_1_", cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " 1 passed, 9 deselected" in done.stdout
