@@ -15,9 +15,12 @@ point of refusal are those of one table per frame.
 The per-step checker `stepcheck` charges the same way, for each frame before
 it builds that frame's tables: one unit per cell of each subformula's code
 table over its own atoms (a subformula shared by several inequalities
-counts once), of each inequality's table over its atoms and of the system
-tables over all of the step's atoms.  The reference evaluator `fol.fo_eval` charges
-one unit per node visited.  When the budget runs out the oracle raises
+counts once), of each inequality's table over its atoms, of each system's
+tables over its axes and of the tables over the shared atoms on which the
+two sides are compared (for first-approximation, the source's atoms).  A
+cell is a unit however many bytes it takes: code cells are as wide as the
+codes need, all others one byte.  The reference evaluator `fol.fo_eval`
+charges one unit per node visited.  When the budget runs out the oracle raises
 BudgetExceeded instead of silently truncating: an oracle result must never
 be partial.  A negative cap, given or from MVCORR_BUDGET, raises
 ValueError.

@@ -25,9 +25,8 @@ from .alba import parse_display, run_alba
 from .oracle import correspondence_oracle
 from .semantics import a_true_at, eval_formula, parse_model_text
 from .svb import svb_correspondent
-from .syntax import Formula, Inequality, parse_formula, parse_input
+from .syntax import Const, Inequality, parse_formula, parse_input
 from .trees import branch_table, formula_inequality, is_inductive, is_sahlqvist
-from .syntax import Const
 
 SCHEMA = "mvcorr.report/1"
 
@@ -234,16 +233,16 @@ def cmd_classify(args) -> int:
 
 
 def _verify_output(args, alg, target, a, alpha, sizes, crisp: bool):
-    budget = Budget(args.budget)
     return correspondence_oracle(
         alg,
         target,
         a,
         alpha,
         sizes=sizes,
-        samples=args.samples if hasattr(args, "samples") else 0,
+        samples=getattr(args, "samples", 0),
+        sample_size=getattr(args, "sample_size", 3),
         seed=args.seed,
-        budget=budget,
+        budget=Budget(args.budget),
         fo_threshold=alg.top if crisp else None,
     )
 
@@ -362,19 +361,7 @@ def cmd_verify(args) -> int:
     a = alg.element(args.value)
     target = parse_input(args.formula, alg)
     alpha = parse_fo(args.fo, alg)
-    sizes = _parse_sizes(args.sizes)
-    budget = Budget(args.budget)
-    report = correspondence_oracle(
-        alg,
-        target,
-        a,
-        alpha,
-        sizes=sizes,
-        samples=args.samples,
-        sample_size=args.sample_size,
-        seed=args.seed,
-        budget=budget,
-    )
+    report = _verify_output(args, alg, target, a, alpha, _parse_sizes(args.sizes), crisp=False)
     payload = _base_payload(args, alg, "verify")
     payload.update(
         input=args.formula,

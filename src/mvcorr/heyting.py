@@ -157,8 +157,8 @@ class HeytingAlgebra:
 
     def _validate_order(self) -> None:
         n, leq = self.n, self.leq
-        if n == 0:
-            raise InvalidAlgebra("empty carrier")
+        if n < 2:
+            raise InvalidAlgebra("fewer than two elements; bottom and top must be distinct")
         if len(set(self.names)) != n:
             raise InvalidAlgebra("duplicate element names")
         for a in range(n):
@@ -327,18 +327,12 @@ def load_algebra(spec: dict, name: str | None = None) -> HeytingAlgebra:
     probe._index = dict(index)
     probe._validate_order()
     bot, top = probe._find_bounds()
-    if bot == top and len(raw_names) > 1:
-        raise InvalidAlgebra("bottom and top coincide")
     order = [bot, top] + [i for i in range(len(raw_names)) if i not in (bot, top)]
-    if len(raw_names) == 1:
-        order = [bot]
     names = [raw_names[i] for i in order]
-    pos = {old: new for new, old in enumerate(order)}
     new_leq = [
         [leq[order[a]][order[b]] for b in range(len(order))]
         for a in range(len(order))
     ]
-    del pos
     return HeytingAlgebra(names, new_leq, name=name)
 
 

@@ -226,29 +226,17 @@ def iter_valuations(frame: Frame, over: Iterable[Formula]) -> Iterator[Valuation
 def validity_degree(frame: Frame, target, budget: Budget | None = None) -> tuple[int, ...]:
     """Per state, the target's validity degree: one kernel table of
     `fol.degree_claim`, with x free."""
-    return validity_degrees(frame, target, budget)[1][0]
-
-
-def validity_degrees(
-    frame: Frame, target, budget: Budget | None = None, following: Iterable[Frame] = ()
-) -> tuple[int, list[tuple[int, ...]]]:
-    """The degree table's cells per frame, and the `validity_degree` vector
-    of `frame` and of each further frame of `following` that the same
-    batched kernel table covers (`fol.CompiledFo` charges `frame`'s cells
-    only)."""
     from .fol import _X, CompiledFo, degree_claim, interp_for_frame  # fol imports us
 
-    kernel = CompiledFo(interp_for_frame(frame), degree_claim(target), budget, following)
-    states = range(frame.size)
-    degrees = [tuple(kernel.value({_X: w}, k) for w in states) for k in range(kernel.frames)]
-    return kernel.cells, degrees
+    kernel = CompiledFo(interp_for_frame(frame), degree_claim(target), budget)
+    return tuple(kernel.value({_X: w}) for w in range(frame.size))
 
 
-# (target, budget, frames, their indices by id, cells per frame, degree
-# vectors, index of the frame last charged) of the last batch's degree
-# table; holding the frames and the budget, matched by identity, keeps
-# their ids from being reused
-_last_degree: tuple = (None, None, (), {}, 0, [], -1)
+# (target, budget, frames, their indices by id, the batch's degree kernel,
+# its state symbol x, index of the frame last charged) of the last batch's
+# degree table; holding the frames and the budget, matched by identity,
+# keeps their ids from being reused
+_last_degree: tuple = (None, None, (), {}, None, None, -1)
 
 
 def valid_at(
@@ -262,28 +250,30 @@ def valid_at(
 
     `batch` is a run of frames of one size that holds `frame` (the oracle's
     current batch).  A call on a frame that the last degree table does not
-    cover, for this target and budget object, builds a new one for `frame`
-    and the frames after it in `batch`, as many as `fol.CompiledFo` fits,
-    charging `frame`'s cells first.  A call on another frame the table
-    covers charges that frame's cells; further calls on the same frame
-    charge nothing.  So each frame is charged at its first state, as if it
-    had a table of its own."""
+    cover, for this target and budget object, builds a new one
+    (`fol.CompiledFo`) for `frame` and the frames after it in `batch`, as
+    many as it fits, charging `frame`'s cells first.  A call on another
+    frame the table covers charges that frame's cells; further calls on the
+    same frame charge nothing.  So each frame is charged at its first
+    state, as if it had a table of its own.  Each call reads one cell."""
     global _last_degree
     if isinstance(w, str):
         w = frame.state_index(w)
-    last_target, last_budget, frames, index, cells, degrees, current = _last_degree
+    last_target, last_budget, frames, index, kernel, x, current = _last_degree
     k = index.get(id(frame), -1)
     if k < 0 or last_budget is not budget or last_target != target:
+        from .fol import _X as x, CompiledFo, degree_claim, interp_for_frame
+
         start = next((j for j, g in enumerate(batch) if g is frame), len(batch))
-        cells, degrees = validity_degrees(frame, target, budget,
-                                          islice(batch, start + 1, None))
-        frames = (frame, *islice(batch, start + 1, start + len(degrees)))
+        kernel = CompiledFo(interp_for_frame(frame), degree_claim(target), budget,
+                            islice(batch, start + 1, None))
+        frames = (frame, *islice(batch, start + 1, start + kernel.frames))
         index = {id(g): j for j, g in enumerate(frames)}
         k = 0
     elif k != current and budget is not None:
-        budget.charge(cells)
-    _last_degree = (target, budget, frames, index, cells, degrees, k)
-    return frame.algebra.le(a, degrees[k][w])
+        budget.charge(kernel.cells)
+    _last_degree = (target, budget, frames, index, kernel, x, k)
+    return frame.algebra.le(a, kernel.value({x: w}, k))
 
 
 # -- complex algebra ----------------------------------------------------------

@@ -8,25 +8,31 @@ produced side).  The first-approximation step ties local validity of the
 input inequality at a state to the system with the reserved atoms based at
 that state, and is checked by its own routine.
 
-Both checks are table operations over one axis per atom (row-major, as in
-`iter_valuations`): per frame, each subformula gets one table of value
-codes over its own atoms, built bottom-up and shared by both systems, and
-each inequality is decided once per pair of value vectors that occurs.
+Both checks are table operations over one axis per atom, in one order per
+step: the shared atoms by name (so shared cells run as in
+`iter_valuations`), then the consumed side's private atoms, then the
+produced side's; for first-approximation i0, the source's variables, m0.
+Every table (a subformula's, an inequality's, a system's) is row-major
+over its own atoms in that order, so a child's axes are an in-order
+subsequence of its parent's: the parent reads the child through
+`fol.repeats`/`fol.broadcast`, and private atoms, trailing axes, fold out
+with `fol.fold`.  Per frame, each subformula gets one table of value codes,
+built bottom-up and shared by both systems, and each inequality is decided
+once per pair of value vectors that occurs.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import reduce
-from itertools import islice, repeat
+from itertools import islice
 from math import prod
-from operator import add, and_, not_, or_
 from typing import Iterable, Optional
 
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
 from .budget import Budget
-from .fol import _strides, broadcast, repeats
+from .fol import broadcast, combiner, fold, repeats
+from .heyting import builtin_algebra
 from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations, operation
 from .syntax import CoNom, Formula, Inequality, Nom, Var, atoms, children
 
@@ -45,24 +51,26 @@ class StepFailure:
 class _Tables:
     """One frame's dense codes of subformula values, shared by a step's systems.
 
-    A subformula's table holds, per valuation of its own atoms (sorted by
-    name, row-major as in `iter_valuations`), the code of its value vector;
-    the vectors follow in code order, one per distinct vector.  Subformulas
-    over at most one atom are evaluated with `compile_eval`; above them a
-    connective applies its `operation` once per pair of operand codes that
-    occurs, and a modality once per distinct vector of its operand.  `start`
-    drops the previous frame's tables.
+    A subformula's table holds, per valuation of its own atoms (in the
+    step's axis order, row-major), the code of its value vector; the
+    vectors follow in code order, one per distinct vector.  Codes are
+    fixed-width cells of an `array`, as narrow as the vector count allows.
+    Subformulas over at most one atom are evaluated with `compile_eval`;
+    above them a connective applies its `operation` once per pair of
+    operand codes that occurs, and a modality once per distinct vector of
+    its operand.  `start` drops the previous frame's tables.
     """
 
-    def __init__(self, formulas: Iterable[Formula]):
+    def __init__(self, formulas: Iterable[Formula], order: tuple):
+        self.order = order
         self.axes: dict = {}  # every subformula with a table -> its atoms
         for f in formulas:
             self._plan(f)
-        self.maps: dict = {}  # index maps as arrays, per axes and axis sizes
 
     def _plan(self, f: Formula) -> None:
         if f not in self.axes:
-            self.axes[f] = tuple(sorted(atoms(f), key=str))
+            own = atoms(f)
+            self.axes[f] = tuple(a for a in self.order if a in own)
             if len(self.axes[f]) > 1:
                 for sub in children(f):
                     self._plan(sub)
@@ -74,44 +82,48 @@ class _Tables:
     def start(self, frame: Frame, sizes: dict) -> None:
         self.frame, self.sizes, self.memo = frame, sizes, {}
 
-    def __call__(self, f: Formula) -> tuple[list, list]:
+    def __call__(self, f: Formula) -> tuple[array, list]:
         """f's codes and vectors on the current frame."""
         if f not in self.memo:
             self.memo[f] = self._evaluate(f)
         return self.memo[f]
 
-    def _evaluate(self, f: Formula) -> tuple[list, list]:
+    def _evaluate(self, f: Formula) -> tuple[array, list]:
         frame, ids = self.frame, {}
         if len(self.axes[f]) <= 1:
             fn = compile_eval(f, frame)
             codes = [ids.setdefault(fn(val), len(ids))
                      for val in iter_valuations(frame, self.axes[f])]
-            return codes, list(ids)
-        op, subs = operation(frame, f), children(f)
-        if len(subs) == 1:
+        elif len(subs := children(f)) == 1:
+            op = operation(frame, f)
             codes, vecs = self(subs[0])
             recode = [ids.setdefault(op(v), len(ids)) for v in vecs]
-            return list(map(recode.__getitem__, codes)), list(ids)
-        lhs, rhs = subs
-        lvecs, rvecs = self(lhs)[1], self(rhs)[1]
-        keys = list(self.pairs(lhs, rhs, self.axes[f]))
-        recode = {k: ids.setdefault(op(lvecs[k // len(rvecs)], rvecs[k % len(rvecs)]), len(ids))
-                  for k in dict.fromkeys(keys)}
-        return list(map(recode.__getitem__, keys)), list(ids)
+            codes = map(recode.__getitem__, codes)
+        else:
+            op, (lhs, rhs) = operation(frame, f), subs
+            lvecs, rvecs = self(lhs)[1], self(rhs)[1]
+            keys = self.pairs(lhs, rhs, self.axes[f])
+            recode = {k: ids.setdefault(op(lvecs[k // len(rvecs)], rvecs[k % len(rvecs)]), len(ids))
+                      for k in dict.fromkeys(keys)}
+            codes = map(recode.__getitem__, keys)
+        typecode = next(t for t in "BHIQ" if len(ids) <= 256 ** array(t).itemsize)
+        return array(typecode, codes), list(ids)
 
-    def pairs(self, lhs: Formula, rhs: Formula, axes: tuple):
+    def pairs(self, lhs: Formula, rhs: Formula, axes: tuple) -> list:
         """Per cell of `axes`, lhs code * number of rhs vectors + rhs code."""
-        (lcodes, _), (rcodes, rvecs) = self(lhs), self(rhs)
-        left = self.gather([c * len(rvecs) for c in lcodes], axes, self.axes[lhs])
-        return map(add, left, self.gather(rcodes, axes, self.axes[rhs]))
+        count = len(self(rhs)[1])
+        return [x * count + y for x, y in zip(self.gather(lhs, axes), self.gather(rhs, axes))]
 
-    def gather(self, table: list, parent: tuple, child: tuple):
-        """A table over `child` read at each cell of `parent`."""
-        key = (parent, child) + tuple(self.sizes[a] for a in parent)
-        if key not in self.maps:
-            index = index_map(parent, child, self.sizes)
-            self.maps[key] = None if index is None else array("l", index)
-        return table if self.maps[key] is None else map(table.__getitem__, self.maps[key])
+    def gather(self, f: Formula, axes: tuple) -> array:
+        """f's codes read at each cell of `axes`, which hold f's own axes in
+        order: `broadcast` on the code bytes, each block `width` times as long."""
+        codes = self(f)[0]
+        reps = repeats(self.axes[f], axes, self.sizes)
+        if not reps:
+            return codes
+        width = codes.itemsize
+        reps = tuple((m, inner * width) for m, inner in reps)
+        return array(codes.typecode, broadcast(codes.tobytes(), reps))
 
 
 class _System:
@@ -144,33 +156,10 @@ class _System:
         return table.to_bytes(cells, "little")
 
 
-def index_map(parent: tuple, child: tuple, sizes: dict) -> list[int] | None:
-    """Position in the child's table of each cell of the parent's table."""
-    if parent == child:
-        return None
-    stride = _strides(child, sizes)
-    out = [0]
-    for a in parent:
-        step = stride.get(a, 0)
-        out = [base + k * step for base in out for k in range(sizes[a])]
-    return out
-
-
-def _fold(table: bytes, chunk: int, universal: bool) -> bytes:
-    """Quantify out the trailing axes that span `chunk` cells: a cell is 1
-    when every (universal) or some (existential) cell of its chunk is 1.
-    The loop runs over the shorter of the two: the positions in a chunk
-    (AND/OR of the strided slices, each read as one integer) or the chunks
-    (a search for a 0 or a 1 in each)."""
-    count = len(table) // chunk
-    if chunk <= count:
-        slices = (int.from_bytes(table[k::chunk], "little") for k in range(chunk))
-        return reduce(and_ if universal else or_, slices).to_bytes(count, "little")
-    ends = range(chunk, len(table) + chunk, chunk)
-    chunks = map(table.__getitem__, map(slice, range(0, len(table), chunk), ends))
-    if universal:
-        return bytes(map(not_, map(bytes.__contains__, chunks, repeat(b"\0"))))
-    return bytes(map(bytes.__contains__, chunks, repeat(b"\1")))
+# 0/1 masks fold as bool2 elements: universally by meets, existentially by joins
+_B2 = builtin_algebra("bool2")
+_FOLDS = {True: (combiner(2, _B2.meet_table), _B2.meet_table, _B2.top),
+          False: (combiner(2, _B2.join_table), _B2.join_table, _B2.bot)}
 
 
 def verify_step(
@@ -188,7 +177,8 @@ def verify_step(
     private_after = tuple(sorted(after_atoms & introduced, key=str))
     before = _System(step.before, shared + private_before)
     after = _System(step.after, shared + private_after)
-    tables = _Tables(side for i in step.before + step.after for side in (i.lhs, i.rhs))
+    tables = _Tables((side for i in step.before + step.after for side in (i.lhs, i.rhs)),
+                     shared + private_before + private_after)
 
     # a closed uniform variable ranges universally (the rule keeps the
     # extremal instance); an eliminated variable ranges existentially
@@ -196,14 +186,14 @@ def verify_step(
     universal_before = step.rule == "close-uniform-variable"
 
     for frame in frames:
-        sizes = {a: len(atom_options(frame, a)) for a in before.axes + private_after}
+        sizes = {a: len(atom_options(frame, a)) for a in tables.order}
         if budget is not None:
             budget.charge(tables.cells(sizes) + before.cells(sizes) + after.cells(sizes)
                           + 2 * prod(sizes[a] for a in shared))
         tables.start(frame, sizes)
-        lhs = _fold(before.masks(tables), prod(sizes[a] for a in private_before),
-                    universal_before)
-        rhs = _fold(after.masks(tables), prod(sizes[a] for a in private_after), False)
+        lhs = fold(before.masks(tables), prod(sizes[a] for a in private_before),
+                   *_FOLDS[universal_before])
+        rhs = fold(after.masks(tables), prod(sizes[a] for a in private_after), *_FOLDS[False])
         if lhs != rhs:
             k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             val = next(islice(iter_valuations(frame, shared), k, None))
@@ -224,8 +214,8 @@ def _verify_first_approximation(
     # based at one state form one chunk
     premises = _System(step.after, (i0,) + variables + (m0,))
     conclusion = _System((Inequality(i0, m0),), premises.axes)
-    tables = _Tables(side for i in (source,) + premises.ineqs + conclusion.ineqs
-                     for side in (i.lhs, i.rhs))
+    tables = _Tables((side for i in (source,) + premises.ineqs + conclusion.ineqs
+                      for side in (i.lhs, i.rhs)), premises.axes)
 
     for frame in frames:
         n, le = frame.size, frame.algebra.le
@@ -240,7 +230,7 @@ def _verify_first_approximation(
         held = int.from_bytes(premises.masks(tables), "little")
         failed = ~int.from_bytes(conclusion.masks(tables), "little")
         cells = prod(sizes.values())
-        broken = _fold((held & failed).to_bytes(cells, "little"), cells // n, False)
+        broken = fold((held & failed).to_bytes(cells, "little"), cells // n, *_FOLDS[False])
         for w in range(n):
             local_w = all(le(lv[w], rv[w]) for lv, rv in pairs)
             system = broken[w] == 0

@@ -95,6 +95,18 @@ def test_oversized_algebra_exit_2(tmp_path, capsys):
     assert "at most 256" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["algebra", "check"],
+    ["alba", "--value", "z", "--formula", "p -> <>p", "--verify", "sizes=1,2"],
+], ids=["algebra-check", "alba-verify"])
+def test_one_element_algebra_exit_2(tmp_path, capsys, command):
+    algebra = tmp_path / "one.yaml"
+    algebra.write_text("elements: [z]\n")
+    code, out, err = run_cli(capsys, *command, "--algebra", str(algebra))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: fewer than two elements; bottom and top must be distinct"]
+
+
 def test_duplicate_state_names_exit_2(tmp_path, capsys):
     model = tmp_path / "model.yaml"
     model.write_text("states: [a, a]\nrel:\n  - [a, a, '1']\nval:\n  - [p, a, '1']\n")

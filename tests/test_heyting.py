@@ -225,6 +225,13 @@ def test_more_elements_than_a_byte_holds_rejected():
         load_algebra({"elements": names, "leq": [[a, b] for a, b in zip(names, names[1:])]})
 
 
+@pytest.mark.parametrize("names", [[], ["z"]], ids=["empty", "one"])
+def test_fewer_than_two_elements_rejected(names):
+    # index 1 is top, and bottom and top must be distinct
+    with pytest.raises(InvalidAlgebra, match="fewer than two elements"):
+        load_algebra({"elements": names})
+
+
 def test_unknown_constant():
     with pytest.raises(UnknownConstant):
         P.element("delta")

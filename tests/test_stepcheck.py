@@ -11,6 +11,7 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import iter_frames
 from mvcorr.randomgen import random_formula, random_frame
 from mvcorr.semantics import atom_options, compile_eval, iter_valuations
-from mvcorr.stepcheck import StepFailure, _fold, _show, _Tables, verify_step
+from mvcorr.stepcheck import StepFailure, _show, _Tables, verify_step
 from mvcorr.syntax import CoNom, Inequality, Nom, Var, atoms, parse_formula, parse_inequality
 
 P = builtin_algebra("paper-P")
@@ -255,9 +256,9 @@ def test_frames_beyond_eight_states_match_reference():
 # -- bottom-up tables -------------------------------------------------------------
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10**6), st.integers(1, 3))
-def test_bottom_up_codes_match_compile_eval(seed, size):
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.booleans())
+def test_bottom_up_codes_match_compile_eval(seed, size, reverse):
     # extended formulas: nominal i1, co-nominal m1, inverse modalities, minus
     rng = random.Random(seed)
     variables = ("p", "q") if size < 3 else ("p",)
@@ -265,12 +266,16 @@ def test_bottom_up_codes_match_compile_eval(seed, size):
     while len(atoms(f)) < 2:
         f = random_formula(rng, P, variables, depth=4, extended=True)
     frame = random_frame(rng, P, size)
-    axes = sorted(atoms(f), key=str)
-    tables = _Tables([f])
-    tables.start(frame, {a: len(atom_options(frame, a)) for a in axes})
+    # the axes by name, or reversed
+    order = tuple(sorted(atoms(f), key=str, reverse=reverse))
+    tables = _Tables([f], order)
+    tables.start(frame, {a: len(atom_options(frame, a)) for a in order})
     codes, vectors = tables(f)
     fn = compile_eval(f, frame)
-    assert [vectors[c] for c in codes] == [fn(val) for val in iter_valuations(frame, axes)]
+    # row-major over the axis order
+    valuations = [dict(zip(order, combo))
+                  for combo in product(*(atom_options(frame, a) for a in order))]
+    assert [vectors[c] for c in codes] == [fn(val) for val in valuations]
     assert len(set(vectors)) == len(vectors)
 
 
@@ -300,18 +305,6 @@ def test_shared_subformulas_compile_once_per_frame(monkeypatch):
     assert {parse_formula("#i0", P), parse_formula("$m0", P)} <= set(compiled)
     assert set(compiled.values()) == {len(frames)}
 
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 6, 25, 450, 625])
-def test_fold_matches_min_max(chunk):
-    # chunks both shorter and longer than the number of chunks
-    rng = random.Random(chunk)
-    for count in (1, 2, 7, 30):
-        for density in (0.1, 0.5, 0.97):
-            table = bytes(rng.random() < density for _ in range(chunk * count))
-            chunks = [table[i:i + chunk] for i in range(0, len(table), chunk)]
-            assert _fold(table, chunk, True) == bytes(map(min, chunks))
-            assert _fold(table, chunk, False) == bytes(map(max, chunks))
 
 # -- budget --------------------------------------------------------------------------
 
