@@ -4,13 +4,12 @@ Every exhaustive enumeration charges work units against a budget.  In the
 table kernel (`fol.CompiledFo`, which also evaluates `semantics.valid_at`)
 one unit is one table cell: each evaluation charges every cell of its plan
 before it builds any table, so a refusal allocates nothing.  The oracle
-charges each frame at fixed points: its first-order cells when the scan
-reaches the frame, and its degree cells at the frame's first `valid_at`
-call; the calls for the frame's other states charge nothing.  A kernel
-table may cover a batch of frames, but every frame is still charged its
-own cells at those points, and a batch never spans more frames than the
-budget left after its first frame's charge can pay for, so `used` and the
-point of refusal are those of one table per frame.
+charges each frame when the scan reaches it: its first-order cells, then
+its degree cells (for `fo_agree`, the left side's, then the right's).  A
+kernel table may cover a batch of frames, but a batch never spans more
+frames than the budget left after its first frame's charge can pay for,
+so `used` and the point of refusal are those of one table per frame.  The
+re-read of a counterexample's state is not charged.
 
 The per-step checker `stepcheck` charges the same way, for each frame before
 it builds that frame's tables: one unit per cell of each subformula's code

@@ -6,11 +6,13 @@ random samples, and compares modal a-validity against first-order a-truth
 at every state.  It returns either a pass report or the first
 counterexample in enumeration order, never a silently partial verdict.
 
-Frames come in batches, runs of at most `BATCH_FRAMES` consecutive frames
-of one size, so that each side tabulates many frames with one run of the
-kernel (`fol.CompiledFo`, `semantics.valid_at`); the scan itself still
-goes frame by frame and state by state, and charges each frame's cells
-when it reaches that frame.
+Both sides are a formula with x free at a threshold: the candidate, and
+the target's `fol.degree_claim` at a (a-valid at w iff a is below the
+degree at w).  One kernel run (`fol.CompiledFo`) tabulates a batch of at
+most `BATCH_FRAMES` frames of one size, and a byte mask turns its table
+into one 0/1 verdict byte per state.  The scan compares the sides' bytes
+frame by frame, charging each frame's cells when it reaches the frame;
+a counterexample is read again, uncharged, through the per-state API.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Optional
 
 from .budget import Budget
-from .errors import MvcorrError
+from .errors import MvcorrError, UnboundSymbol
 from .fol import (
     _X,
     CompiledFo,
     Fo,
+    degree_claim,
     free_individual_symbols,
     has_pred_nodes,
     interp_for_frame,
@@ -41,9 +44,8 @@ from .syntax import Formula, Inequality
 # counterexample early in a run leaves few frames built past it
 BATCH_FRAMES = 128
 
-# a frame's first-order or modal side: given a batch, the frame's verdict
-# per state, for each frame index of the batch in turn
-Side = Callable[[list[Frame]], Callable[[int], Callable[[int], bool]]]
+# per batch, a side's verdict bytes of frame i and a re-read of state w of frame i
+Side = Callable[[list[Frame]], tuple[Callable[[int], bytes], Callable[[int, int], bool]]]
 
 
 def iter_frames(alg: HeytingAlgebra, size: int) -> Iterator[Frame]:
@@ -118,18 +120,16 @@ def correspondence_oracle(
         raise MvcorrError("correspondent must not contain free predicate symbols")
     threshold = a if fo_threshold is None else fo_threshold
     budget = Budget() if budget is None else budget
+    degree = _local_truth(degree_claim(target), a, budget)
 
     def modal(batch: list[Frame]):
-        def at(i: int):
-            frame = batch[i]
-            return lambda w: valid_at(frame, target, w, a, budget, batch)
-
-        return at
+        return degree(batch)[0], lambda i, w: valid_at(batch[i], target, w, a)
 
     return _first_disagreement(
         _frames(alg, sizes, samples, sample_size, seed),
         modal,
         _local_truth(alpha, threshold, budget),
+        right_first=True,  # each frame's first-order side is charged first
     )
 
 
@@ -158,11 +158,11 @@ def _frames(
     alg: HeytingAlgebra, sizes: Iterable[int], samples: int, sample_size: int,
     seed: int,
 ) -> Iterator[list[Frame]]:
-    """The frames of every size asked for, then the seeded samples, in
+    """The frames of every size asked for, once, then the seeded samples, in
     batches of consecutive frames of one size, each built when the scan
     reaches it, so a counterexample ends the enumeration.  A request for
     frames without states raises ValueError at once."""
-    sizes = list(sizes)
+    sizes = list(dict.fromkeys(sizes))
     if any(size < 1 for size in sizes):
         raise ValueError(f"frame sizes must be at least 1, got {sizes}")
     if samples < 0:
@@ -186,57 +186,74 @@ def _frames(
 
 
 def _first_disagreement(
-    batches: Iterable[list[Frame]], left: Side, right: Side
+    batches: Iterable[list[Frame]], left: Side, right: Side, right_first: bool = False
 ) -> OracleReport:
-    """Compare two per-state verdicts, frame by frame and state by state."""
+    """Compare two sides frame by frame, reading (and charging) the left one
+    first unless `right_first`; the first disagreement is re-read per state."""
     frames_checked = states_checked = 0
     for batch in batches:
-        left_in, right_in = left(batch), right(batch)
+        (left_at, left_read), (right_at, right_read) = left(batch), right(batch)
         for i, frame in enumerate(batch):
             frames_checked += 1
-            left_at, right_at = left_in(i), right_in(i)
-            for w in range(frame.size):
-                states_checked += 1
-                lv, rv = left_at(w), right_at(w)
-                if lv != rv:
-                    return OracleReport(
-                        False, frames_checked, states_checked,
-                        Counterexample(frame, w, lv, rv),
-                    )
+            lv, rv = (right_at(i), left_at(i))[::-1] if right_first else (left_at(i), right_at(i))
+            if lv == rv:
+                states_checked += len(lv)
+                continue
+            w = next(w for w, (x, y) in enumerate(zip(lv, rv)) if x != y)
+            verdicts = left_read(i, w), right_read(i, w)
+            if verdicts != (lv[w] == 1, rv[w] == 1):
+                raise AssertionError(f"re-read {verdicts} against table bytes {lv[w]}, {rv[w]}")
+            return OracleReport(False, frames_checked, states_checked + w + 1,
+                                Counterexample(frame, w, *verdicts))
     return OracleReport(True, frames_checked, states_checked)
 
 
-def _local_truth(alpha: Fo, threshold: int, budget: Budget) -> Side:
+def _local_truth(formula: Fo, threshold: int, budget: Budget) -> Side:
     """Per frame, the states at which a condition on x holds to degree
-    `threshold` under every assignment of its other free symbols.  One
-    `CompiledFo` tabulates a run of the batch's frames; each later frame
-    of the run is charged its cells when the scan reaches it."""
-    open_syms = sorted((t for t in free_individual_symbols(alpha) if t != _X), key=str)
+    `threshold` under every assignment of its other free individual
+    symbols; frames past a run's first are charged when the scan reaches them."""
+    open_syms = sorted((t for t in free_individual_symbols(formula) if t != _X), key=str)
 
-    def per_batch(batch: list[Frame]) -> Callable[[int], Callable[[int], bool]]:
-        evaluator, first = None, 0
+    def per_batch(batch: list[Frame]):
+        alg, size = batch[0].algebra, batch[0].size
+        mask = bytes(alg.le(threshold, v) for v in range(alg.n)).ljust(256, b"\0")
+        evaluator, first, table = None, 0, b""
 
-        def at(i: int) -> Callable[[int], bool]:
-            nonlocal evaluator, first
+        def at(i: int) -> bytes:
+            nonlocal evaluator, first, table
             if evaluator is None or i - first >= evaluator.frames:
-                evaluator = CompiledFo(interp_for_frame(batch[i]), alpha, budget,
+                evaluator = CompiledFo(interp_for_frame(batch[i]), formula, budget,
                                        islice(batch, i + 1, None))
-                first = i
-            elif budget is not None:
+                first, table = i, evaluator.table.translate(mask)
+                strides = {sym: stride for sym, stride, _ in evaluator.root}
+                if unbound := strides.keys() - {_X, *open_syms}:
+                    raise UnboundSymbol(f"free symbol {min(map(str, unbound))} is unbound")
+                span, stride = evaluator.span, strides.get(_X, 0)
+                if (span, stride) != (size, 1):  # other axes than x's
+                    table = b"".join([_every_assignment(table[k:k + span], stride, size)
+                                      for k in range(0, len(table), span)])
+            else:
                 budget.charge(evaluator.cells)
-            value, k, size = evaluator.value, i - first, batch[i].size
-            le = batch[i].algebra.le
+            k = (i - first) * size
+            return table[k:k + size]
 
-            def holds(w: int) -> bool:
-                for combo in product(range(size), repeat=len(open_syms)):
-                    env = {_X: w}
-                    env.update(zip(open_syms, combo))
-                    if not le(threshold, value(env, k)):
-                        return False
-                return True
+        def reread(i: int, w: int) -> bool:
+            return all(
+                alg.le(threshold, evaluator.value({_X: w, **dict(zip(open_syms, c))}, i - first))
+                for c in product(range(size), repeat=len(open_syms)))
 
-            return holds
-
-        return at
+        return at, reread
 
     return per_batch
+
+
+def _every_assignment(cells: bytes, stride: int, size: int) -> bytes:
+    """Per state of x, 1 when every cell of the 0/1 table `cells` with x at
+    that state is 1; x's `stride` is 0 when x is not among its axes."""
+    if not stride:
+        return bytes([0 not in cells]) * size
+    acc, block = -1, stride * size  # 0/1 bytes meet as the and of their integers
+    for j in range(0, len(cells), block):
+        for r in range(j, j + stride):
+            acc &= int.from_bytes(cells[r:j + block:stride], "little")
+    return acc.to_bytes(size, "little")

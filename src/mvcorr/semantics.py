@@ -18,9 +18,9 @@ every state of a frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 from operator import getitem
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import yaml
 
@@ -232,48 +232,25 @@ def validity_degree(frame: Frame, target, budget: Budget | None = None) -> tuple
     return tuple(kernel.value({_X: w}) for w in range(frame.size))
 
 
-# (target, budget, frames, their indices by id, the batch's degree kernel,
-# its state symbol x, index of the frame last charged) of the last batch's
-# degree table; holding the frames and the budget, matched by identity,
-# keeps their ids from being reused
-_last_degree: tuple = (None, None, (), {}, None, None, -1)
+# (frame, target, budget, degrees) of the last table; frame and budget by identity
+_last_degree: tuple = (None, None, None, ())
 
 
-def valid_at(
-    frame: Frame, target, w, a: int, budget: Budget | None = None,
-    batch: Sequence[Frame] = (),
-) -> bool:
+def valid_at(frame: Frame, target, w, a: int, budget: Budget | None = None) -> bool:
     """Local a-validity at w under every valuation of the atoms: a below the
     value of a formula, or a & lhs below rhs for an inequality lhs <= rhs.
     By residuation, a below the `validity_degree` at w.  `compile_eval`
-    over `iter_valuations` is its reference.
-
-    `batch` is a run of frames of one size that holds `frame` (the oracle's
-    current batch).  A call on a frame that the last degree table does not
-    cover, for this target and budget object, builds a new one
-    (`fol.CompiledFo`) for `frame` and the frames after it in `batch`, as
-    many as it fits, charging `frame`'s cells first.  A call on another
-    frame the table covers charges that frame's cells; further calls on the
-    same frame charge nothing.  So each frame is charged at its first
-    state, as if it had a table of its own.  Each call reads one cell."""
+    over `iter_valuations` is its reference.  The last frame object's
+    degrees are kept, for one target and budget object, so only the first
+    call on a frame charges.  The oracle calls it only at a counterexample."""
     global _last_degree
     if isinstance(w, str):
         w = frame.state_index(w)
-    last_target, last_budget, frames, index, kernel, x, current = _last_degree
-    k = index.get(id(frame), -1)
-    if k < 0 or last_budget is not budget or last_target != target:
-        from .fol import _X as x, CompiledFo, degree_claim, interp_for_frame
-
-        start = next((j for j, g in enumerate(batch) if g is frame), len(batch))
-        kernel = CompiledFo(interp_for_frame(frame), degree_claim(target), budget,
-                            islice(batch, start + 1, None))
-        frames = (frame, *islice(batch, start + 1, start + kernel.frames))
-        index = {id(g): j for j, g in enumerate(frames)}
-        k = 0
-    elif k != current and budget is not None:
-        budget.charge(kernel.cells)
-    _last_degree = (target, budget, frames, index, kernel, x, k)
-    return frame.algebra.le(a, kernel.value({x: w}, k))
+    last_frame, last_target, last_budget, degree = _last_degree
+    if last_frame is not frame or last_budget is not budget or last_target != target:
+        degree = validity_degree(frame, target, budget)
+        _last_degree = (frame, target, budget, degree)
+    return frame.algebra.le(a, degree[w])
 
 
 # -- complex algebra ----------------------------------------------------------

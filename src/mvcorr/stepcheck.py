@@ -109,10 +109,15 @@ class _Tables:
         typecode = next(t for t in "BHIQ" if len(ids) <= 256 ** array(t).itemsize)
         return array(typecode, codes), list(ids)
 
-    def pairs(self, lhs: Formula, rhs: Formula, axes: tuple) -> list:
-        """Per cell of `axes`, lhs code * number of rhs vectors + rhs code."""
+    def pairs(self, lhs: Formula, rhs: Formula, axes: tuple) -> bytes | list:
+        """Per cell of `axes`, lhs code * number of rhs vectors + rhs code;
+        `bytes`, packed as one integer as in `fol.combiner`, while keys fit a byte."""
         count = len(self(rhs)[1])
-        return [x * count + y for x, y in zip(self.gather(lhs, axes), self.gather(rhs, axes))]
+        left, right = self.gather(lhs, axes), self.gather(rhs, axes)
+        if len(self(lhs)[1]) * count <= 256:  # so both codes are one byte
+            packed = int.from_bytes(left, "little") * count + int.from_bytes(right, "little")
+            return packed.to_bytes(len(left), "little")
+        return [x * count + y for x, y in zip(left, right)]
 
     def gather(self, f: Formula, axes: tuple) -> array:
         """f's codes read at each cell of `axes`, which hold f's own axes in
@@ -150,7 +155,9 @@ class _System:
         for ineq, own in zip(self.ineqs, self.own):
             lvecs, rvecs = tables(ineq.lhs)[1], tables(ineq.rhs)[1]
             pair = bytes([all(map(le, lv, rv)) for lv in lvecs for rv in rvecs])
-            own_table = bytes(map(pair.__getitem__, tables.pairs(ineq.lhs, ineq.rhs, own)))
+            keys = tables.pairs(ineq.lhs, ineq.rhs, own)
+            own_table = (keys.translate(pair.ljust(256, b"\0")) if isinstance(keys, bytes)
+                         else bytes(map(pair.__getitem__, keys)))
             own_table = broadcast(own_table, repeats(own, self.axes, sizes))
             table &= int.from_bytes(own_table, "little")
         return table.to_bytes(cells, "little")

@@ -65,6 +65,16 @@ def test_verify_counterexample_exit_code(capsys):
     assert "FAIL" in out
 
 
+def test_verify_checks_a_repeated_size_once(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--formula", "p -> <>p", "--fo", "R(x,x)", "--value", "gamma",
+        "--sizes", "1,1",
+    )
+    assert code == 0
+    assert out == "PASS (5 frames, 5 state checks)\n"
+
+
 def test_algebra_check(capsys):
     code, out, _ = run_cli(capsys, "algebra", "check", "--algebra", "paper-P")
     assert code == 0

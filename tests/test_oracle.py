@@ -1,9 +1,12 @@
 """Correspondence oracle on the worked disjunction example."""
 
 import random
+from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvcorr.fol as fol
 import mvcorr.oracle as oracle
@@ -11,11 +14,12 @@ from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded, MvcorrError
 from mvcorr.fol import (
-    BOT, CompiledFo, FoVar, Pred, Rel, degree_claim, frame_property,
+    BOT, CompiledFo, FoAnd, FoOr, Forall, FoVar, Pred, Rel, degree_claim, frame_property,
     free_individual_symbols, interp_for_frame, parse_fo,
 )
 from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, fo_agree, iter_frames, sample_frames
+from mvcorr.randomgen import random_fo, random_formula
 from mvcorr.semantics import Frame, valid_at, validity_degree
 from mvcorr.syntax import parse_formula, parse_inequality
 
@@ -133,22 +137,6 @@ def test_identical_oracle_calls_charge_alike():
     assert charged[0] == charged[1] > 0
 
 
-def test_only_the_first_state_of_a_frame_charges(monkeypatch):
-    charges = []
-
-    def charging(frame, target, w, a, budget, *batch):
-        before = budget.used
-        out = valid_at(frame, target, w, a, budget, *batch)
-        charges.append((w, budget.used - before))
-        return out
-
-    monkeypatch.setattr(oracle, "valid_at", charging)
-    phi = parse_formula("p -> <>p", P)
-    report = correspondence_oracle(P, phi, P.element("gamma"), Rel(X, X), sizes=[2])
-    assert report.passed and len(charges) == report.states_checked == 1250
-    assert all((cells > 0) == (w == 0) for w, cells in charges)
-
-
 def test_refused_degree_table_is_not_kept():
     phi = parse_formula("p -> []<>p", P)
     frame = next(iter_frames(P, 2))
@@ -168,15 +156,38 @@ def test_refused_degree_table_is_not_kept():
 
 
 @pytest.mark.parametrize("text,value", [("p -> <>p", "gamma"), ("~p \\/ <>p", "1")])
-def test_one_modal_call_per_state_checked(monkeypatch, text, value):
-    # the benchmark's per-state seam: correspondence_oracle resolves
-    # valid_at through the oracle module once per state it checks
+def test_valid_at_reads_only_the_counterexample(monkeypatch, text, value):
+    # verdicts come from whole tables: a PASS never calls valid_at, and a
+    # FAIL re-reads its counterexample's state once, charging nothing
     calls = []
-    monkeypatch.setattr(oracle, "valid_at", lambda *args: calls.append(args) or valid_at(*args))
+
+    def recording(*args):
+        before = budget.used
+        out = valid_at(*args)
+        calls.append((args, budget.used - before))
+        return out
+
+    monkeypatch.setattr(oracle, "valid_at", recording)
+    budget = Budget()
     report = correspondence_oracle(P, parse_formula(text, P), P.element(value), Rel(X, X),
-                                   sizes=[1, 2])
+                                   sizes=[1, 2], budget=budget)
     assert report.passed == (value == "gamma")
-    assert len(calls) == report.states_checked
+    if report.passed:
+        assert calls == []
+    else:
+        ce = report.counterexample
+        [((frame, _, w, _), charged)] = calls
+        assert (frame, w, charged) == (ce.frame, ce.state, 0)
+
+
+def test_repeated_sizes_are_checked_once():
+    phi = parse_formula("p -> <>p", P)
+    once = correspondence_oracle(P, phi, P.element("gamma"), Rel(X, X), sizes=[1])
+    twice = correspondence_oracle(P, phi, P.element("gamma"), Rel(X, X), sizes=[1, 1])
+    assert report_tuple(twice) == report_tuple(once) == (True, 5, 5)
+    kw = dict(threshold_alpha=P.top, threshold_beta=P.top)
+    assert (report_tuple(fo_agree(P, Rel(X, X), Rel(X, X), sizes=[2, 1, 2], **kw))
+            == report_tuple(fo_agree(P, Rel(X, X), Rel(X, X), sizes=[2, 1], **kw)))
 
 
 # -- batches against a per-frame reference loop ---------------------------------------
@@ -309,6 +320,61 @@ def test_batches_charge_and_report_as_the_per_frame_loop(
     caps |= {rng.randrange(charges[0], probe.used) for _ in range(8)}
     for cap in sorted(caps):
         assert outcome(batched, case, cap) == outcome(reference, case, cap), cap
+
+
+GAMMA_CORRESPONDENTS = {text: correspondent(text) for text in
+                        ("p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p")}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6))
+def test_table_scan_matches_the_per_state_reference(seed):
+    # free y and z are open symbols, folded universally; a candidate over
+    # y and z alone is a sentence, the same at every state
+    rng = random.Random(seed)
+    variables = rng.choice([("x",), ("x", "y"), ("x", "y", "z"), ("y",), ("y", "z")])
+    alpha = random_fo(rng, P, preds=(), variables=variables, depth=rng.choice([1, 2, 3]))
+    samples, sample_seed = rng.randrange(3), rng.randrange(100)
+    frames = list(iter_frames(P, 1)) + list(iter_frames(P, 2))
+    frames += sample_frames(P, 3, samples, sample_seed)
+    kw = dict(sizes=[1, 2], samples=samples, sample_size=3, seed=sample_seed)
+    a, threshold = rng.randrange(P.n), rng.randrange(P.n)
+    if rng.random() < 0.5:
+        target, candidate = random_formula(rng, P, ("p",), depth=2), alpha
+        if rng.random() < 0.5:
+            # a correspondent met with a formula true everywhere passes
+            text = rng.choice(sorted(GAMMA_CORRESPONDENTS))
+            target, a, threshold = parse_formula(text, P), GAMMA, P.top
+            pad, corr = parse_fo("y = y", P), GAMMA_CORRESPONDENTS[text]
+            candidate = rng.choice([FoAnd(corr, pad), FoAnd(pad, corr)])  # x's axis inner or outer
+
+        def tables(_, budget):
+            return report_tuple(correspondence_oracle(
+                P, target, a, candidate, fo_threshold=threshold, budget=budget, **kw))
+
+        def states(_, budget):
+            return reference_scan(frames, reference_modal(target, a, budget),
+                                  reference_fo(candidate, threshold, budget))
+    else:
+        # closed under A over its open symbols, alpha holds where it holds
+        opened = sorted(free_individual_symbols(alpha) - {X}, key=str)
+        closed = reduce(lambda f, v: Forall(v, f), opened, alpha)
+        beta = rng.choice([alpha, closed, FoOr(alpha, BOT),
+                           random_fo(rng, P, preds=(), variables=variables, depth=2)])
+        b = threshold if rng.random() < 0.7 else rng.randrange(P.n)
+
+        def tables(_, budget):
+            return report_tuple(fo_agree(P, alpha, beta, threshold_alpha=threshold,
+                                         threshold_beta=b, budget=budget, **kw))
+
+        def states(_, budget):
+            return reference_scan(frames, reference_fo(alpha, threshold, budget),
+                                  reference_fo(beta, b, budget))
+
+    want, used = outcome(states, None, 10**12)
+    assert outcome(tables, None, 10**12) == (want, used)
+    cap = rng.randrange(used + 1)
+    assert outcome(tables, None, cap) == outcome(states, None, cap)
 
 
 @pytest.mark.parametrize("name", ["bool2", "paper-P"])
