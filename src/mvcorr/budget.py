@@ -7,9 +7,12 @@ before it builds any table, so a refusal allocates nothing.  The oracle
 charges each frame when the scan reaches it: its first-order cells, then
 its degree cells (for `fo_agree`, the left side's, then the right's).  A
 kernel table may cover a batch of frames, but a batch never spans more
-frames than the budget left after its first frame's charge can pay for,
-so `used` and the point of refusal are those of one table per frame.  The
-re-read of a counterexample's state is not charged.
+frames than the budget left after its first frame's charge can pay for.
+Where both sides' runs agree on frames past a frame the scan has reached,
+it charges them in one sum when the whole sum fits under `cap`, and
+otherwise frame by frame, so `used` and the point of refusal are those of
+one table per frame.  The re-read of a counterexample's state is not
+charged.
 
 The per-step checker `stepcheck` charges the same way, for each frame before
 it builds that frame's tables: one unit per cell of each subformula's code

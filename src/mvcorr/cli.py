@@ -247,6 +247,19 @@ def _verify_output(args, alg, target, a, alpha, sizes, crisp: bool):
     )
 
 
+def _verify_printed(args, alg, target, a, alpha, display, crisp, payload, lines) -> int:
+    """Oracle-check a correspondent and its printed display, parsed back
+    like a user's --fo, at the sizes of --verify; 1 when either fails."""
+    status = 0
+    sizes = _parse_sizes(args.verify)
+    for key, checked in (("verification", alpha), ("display_verification", display)):
+        report = _verify_output(args, alg, target, a, checked, sizes, crisp)
+        payload[key] = report.describe()
+        lines.append(f"{key.replace('_', ' ')}: {report.describe()}")
+        status |= not report.passed
+    return status
+
+
 def cmd_alba(args) -> int:
     alg = resolve_algebra(args.algebra)
     a = alg.element(args.value)
@@ -286,20 +299,8 @@ def cmd_alba(args) -> int:
         lines += ["  " + s.describe() for s in result.all_steps()]
     status = 0 if result.succeeded else 1
     if result.succeeded and args.verify:
-        sizes = _parse_sizes(args.verify)
-        # the printed display is checked as parsed back, like a user's --fo
-        checked = (
-            ("verification", result.correspondent),
-            ("display_verification", parse_display(result.display, alg)),
-        )
-        for key, alpha in checked:
-            report = _verify_output(
-                args, alg, result.source, a, alpha, sizes, crisp=True
-            )
-            payload[key] = report.describe()
-            lines.append(f"{key.replace('_', ' ')}: {report.describe()}")
-            if not report.passed:
-                status = 1
+        status |= _verify_printed(args, alg, result.source, a, result.correspondent,
+                                  parse_display(result.display, alg), True, payload, lines)
     _report(args, payload, lines)
     return status
 
@@ -332,12 +333,8 @@ def cmd_svb(args) -> int:
     ]
     status = 0
     if args.verify:
-        sizes = _parse_sizes(args.verify)
-        report = _verify_output(args, alg, formula, a, alpha, sizes, crisp=False)
-        payload["verification"] = report.describe()
-        lines.append(f"verification: {report.describe()}")
-        if not report.passed:
-            status = 1
+        status |= _verify_printed(args, alg, formula, a, alpha, parse_fo(display, alg),
+                                  False, payload, lines)
     if args.compare_alba:
         result = run_alba(formula, a, alg)
         agree = False

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice, product
+from itertools import chain, islice, product
 from operator import getitem
 from typing import Callable, Iterable, Optional
 
@@ -438,10 +438,17 @@ def _restore(env: dict, key, saved) -> None:
 BATCH_CELLS = 1 << 16
 
 
+def relation_bytes(cells: Iterable[int]) -> bytes:
+    """A relation's cells, row-major, as the kernel reads them: padded to
+    256 bytes for `translate` while every position fits a byte."""
+    flat = bytes(cells)
+    return flat.ljust(256, b"\0") if len(flat) <= 256 else flat
+
+
 class CompiledFo:
     """A formula tabulated by the table kernel over one interpretation, and
-    over the frames of `following` too: a batch of frames of one size that
-    share the interpretation's pinned symbols.
+    over the frames whose `relation_bytes` `following` lists too: a batch
+    of frames of one size that share the interpretation's pinned symbols.
 
     Every subformula becomes a flat row-major `bytes` table, one element
     index per cell, with one axis per free symbol, axes ordered by binding
@@ -456,13 +463,14 @@ class CompiledFo:
 
     The budget is charged `cells`, one frame's table cells, before any
     table is built.  The batch covers `frames` frames: `interp.frame`, then
-    those of `following` in order, as many as fit under `BATCH_CELLS` and
-    as the budget left after that charge can pay for.  It charges nothing
-    for them; whoever reads frame k > 0 charges `cells` for it first.
+    the relations of `following` in order (consumed only as far as the
+    batch reaches), as many as fit under `BATCH_CELLS` and as the budget
+    left after that charge can pay for.  It charges nothing for them;
+    whoever reads frame k > 0 charges `cells` for it first.
     """
 
     def __init__(self, interp: FoInterp, f: Fo, budget: Budget | None = None,
-                 following: Iterable[Frame] = ()):
+                 following: Iterable[bytes] = ()):
         frame = interp.frame
         pins = tuple(tuple(d.items()) for d in (interp.consts, interp.tvs, interp.preds))
         plan = _plan(frame.algebra, f, frame.size, pins)
@@ -471,7 +479,8 @@ class CompiledFo:
         if budget is not None:
             budget.charge(plan.cells)
             room = min(room, 1 + (budget.cap - budget.used) // plan.cells)
-        rels = [frame.rel, *(g.rel for g in islice(following, max(room - 1, 0)))]
+        rels = [relation_bytes(chain.from_iterable(frame.rel)),
+                *islice(following, max(room - 1, 0))]
         self.frames = len(rels)
         self.root = plan.root
         self.table = plan.run(rels)
@@ -668,18 +677,15 @@ class _Plan:
             child = len(tables) - 1
         return child, (), True
 
-    def run(self, rels: list) -> bytes:
-        """Root table of the formula on a batch of frames with these relation
-        matrices.  Every table that reads the relation, and the root, has
-        the frames as its outermost axis: frame k owns the k-th of
+    def run(self, rels: list[bytes]) -> bytes:
+        """Root table of the formula on a batch of frames with these
+        `relation_bytes`.  Every table that reads the relation, and the
+        root, has the frames as its outermost axis: frame k owns the k-th of
         len(rels) equal slices, which equals that frame's own table."""
         if self.tables is None:
             self._build()
         tables = self.tables.copy()
-        flat = [b"".join(map(bytes, rel)) for rel in rels]
-        if self.size * self.size <= 256:  # translate tables
-            flat = [rel.ljust(256, b"\0") for rel in flat]
-        tables[self.rel_slot] = flat
+        tables[self.rel_slot] = rels
         for i, task in self.steps:
             tables[i] = _execute(task, tables, len(rels))
         root = tables[self.rel_slot - 1]

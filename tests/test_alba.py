@@ -14,6 +14,7 @@ from mvcorr.alba import (
     run_alba,
     systems_equal,
 )
+from mvcorr.budget import Budget
 from mvcorr.errors import StepCapExceeded
 from mvcorr.fol import FoVar, Rel, frame_property, print_fo
 from mvcorr.heyting import builtin_algebra
@@ -299,6 +300,19 @@ def test_corpus_reduces(inductive_corpus):
     for ineq in inductive_corpus:
         res = run_alba(ineq, GAMMA, P)
         assert res.succeeded, str(ineq)
+
+
+def test_corpus_correspondents_pass_the_oracle(inductive_corpus):
+    # the raw correspondent and the printed display, parsed back, on every
+    # frame to size 2; the largest correspondents need more than the
+    # default budget
+    assert len(inductive_corpus) == 21
+    for ineq in inductive_corpus:
+        res = run_alba(ineq, GAMMA, P)
+        for alpha in (res.correspondent, parse_display(res.display, P)):
+            report = correspondence_oracle(P, res.source, GAMMA, alpha, sizes=[1, 2],
+                                           budget=Budget(10**9), fo_threshold=P.top)
+            assert report.passed, (str(ineq), print_fo(alpha), report.describe())
 
 
 def test_normalize_fresh_names():

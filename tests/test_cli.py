@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from mvcorr import cli
 from mvcorr.cli import main
+from mvcorr.fol import BOT
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +153,25 @@ def test_svb_with_comparison(capsys):
     assert code == 0
     assert "display: A y1. (R(x, y1) -> R(y1, x))" in out
     assert "agreement with rewriting engine: yes" in out
+
+
+def test_svb_verify_checks_the_printed_display(monkeypatch, capsys):
+    # the display is oracle-checked as parsed back, at the correspondent's
+    # threshold, and a failing display alone sets exit status 1
+    argv = ("svb", "--algebra", "paper-P", "--value", "beta", "--formula", "p -> []<>p",
+            "--verify", "sizes=1,2", "--format", "structured")
+    code, out, _ = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert code == 0
+    assert report["display"] == "A y1. (R(x, y1) -> R(y1, x))"
+    assert report["verification"].startswith("PASS (630 frames")
+    assert report["display_verification"].startswith("PASS (630 frames")
+    monkeypatch.setattr(cli, "simplify_display", lambda alpha: BOT)
+    code, out, _ = run_cli(capsys, *argv[:-2])
+    assert code == 1
+    assert "\ndisplay: @0\n" in out
+    assert "\nverification: PASS (630 frames" in out
+    assert "\ndisplay verification: FAIL at state w0" in out
 
 
 def test_svb_rejects_non_classical(capsys):

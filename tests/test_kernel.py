@@ -14,7 +14,7 @@ index maps, the algebra's tables and a reference fold.
 import random
 import tracemalloc
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 import pytest
@@ -46,6 +46,7 @@ from mvcorr.fol import (
     free_individual_symbols,
     free_pred_names,
     interp_for_frame,
+    relation_bytes,
     repeats,
     validity_claim,
 )
@@ -116,16 +117,25 @@ def test_kernel_matches_fo_eval_on_correspondents(key, seed):
 # -- batches: frames as the outermost axis ------------------------------------------
 
 
+def flat(frames):
+    """The frames' relations as the kernel reads them."""
+    return [relation_bytes(chain.from_iterable(frame.rel)) for frame in frames]
+
+
 def assert_batch_matches_single_frames(frames, f):
-    """Each frame's slice of the batched root table equals its own table."""
-    batch = CompiledFo(interp_for_frame(frames[0]), f, following=frames[1:])
+    """A batch whose later frames come as relation bytes has, frame by
+    frame, the table and cells of each frame's own kernel on its `Frame`,
+    and takes from `following` only the frames it covers."""
+    following = iter(flat(frames[1:]))
+    batch = CompiledFo(interp_for_frame(frames[0]), f, following=following)
     assert batch.frames == min(len(frames), max(1, fol.BATCH_CELLS // batch.cells))
+    assert len(list(following)) == len(frames) - batch.frames
     span = len(batch.table) // batch.frames
     assert span * batch.frames == len(batch.table)
-    for k, frame in enumerate(frames[:batch.frames]):
-        single = CompiledFo(interp_for_frame(frame), f)
-        assert (single.frames, single.cells) == (1, batch.cells)
-        assert batch.table[k * span:(k + 1) * span] == single.table, (f, k)
+    singles = [CompiledFo(interp_for_frame(frame), f) for frame in frames[:batch.frames]]
+    assert batch.table == b"".join(single.table for single in singles), f
+    for k, single in enumerate(singles):
+        assert (single.frames, single.cells, single.span) == (1, batch.cells, span)
         env = {sym: 0 for sym, _, base in single.root if not base}
         if len(env) == len(single.root):
             assert batch.value(env, k) == single.value(env)
@@ -166,7 +176,7 @@ def test_batch_stops_at_the_cell_ceiling(monkeypatch):
     cells = CompiledFo(interp_for_frame(frames[0]), f).cells
     for ceiling, covered in [(3 * cells + 1, 3), (cells - 1, 1), (10**9, 8)]:
         monkeypatch.setattr(fol, "BATCH_CELLS", ceiling)
-        assert CompiledFo(interp_for_frame(frames[0]), f, following=frames[1:]).frames == covered
+        assert CompiledFo(interp_for_frame(frames[0]), f, following=flat(frames[1:])).frames == covered
         assert_batch_matches_single_frames(frames, f)
 
 
@@ -177,7 +187,7 @@ def test_batch_covers_what_the_budget_can_pay_for():
     cells = CompiledFo(interp_for_frame(frames[0]), f).cells
     for cap, covered in [(cells, 1), (3 * cells - 1, 2), (3 * cells, 3), (100 * cells, 8)]:
         budget = Budget(cap)
-        kernel = CompiledFo(interp_for_frame(frames[0]), f, budget, frames[1:])
+        kernel = CompiledFo(interp_for_frame(frames[0]), f, budget, flat(frames[1:]))
         assert (kernel.frames, budget.used) == (covered, cells)
 
 

@@ -180,6 +180,29 @@ def test_valid_at_reads_only_the_counterexample(monkeypatch, text, value):
         assert (frame, w, charged) == (ce.frame, ce.state, 0)
 
 
+def test_only_a_counterexample_builds_a_frame(monkeypatch):
+    # frames are enumerated as relation bytes: a PASS never calls
+    # iter_frames, and a FAIL reports the frame that iter_frames (or the
+    # seeded samples) gives at the reported place in enumeration order
+    calls = []
+    monkeypatch.setattr(oracle, "iter_frames", lambda *a: calls.append(a) or iter_frames(*a))
+    phi = parse_formula("p -> []<>p", P)
+    report = correspondence_oracle(P, phi, GAMMA, GAMMA_CORRESPONDENTS["p -> []<>p"],
+                                   sizes=[1, 2], fo_threshold=P.top)
+    assert report.passed and calls == []
+    report = correspondence_oracle(P, phi, GAMMA, parse_fo("A y. R(x, y) =< R(y, x)", P),
+                                   sizes=[1, 2])
+    k = report.frames_checked - 5 - 1  # inside the third batch of size 2
+    assert (calls, k) == ([(P, 2)], 45)
+    assert report.counterexample.frame == list(iter_frames(P, 2))[k]
+    beta = parse_fo("A y. A z. (x = y | y = z | x = z | (R(y, z) =< @gamma))", P)
+    report = fo_agree(P, parse_fo("x = x", P), beta, sizes=[1, 2], threshold_alpha=P.top,
+                      threshold_beta=P.top, samples=6, sample_size=3, seed=1)
+    k = report.frames_checked - 630 - 1
+    assert (len(calls), k) == (1, 2)
+    assert report.counterexample.frame == sample_frames(P, 3, 6, 1)[k]
+
+
 def test_repeated_sizes_are_checked_once():
     phi = parse_formula("p -> <>p", P)
     once = correspondence_oracle(P, phi, P.element("gamma"), Rel(X, X), sizes=[1])
