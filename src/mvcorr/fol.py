@@ -798,37 +798,6 @@ def _strides(axes: tuple, sizes: dict) -> dict:
     return out
 
 
-def fo_a_truth(
-    interp: FoInterp,
-    f: Fo,
-    a: int,
-    fixed: dict | None = None,
-    budget: Budget | None = None,
-) -> bool:
-    """a-truth: value at least a under every assignment extending `fixed`.
-
-    Free individual symbols not covered by `fixed` or the interpretation
-    range over all states.
-    """
-    alg = interp.frame.algebra
-    fixed = dict(fixed) if fixed else {}
-    open_syms = sorted(
-        (
-            t
-            for t in free_individual_symbols(f)
-            if t not in fixed and t not in interp.consts
-        ),
-        key=str,
-    )
-    evaluator = CompiledFo(interp, f, budget)
-    for combo in product(range(interp.frame.size), repeat=len(open_syms)):
-        env = dict(fixed)
-        env.update(zip(open_syms, combo))
-        if not alg.le(a, evaluator.value(env)):
-            return False
-    return True
-
-
 # -- standard translation -------------------------------------------------------
 
 

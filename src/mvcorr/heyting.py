@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -45,14 +44,6 @@ MAX_ELEMENTS = 256
 
 BOT_ALIASES = ("0", "bot", "false")
 TOP_ALIASES = ("1", "top", "true")
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """One element of a loaded algebra: stable index plus display name."""
-
-    index: int
-    name: str
 
 
 class HeytingAlgebra:
@@ -91,9 +82,6 @@ class HeytingAlgebra:
         if name in TOP_ALIASES:
             return self.top
         raise UnknownConstant(name)
-
-    def elements(self) -> list[AlgebraElement]:
-        return [AlgebraElement(i, nm) for i, nm in enumerate(self.names)]
 
     def element_name(self, idx: int) -> str:
         return self.names[idx]
@@ -268,11 +256,6 @@ class HeytingAlgebra:
         ):
             raise InvalidAlgebra("kappa and lam are not mutually inverse")
         return join_irr, meet_irr, kappa, lam
-
-
-def irreducibles(alg: HeytingAlgebra):
-    """Join-/meet-irreducible elements with the kappa and lam maps."""
-    return alg.join_irreducibles, alg.meet_irreducibles, alg.kappa, alg.lam
 
 
 # -- loading ----------------------------------------------------------------

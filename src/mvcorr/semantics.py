@@ -232,25 +232,15 @@ def validity_degree(frame: Frame, target, budget: Budget | None = None) -> tuple
     return tuple(kernel.value({_X: w}) for w in range(frame.size))
 
 
-# (frame, target, budget, degrees) of the last table; frame and budget by identity
-_last_degree: tuple = (None, None, None, ())
-
-
 def valid_at(frame: Frame, target, w, a: int, budget: Budget | None = None) -> bool:
     """Local a-validity at w under every valuation of the atoms: a below the
     value of a formula, or a & lhs below rhs for an inequality lhs <= rhs.
-    By residuation, a below the `validity_degree` at w.  `compile_eval`
-    over `iter_valuations` is its reference.  The last frame object's
-    degrees are kept, for one target and budget object, so only the first
-    call on a frame charges.  The oracle calls it only at a counterexample."""
-    global _last_degree
+    By residuation, a below the `validity_degree` at w, so each call builds
+    and charges one degree table.  `compile_eval` over `iter_valuations` is
+    its reference.  The oracle calls it only at a counterexample."""
     if isinstance(w, str):
         w = frame.state_index(w)
-    last_frame, last_target, last_budget, degree = _last_degree
-    if last_frame is not frame or last_budget is not budget or last_target != target:
-        degree = validity_degree(frame, target, budget)
-        _last_degree = (frame, target, budget, degree)
-    return frame.algebra.le(a, degree[w])
+    return frame.algebra.le(a, validity_degree(frame, target, budget)[w])
 
 
 # -- complex algebra ----------------------------------------------------------

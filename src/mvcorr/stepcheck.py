@@ -17,8 +17,10 @@ over its own atoms in that order, so a child's axes are an in-order
 subsequence of its parent's: the parent reads the child through
 `fol.repeats`/`fol.broadcast`, and private atoms, trailing axes, fold out
 with `fol.fold`.  Per frame, each subformula gets one table of value codes,
-built bottom-up and shared by both systems, and each inequality is decided
-once per pair of value vectors that occurs.
+shared by both systems: a leaf (an atom, or a subformula without atoms) is
+evaluated with `compile_eval`, and every other subformula is built from its
+children's tables.  Each inequality is decided once per pair of value
+vectors that occurs.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ class _Tables:
     step's axis order, row-major), the code of its value vector; the
     vectors follow in code order, one per distinct vector.  Codes are
     fixed-width cells of an `array`, as narrow as the vector count allows.
-    Subformulas over at most one atom are evaluated with `compile_eval`;
-    above them a connective applies its `operation` once per pair of
-    operand codes that occurs, and a modality once per distinct vector of
-    its operand.  `start` drops the previous frame's tables.
+    A leaf, an atom or a subformula without atoms, is evaluated with
+    `compile_eval` under each valuation of its at most one atom; above the
+    leaves a connective applies its `operation` once per pair of operand
+    codes that occurs, and a modality once per distinct vector of its
+    operand.  `start` drops the previous frame's tables.
     """
 
     def __init__(self, formulas: Iterable[Formula], order: tuple):
@@ -71,7 +74,7 @@ class _Tables:
         if f not in self.axes:
             own = atoms(f)
             self.axes[f] = tuple(a for a in self.order if a in own)
-            if len(self.axes[f]) > 1:
+            if own:
                 for sub in children(f):
                     self._plan(sub)
 
@@ -89,12 +92,12 @@ class _Tables:
         return self.memo[f]
 
     def _evaluate(self, f: Formula) -> tuple[array, list]:
-        frame, ids = self.frame, {}
-        if len(self.axes[f]) <= 1:
+        frame, ids, subs = self.frame, {}, children(f) if self.axes[f] else ()
+        if not subs:  # an atom, or a subformula without atoms
             fn = compile_eval(f, frame)
             codes = [ids.setdefault(fn(val), len(ids))
                      for val in iter_valuations(frame, self.axes[f])]
-        elif len(subs := children(f)) == 1:
+        elif len(subs) == 1:
             op = operation(frame, f)
             codes, vecs = self(subs[0])
             recode = [ids.setdefault(op(v), len(ids)) for v in vecs]

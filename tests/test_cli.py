@@ -309,3 +309,18 @@ def test_alba_verify_passes_within_default_budget(monkeypatch, capsys, formula):
     assert code == 0
     assert "\nverification: PASS (630 frames" in out
     assert "\ndisplay verification: PASS (630 frames" in out
+
+
+def test_alba_verify_of_a_large_corpus_correspondent_fits_the_default_budget(
+    monkeypatch, capsys,
+):
+    # the inductive corpus's costliest check at sizes 1,2: about 22.8 M units
+    monkeypatch.delenv("MVCORR_BUDGET", raising=False)
+    code, out, _ = run_cli(
+        capsys,
+        "alba", "--value", "gamma", "--formula", "q /\\ r \\/ <>@0 <= [][]p",
+        "--verify", "sizes=1,2",
+    )
+    assert code == 0
+    assert "\nverification: PASS (630 frames" in out
+    assert "\ndisplay verification: PASS (630 frames" in out

@@ -145,14 +145,13 @@ def test_refused_degree_table_is_not_kept():
     for w in (0, 1):
         with pytest.raises(BudgetExceeded):
             valid_at(frame, phi, w, P.top, small)
-    budget = Budget(cells)
+    # each call builds and charges its own table: nothing is kept between calls
+    budget = Budget(2 * cells)
     valid_at(frame, phi, 0, P.top, budget)
     valid_at(frame, phi, 1, P.top, budget)
-    assert budget.used == cells
-    # another budget on the same frame object does not reuse the table
-    other = Budget()
-    valid_at(frame, phi, 1, P.top, other)
-    assert other.used == cells
+    assert budget.used == 2 * cells
+    with pytest.raises(BudgetExceeded):
+        valid_at(frame, phi, 1, P.top, budget)
 
 
 @pytest.mark.parametrize("text,value", [("p -> <>p", "gamma"), ("~p \\/ <>p", "1")])

@@ -27,7 +27,9 @@ from mvcorr.oracle import iter_frames
 from mvcorr.randomgen import random_formula, random_frame
 from mvcorr.semantics import atom_options, compile_eval, iter_valuations
 from mvcorr.stepcheck import StepFailure, _show, _Tables, verify_step
-from mvcorr.syntax import CoNom, Inequality, Nom, Var, atoms, parse_formula, parse_inequality
+from mvcorr.syntax import (
+    CoNom, Inequality, Nom, Var, atoms, children, parse_formula, parse_inequality,
+)
 
 P = builtin_algebra("paper-P")
 B2 = builtin_algebra("bool2")
@@ -263,7 +265,7 @@ def test_bottom_up_codes_match_compile_eval(seed, size, reverse):
     rng = random.Random(seed)
     variables = ("p", "q") if size < 3 else ("p",)
     f = random_formula(rng, P, variables, depth=4, extended=True)
-    while len(atoms(f)) < 2:
+    while not atoms(f):
         f = random_formula(rng, P, variables, depth=4, extended=True)
     frame = random_frame(rng, P, size)
     # the axes by name, or reversed
@@ -280,30 +282,40 @@ def test_bottom_up_codes_match_compile_eval(seed, size, reverse):
 
 
 def test_shared_subformulas_compile_once_per_frame(monkeypatch):
-    compiled = Counter()
+    # compile_eval runs once per frame on each leaf (an atom or an atom-free
+    # subformula); every compound subformula with atoms is built bottom-up
+    compiled, built = Counter(), Counter()
 
     def counting(f, frame):
         compiled[f] += 1
         return compile_eval(f, frame)
 
+    def building(tables, f):
+        built[f] += 1
+        return evaluate(tables, f)
+
+    evaluate = _Tables._evaluate
     monkeypatch.setattr(stepcheck, "compile_eval", counting)
+    monkeypatch.setattr(_Tables, "_evaluate", building)
     step = _step("split-join", ["<>p \\/ []q <= []r"], ["<>p <= []r", "[]q <= []r"])
     frames = [random_frame(random.Random(seed), P, 2) for seed in range(3)]
     assert verify_step(step, frames) is None
+    assert compiled == {parse_formula(t, P): len(frames) for t in ("p", "q", "r")}
     # <>p, []q and []r occur in both systems, []r in all three inequalities
-    want = {parse_formula(t, P): len(frames) for t in ("<>p", "[]q", "[]r")}
-    assert compiled == want
+    for t in ("<>p", "[]q", "[]r"):
+        assert built[parse_formula(t, P)] == len(frames)
     # nothing is kept from one call to the next
     verify_step(step, frames)
-    assert compiled == {f: 2 * n for f, n in want.items()}
+    assert compiled == {parse_formula(t, P): 2 * len(frames) for t in ("p", "q", "r")}
     # first-approximation: the conclusion #i0 <= $m0 shares its sides with
     # the premises
     compiled.clear()
     steps = run_alba(parse_formula("p -> <>p", P), P.top, P).all_steps()
     step = next(s for s in steps if s.rule == "first-approximation")
     assert verify_step(step, frames) is None
-    assert {parse_formula("#i0", P), parse_formula("$m0", P)} <= set(compiled)
+    assert {parse_formula(t, P) for t in ("p", "#i0", "$m0")} <= set(compiled)
     assert set(compiled.values()) == {len(frames)}
+    assert not any(atoms(f) and children(f) for f in compiled)
 
 
 # -- budget --------------------------------------------------------------------------
@@ -355,6 +367,23 @@ def test_three_state_check_stays_bounded():
     assert failure is None
     assert 0 < budget.used <= 10**6
     assert peak < 2_000_000
+
+
+def test_split_join_charge_matches_the_documented_rule():
+    # <>p \/ []q <= []r  ~>  <>p <= []r, []q <= []r on one two-state frame of
+    # paper-P: each of p, q, r takes 5**2 = 25 rows, all three are shared
+    step = _step("split-join", ["<>p \\/ []q <= []r"], ["<>p <= []r", "[]q <= []r"])
+    budget = Budget(10**9)
+    assert verify_step(step, [random_frame(random.Random(0), P, 2)], budget) is None
+    # subformula tables: p, q, r, <>p, []q, []r over one atom, the join over two
+    subformulas = 6 * 25 + 25**2
+    # consumed: its inequality over p, q, r, and the system over p, q, r
+    consumed = 25**3 + 25**3
+    # produced: two inequalities over two atoms each, two system tables
+    produced = 2 * 25**2 + 2 * 25**3
+    # both sides' tables over the shared atoms
+    compared = 2 * 25**3
+    assert budget.used == subformulas + consumed + produced + compared
 
 
 def test_cells_charged_per_frame():
