@@ -2,8 +2,9 @@
 """Sweep the named modal axioms against every truth value of an algebra.
 
 For each (axiom, value) pair: run the rewriting engine, verify the
-computed correspondent against the finite-frame oracle, and check it
-matches the expected named frame property.
+computed correspondent and its printed display, parsed back, against the
+finite-frame oracle, and check that the axiom matches the expected named
+frame property.
 
 Usage: python scripts/property_sweep.py [--algebra paper-P] [--sizes 1,2]
 """
@@ -14,7 +15,7 @@ import time
 
 from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
-from mvcorr.fol import frame_property
+from mvcorr.fol import frame_property, parse_fo
 from mvcorr.heyting import resolve_algebra
 from mvcorr.oracle import correspondence_oracle
 from mvcorr.syntax import parse_formula
@@ -45,15 +46,18 @@ def main() -> int:
                 print(f"{text} @ {alg.element_name(a)}: reduction FAILED")
                 failures += 1
                 continue
-            own = correspondence_oracle(
-                alg, res.source, a, res.correspondent, sizes=sizes,
-                fo_threshold=alg.top, budget=Budget(10**9),
+            own, shown = (
+                correspondence_oracle(
+                    alg, res.source, a, alpha, sizes=sizes,
+                    fo_threshold=alg.top, budget=Budget(10**9),
+                )
+                for alpha in (res.correspondent, parse_fo(res.display, alg))
             )
             named = correspondence_oracle(
                 alg, res.source, a, frame_property(prop), sizes=sizes,
                 budget=Budget(10**9),
             )
-            verdict = "ok" if own.passed and named.passed else "MISMATCH"
+            verdict = "ok" if own.passed and shown.passed and named.passed else "MISMATCH"
             if verdict != "ok":
                 failures += 1
             print(

@@ -32,25 +32,16 @@ from typing import Iterator, Optional
 from .errors import StepCapExceeded
 from .fol import (
     _conjoin,
-    BOT,
     CoNomConst,
     CoNomTV,
-    Eq,
-    Exists,
     Fo,
-    FoAnd,
     FoImplies,
-    FoOr,
     Forall,
     ForallTV,
     FoVar,
     NomConst,
     NomTV,
-    Preceq,
-    Rel,
-    TruthConst,
     FreshVars,
-    parse_fo,
     print_fo,
     simplify_display,
     standard_translation,
@@ -128,11 +119,18 @@ class AlbaResult:
     quasi: list[QuasiInequality] = field(default_factory=list)
     correspondent: Optional[Fo] = None
     correspondent_global: Optional[Fo] = None
-    display: str = ""
 
     @property
     def succeeded(self) -> bool:
         return self.status == "success"
+
+    @property
+    def display(self) -> str:
+        """The correspondent as `simplify_display` normalises it, printed;
+        empty when the run did not succeed."""
+        if not self.succeeded:
+            return ""
+        return print_fo(simplify_display(self.correspondent))
 
     def all_steps(self) -> list[TraceStep]:
         out = list(self.pre_steps)
@@ -157,8 +155,8 @@ def input_inequality(target: Formula | Inequality, alg: HeytingAlgebra) -> Inequ
 # -- phase 1: preprocessing ----------------------------------------------------
 
 
-def _distribute_left(f: Formula) -> Optional[tuple[str, Formula]]:
-    """One step of bubbling joins up through the left-hand side."""
+def _join_step(f: Formula) -> Optional[tuple[str, Formula]]:
+    """A join bubbled up through the top of a left-hand side."""
     if isinstance(f, Dia) and isinstance(f.sub, Or):
         return "distribute-dia-or", Or(Dia(f.sub.lhs), Dia(f.sub.rhs))
     if isinstance(f, And) and isinstance(f.rhs, Or):
@@ -167,18 +165,11 @@ def _distribute_left(f: Formula) -> Optional[tuple[str, Formula]]:
     if isinstance(f, And) and isinstance(f.lhs, Or):
         a, b, g = f.lhs.lhs, f.lhs.rhs, f.rhs
         return "distribute-and-or", Or(And(a, g), And(b, g))
-    for i, c in enumerate(children(f)):
-        found = _distribute_left(c)
-        if found:
-            rule, new = found
-            subs = list(children(f))
-            subs[i] = new
-            return rule, rebuild(f, tuple(subs))
     return None
 
 
-def _distribute_right(f: Formula) -> Optional[tuple[str, Formula]]:
-    """One step of bubbling meets up through the right-hand side."""
+def _meet_step(f: Formula) -> Optional[tuple[str, Formula]]:
+    """A meet bubbled up through the top of a right-hand side."""
     if isinstance(f, Box) and isinstance(f.sub, And):
         return "distribute-box-and", And(Box(f.sub.lhs), Box(f.sub.rhs))
     if isinstance(f, Or) and isinstance(f.rhs, And):
@@ -193,14 +184,34 @@ def _distribute_right(f: Formula) -> Optional[tuple[str, Formula]]:
     if isinstance(f, Implies) and isinstance(f.rhs, And):
         g, a, b = f.lhs, f.rhs.lhs, f.rhs.rhs
         return "distribute-imp-and", And(Implies(g, a), Implies(g, b))
+    return None
+
+
+def _distribute(f: Formula, step) -> Optional[tuple[str, Formula]]:
+    """One `step` at the first subformula of f, in preorder, it applies to."""
+    found = step(f)
+    if found:
+        return found
     for i, c in enumerate(children(f)):
-        found = _distribute_right(c)
+        found = _distribute(c, step)
         if found:
             rule, new = found
             subs = list(children(f))
             subs[i] = new
             return rule, rebuild(f, tuple(subs))
     return None
+
+
+def _splits(ineq: Inequality) -> list[tuple[str, System]]:
+    """The splitting steps that apply: a meet on the right, a join on the left."""
+    out = []
+    if isinstance(ineq.rhs, And):
+        parts = (Inequality(ineq.lhs, ineq.rhs.lhs), Inequality(ineq.lhs, ineq.rhs.rhs))
+        out.append(("split-meet", parts))
+    if isinstance(ineq.lhs, Or):
+        parts = (Inequality(ineq.lhs.lhs, ineq.rhs), Inequality(ineq.lhs.rhs, ineq.rhs))
+        out.append(("split-join", parts))
+    return out
 
 
 def preprocess(
@@ -211,38 +222,23 @@ def preprocess(
     done: list[Inequality] = []
     while work:
         ineq = work.pop(0)
-        # distribution to fixpoint, left side then right side
-        changed = True
-        while changed:
-            changed = False
-            found = _distribute_left(ineq.lhs)
+        # distribution to fixpoint, left side first
+        while True:
+            found = _distribute(ineq.lhs, _join_step)
             if found:
-                rule, new_lhs = found
-                new = Inequality(new_lhs, ineq.rhs)
-                trace.append(TraceStep("preprocess", rule, -1, (ineq,), (new,)))
-                ineq, changed = new, True
-                continue
-            found = _distribute_right(ineq.rhs)
-            if found:
-                rule, new_rhs = found
-                new = Inequality(ineq.lhs, new_rhs)
-                trace.append(TraceStep("preprocess", rule, -1, (ineq,), (new,)))
-                ineq, changed = new, True
-        # splitting
-        if isinstance(ineq.lhs, Or):
-            parts = (
-                Inequality(ineq.lhs.lhs, ineq.rhs),
-                Inequality(ineq.lhs.rhs, ineq.rhs),
-            )
-            trace.append(TraceStep("preprocess", "split-join", -1, (ineq,), parts))
-            work = list(parts) + work
-            continue
-        if isinstance(ineq.rhs, And):
-            parts = (
-                Inequality(ineq.lhs, ineq.rhs.lhs),
-                Inequality(ineq.lhs, ineq.rhs.rhs),
-            )
-            trace.append(TraceStep("preprocess", "split-meet", -1, (ineq,), parts))
+                new = Inequality(found[1], ineq.rhs)
+            else:
+                found = _distribute(ineq.rhs, _meet_step)
+                if not found:
+                    break
+                new = Inequality(ineq.lhs, found[1])
+            trace.append(TraceStep("preprocess", found[0], -1, (ineq,), (new,)))
+            ineq = new
+        # splitting, joins first
+        splits = _splits(ineq)
+        if splits:
+            rule, parts = splits[-1]
+            trace.append(TraceStep("preprocess", rule, -1, (ineq,), parts))
             work = list(parts) + work
             continue
         # uniform-polarity closure, once per settled inequality
@@ -360,19 +356,8 @@ def _moves(system: System, pinned: Inequality, jn: tuple[int, int],
 
     # 1: splitting
     for i in free:
-        ineq = system[i]
-        if isinstance(ineq.rhs, And):
-            parts = (
-                Inequality(ineq.lhs, ineq.rhs.lhs),
-                Inequality(ineq.lhs, ineq.rhs.rhs),
-            )
-            yield _Move("split-meet", _replace(system, i, parts), (ineq,), parts, fresh=jn)
-        if isinstance(ineq.lhs, Or):
-            parts = (
-                Inequality(ineq.lhs.lhs, ineq.rhs),
-                Inequality(ineq.lhs.rhs, ineq.rhs),
-            )
-            yield _Move("split-join", _replace(system, i, parts), (ineq,), parts, fresh=jn)
+        for rule, parts in _splits(system[i]):
+            yield _Move(rule, _replace(system, i, parts), (system[i],), parts, fresh=jn)
 
     # 2: variable elimination
     yield from _ackermann_moves(system, pinned, jn, alg)
@@ -457,61 +442,27 @@ def _fold(op, parts: list[Formula], empty: Formula) -> Formula:
 
 def _approximation_moves(system: System, pinned: Inequality, jn) -> Iterator[_Move]:
     j_count, n_count = jn
+    j, n = Nom(f"j{j_count + 1}"), CoNom(f"n{n_count + 1}")
     for i, ineq in enumerate(system):
         if ineq == pinned:
             continue
         lhs, rhs = ineq.lhs, ineq.rhs
+        options = []
         if isinstance(lhs, Nom) and isinstance(rhs, Dia) and not is_pure(rhs.sub):
-            j = Nom(f"j{j_count + 1}")
-            parts = (Inequality(j, rhs.sub), Inequality(lhs, Dia(j)))
-            yield _Move(
-                "approx-dia",
-                _replace(system, i, parts),
-                (ineq,),
-                parts,
-                introduced=(j,),
-                fresh=(j_count + 1, n_count),
-            )
+            options.append(("approx-dia", j, (Inequality(j, rhs.sub), Inequality(lhs, Dia(j)))))
         if isinstance(rhs, CoNom) and isinstance(lhs, Box) and not is_pure(lhs.sub):
-            n = CoNom(f"n{n_count + 1}")
-            parts = (Inequality(lhs.sub, n), Inequality(Box(n), rhs))
-            yield _Move(
-                "approx-box",
-                _replace(system, i, parts),
-                (ineq,),
-                parts,
-                introduced=(n,),
-                fresh=(j_count, n_count + 1),
-            )
+            options.append(("approx-box", n, (Inequality(lhs.sub, n), Inequality(Box(n), rhs))))
         if isinstance(rhs, CoNom) and isinstance(lhs, Implies):
             if not is_pure(lhs.lhs):
-                j = Nom(f"j{j_count + 1}")
-                parts = (
-                    Inequality(j, lhs.lhs),
-                    Inequality(Implies(j, lhs.rhs), rhs),
-                )
-                yield _Move(
-                    "approx-imp-left",
-                    _replace(system, i, parts),
-                    (ineq,),
-                    parts,
-                    introduced=(j,),
-                    fresh=(j_count + 1, n_count),
-                )
+                options.append(("approx-imp-left", j, (Inequality(j, lhs.lhs),
+                                                       Inequality(Implies(j, lhs.rhs), rhs))))
             if not is_pure(lhs.rhs):
-                n = CoNom(f"n{n_count + 1}")
-                parts = (
-                    Inequality(lhs.rhs, n),
-                    Inequality(Implies(lhs.lhs, n), rhs),
-                )
-                yield _Move(
-                    "approx-imp-right",
-                    _replace(system, i, parts),
-                    (ineq,),
-                    parts,
-                    introduced=(n,),
-                    fresh=(j_count, n_count + 1),
-                )
+                options.append(("approx-imp-right", n, (Inequality(lhs.rhs, n),
+                                                        Inequality(Implies(lhs.lhs, n), rhs))))
+        for rule, fresh, parts in options:
+            counts = (j_count + 1, n_count) if fresh == j else (j_count, n_count + 1)
+            yield _Move(rule, _replace(system, i, parts), (ineq,), parts,
+                        introduced=(fresh,), fresh=counts)
 
 
 def _residuation_moves(system: System, pinned: Inequality, jn) -> Iterator[_Move]:
@@ -519,54 +470,31 @@ def _residuation_moves(system: System, pinned: Inequality, jn) -> Iterator[_Move
         if ineq == pinned:
             continue
         lhs, rhs = ineq.lhs, ineq.rhs
+        options = []
         # box on the right: adjoint moves the inverse diamond left
         if isinstance(rhs, Box) and not is_pure(rhs.sub):
-            new = Inequality(DiaInv(lhs), rhs.sub)
-            yield _Move("residuate-box", _replace(system, i, (new,)), (ineq,), (new,), fresh=jn)
+            options.append(("residuate-box", Inequality(DiaInv(lhs), rhs.sub)))
         # diamond on the left: adjoint moves the inverse box right
         if isinstance(lhs, Dia) and not is_pure(lhs.sub):
-            new = Inequality(lhs.sub, BoxInv(rhs))
-            yield _Move("residuate-dia", _replace(system, i, (new,)), (ineq,), (new,), fresh=jn)
+            options.append(("residuate-dia", Inequality(lhs.sub, BoxInv(rhs))))
         # implication on the right: uncurry
         if isinstance(rhs, Implies) and not is_pure(rhs):
-            new = Inequality(And(lhs, rhs.lhs), rhs.rhs)
-            yield _Move(
-                "residuate-imp", _replace(system, i, (new,)), (ineq,), (new,), fresh=jn
-            )
-        # conjunction on the left: move the variable-free (or chosen)
-        # conjunct across as an implication
+            options.append(("residuate-imp", Inequality(And(lhs, rhs.lhs), rhs.rhs)))
+        # conjunction on the left: keep a conjunct that is not variable-free,
+        # move the other across as an implication
         if isinstance(lhs, And):
-            options = []
-            keep_l = not is_pure(lhs.lhs)
-            keep_r = not is_pure(lhs.rhs)
-            if keep_l or keep_r:
-                if keep_l:
-                    options.append(Inequality(lhs.lhs, Implies(lhs.rhs, rhs)))
-                if keep_r:
-                    options.append(Inequality(lhs.rhs, Implies(lhs.lhs, rhs)))
-            for new in options:
-                yield _Move(
-                    "residuate-and",
-                    _replace(system, i, (new,)),
-                    (ineq,),
-                    (new,),
-                    fresh=jn,
-                )
+            if not is_pure(lhs.lhs):
+                options.append(("residuate-and", Inequality(lhs.lhs, Implies(lhs.rhs, rhs))))
+            if not is_pure(lhs.rhs):
+                options.append(("residuate-and", Inequality(lhs.rhs, Implies(lhs.lhs, rhs))))
         # disjunction on the right: move a disjunct across as a difference
         if isinstance(rhs, Or):
-            options = []
             if not is_pure(rhs.rhs):
-                options.append(Inequality(Minus(lhs, rhs.lhs), rhs.rhs))
+                options.append(("co-residuate-or", Inequality(Minus(lhs, rhs.lhs), rhs.rhs)))
             if not is_pure(rhs.lhs):
-                options.append(Inequality(Minus(lhs, rhs.rhs), rhs.lhs))
-            for new in options:
-                yield _Move(
-                    "co-residuate-or",
-                    _replace(system, i, (new,)),
-                    (ineq,),
-                    (new,),
-                    fresh=jn,
-                )
+                options.append(("co-residuate-or", Inequality(Minus(lhs, rhs.rhs), rhs.lhs)))
+        for rule, new in options:
+            yield _Move(rule, _replace(system, i, (new,)), (ineq,), (new,), fresh=jn)
 
 
 def _system_vars(system: System) -> set[str]:
@@ -697,68 +625,6 @@ def branch_correspondent(system: System) -> Fo:
     return subst_term(out, NomConst(RESERVED_NOM), FoVar("x"))
 
 
-def _local_display(
-    system: System, pinned: Inequality, alg: HeytingAlgebra, a: int
-) -> Optional[Fo]:
-    """Closed form `@a =< S(x)` for reduced systems whose non-pinned part
-    bounds a join-preserving chain over i0 by m0.
-
-    For such systems the quasi-inequality holds at w exactly when
-    a <= S(w), where S is the first-order weight of the chain; the
-    equivalence uses join-density and the kappa map, and the fragment
-    guard keeps the rewriting sound.
-    """
-    x = FoVar("x")
-    rest = [ineq for ineq in system if ineq != pinned]
-    if not rest:
-        # i0 <= a => i0 <= m0 for every m0 holds only when no nominal fits
-        # below a, that is when a is bottom
-        return Preceq(TruthConst(alg.element_name(a), a), BOT)
-    parts: list[Fo] = []
-    fresh = FreshVars(prefix="u")
-    for ineq in rest:
-        if ineq.rhs != CoNom(RESERVED_CONOM):
-            return None
-        part = _chain_weight(ineq.lhs, x, x, fresh)
-        if part is None:
-            return None
-        parts.append(part)
-    weight = parts[0]
-    for p in parts[1:]:
-        weight = FoOr(weight, p)
-    return Preceq(
-        TruthConst(alg.element_name(a), a), simplify_display(weight)
-    )
-
-
-def _chain_weight(f: Formula, state: Fo, x: FoVar, fresh: FreshVars) -> Optional[Fo]:
-    """First-order weight S with value(f at state) = S & (value of i0);
-    defined on the fragment built from i0 by diamonds and constant meets."""
-    if isinstance(f, Nom) and f.name == RESERVED_NOM:
-        return Eq(state, x)
-    if isinstance(f, Dia):
-        u = fresh.next()
-        inner = _chain_weight(f.sub, u, x, fresh)
-        if inner is None:
-            return None
-        return Exists(u, FoAnd(Rel(state, u), inner))
-    if isinstance(f, DiaInv):
-        u = fresh.next()
-        inner = _chain_weight(f.sub, u, x, fresh)
-        if inner is None:
-            return None
-        return Exists(u, FoAnd(Rel(u, state), inner))
-    if isinstance(f, And):
-        for const_side, chain_side in ((f.lhs, f.rhs), (f.rhs, f.lhs)):
-            if isinstance(const_side, Const):
-                inner = _chain_weight(chain_side, state, x, fresh)
-                if inner is None:
-                    return None
-                return FoAnd(TruthConst(const_side.name, const_side.index), inner)
-        return None
-    return None
-
-
 # -- driver --------------------------------------------------------------------------
 
 
@@ -768,6 +634,8 @@ def run_alba(
     alg: HeytingAlgebra,
     step_cap: int = 10_000,
 ) -> AlbaResult:
+    if step_cap < 0:
+        raise ValueError(f"step cap must not be negative, got {step_cap}")
     source = input_inequality(target, alg)
     a_const = Const(alg.element_name(a), a)
     start = Inequality(And(source.lhs, a_const), source.rhs)
@@ -808,21 +676,7 @@ def run_alba(
     parts = [branch_correspondent(b.system) for b in branches]
     result.correspondent = _conjoin(parts)
     result.correspondent_global = Forall(FoVar("x"), result.correspondent)
-
-    displays = []
-    for b, part in zip(branches, parts):
-        closed = _local_display(b.system, pinned, alg, a)
-        displays.append(print_fo(simplify_display(part) if closed is None else closed))
-    result.display = DISPLAY_SEPARATOR.join(displays)
     return result
-
-
-DISPLAY_SEPARATOR = "  AND  "
-
-
-def parse_display(display: str, alg: HeytingAlgebra) -> Fo:
-    """The first-order condition a printed `display` stands for."""
-    return _conjoin([parse_fo(part, alg) for part in display.split(DISPLAY_SEPARATOR)])
 
 
 # -- system comparison helpers ---------------------------------------------------------

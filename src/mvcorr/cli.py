@@ -21,7 +21,7 @@ from .budget import Budget
 from .errors import BudgetExceeded, MvcorrError, NotClassicalSahlqvist, StepCapExceeded
 from .fol import parse_fo, print_fo, simplify_display, to_dict
 from .heyting import HeytingAlgebra, resolve_algebra
-from .alba import parse_display, run_alba
+from .alba import run_alba
 from .oracle import correspondence_oracle
 from .semantics import a_true_at, eval_formula, parse_model_text
 from .svb import svb_correspondent
@@ -249,10 +249,12 @@ def _verify_output(args, alg, target, a, alpha, sizes, crisp: bool):
 
 def _verify_printed(args, alg, target, a, alpha, display, crisp, payload, lines) -> int:
     """Oracle-check a correspondent and its printed display, parsed back
-    like a user's --fo, at the sizes of --verify; 1 when either fails."""
+    with `parse_fo` like a user's --fo, at the sizes of --verify; 1 when
+    either fails."""
     status = 0
     sizes = _parse_sizes(args.verify)
-    for key, checked in (("verification", alpha), ("display_verification", display)):
+    for key, checked in (("verification", alpha),
+                         ("display_verification", parse_fo(display, alg))):
         report = _verify_output(args, alg, target, a, checked, sizes, crisp)
         payload[key] = report.describe()
         lines.append(f"{key.replace('_', ' ')}: {report.describe()}")
@@ -290,9 +292,9 @@ def cmd_alba(args) -> int:
         payload["quasi_inequalities"] = [str(q) for q in result.quasi]
         payload["correspondent"] = print_fo(alpha)
         payload["correspondent_ast"] = to_dict(alpha)
-        payload["display"] = result.display
+        display = payload["display"] = result.display
         lines.append(f"correspondent: {print_fo(alpha)}")
-        lines.append(f"display: {result.display}")
+        lines.append(f"display: {display}")
     if args.trace:
         payload["trace"] = [s.describe() for s in result.all_steps()]
         lines.append("trace:")
@@ -300,7 +302,7 @@ def cmd_alba(args) -> int:
     status = 0 if result.succeeded else 1
     if result.succeeded and args.verify:
         status |= _verify_printed(args, alg, result.source, a, result.correspondent,
-                                  parse_display(result.display, alg), True, payload, lines)
+                                  display, True, payload, lines)
     _report(args, payload, lines)
     return status
 
@@ -333,8 +335,8 @@ def cmd_svb(args) -> int:
     ]
     status = 0
     if args.verify:
-        status |= _verify_printed(args, alg, formula, a, alpha, parse_fo(display, alg),
-                                  False, payload, lines)
+        status |= _verify_printed(args, alg, formula, a, alpha, display, False,
+                                  payload, lines)
     if args.compare_alba:
         result = run_alba(formula, a, alg)
         agree = False

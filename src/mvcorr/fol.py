@@ -9,15 +9,17 @@ reference evaluator; `CompiledFo` is the table kernel every oracle uses.
 
 `standard_translation` embeds modal formulas; the output is clean (no
 variable occurs both free and bound, distinct quantifiers bind distinct
-variables).  `validity_claim` extends it to the second-order sentence of
-local a-validity, which is how the oracles check the modal side.
-`simplify_display` is a bounded, sound rewriter used only for
-presentation; verification always runs on unsimplified formulas.
+variables).  `degree_claim` extends it to the second-order validity
+degree, which is how the oracles check the modal side; `validity_claim`,
+the sentence of local a-validity, stays as its specification.
+`simplify_display` normalises a clean formula by sound rewrites, among
+them the density rules that eliminate nominal and co-nominal symbols; a
+display is its output printed, and the CLI verifies it as parsed back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from itertools import chain, islice, product
 from operator import getitem
@@ -1075,38 +1077,13 @@ def print_fo(f: Fo) -> str:
 
 
 def to_dict(f: Fo | Term) -> dict:
-    """Machine-readable structured dump."""
-    if isinstance(f, (FoVar, NomConst, CoNomConst)):
-        return {"kind": type(f).__name__, "name": f.name}
-    if isinstance(f, (Eq, Rel)):
-        return {
-            "kind": type(f).__name__,
-            "lhs": to_dict(f.lhs),
-            "rhs": to_dict(f.rhs),
-        }
-    if isinstance(f, Pred):
-        return {"kind": "Pred", "name": f.name, "arg": to_dict(f.arg)}
-    if isinstance(f, TruthConst):
-        return {"kind": "TruthConst", "name": f.name}
-    if isinstance(f, (NomTV, CoNomTV)):
-        return {"kind": type(f).__name__, "name": f.name}
-    if isinstance(f, (FoOr, FoAnd, FoImplies, FoMinus, Preceq)):
-        return {
-            "kind": type(f).__name__,
-            "lhs": to_dict(f.lhs),
-            "rhs": to_dict(f.rhs),
-        }
-    if isinstance(f, (Forall, Exists)):
-        return {
-            "kind": type(f).__name__,
-            "var": to_dict(f.var),
-            "body": to_dict(f.body),
-        }
-    if isinstance(f, (ForallPred, ExistsPred)):
-        return {"kind": type(f).__name__, "name": f.name, "body": to_dict(f.body)}
-    if isinstance(f, (ForallTV, ExistsTV)):
-        return {"kind": type(f).__name__, "sym": to_dict(f.sym), "body": to_dict(f.body)}
-    raise TypeError(f"not dumpable: {f!r}")
+    """Machine-readable structured dump: each node's kind and fields, a
+    truth constant by its name alone."""
+    out = {"kind": type(f).__name__}
+    for name in (fld.name for fld in fields(f) if fld.name != "index"):
+        value = getattr(f, name)
+        out[name] = value if isinstance(value, str) else to_dict(value)
+    return out
 
 
 # -- display simplifier -------------------------------------------------------------
@@ -1130,8 +1107,34 @@ def _is_top(f: Fo) -> bool:
     return isinstance(f, TruthConst) and f.index == 1
 
 
-def _occurs(term: Term, f: Fo) -> bool:
-    return term in free_individual_symbols(f)
+def _mentions(f: Fo, sym) -> bool:
+    """Whether an individual or truth-value symbol occurs free in f."""
+    if f == sym or sym in terms_of(f):
+        return True
+    if sym in (getattr(f, "var", None), getattr(f, "sym", None)):
+        return False
+    return any(_mentions(c, sym) for c in fo_children(f))
+
+
+def _binds(f: Fo, t: Term) -> bool:
+    """Whether a quantifier in f binds t, so that substituting t in f may
+    capture it."""
+    return getattr(f, "var", None) == t or any(_binds(c, t) for c in fo_children(f))
+
+
+def _crisp(f: Fo) -> bool:
+    """Built from `=<` and `=`, so valued bottom or top only."""
+    if isinstance(f, (FoAnd, FoOr, FoImplies, Forall, Exists, ForallTV, ExistsTV)):
+        return all(_crisp(c) for c in fo_children(f))
+    return isinstance(f, (Preceq, Eq)) or _is_bot(f)
+
+
+def _guard(f: Fo) -> Optional[tuple[Term, Term, Fo]]:
+    """(s, t, C) when f is `(s != t) | C`."""
+    if (isinstance(f, FoOr) and isinstance(f.lhs, FoImplies)
+            and isinstance(f.lhs.lhs, Eq) and _is_bot(f.lhs.rhs)):
+        return f.lhs.lhs.lhs, f.lhs.lhs.rhs, f.rhs
+    return None
 
 
 def _simplify_once(f: Fo) -> Fo:
@@ -1167,7 +1170,7 @@ def _simplify_once(f: Fo) -> Fo:
         if f.lhs == f.rhs:
             return TOP
         # curry nested implications and pull universal quantifiers out
-        if isinstance(f.rhs, Forall) and not _occurs(f.rhs.var, f.lhs):
+        if isinstance(f.rhs, Forall) and not _mentions(f.lhs, f.rhs.var):
             return Forall(f.rhs.var, FoImplies(f.lhs, f.rhs.body))
         if isinstance(f.rhs, FoImplies) and not isinstance(f.rhs.lhs, Eq):
             return FoImplies(FoAnd(f.lhs, f.rhs.lhs), f.rhs.rhs)
@@ -1176,45 +1179,162 @@ def _simplify_once(f: Fo) -> Fo:
     if isinstance(f, Preceq):
         if _is_bot(f.lhs) or _is_top(f.rhs) or f.lhs == f.rhs:
             return TOP
+        # absorption: t =< psi & t is t =< psi; t =< (w -> u) is t & w =< u
+        rhs = _absorb(f.rhs, _flat_conjuncts(f.lhs))
+        if rhs != f.rhs:
+            return Preceq(f.lhs, rhs)
+        if isinstance(rhs, FoImplies) and not isinstance(rhs.lhs, Eq):
+            return Preceq(FoAnd(f.lhs, rhs.lhs), rhs.rhs)
+    if isinstance(f, (Exists, Forall, ForallTV)):
+        var = f.sym if isinstance(f, ForallTV) else f.var
+        if not _mentions(f.body, var):
+            return f.body
     if isinstance(f, Exists):
-        # E v. (... & v = t & ...)  collapses to the substituted matrix
+        # E v. (... & v = t & ...) collapses to the substituted matrix;
+        # conjuncts that do not mention v move out
         parts = _flat_conjuncts(f.body)
-        for i, part in enumerate(parts):
-            target = _eq_solution(part, f.var)
-            if target is not None:
-                rest = parts[:i] + parts[i + 1:]
-                return _conjoin([subst_term(p, f.var, target) for p in rest])
-        if not _occurs(f.var, f.body):
-            return f.body
+        found = _one_point(parts, f.var)
+        if found is not None and not _binds(f.body, found[0]):
+            return subst_term(_conjoin(found[1]), f.var, found[0])
+        outside = [p for p in parts if not _mentions(p, f.var)]
+        if outside:
+            inside = [p for p in parts if _mentions(p, f.var)]
+            return _conjoin(outside + [Exists(f.var, _conjoin(inside))])
     if isinstance(f, Forall):
-        if isinstance(f.body, FoImplies):
-            parts = _flat_conjuncts(f.body.lhs)
-            for i, part in enumerate(parts):
-                target = _eq_solution(part, f.var)
-                if target is not None:
-                    rest = parts[:i] + parts[i + 1:]
-                    prem = [subst_term(p, f.var, target) for p in rest]
-                    concl = subst_term(f.body.rhs, f.var, target)
-                    if prem:
-                        return FoImplies(_conjoin(prem), concl)
-                    return concl
-        if not _occurs(f.var, f.body):
-            return f.body
+        body = f.body
+        if isinstance(body, FoAnd):
+            return FoAnd(Forall(f.var, body.lhs), Forall(f.var, body.rhs))
+        if isinstance(body, (FoImplies, Preceq)):
+            # one point: A v. ((... & v = t & ...) -> phi) is the matrix
+            # at v = t, and so is A v. ((... & v = t & ...) =< phi)
+            parts = _flat_conjuncts(body.lhs)
+            found = _one_point(parts, f.var)
+            if found is not None and not _binds(body, found[0]):
+                return subst_term(type(body)(_conjoin(found[1]), body.rhs), f.var, found[0])
+            # co-nominal guard: A v. (phi =< (c != v) | C) is phi =< C at v = c
+            guard = _guard(body.rhs)
+            if guard and guard[1] == f.var != guard[0] and not _binds(body, guard[0]):
+                return subst_term(type(body)(body.lhs, guard[2]), f.var, guard[0])
+        if isinstance(body, Preceq):
+            # A v. (a & w =< phi) is a =< A v. (w -> phi) when a misses v
+            outside = [p for p in parts if not _mentions(p, f.var)]
+            if outside:
+                inside = [p for p in parts if _mentions(p, f.var)]
+                matrix = FoImplies(_conjoin(inside), body.rhs) if inside else body.rhs
+                return Preceq(_conjoin(outside), Forall(f.var, matrix))
+    if isinstance(f, (Forall, ForallTV)):
+        return _eliminate(f)
     return f
 
 
-def _eq_solution(part: Fo, var: Term) -> Optional[Term]:
-    """If part pins `var` to another term, return that term."""
-    if isinstance(part, Eq):
-        if part.lhs == var and part.rhs != var:
-            return part.rhs
-        if part.rhs == var and part.lhs != var:
-            return part.lhs
+def _absorb(f: Fo, known: list[Fo]) -> Fo:
+    """f with @1 for each conjunct in `known` that it meets as a conjunct,
+    through consequents and universal quantifiers: below `known`'s meet,
+    f and the result are equal."""
+    if f in known:
+        return TOP
+    if isinstance(f, FoAnd):
+        return FoAnd(_absorb(f.lhs, known), _absorb(f.rhs, known))
+    if isinstance(f, FoImplies):
+        return FoImplies(f.lhs, _absorb(f.rhs, known))
+    if isinstance(f, Forall) and not any(_mentions(k, f.var) for k in known):
+        return Forall(f.var, _absorb(f.body, known))
+    return f
+
+
+def _eliminate(f: Fo) -> Fo:
+    """The density rules on the universal prefix that starts at f.
+
+    Universal prefixes commute, so each rule looks through the whole
+    prefix: co-nominal values go first, by meet-density, then nominal
+    values, by join-density."""
+    binders, matrix = [], f
+    while isinstance(matrix, (Forall, ForallTV)):
+        binders.append(matrix)
+        matrix = matrix.body
+    symbols = [b.sym if isinstance(b, ForallTV) else b.var for b in binders]
+    prem, concl = (matrix.lhs, matrix.rhs) if isinstance(matrix, FoImplies) else (TOP, matrix)
+    prem = [p for p in _flat_conjuncts(prem) if not _is_top(p)]
+    tries = [_meet_density(prem, concl, s, symbols) for s in symbols if isinstance(s, CoNomTV)]
+    if not tries:
+        tries = [_join_density(prem, concl, s) for s in symbols if isinstance(s, NomTV)]
+    for found in tries:
+        if found is not None:
+            gone, out = found
+            for b, s in reversed(list(zip(binders, symbols))):
+                out = out if s in gone else fo_rebuild(b, (out,))
+            return out
+    return f
+
+
+def _meet_density(prem: list, concl: Fo, value: Fo, symbols: list) -> Optional[tuple]:
+    """Over every value C of a co-nominal: `Rest & u_1 =< C & ... -> t =< C`
+    is `Rest -> t =< u_1 | ...`, as every element is the meet of the
+    meet-irreducibles above it.  When the conclusion is `t =< (c != x) | C`
+    for the co-nominal's constant c, c goes too: the joins are u_k[c:=x].
+    Returns the symbols gone and the new matrix."""
+    if not isinstance(concl, Preceq):
+        return None
+    gone, target, guard = (value,), concl.rhs, _guard(concl.rhs)
+    c = CoNomConst(value.name)
+    if guard is not None and guard[0] == c != guard[1] and c in symbols:
+        gone, target = (value, c), guard[2]
+    if target != value or any(_mentions(concl.lhs, s) for s in gone):
+        return None
+    rest, joins = [], []
+    for p in prem:
+        if isinstance(p, Preceq) and p.rhs == value and not _mentions(p.lhs, value):
+            if c in gone and _binds(p.lhs, guard[1]):
+                return None
+            joins.append(subst_term(p.lhs, c, guard[1]) if c in gone else p.lhs)
+        elif _crisp(p) and not any(_mentions(p, s) for s in gone):
+            rest.append(p)
+        else:
+            return None
+    join = reduce(FoOr, joins) if joins else BOT
+    return gone, FoImplies(_conjoin(rest), Preceq(concl.lhs, join))
+
+
+def _join_density(prem: list, concl: Fo, value: Fo) -> Optional[tuple]:
+    """Over every value C of a nominal: `Rest & C & w_1 =< u_1 & ... ->
+    C & w =< v` is `Rest -> (w_1 -> u_1) & ... & w =< v`, as every element
+    is the join of the join-irreducibles below it.  Returns the symbols
+    gone and the new matrix."""
+
+    def split(p: Fo) -> Optional[list]:
+        # the w of `C & w =< u` when p has that shape
+        left = _flat_conjuncts(p.lhs) if isinstance(p, Preceq) else []
+        w = [q for q in left if q != value]
+        if len(w) == len(left) - 1 and not any(_mentions(q, value) for q in w + [p.rhs]):
+            return w
+        return None
+
+    w = split(concl)
+    if w is None:
+        return None
+    rest, meets = [], []
+    for p in prem:
+        wk = split(p)
+        if wk is not None:
+            meets.append(FoImplies(_conjoin(wk), p.rhs) if wk else p.rhs)
+        elif _crisp(p) and not _mentions(p, value):
+            rest.append(p)
+        else:
+            return None
+    return (value,), FoImplies(_conjoin(rest), Preceq(_conjoin(meets + w), concl.rhs))
+
+
+def _one_point(parts: list[Fo], var: Term) -> Optional[tuple[Term, list[Fo]]]:
+    """(t, the other parts) when one of `parts` pins `var` to a term t."""
+    for i, part in enumerate(parts):
+        if isinstance(part, Eq) and var in (part.lhs, part.rhs) and part.lhs != part.rhs:
+            return part.rhs if part.lhs == var else part.lhs, parts[:i] + parts[i + 1:]
     return None
 
 
 def simplify_display(f: Fo) -> Fo:
-    """Sound rewriting toward textbook shapes, at most 40 rounds; display only."""
+    """Sound rewriting toward textbook shapes, to a fixpoint or for at
+    most 40 rounds: a correspondent's display."""
     for _ in range(40):
         nxt = _simplify_once(f)
         if nxt == f:

@@ -8,7 +8,6 @@ from mvcorr.alba import (
     first_approximation,
     input_inequality,
     normalize_fresh_names,
-    parse_display,
     preprocess,
     reduce_system,
     run_alba,
@@ -16,7 +15,7 @@ from mvcorr.alba import (
 )
 from mvcorr.budget import Budget
 from mvcorr.errors import StepCapExceeded
-from mvcorr.fol import FoVar, Rel, frame_property, print_fo
+from mvcorr.fol import FoVar, Rel, frame_property, parse_fo, print_fo, simplify_display
 from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, sample_frames
 from mvcorr.stepcheck import verify_trace
@@ -236,19 +235,34 @@ def test_output_matches_named_property_size1(text, prop):
         assert rep.passed, rep.describe()
 
 
-@pytest.mark.parametrize("text", sorted(NAMED_AXIOMS) + ["p <= @0"])
+# the classical corpus of criterion 8, beyond the named axioms
+CLASSICAL = ["[]p -> p", "[]p -> [][]p", "[](p -> <>p)", "(p -> <>p) \\/ (q -> <><>q)"]
+
+
+@pytest.mark.parametrize("text", sorted(NAMED_AXIOMS) + ["p <= @0"] + CLASSICAL)
 def test_display_is_oracle_equivalent(text):
     # the printed display, parsed back, is checked like the correspondent;
-    # `p <= @0` reduces to the pinned inequality alone, whose closed form
-    # is `@a =< @0`
+    # `p <= @0` reduces to the pinned inequality alone, whose display is
+    # `@a =< @0` (`@1` at a = 0)
     for a in range(P.n):
         res = run_alba(parse_input(text, P), a, P)
         assert res.succeeded
         rep = correspondence_oracle(
-            P, res.source, a, parse_display(res.display, P), sizes=[1, 2],
+            P, res.source, a, parse_fo(res.display, P), sizes=[1, 2],
             fo_threshold=P.top,
         )
         assert rep.passed, (P.element_name(a), res.display, rep.describe())
+
+
+def test_display_of_boxed_reflexivity():
+    res = run_alba(parse_formula("[]p -> p", P), GAMMA, P)
+    assert res.display == "@gamma =< R(x, x)"
+
+
+def test_display_is_the_normalised_correspondent():
+    res = run_alba(parse_formula("<>p -> <><>p", P), GAMMA, P)
+    assert res.display == print_fo(simplify_display(res.correspondent))
+    assert run_alba(parse_inequality("[](p \\/ q) <= <>(p /\\ q)", P), GAMMA, P).display == ""
 
 
 def test_transitivity_axiom_output_oracle_equivalent():
@@ -309,7 +323,7 @@ def test_corpus_correspondents_pass_the_oracle(inductive_corpus):
     assert len(inductive_corpus) == 21
     for ineq in inductive_corpus:
         res = run_alba(ineq, GAMMA, P)
-        for alpha in (res.correspondent, parse_display(res.display, P)):
+        for alpha in (res.correspondent, parse_fo(res.display, P)):
             report = correspondence_oracle(P, res.source, GAMMA, alpha, sizes=[1, 2],
                                            budget=Budget(10**9), fo_threshold=P.top)
             assert report.passed, (str(ineq), print_fo(alpha), report.describe())

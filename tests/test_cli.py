@@ -231,6 +231,15 @@ def test_alba_failure_exit(capsys):
     assert "status: failure" in out
 
 
+def test_negative_step_cap_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "alba", "--formula", "p -> <>p", "--step-cap", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: step cap must not be negative, got -1\n"
+
+
 def test_budget_env_override(monkeypatch, capsys):
     monkeypatch.setenv("MVCORR_BUDGET", "10")
     code, _, err = run_cli(

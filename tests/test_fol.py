@@ -16,9 +16,11 @@ from mvcorr.fol import (
     Eq,
     Exists,
     ExistsPred,
+    ExistsTV,
     Fo,
     FoAnd,
     FoImplies,
+    FoMinus,
     FoOr,
     Forall,
     ForallPred,
@@ -44,10 +46,11 @@ from mvcorr.fol import (
     subst_pred,
     validity_claim,
 )
+from mvcorr.alba import run_alba
 from mvcorr.heyting import builtin_algebra
 from mvcorr.randomgen import random_formula, random_frame, random_model
 from mvcorr.semantics import Frame, Model, compile_eval, eval_formula
-from mvcorr.syntax import Box, Dia, Var, parse_formula, parse_inequality
+from mvcorr.syntax import Box, Dia, Var, parse_formula, parse_inequality, parse_input
 
 P = builtin_algebra("paper-P")
 X, Y = FoVar("x"), FoVar("y")
@@ -314,18 +317,33 @@ def test_print_examples():
     assert print_fo(neq(CoNomConst("m0"), X)) == "c_m0 != x"
 
 
-def test_parse_fo_roundtrip_on_outputs():
-    samples = [
-        frame_property("reflexive"),
-        frame_property("transitive"),
-        frame_property("dense"),
-        Forall(Y, FoImplies(Rel(X, Y), Exists(FoVar("z"), Rel(Y, FoVar("z"))))),
-        Preceq(TruthConst("gamma", pel("gamma")), Rel(X, X)),
-        ForallTV(NomTV("i0"), Preceq(NomTV("i0"), TOP)),
-        FoOr(neq(CoNomConst("m0"), X), CoNomTV("m0")),
-    ]
-    for f in samples:
-        assert parse_fo(print_fo(f), P) == f, print_fo(f)
+_TERMS = st.sampled_from([X, FoVar("y1"), NomConst("i0"), NomConst("j1"),
+                          CoNomConst("m0"), CoNomConst("n1")])
+_TVS = st.sampled_from([NomTV("i0"), NomTV("j1"), CoNomTV("m0"), CoNomTV("n1")])
+_DISPLAY_ATOMS = st.one_of(
+    st.builds(Rel, _TERMS, _TERMS),
+    st.builds(Eq, _TERMS, _TERMS),
+    st.builds(neq, _TERMS, _TERMS),
+    _TVS,
+    st.sampled_from([TruthConst(P.element_name(a), a) for a in range(P.n)]),
+)
+
+
+def _display_nodes(sub):
+    binary = st.sampled_from([FoAnd, FoOr, FoImplies, FoMinus, Preceq])
+    return st.one_of(
+        st.builds(lambda op, lhs, rhs: op(lhs, rhs), binary, sub, sub),
+        st.builds(lambda q, v, body: q(v, body), st.sampled_from([Forall, Exists]), _TERMS, sub),
+        st.builds(lambda q, c, body: q(c, body), st.sampled_from([ForallTV, ExistsTV]), _TVS, sub),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.recursive(_DISPLAY_ATOMS, _display_nodes, max_leaves=16))
+def test_parse_fo_roundtrip_on_outputs(f):
+    # a display is one print_fo string that parse_fo reads back: `=<`,
+    # `-`, `!=`, truth-value symbols and their quantifiers, constants
+    assert parse_fo(print_fo(f), P) == f, print_fo(f)
 
 
 def test_parse_fo_constant_formula():
@@ -357,19 +375,76 @@ def test_simplifier_goldens():
 def test_simplifier_is_sound_on_random_frames():
     rng = random.Random(11)
     z = FoVar("z")
+    gamma = TruthConst("gamma", pel("gamma"))
+    # free symbols, assigned states and irreducibles below; the bound
+    # co-nominal m0 and nominal i0 meet the density rules
+    cj, cn, vj, vn = NomConst("j1"), CoNomConst("n1"), NomTV("j1"), CoNomTV("n1")
+    cm, vm, vi = CoNomConst("m0"), CoNomTV("m0"), NomTV("i0")
     shapes = [
         Exists(Y, FoAnd(Rel(X, Y), Eq(X, Y))),
         Forall(Y, FoImplies(FoAnd(Eq(Y, X), Rel(X, Y)), Rel(Y, X))),
         FoImplies(TOP, Forall(Y, FoOr(Rel(X, Y), BOT))),
         Forall(Y, FoImplies(Rel(X, Y), Forall(z, FoImplies(Rel(Y, z), Rel(X, z))))),
+        # one point under =<
+        Forall(Y, Preceq(FoAnd(Rel(X, Y), FoAnd(Eq(Y, X), vj)), Rel(Y, Y))),
+        # co-nominal guards, under =< and under ->
+        Forall(Y, Preceq(FoAnd(Rel(X, Y), vj), FoOr(neq(cn, Y), vn))),
+        Forall(Y, FoImplies(Rel(X, Y), FoOr(neq(cn, Y), vn))),
+        # quantifier shifts: A over &, E past what misses its variable,
+        # and A past the conjuncts of a =< left side that miss it
+        Forall(Y, FoAnd(Rel(X, Y), FoImplies(Rel(Y, X), vn))),
+        Exists(Y, FoAnd(vj, FoAnd(Rel(X, Y), Rel(Y, cj)))),
+        Forall(Y, Preceq(FoAnd(vj, Rel(X, Y)), Rel(Y, X))),
+        # absorption
+        Preceq(vj, FoAnd(Rel(X, X), vj)),
+        Preceq(vj, Forall(Y, FoImplies(Rel(X, Y), FoAnd(Rel(Y, X), vj)))),
+        Preceq(vj, FoImplies(Rel(X, cn), vn)),
+        # meet-density: a co-nominal pair, then a co-nominal value alone
+        Forall(cm, ForallTV(vm, FoImplies(
+            FoAnd(Preceq(vj, gamma), Preceq(FoAnd(Rel(cm, X), vj), vm)),
+            Preceq(vj, FoOr(neq(cm, X), vm))))),
+        Forall(cm, ForallTV(vm, Preceq(vj, FoOr(neq(cm, X), vm)))),
+        Forall(cm, ForallTV(vm, FoImplies(
+            FoAnd(Preceq(Rel(X, cm), vm), Preceq(vj, gamma)),
+            Preceq(FoAnd(vj, Rel(cm, X)), vm)))),
+        # join-density, with and without a w beside the nominal value
+        ForallTV(vi, FoImplies(
+            FoAnd(Preceq(vi, gamma), Preceq(FoAnd(Rel(X, cj), vi), vn)),
+            Preceq(vi, Rel(X, X)))),
+        ForallTV(vi, Preceq(FoAnd(vi, Rel(X, cj)), Exists(Y, FoAnd(Rel(X, Y), Rel(Y, cj))))),
+        # a vacuous truth-value quantifier
+        ForallTV(vi, Rel(X, X)),
     ]
     for shape in shapes:
         simp = simplify_display(shape)
+        assert simp != shape, print_fo(shape)
         for _ in range(30):
             frame = random_frame(rng, P, rng.choice([1, 2, 3]))
             interp = interp_for_frame(frame)
-            env = {X: rng.randrange(frame.size)}
-            assert fo_eval(interp, shape, env) == fo_eval(interp, simp, env)
+            env = {X: rng.randrange(frame.size), cj: rng.randrange(frame.size),
+                   cn: rng.randrange(frame.size), vj: rng.choice(P.join_irreducibles),
+                   vn: rng.choice(P.meet_irreducibles)}
+            assert fo_eval(interp, shape, env) == fo_eval(interp, simp, env), print_fo(shape)
+
+
+def test_simplifier_does_not_capture_a_substituted_variable():
+    # y = x would put x for y under E x., which binds another x
+    shape = Forall(Y, FoImplies(Eq(Y, X), Exists(X, FoAnd(Rel(Y, X), Rel(X, X)))))
+    assert simplify_display(shape) == shape
+
+
+def test_simplifier_is_idempotent_on_correspondents(inductive_corpus):
+    # the named axioms, `p <= @0` and the classical corpus at every value,
+    # the inductive corpus at gamma
+    texts = ["p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p",
+             "p <= @0", "[]p -> p", "[]p -> [][]p", "[](p -> <>p)",
+             "(p -> <>p) \\/ (q -> <><>q)"]
+    runs = [run_alba(parse_input(t, P), a, P) for t in texts for a in range(P.n)]
+    runs += [run_alba(ineq, pel("gamma"), P) for ineq in inductive_corpus]
+    assert len(runs) == 71
+    for res in runs:
+        once = simplify_display(res.correspondent)
+        assert simplify_display(once) == once, print_fo(once)
 
 
 def test_subst_pred_replaces_atoms():
