@@ -8,11 +8,12 @@ the engine works on `lhs & @a <= rhs`:
    as possible, splits, and closes variables occurring with uniform
    polarity;
 2. each resulting inequality is approximated into a system
-   `{i0 <= core, i0 <= @a, rhs <= m0}` with reserved atoms i0 / m0; the
-   pinned `i0 <= @a` is carried through untouched;
+   `{i0 <= core, i0 <= @a, rhs <= m0}` with reserved atoms i0 / m0, which
+   no input may contain; the pinned `i0 <= @a` is carried through untouched;
 3. splitting, variable-eliminating substitution (both Ackermann
-   directions), approximation (fresh nominals/co-nominals) and residuation
-   steps are applied until no propositional variable remains.
+   directions), approximation (fresh nominals j<k> and co-nominals n<k>,
+   numbered past the input's) and residuation steps are applied until no
+   propositional variable remains.
 
 The rule strategy is a deterministic priority (cleanup, splitting,
 elimination, approximation, residuation), falling back to depth-first
@@ -37,7 +38,6 @@ from .fol import (
     Fo,
     FoImplies,
     Forall,
-    ForallTV,
     FoVar,
     NomConst,
     NomTV,
@@ -497,6 +497,20 @@ def _residuation_moves(system: System, pinned: Inequality, jn) -> Iterator[_Move
             yield _Move(rule, _replace(system, i, (new,)), (ineq,), (new,), fresh=jn)
 
 
+def _numbered(system: System) -> tuple[int, int]:
+    """The highest k of the nominals j<k> and of the co-nominals n<k> in the
+    system, 0 when there are none: fresh atoms are numbered past them."""
+    j = n = 0
+    for ineq in system:
+        for atom in atoms(ineq.lhs) | atoms(ineq.rhs):
+            k = int(atom.name[1:]) if atom.name[1:].isdigit() else 0
+            if isinstance(atom, Nom) and atom.name[0] == "j":
+                j = max(j, k)
+            elif isinstance(atom, CoNom) and atom.name[0] == "n":
+                n = max(n, k)
+    return j, n
+
+
 def _system_vars(system: System) -> set[str]:
     out: set[str] = set()
     for ineq in system:
@@ -558,7 +572,7 @@ def reduce_system(
             stuck.append(current)
         return None
 
-    path = dfs(system, (0, 0))
+    path = dfs(system, _numbered(system))
     if path is None:
         final = stuck[0] if stuck else system
         return False, final, []
@@ -615,12 +629,12 @@ def branch_correspondent(system: System) -> Fo:
     out: Fo = FoImplies(premise, conclusion)
     noms, conoms = _fresh_symbols(system)
     for name in reversed(conoms):
-        out = Forall(CoNomConst(name), ForallTV(CoNomTV(name), out))
+        out = Forall(CoNomConst(name), Forall(CoNomTV(name), out))
     for name in reversed(noms):
-        out = Forall(NomConst(name), ForallTV(NomTV(name), out))
-    out = ForallTV(
+        out = Forall(NomConst(name), Forall(NomTV(name), out))
+    out = Forall(
         NomTV(RESERVED_NOM),
-        Forall(CoNomConst(RESERVED_CONOM), ForallTV(CoNomTV(RESERVED_CONOM), out)),
+        Forall(CoNomConst(RESERVED_CONOM), Forall(CoNomTV(RESERVED_CONOM), out)),
     )
     return subst_term(out, NomConst(RESERVED_NOM), FoVar("x"))
 
@@ -637,6 +651,9 @@ def run_alba(
     if step_cap < 0:
         raise ValueError(f"step cap must not be negative, got {step_cap}")
     source = input_inequality(target, alg)
+    if {Nom(RESERVED_NOM), CoNom(RESERVED_CONOM)} & (atoms(source.lhs) | atoms(source.rhs)):
+        raise ValueError(f"#{RESERVED_NOM} and ${RESERVED_CONOM} are reserved for the "
+                         "rewriting engine's own atoms")
     a_const = Const(alg.element_name(a), a)
     start = Inequality(And(source.lhs, a_const), source.rhs)
 

@@ -2,10 +2,12 @@
 
 Formulas are evaluated over frames into the same algebra as modal formulas.
 Equality and the comparison connective `=<` are crisp (value bottom or
-top); individual quantifiers take meets/joins over the state set, predicate
-quantifiers enumerate all fuzzy subsets (budgeted), and truth-value
-quantifiers range over the join- or meet-irreducibles.  `fo_eval` is the
-reference evaluator; `CompiledFo` is the table kernel every oracle uses.
+top).  The quantifiers `Forall` and `Exists` take meets and joins over the
+domain of the sort of the symbol they bind: an individual symbol (a `Term`)
+ranges over the states, a predicate name (a `str`) over every fuzzy subset
+(budgeted), and a nominal's or co-nominal's truth-value symbol (`NomTV`,
+`CoNomTV`) over the join- or meet-irreducibles.  `fo_eval` is the reference
+evaluator; `CompiledFo` is the table kernel every oracle uses.
 
 `standard_translation` embeds modal formulas; the output is clean (no
 variable occurs both free and bound, distinct quantifiers bind distinct
@@ -136,37 +138,19 @@ class Preceq(Fo):
 
 @dataclass(frozen=True)
 class Forall(Fo):
-    var: Term
+    """The meet of `body` over the domain of `var`'s sort (see `domain_of`):
+    the states for a `Term`, every fuzzy subset for a predicate name, the
+    join-irreducibles for a `NomTV`, the meet-irreducibles for a `CoNomTV`."""
+
+    var: Term | str | Fo
     body: Fo
 
 
 @dataclass(frozen=True)
 class Exists(Fo):
-    var: Term
-    body: Fo
+    """The join of `body` over the domain of `var`'s sort, as for `Forall`."""
 
-
-@dataclass(frozen=True)
-class ForallPred(Fo):
-    name: str
-    body: Fo
-
-
-@dataclass(frozen=True)
-class ExistsPred(Fo):
-    name: str
-    body: Fo
-
-
-@dataclass(frozen=True)
-class ForallTV(Fo):
-    sym: Fo  # NomTV or CoNomTV
-    body: Fo
-
-
-@dataclass(frozen=True)
-class ExistsTV(Fo):
-    sym: Fo
+    var: Term | str | Fo
     body: Fo
 
 
@@ -185,7 +169,7 @@ def neq(lhs: Term, rhs: Term) -> Fo:
 def fo_children(f: Fo) -> tuple[Fo, ...]:
     if isinstance(f, (FoOr, FoAnd, FoImplies, FoMinus, Preceq)):
         return (f.lhs, f.rhs)
-    if isinstance(f, (Forall, Exists, ForallPred, ExistsPred, ForallTV, ExistsTV)):
+    if isinstance(f, (Forall, Exists)):
         return (f.body,)
     return ()
 
@@ -195,10 +179,6 @@ def fo_rebuild(f: Fo, subs: tuple[Fo, ...]) -> Fo:
         return type(f)(subs[0], subs[1])
     if isinstance(f, (Forall, Exists)):
         return type(f)(f.var, subs[0])
-    if isinstance(f, (ForallPred, ExistsPred)):
-        return type(f)(f.name, subs[0])
-    if isinstance(f, (ForallTV, ExistsTV)):
-        return type(f)(f.sym, subs[0])
     return f
 
 
@@ -234,8 +214,8 @@ def free_pred_names(f: Fo) -> set[str]:
     def walk(node: Fo, bound: frozenset[str]) -> None:
         if isinstance(node, Pred) and node.name not in bound:
             out.add(node.name)
-        if isinstance(node, (ForallPred, ExistsPred)):
-            walk(node.body, bound | {node.name})
+        if isinstance(node, (Forall, Exists)):
+            walk(node.body, bound | {node.var})
         else:
             for c in fo_children(node):
                 walk(c, bound)
@@ -252,11 +232,12 @@ def has_pred_nodes(f: Fo) -> bool:
 
 
 def is_clean(f: Fo) -> bool:
-    """No variable both free and bound; distinct quantifiers, distinct vars."""
+    """No individual variable both free and bound; distinct individual
+    quantifiers, distinct variables."""
     bound: list[Term] = []
 
     def collect(node: Fo) -> None:
-        if isinstance(node, (Forall, Exists)):
+        if isinstance(node, (Forall, Exists)) and isinstance(node.var, Term):
             bound.append(node.var)
         for c in fo_children(node):
             collect(c)
@@ -369,56 +350,21 @@ def fo_eval(
             return alg.coimp(go(node.lhs), go(node.rhs))
         if isinstance(node, Preceq):
             return alg.top if alg.le(go(node.lhs), go(node.rhs)) else alg.bot
-        if isinstance(node, Forall):
-            out = alg.top
+        if isinstance(node, (Forall, Exists)):
+            forall = isinstance(node, Forall)
+            values = domain_of(alg, n, node.var)
+            rows = values is _ROWS  # each predicate row costs one unit
+            out = alg.top if forall else alg.bot
             saved = env.get(node.var, _MISSING)
-            for w in range(n):
-                env[node.var] = w
-                out = alg.meet(out, go(node.body))
-                if out == alg.bot:
-                    break
-            _restore(env, node.var, saved)
-            return out
-        if isinstance(node, Exists):
-            out = alg.bot
-            saved = env.get(node.var, _MISSING)
-            for w in range(n):
-                env[node.var] = w
-                out = alg.join(out, go(node.body))
-                if out == alg.top:
-                    break
-            _restore(env, node.var, saved)
-            return out
-        if isinstance(node, (ForallPred, ExistsPred)):
-            is_forall = isinstance(node, ForallPred)
-            out = alg.top if is_forall else alg.bot
-            saved = env.get(node.name, _MISSING)
-            for row in product(range(alg.n), repeat=n):
-                if budget is not None:
+            for v in product(range(alg.n), repeat=n) if rows else values:
+                if rows and budget is not None:
                     budget.charge()
-                env[node.name] = row
-                v = go(node.body)
-                out = alg.meet(out, v) if is_forall else alg.join(out, v)
-                if out == (alg.bot if is_forall else alg.top):
-                    break
-            _restore(env, node.name, saved)
-            return out
-        if isinstance(node, (ForallTV, ExistsTV)):
-            is_forall = isinstance(node, ForallTV)
-            domain = (
-                alg.join_irreducibles
-                if isinstance(node.sym, NomTV)
-                else alg.meet_irreducibles
-            )
-            out = alg.top if is_forall else alg.bot
-            saved = env.get(node.sym, _MISSING)
-            for v in domain:
-                env[node.sym] = v
+                env[node.var] = v
                 value = go(node.body)
-                out = alg.meet(out, value) if is_forall else alg.join(out, value)
-                if out == (alg.bot if is_forall else alg.top):
+                out = alg.meet(out, value) if forall else alg.join(out, value)
+                if out == (alg.bot if forall else alg.top):
                     break
-            _restore(env, node.sym, saved)
+            _restore(env, node.var, saved)
             return out
         raise TypeError(f"not a first-order formula: {node!r}")
 
@@ -426,6 +372,19 @@ def fo_eval(
 
 
 _MISSING = object()
+_ROWS = "rows"  # the domain of a predicate: every fuzzy subset
+
+
+def domain_of(alg: HeytingAlgebra, size: int, var):
+    """The values a bound symbol ranges over on frames of `size` states, by
+    its sort: the states for a `Term`, `_ROWS` for a predicate name, the
+    join-irreducibles for a `NomTV` and the meet-irreducibles for a
+    `CoNomTV`.  `_ROWS` stands for the alg.n ** size rows, unlisted."""
+    if isinstance(var, Term):
+        return range(size)
+    if isinstance(var, str):
+        return _ROWS
+    return alg.join_irreducibles if isinstance(var, NomTV) else alg.meet_irreducibles
 
 
 def _restore(env: dict, key, saved) -> None:
@@ -505,7 +464,6 @@ class CompiledFo:
         return self.table[index]
 
 
-_ROWS = "rows"  # the domain of a predicate axis: every fuzzy subset
 _GATHER, _OP, _FOLD = range(3)
 
 
@@ -556,12 +514,9 @@ class _Plan:
             return None, self.pinned[sym]
         if sym not in self.free:
             axis = self.free[sym] = -1 - len(self.free)
-            if isinstance(sym, str):
-                self._axis(axis, _ROWS)
-            elif isinstance(sym, Term):
-                self._axis(axis, range(self.size))
-            else:  # a free truth-value symbol may take any element
-                self._axis(axis, range(self.alg.n))
+            # a free truth-value symbol may take any element
+            self._axis(axis, range(self.alg.n) if isinstance(sym, Fo)
+                       else domain_of(self.alg, self.size, sym))
         return self.free[sym], None
 
     def _add(self, axes: tuple, step: tuple, constant: bool) -> int:
@@ -604,20 +559,12 @@ class _Plan:
             raxes, _, _, rconst = self.nodes[right]
             axes = tuple(sorted(set(laxes) | set(raxes)))
             return self._add(axes, ("op", op, left, right), lconst and rconst)
-        if isinstance(f, (Forall, Exists, ForallPred, ExistsPred, ForallTV, ExistsTV)):
-            forall = isinstance(f, (Forall, ForallPred, ForallTV))
-            if isinstance(f, (Forall, Exists)):
-                sym, domain = f.var, range(self.size)
-            elif isinstance(f, (ForallPred, ExistsPred)):
-                sym, domain = f.name, _ROWS
-            else:
-                sym = f.sym
-                domain = (alg.join_irreducibles if isinstance(sym, NomTV)
-                          else alg.meet_irreducibles)
+        if isinstance(f, (Forall, Exists)):
+            forall = isinstance(f, Forall)
             axis = self.bound
             self.bound += 1
-            self._axis(axis, domain)
-            body = self._walk(f.body, {**scope, sym: axis})
+            self._axis(axis, domain_of(alg, self.size, f.var))
+            body = self._walk(f.body, {**scope, f.var: axis})
             baxes, _, _, constant = self.nodes[body]
             if not self.sizes[axis]:  # empty domain: the fold's unit
                 return self._leaf((), lambda: top if forall else bot)
@@ -910,11 +857,11 @@ def _over_valuations(target: ModalFormula | syntax.Inequality, body: Fo) -> Fo:
         used = syntax.atoms(target)
     for atom in sorted(used, key=str, reverse=True):
         if isinstance(atom, syntax.Var):
-            body = ForallPred(atom.name, body)
+            body = Forall(atom.name, body)
         elif isinstance(atom, syntax.Nom):
-            body = Forall(NomConst(atom.name), ForallTV(NomTV(atom.name), body))
+            body = Forall(NomConst(atom.name), Forall(NomTV(atom.name), body))
         else:
-            body = Forall(CoNomConst(atom.name), ForallTV(CoNomTV(atom.name), body))
+            body = Forall(CoNomConst(atom.name), Forall(CoNomTV(atom.name), body))
     return body
 
 
@@ -989,7 +936,7 @@ def subst_pred(f: Fo, name: str, make_body, conjoin_tv: Fo | None = None) -> Fo:
         if conjoin_tv is not None:
             body = FoAnd(body, conjoin_tv)
         return body
-    if isinstance(f, (ForallPred, ExistsPred)) and f.name == name:
+    if isinstance(f, (Forall, Exists)) and f.var == name:
         return f
     subs = fo_children(f)
     if not subs:
@@ -1014,8 +961,7 @@ _P_IMP, _P_OR, _P_AND, _P_ATOM = 0, 1, 2, 3
 
 
 def _fo_level(f: Fo) -> int:
-    if isinstance(f, (FoImplies, FoMinus, Preceq, Forall, Exists,
-                      ForallPred, ExistsPred, ForallTV, ExistsTV)):
+    if isinstance(f, (FoImplies, FoMinus, Preceq, Forall, Exists)):
         return _P_IMP
     if isinstance(f, FoOr):
         return _P_OR
@@ -1061,27 +1007,23 @@ def print_fo(f: Fo) -> str:
         return f"{wrap(f.lhs, _P_OR)} - {wrap(f.rhs, _P_OR)}"
     if isinstance(f, Preceq):
         return f"{wrap(f.lhs, _P_OR)} =< {wrap(f.rhs, _P_OR)}"
-    if isinstance(f, Forall):
-        return f"A {print_term(f.var)}. {qbody(f.body)}"
-    if isinstance(f, Exists):
-        return f"E {print_term(f.var)}. {qbody(f.body)}"
-    if isinstance(f, ForallPred):
-        return f"A {f.name}:pred. {qbody(f.body)}"
-    if isinstance(f, ExistsPred):
-        return f"E {f.name}:pred. {qbody(f.body)}"
-    if isinstance(f, ForallTV):
-        return f"A {print_fo(f.sym)}. {qbody(f.body)}"
-    if isinstance(f, ExistsTV):
-        return f"E {print_fo(f.sym)}. {qbody(f.body)}"
+    if isinstance(f, (Forall, Exists)):
+        var = f"{f.var}:pred" if isinstance(f.var, str) else str(f.var)
+        return f"{'A' if isinstance(f, Forall) else 'E'} {var}. {qbody(f.body)}"
     raise TypeError(f"not a first-order formula: {f!r}")
 
 
 def to_dict(f: Fo | Term) -> dict:
     """Machine-readable structured dump: each node's kind and fields, a
-    truth constant by its name alone."""
+    truth constant by its name alone.  A quantifier over a predicate name
+    dumps as kind `ForallPred`/`ExistsPred` with field `name`, one over a
+    truth-value symbol as `ForallTV`/`ExistsTV` with field `sym`."""
     out = {"kind": type(f).__name__}
     for name in (fld.name for fld in fields(f) if fld.name != "index"):
         value = getattr(f, name)
+        if name == "var" and not isinstance(value, Term):
+            out["kind"] += "Pred" if isinstance(value, str) else "TV"
+            name = "name" if isinstance(value, str) else "sym"
         out[name] = value if isinstance(value, str) else to_dict(value)
     return out
 
@@ -1108,10 +1050,10 @@ def _is_top(f: Fo) -> bool:
 
 
 def _mentions(f: Fo, sym) -> bool:
-    """Whether an individual or truth-value symbol occurs free in f."""
-    if f == sym or sym in terms_of(f):
+    """Whether a symbol of any sort occurs free in f."""
+    if f == sym or sym in terms_of(f) or isinstance(f, Pred) and f.name == sym:
         return True
-    if sym in (getattr(f, "var", None), getattr(f, "sym", None)):
+    if getattr(f, "var", None) == sym:
         return False
     return any(_mentions(c, sym) for c in fo_children(f))
 
@@ -1124,9 +1066,15 @@ def _binds(f: Fo, t: Term) -> bool:
 
 def _crisp(f: Fo) -> bool:
     """Built from `=<` and `=`, so valued bottom or top only."""
-    if isinstance(f, (FoAnd, FoOr, FoImplies, Forall, Exists, ForallTV, ExistsTV)):
+    if isinstance(f, (FoAnd, FoOr, FoImplies, Forall, Exists)):
         return all(_crisp(c) for c in fo_children(f))
     return isinstance(f, (Preceq, Eq)) or _is_bot(f)
+
+
+def _over_states(f: Fo, kind: type) -> bool:
+    """Whether f is a `kind` quantifier over an individual symbol: the only
+    binders the display rewrites move, split or instantiate."""
+    return isinstance(f, kind) and isinstance(f.var, Term)
 
 
 def _guard(f: Fo) -> Optional[tuple[Term, Term, Fo]]:
@@ -1170,7 +1118,7 @@ def _simplify_once(f: Fo) -> Fo:
         if f.lhs == f.rhs:
             return TOP
         # curry nested implications and pull universal quantifiers out
-        if isinstance(f.rhs, Forall) and not _mentions(f.lhs, f.rhs.var):
+        if _over_states(f.rhs, Forall) and not _mentions(f.lhs, f.rhs.var):
             return Forall(f.rhs.var, FoImplies(f.lhs, f.rhs.body))
         if isinstance(f.rhs, FoImplies) and not isinstance(f.rhs.lhs, Eq):
             return FoImplies(FoAnd(f.lhs, f.rhs.lhs), f.rhs.rhs)
@@ -1185,11 +1133,9 @@ def _simplify_once(f: Fo) -> Fo:
             return Preceq(f.lhs, rhs)
         if isinstance(rhs, FoImplies) and not isinstance(rhs.lhs, Eq):
             return Preceq(FoAnd(f.lhs, rhs.lhs), rhs.rhs)
-    if isinstance(f, (Exists, Forall, ForallTV)):
-        var = f.sym if isinstance(f, ForallTV) else f.var
-        if not _mentions(f.body, var):
-            return f.body
-    if isinstance(f, Exists):
+    if isinstance(f, (Forall, Exists)) and not _mentions(f.body, f.var):
+        return f.body
+    if _over_states(f, Exists):
         # E v. (... & v = t & ...) collapses to the substituted matrix;
         # conjuncts that do not mention v move out
         parts = _flat_conjuncts(f.body)
@@ -1200,7 +1146,7 @@ def _simplify_once(f: Fo) -> Fo:
         if outside:
             inside = [p for p in parts if _mentions(p, f.var)]
             return _conjoin(outside + [Exists(f.var, _conjoin(inside))])
-    if isinstance(f, Forall):
+    if _over_states(f, Forall):
         body = f.body
         if isinstance(body, FoAnd):
             return FoAnd(Forall(f.var, body.lhs), Forall(f.var, body.rhs))
@@ -1222,7 +1168,7 @@ def _simplify_once(f: Fo) -> Fo:
                 inside = [p for p in parts if _mentions(p, f.var)]
                 matrix = FoImplies(_conjoin(inside), body.rhs) if inside else body.rhs
                 return Preceq(_conjoin(outside), Forall(f.var, matrix))
-    if isinstance(f, (Forall, ForallTV)):
+    if isinstance(f, Forall):
         return _eliminate(f)
     return f
 
@@ -1237,7 +1183,7 @@ def _absorb(f: Fo, known: list[Fo]) -> Fo:
         return FoAnd(_absorb(f.lhs, known), _absorb(f.rhs, known))
     if isinstance(f, FoImplies):
         return FoImplies(f.lhs, _absorb(f.rhs, known))
-    if isinstance(f, Forall) and not any(_mentions(k, f.var) for k in known):
+    if _over_states(f, Forall) and not any(_mentions(k, f.var) for k in known):
         return Forall(f.var, _absorb(f.body, known))
     return f
 
@@ -1249,10 +1195,10 @@ def _eliminate(f: Fo) -> Fo:
     prefix: co-nominal values go first, by meet-density, then nominal
     values, by join-density."""
     binders, matrix = [], f
-    while isinstance(matrix, (Forall, ForallTV)):
+    while isinstance(matrix, Forall):
         binders.append(matrix)
         matrix = matrix.body
-    symbols = [b.sym if isinstance(b, ForallTV) else b.var for b in binders]
+    symbols = [b.var for b in binders]
     prem, concl = (matrix.lhs, matrix.rhs) if isinstance(matrix, FoImplies) else (TOP, matrix)
     prem = [p for p in _flat_conjuncts(prem) if not _is_top(p)]
     tries = [_meet_density(prem, concl, s, symbols) for s in symbols if isinstance(s, CoNomTV)]
@@ -1452,14 +1398,8 @@ class _FoParser:
             self.error("expected '.' after quantified symbol")
         self.next()
         body = self.formula()
-        if name.startswith("C_"):
-            sym = _tv_from_name(name)
-            return ForallTV(sym, body) if which == "A" else ExistsTV(sym, body)
-        return (
-            Forall(_term_from_name(name), body)
-            if which == "A"
-            else Exists(_term_from_name(name), body)
-        )
+        var = _tv_from_name(name) if name.startswith("C_") else _term_from_name(name)
+        return (Forall if which == "A" else Exists)(var, body)
 
     def disjunction(self) -> Fo:
         out = self.conjunction()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Optional
 
 from .budget import Budget
@@ -42,18 +43,22 @@ from .fol import (
     Rel,
     Term,
     TruthConst,
+    _conjoin,
     fo_eval,
+    free_individual_symbols,
+    free_pred_names,
     interp_for_frame,
     subst_pred,
     standard_translation,
 )
 from .semantics import Frame
-from .syntax import And, Box, Const, Dia, Formula, Or, Var
+from .syntax import And, Const, Dia, Formula, Or
 from .trees import (
     SahlAnd,
     SahlBox,
     SahlImplication,
     SahlOr,
+    boxed_atom,
     is_classical_sahlqvist,
     is_negative_formula,
 )
@@ -87,16 +92,6 @@ def _lift_disjunctions(f: Formula) -> list[Formula]:
     return [f]
 
 
-def _boxed_atom(f: Formula) -> Optional[tuple[str, int]]:
-    depth = 0
-    while isinstance(f, Box):
-        depth += 1
-        f = f.sub
-    if isinstance(f, Var):
-        return f.name, depth
-    return None
-
-
 def _walk_definite(
     f: Formula,
     cur: Term,
@@ -104,7 +99,7 @@ def _walk_definite(
     ivars: FreshVars,
     st_fresh: FreshVars,
 ) -> None:
-    boxed = _boxed_atom(f)
+    boxed = boxed_atom(f)
     if boxed is not None:
         name, depth = boxed
         out.boxed.append((name, cur, depth))
@@ -141,9 +136,7 @@ def _reach(base: Term, depth: int, target: Term, fresh: FreshVars) -> Fo:
         conj.append(Rel(cur, nxt))
         cur = nxt
     conj.append(Eq(cur, target))
-    body = conj[0]
-    for c in conj[1:]:
-        body = FoAnd(body, c)
+    body = _conjoin(conj)
     for b in reversed(binders):
         body = Exists(b, body)
     return body
@@ -158,10 +151,7 @@ def _emit_implication(
         _walk_definite(delta, cur, info, ivars, st_fresh)
         pos = standard_translation(shape.consequent, cur, st_fresh)
         if info.negatives:
-            negs = info.negatives[0]
-            for n in info.negatives[1:]:
-                negs = FoAnd(negs, n)
-            pos = FoImplies(negs, pos)
+            pos = FoImplies(_conjoin(info.negatives), pos)
 
         def make_sigma(pred: str) -> Callable[[Term], Fo]:
             units = [(base, depth) for name, base, depth in info.boxed if name == pred]
@@ -169,33 +159,21 @@ def _emit_implication(
             def body(t: Term) -> Fo:
                 if not units:
                     return BOT
-                parts = [_reach(base, depth, t, st_fresh) for base, depth in units]
-                out = parts[0]
-                for p in parts[1:]:
-                    out = FoOr(out, p)
-                return out
+                return reduce(FoOr, [_reach(base, depth, t, st_fresh) for base, depth in units])
 
             return body
-
-        from .fol import free_pred_names
 
         for pred in sorted(free_pred_names(pos)):
             pos = subst_pred(pos, pred, make_sigma(pred))
 
         if info.rel:
-            ant = info.rel[0]
-            for r in info.rel[1:]:
-                ant = FoAnd(ant, r)
-            body: Fo = FoImplies(ant, pos)
+            body: Fo = FoImplies(_conjoin(info.rel), pos)
         else:
             body = pos
         for v in reversed(info.bound):
             body = Forall(v, body)
         results.append(body)
-    out = results[0]
-    for r in results[1:]:
-        out = FoAnd(out, r)
-    return out
+    return _conjoin(results)
 
 
 def _emit(shape, cur: Term, ivars: FreshVars, st_fresh: FreshVars) -> Fo:
@@ -276,8 +254,6 @@ def check_c_elimination(
     plain = FoAnd(subst_pred(phi, pred, delta), c)
     decorated = FoAnd(subst_pred(phi, pred, delta, conjoin_tv=c), c)
     interp = interp_for_frame(frame)
-    from .fol import free_individual_symbols
-
     free = sorted(free_individual_symbols(plain), key=str)
     for _ in range(trials):
         env: dict = {

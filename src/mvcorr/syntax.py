@@ -7,7 +7,8 @@ grammar (see README for the full EBNF):
 
     ~p \\/ <>p          negation, disjunction, diamond
     [](@a /\\ p -> q)   box, algebra constant @a
-    #i1, $m1            nominal, co-nominal
+    #i1, $m1            nominal, co-nominal (only a co-nominal's name
+                        starts with m or n)
     p <= q              inequality
     p <= q & r <= s => p <= s    quasi-inequality
 
@@ -371,10 +372,13 @@ class _Parser:
             return inner
         if tok.kind == "ident":
             return Var(tok.text)
-        if tok.kind == "nom":
-            return Nom(tok.text[1:])
-        if tok.kind == "conom":
-            return CoNom(tok.text[1:])
+        if tok.kind in ("nom", "conom"):
+            # the first-order text tells c_<name> and C_<name> apart this way
+            if (tok.text[1] in "mn") != (tok.kind == "conom"):
+                raise FormulaSyntaxError(
+                    f"found {tok.text!r}: names starting with m or n are "
+                    "co-nominals', all others nominals'", tok.pos)
+            return (Nom if tok.kind == "nom" else CoNom)(tok.text[1:])
         if tok.kind == "const":
             name = tok.text[1:]
             idx = self.alg.element(name)  # raises UnknownConstant

@@ -321,12 +321,13 @@ class SahlOr:
 ClassicalDecomposition = object  # union of the four shapes above
 
 
-def _boxed_atom_depth(f: Formula) -> Optional[int]:
+def boxed_atom(f: Formula) -> Optional[tuple[str, int]]:
+    """(p, d) when f is the variable p under d boxes."""
     depth = 0
     while isinstance(f, Box):
         depth += 1
         f = f.sub
-    return depth if isinstance(f, Var) else None
+    return (f.name, depth) if isinstance(f, Var) else None
 
 
 def _only_classical_constants(f: Formula) -> bool:
@@ -350,7 +351,7 @@ def is_sahl_antecedent(f: Formula, definite: bool = False) -> bool:
     (definite variant: and/dia only)."""
     if isinstance(f, Const):
         return f.index in (0, 1)
-    if _boxed_atom_depth(f) is not None:
+    if boxed_atom(f) is not None:
         return True
     if isinstance(f, And):
         return is_sahl_antecedent(f.lhs, definite) and is_sahl_antecedent(f.rhs, definite)

@@ -247,6 +247,7 @@ def test_display_is_oracle_equivalent(text):
     for a in range(P.n):
         res = run_alba(parse_input(text, P), a, P)
         assert res.succeeded
+        assert parse_fo(res.display, P) == simplify_display(res.correspondent)
         rep = correspondence_oracle(
             P, res.source, a, parse_fo(res.display, P), sizes=[1, 2],
             fo_threshold=P.top,

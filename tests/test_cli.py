@@ -333,3 +333,37 @@ def test_alba_verify_of_a_large_corpus_correspondent_fits_the_default_budget(
     assert code == 0
     assert "\nverification: PASS (630 frames" in out
     assert "\ndisplay verification: PASS (630 frames" in out
+
+
+def test_alba_numbers_fresh_nominals_past_the_inputs(monkeypatch, capsys):
+    # the input's #j1 is not reused as an approximation's fresh nominal
+    monkeypatch.delenv("MVCORR_BUDGET", raising=False)
+    code, out, _ = run_cli(
+        capsys,
+        "alba", "--value", "gamma", "--formula", "#j1 /\\ <><>p <= <>p",
+        "--verify", "sizes=1,2", "--trace",
+    )
+    assert code == 0
+    assert "approx-dia: #i0 <= <><>p  ==>  #j2 <= <>p; #i0 <= <>#j2" in out
+    assert "\nverification: PASS (630 frames" in out
+    assert "\ndisplay verification: PASS (630 frames" in out
+
+
+def test_alba_rejects_the_reserved_atoms(capsys):
+    code, out, err = run_cli(
+        capsys, "alba", "--value", "gamma", "--formula", "p <= <>#i0 -> <>(p /\\ #i0)",
+    )
+    assert code == 2
+    assert out == ""
+    assert "#i0 and $m0 are reserved" in err
+
+
+@pytest.mark.parametrize("formula", ["#a /\\ <>p <= <>(p /\\ <>#a) \\/ $a", "#n1 <= p"])
+def test_nominal_and_co_nominal_names_are_told_apart(capsys, formula):
+    # #a and $a would both print as c_a and C_a; only a co-nominal's name starts with m or n
+    code, out, err = run_cli(
+        capsys, "alba", "--value", "gamma", "--formula", formula, "--verify", "sizes=1,2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "names starting with m or n are co-nominals'" in err

@@ -15,16 +15,12 @@ from mvcorr.fol import (
     CoNomTV,
     Eq,
     Exists,
-    ExistsPred,
-    ExistsTV,
     Fo,
     FoAnd,
     FoImplies,
     FoMinus,
     FoOr,
     Forall,
-    ForallPred,
-    ForallTV,
     FoVar,
     NomConst,
     NomTV,
@@ -122,7 +118,7 @@ def test_predicate_quantifier_enumerates_fuzzy_sets():
     # E p. (p(x) =< @alpha & @alpha =< p(x)) is true: some row hits alpha
     f = frame1(P.top)
     interp = interp_for_frame(f)
-    alpha = ExistsPred(
+    alpha = Exists(
         "p",
         FoAnd(
             Preceq(Pred("p", X), TruthConst("alpha", pel("alpha"))),
@@ -131,24 +127,30 @@ def test_predicate_quantifier_enumerates_fuzzy_sets():
     )
     assert fo_eval(interp, alpha, {X: 0}) == P.top
     # A p. p(x) =< @1 is trivially true
-    assert fo_eval(interp, ForallPred("p", Preceq(Pred("p", X), TOP)), {X: 0}) == P.top
+    assert fo_eval(interp, Forall("p", Preceq(Pred("p", X), TOP)), {X: 0}) == P.top
 
 
 def test_tv_quantifiers_range_over_irreducibles():
     f = frame1(P.top)
     interp = interp_for_frame(f)
     # meet of all join-irreducibles is bottom (alpha & beta = 0)
-    assert fo_eval(interp, ForallTV(NomTV("i1"), NomTV("i1"))) == P.bot
+    assert fo_eval(interp, Forall(NomTV("i1"), NomTV("i1"))) == P.bot
     # meet of all meet-irreducibles is alpha & beta = 0 as well
-    assert fo_eval(interp, ForallTV(CoNomTV("m1"), CoNomTV("m1"))) == P.bot
+    assert fo_eval(interp, Forall(CoNomTV("m1"), CoNomTV("m1"))) == P.bot
 
 
 def test_pred_quantifier_budget():
     f = Frame(P, ("u", "v", "z"), tuple(tuple(P.bot for _ in range(3)) for _ in range(3)))
     interp = interp_for_frame(f)
-    alpha = ForallPred("p", Preceq(Pred("p", X), TOP))
+    alpha = Forall("p", Preceq(Pred("p", X), TOP))
     with pytest.raises(BudgetExceeded):
         fo_eval(interp, alpha, {X: 0}, Budget(40))
+    # neither binder stops early here: each of the 5^3 rows costs one unit
+    # besides the three nodes of its body
+    for quantified in (alpha, Exists("p", FoMinus(Pred("p", X), TOP))):
+        budget = Budget(10**6)
+        fo_eval(interp, quantified, {X: 0}, budget)
+        assert budget.used == 1 + 125 * (1 + 3)
 
 
 # -- standard translation ---------------------------------------------------------
@@ -334,7 +336,7 @@ def _display_nodes(sub):
     return st.one_of(
         st.builds(lambda op, lhs, rhs: op(lhs, rhs), binary, sub, sub),
         st.builds(lambda q, v, body: q(v, body), st.sampled_from([Forall, Exists]), _TERMS, sub),
-        st.builds(lambda q, c, body: q(c, body), st.sampled_from([ForallTV, ExistsTV]), _TVS, sub),
+        st.builds(lambda q, c, body: q(c, body), st.sampled_from([Forall, Exists]), _TVS, sub),
     )
 
 
@@ -400,20 +402,20 @@ def test_simplifier_is_sound_on_random_frames():
         Preceq(vj, Forall(Y, FoImplies(Rel(X, Y), FoAnd(Rel(Y, X), vj)))),
         Preceq(vj, FoImplies(Rel(X, cn), vn)),
         # meet-density: a co-nominal pair, then a co-nominal value alone
-        Forall(cm, ForallTV(vm, FoImplies(
+        Forall(cm, Forall(vm, FoImplies(
             FoAnd(Preceq(vj, gamma), Preceq(FoAnd(Rel(cm, X), vj), vm)),
             Preceq(vj, FoOr(neq(cm, X), vm))))),
-        Forall(cm, ForallTV(vm, Preceq(vj, FoOr(neq(cm, X), vm)))),
-        Forall(cm, ForallTV(vm, FoImplies(
+        Forall(cm, Forall(vm, Preceq(vj, FoOr(neq(cm, X), vm)))),
+        Forall(cm, Forall(vm, FoImplies(
             FoAnd(Preceq(Rel(X, cm), vm), Preceq(vj, gamma)),
             Preceq(FoAnd(vj, Rel(cm, X)), vm)))),
         # join-density, with and without a w beside the nominal value
-        ForallTV(vi, FoImplies(
+        Forall(vi, FoImplies(
             FoAnd(Preceq(vi, gamma), Preceq(FoAnd(Rel(X, cj), vi), vn)),
             Preceq(vi, Rel(X, X)))),
-        ForallTV(vi, Preceq(FoAnd(vi, Rel(X, cj)), Exists(Y, FoAnd(Rel(X, Y), Rel(Y, cj))))),
+        Forall(vi, Preceq(FoAnd(vi, Rel(X, cj)), Exists(Y, FoAnd(Rel(X, Y), Rel(Y, cj))))),
         # a vacuous truth-value quantifier
-        ForallTV(vi, Rel(X, X)),
+        Forall(vi, Rel(X, X)),
     ]
     for shape in shapes:
         simp = simplify_display(shape)

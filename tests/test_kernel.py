@@ -27,15 +27,18 @@ from mvcorr.errors import BudgetExceeded
 from mvcorr import fol
 from mvcorr.fol import (
     BOT,
+    CoNomTV,
     CompiledFo,
     Eq,
     Exists,
     FoAnd,
     FoImplies,
     FoInterp,
-    ForallPred,
+    Forall,
     FoMinus,
+    FoOr,
     FoVar,
+    NomTV,
     Pred,
     Preceq,
     Rel,
@@ -91,6 +94,21 @@ def test_kernel_matches_fo_eval_on_random_formulas(seed):
     assert_kernel_matches_fo_eval(random_frame(rng, P, size), f)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_fo_eval_on_every_binder_sort(seed):
+    # a predicate name, a nominal's and a co-nominal's truth value, each
+    # bound by A or E, in random order, over a body that mentions it
+    rng = random.Random(seed)
+    f = random_fo(rng, P, preds=("p", "q"), depth=rng.choice([1, 2, 3]))
+    for var in rng.sample(["p", NomTV("i1"), CoNomTV("m1")], 3):
+        operands = [f, Pred(var, X) if isinstance(var, str) else var]
+        rng.shuffle(operands)
+        op = rng.choice([FoAnd, FoOr, FoImplies, FoMinus, Preceq])
+        f = rng.choice([Forall, Exists])(var, op(*operands))
+    assert_kernel_matches_fo_eval(random_frame(rng, P, rng.choice([1, 2])), f)
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10**6))
 def test_kernel_matches_fo_eval_past_the_packed_range(seed):
@@ -100,7 +118,7 @@ def test_kernel_matches_fo_eval_past_the_packed_range(seed):
     rng = random.Random(seed)
     size = rng.choice([1, 2])
     g, h = (random_fo(rng, chain, preds=("p",), depth=rng.choice([1, 2, 3])) for _ in "gh")
-    f = rng.choice([g, FoMinus(g, h), Preceq(g, h), ForallPred("p", g)])
+    f = rng.choice([g, FoMinus(g, h), Preceq(g, h), Forall("p", g)])
     assert_kernel_matches_fo_eval(random_frame(rng, chain, size), f)
 
 
@@ -312,7 +330,7 @@ def test_budget_refusal_allocates_nothing():
     size = 7
     frame = Frame(P, tuple(f"w{i}" for i in range(size)),
                   tuple((P.bot,) * size for _ in range(size)))
-    f = ForallPred("p", ForallPred("q", Preceq(Pred("p", X), Pred("q", X))))
+    f = Forall("p", Forall("q", Preceq(Pred("p", X), Pred("q", X))))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded):

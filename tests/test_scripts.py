@@ -1,6 +1,7 @@
 """The example scripts under scripts/ still run against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +55,9 @@ def test_run_acceptance_from_another_directory(tmp_path):
     done = run_script("run_acceptance.py", "-k", "criterion_1_", cwd=tmp_path)
     assert done.returncode == 0, done.stdout + done.stderr
     assert " 1 passed, 9 deselected" in done.stdout
+
+
+def test_output_digest_prints_one_sha256_line():
+    done = run_script("output_digest.py")
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(r"sha256 [0-9a-f]{64}\n", done.stdout), done.stdout
