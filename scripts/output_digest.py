@@ -10,7 +10,12 @@ Run it on two commits of a change that must not alter any output: equal
 - the same for the regression corpus (the paper's 9 inequalities and 12
   seeded random inductive ones) at gamma;
 - the Sahlqvist-van Benthem correspondent and display of the classical
-  corpus.
+  corpus;
+- the oracle's report and budget units at sizes 1-2 plus 4 seeded
+  three-state frames: of each named axiom against its ALBA correspondent
+  at gamma (threshold top) and its named frame property at every value,
+  of the 20 FAIL pairs of one axiom's correspondent at gamma against
+  another axiom, and of one check refused inside size 2.
 
 Usage: python scripts/output_digest.py
 """
@@ -19,16 +24,22 @@ import hashlib
 import json
 import random
 import sys
+from itertools import permutations
 
 from mvcorr.alba import run_alba
-from mvcorr.fol import print_fo, simplify_display, to_dict
+from mvcorr.budget import Budget
+from mvcorr.errors import BudgetExceeded
+from mvcorr.fol import frame_property, print_fo, simplify_display, to_dict
 from mvcorr.heyting import builtin_algebra
+from mvcorr.oracle import correspondence_oracle
 from mvcorr.randomgen import random_inequality
 from mvcorr.svb import svb_correspondent
 from mvcorr.syntax import parse_formula, parse_input, parse_inequality
 from mvcorr.trees import is_inductive
 
 NAMED_AXIOMS = ("p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p")
+PROPERTIES = dict(zip(NAMED_AXIOMS, ("reflexive", "transitive", "symmetric", "dense", "serial")))
+REFUSED_CAP = 1_000_000  # inside size 2 of transitivity's correspondent at gamma
 CLASSICAL = (
     "[]p -> p",
     "[]p -> [][]p",
@@ -74,6 +85,39 @@ def alba_lines(target, a: int, alg) -> list[str]:
     return lines + [step.describe() for step in result.all_steps()]
 
 
+def oracle_line(label: str, alg, source, a: int, alpha, threshold=None,
+                cap=None) -> str:
+    budget = Budget(cap)
+    try:
+        report = correspondence_oracle(alg, source, a, alpha, sizes=[1, 2], samples=4,
+                                       sample_size=3, seed=1, budget=budget,
+                                       fo_threshold=threshold)
+        outcome = (f"{report.describe()}; {report.frames_checked} frames, "
+                   f"{report.states_checked} states")
+    except BudgetExceeded as exc:
+        outcome = f"refused: {exc}"
+    return f"oracle {label}: {outcome}; {budget.used} units"
+
+
+def oracle_lines(alg) -> list[str]:
+    gamma = alg.element("gamma")
+    runs = {text: run_alba(parse_formula(text, alg), gamma, alg) for text in NAMED_AXIOMS}
+    lines = []
+    for text, run in runs.items():
+        lines.append(oracle_line(f"{text} @gamma", alg, run.source, gamma,
+                                 run.correspondent, alg.top))
+        for a in range(alg.n):
+            lines.append(oracle_line(f"{text} {PROPERTIES[text]} @{alg.element_name(a)}",
+                                     alg, run.source, a, frame_property(PROPERTIES[text])))
+    for own, other in permutations(NAMED_AXIOMS, 2):
+        lines.append(oracle_line(f"{own} @gamma against {other}", alg, runs[other].source,
+                                 gamma, runs[own].correspondent, alg.top))
+    run = runs["<><>p -> <>p"]
+    lines.append(oracle_line(f"<><>p -> <>p @gamma capped at {REFUSED_CAP}", alg, run.source,
+                             gamma, run.correspondent, alg.top, REFUSED_CAP))
+    return lines
+
+
 def main() -> int:
     alg = builtin_algebra("paper-P")
     lines: list[str] = []
@@ -85,6 +129,7 @@ def main() -> int:
     for text in CLASSICAL:
         alpha = svb_correspondent(parse_formula(text, alg))
         lines += [f"svb {text}", print_fo(alpha), print_fo(simplify_display(alpha))]
+    lines += oracle_lines(alg)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"sha256 {digest}")
     return 0

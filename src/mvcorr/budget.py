@@ -4,15 +4,17 @@ Every exhaustive enumeration charges work units against a budget.  In the
 table kernel (`fol.CompiledFo`, which also evaluates `semantics.valid_at`)
 one unit is one table cell: each evaluation charges every cell of its plan
 before it builds any table, so a refusal allocates nothing.  The oracle
-charges each frame when the scan reaches it: its first-order cells, then
-its degree cells (for `fo_agree`, the left side's, then the right's).  A
-kernel table may cover a batch of frames, but a batch never spans more
-frames than the budget left after its first frame's charge can pay for.
-Where both sides' runs agree on frames past a frame the scan has reached,
-it charges them in one sum when the whole sum fits under `cap`, and
-otherwise frame by frame, so `used` and the point of refusal are those of
-one table per frame.  The re-read of a counterexample's state is not
-charged.
+charges each frame when the scan reaches it, tabulated (an orbit minimum
+or a sample) or not: its first-order cells, then its degree cells (for
+`fo_agree`, the left side's, then the right's).  A kernel table may cover
+a batch of minima, never more than the budget left after its first
+frame's charge can pay for.  The frames past one the scan has reached, up
+to the end of both sides' runs or their first disagreement, are charged in
+one sum when it fits under `cap`, and otherwise up to the frame refused,
+so `used` and the point of refusal are those of one table per frame.  The
+re-read of a counterexample's state is not charged, nor is the search for
+orbit minima, which reads only as far as the scan and stops at five
+states, where a frame's renamings still cost less than most tables.
 
 The per-step checker `stepcheck` charges the same way, for each frame before
 it builds that frame's tables: one unit per cell of each subformula's code

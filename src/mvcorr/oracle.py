@@ -6,25 +6,28 @@ random samples, and compares modal a-validity against first-order a-truth
 at every state.  It returns either a pass report or the first
 counterexample in enumeration order, never a silently partial verdict.
 
-Frames are enumerated as their relations' `fol.relation_bytes`, in
-batches of at most `BATCH_FRAMES` frames of one size that both sides
-read.  Both sides are a formula with x free at a threshold: the
-candidate, and the target's `fol.degree_claim` at a (a-valid at w iff a
-is below the degree at w).  A kernel run (`fol.CompiledFo`) tabulates
-consecutive frames of a batch, and a byte mask turns its table into one
-0/1 verdict byte per state.  The scan compares the sides' bytes a whole
-common run at a time, charging as if frame by frame (see `budget`).
-Besides one per kernel run for its interpretation, only a counterexample
-gets a `Frame`, from `iter_frames` (the reference for the enumeration
-order) or the samples, and is read again, uncharged, through the
-per-state API.
+Both sides are a formula with x free at a threshold, invariant under
+renaming the states: the candidate, and the target's `fol.degree_claim`
+at a (a-valid at w iff a is below the degree at w).  So of each size up
+to five states only the orbit minima are tabulated (`_orbit_minima`), in
+batches of at most `BATCH_FRAMES` `fol.relation_bytes`; a frame between
+them, which disagrees exactly when its minimum (enumerated before it)
+does, is counted and charged as if read, so the first counterexample,
+counts, charges and refusals are those of one table per frame (see
+`budget`).  A kernel run (`fol.CompiledFo`) tabulates consecutive frames
+of a batch, masked to one 0/1 verdict byte per state and compared a run
+at a time.  Besides one per kernel run for its interpretation, only a
+counterexample gets a `Frame`, from `iter_frames` (the reference for the
+enumeration order) or the samples, and is read again, uncharged, per
+state.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, compress, count, islice, permutations, product, repeat
+from operator import and_, floordiv, itemgetter, le, mod
 from typing import Callable, Iterable, Iterator, Optional
 
 from .budget import Budget
@@ -50,8 +53,8 @@ from .syntax import Formula, Inequality
 # counterexample early in a run leaves few frames enumerated past it
 BATCH_FRAMES = 128
 
-# a batch: its frames' size, their `relation_bytes` and the `Frame` of its frame k
-Batch = tuple[int, list[bytes], Callable[[int], Frame]]
+# a batch: its frames' size, `relation_bytes` and numbers (then the next's), frame k's `Frame`
+Batch = tuple[int, list[bytes], list[int], Callable[[int], Frame]]
 
 
 def iter_frames(alg: HeytingAlgebra, size: int) -> Iterator[Frame]:
@@ -69,7 +72,7 @@ def sample_frames(
     return [random_frame(rng, alg, size) for _ in range(count)]
 
 
-@dataclass
+@dataclass(slots=True)
 class Counterexample:
     frame: Frame
     state: int
@@ -87,7 +90,7 @@ class Counterexample:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleReport:
     passed: bool
     frames_checked: int
@@ -163,9 +166,8 @@ def _frames(
     alg: HeytingAlgebra, sizes: Iterable[int], samples: int, sample_size: int,
     seed: int,
 ) -> Iterator[Batch]:
-    """The frames of every size asked for, once, then the seeded samples, in
-    batches of consecutive frames of one size, each batch's relations made
-    when the scan reaches it, so a counterexample ends the enumeration.  A
+    """The `_orbit_minima` of every size asked for, once, then the seeded
+    samples, in batches of one size made as the scan reaches them.  A
     request for frames without states raises ValueError at once."""
     sizes = list(dict.fromkeys(sizes))
     if any(size < 1 for size in sizes):
@@ -175,23 +177,53 @@ def _frames(
     if samples and sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
 
-    def batches(size: int, rels: Iterable[bytes], frame: Callable[[int], Frame]):
-        rels, start, count = iter(rels), 0, min(16, BATCH_FRAMES)
-        while batch := list(islice(rels, count)):
-            yield size, batch, lambda k, start=start: frame(start + k)
-            start, count = start + len(batch), min(2 * count, BATCH_FRAMES)
+    def batches(size: int, places: Iterator[int], rels: Callable, frame: Callable):
+        # `places`: the numbers of the frames to tabulate, then the frame count
+        take, first = min(16, BATCH_FRAMES), next(places)
+        while len(batch := [first, *islice(places, take)]) > 1:
+            yield size, rels(batch[:-1]), batch, lambda k, b=batch: frame(b[k])
+            first, take = batch[-1], min(2 * take, BATCH_FRAMES)
 
     def frames() -> Iterator[Batch]:
         for size in sizes:
             # in `iter_frames` order, which alone builds a counterexample's frame
-            yield from batches(size, map(relation_bytes, product(range(alg.n), repeat=size * size)),
-                               lambda k, size=size: next(islice(iter_frames(alg, size), k, None)))
+            yield from batches(size, chain(_orbit_minima(alg.n, size), [alg.n ** (size * size)]),
+                               lambda numbers, size=size: _relations(alg.n, size, numbers),
+                               lambda p, size=size: next(islice(iter_frames(alg, size), p, None)))
         if samples:
             drawn = sample_frames(alg, sample_size, samples, seed)
-            yield from batches(sample_size, [relation_bytes(chain.from_iterable(f.rel))
-                                             for f in drawn], drawn.__getitem__)
+            yield from batches(sample_size, iter(range(samples + 1)), lambda numbers: [
+                relation_bytes(chain.from_iterable(drawn[p].rel)) for p in numbers],
+                drawn.__getitem__)
 
     return frames()
+
+
+def _orbit_minima(n: int, size: int) -> Iterator[int]:
+    """The numbers in `iter_frames` order of the frames over n elements whose
+    cells are the least of their orbit under renaming the states (McKay,
+    J. Algorithms 1998), found in chunks as far as a scan reads.  Past five
+    states, where a frame's size! - 1 renamings (719 at six) can cost more
+    than tabulating it, every frame."""
+    if size > 5:
+        yield from range(n ** (size * size))
+        return
+    renamings = [itemgetter(*[i * size + j for i in perm for j in perm])
+                 for perm in islice(permutations(range(size)), 1, None)]
+    frames, numbers, take = product(range(n), repeat=size * size), count(), 64
+    while chunk := list(islice(frames, take)):
+        minimal = [True] * len(chunk)  # no renaming makes the cells smaller
+        for renamed in renamings:
+            minimal = list(map(and_, minimal, map(le, chunk, map(renamed, chunk))))
+        yield from compress(islice(numbers, len(chunk)), minimal)
+        take = min(2 * take, 4096)
+
+
+def _relations(n: int, size: int, numbers: list[int]) -> list[bytes]:
+    """The `relation_bytes` of frames `numbers` of `iter_frames`, a cell of all at a time."""
+    cells = [map(mod, map(floordiv, numbers, repeat(n ** e)), repeat(n))
+             for e in reversed(range(size * size))]
+    return list(map(relation_bytes, zip(*cells)))
 
 
 def _first_disagreement(
@@ -199,35 +231,39 @@ def _first_disagreement(
     right_first: bool = False,
 ) -> OracleReport:
     """Compare two sides one common kernel run at a time, reading (and
-    charging) the left one first unless `right_first`.  The frames of a
-    run past its first are compared in one `==` and charged at once when
-    the budget can pay for them all, else frame by frame; the first
+    charging) the left one first unless `right_first`.  The frames after
+    it up to the run's end or first disagreement are charged in one sum if
+    the budget can pay for it, else up to the frame it refuses; a
     disagreement is re-read per state on its `Frame`."""
     frames_checked = states_checked = 0
     order = (right, left) if right_first else (left, right)
-    for size, rels, frame in batches:
+    for size, rels, places, frame in batches:
         i = 0
         while i < len(rels):
             for side in order:
                 side.read(size, rels, i)
             end = min(left.end, right.end)
-            rest = (end - i - 1) * (left.cells + right.cells)
-            if budget.used + rest > budget.cap or left.verdicts(i, end) != right.verdicts(i, end):
-                end, rest = i + 1, 0
-                lv, rv = left.verdicts(i, end), right.verdicts(i, end)
-                if lv != rv:
-                    w = next(w for w, (x, y) in enumerate(zip(lv, rv)) if x != y)
-                    found = frame(i)
-                    verdicts = left.reread(found, i, w), right.reread(found, i, w)
-                    if verdicts != (lv[w] == 1, rv[w] == 1):
-                        raise AssertionError(f"re-read {verdicts} against table bytes {lv[w]}, {rv[w]}")
-                    if relation_bytes(chain.from_iterable(found.rel)) != rels[i]:
-                        raise AssertionError(f"frame {i} of the batch is not {found.rel}")
-                    return OracleReport(False, frames_checked + 1, states_checked + w + 1,
-                                        Counterexample(found, w, *verdicts))
-            budget.charge(rest)
-            frames_checked += end - i
-            states_checked += (end - i) * size
+            lv, rv = left.verdicts(i, end), right.verdicts(i, end)
+            k = len(lv) if lv == rv else next(k for k, (x, y) in enumerate(zip(lv, rv)) if x != y)
+            d, w = i + k // size, k % size  # d == end where all agree
+            covered = (places[end] if d == end else places[d] + 1) - places[i]
+            per = left.cells + right.cells
+            paid = min(covered - 1, (budget.cap - budget.used) // per)
+            budget.charge(paid * per)
+            if paid < covered - 1:
+                for side in order:
+                    budget.charge(side.cells)  # one of the two raises
+            frames_checked += covered
+            states_checked += covered * size
+            if d < end:
+                found = frame(d)
+                verdicts = left.reread(found, d, w), right.reread(found, d, w)
+                if verdicts != (lv[k] == 1, rv[k] == 1):
+                    raise AssertionError(f"re-read {verdicts} against table bytes {lv[k]}, {rv[k]}")
+                if relation_bytes(chain.from_iterable(found.rel)) != rels[d]:
+                    raise AssertionError(f"frame {d} of the batch is not {found.rel}")
+                return OracleReport(False, frames_checked, states_checked - size + w + 1,
+                                    Counterexample(found, w, *verdicts))
             i = end
     return OracleReport(True, frames_checked, states_checked)
 

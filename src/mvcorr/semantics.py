@@ -44,6 +44,7 @@ from .syntax import (
     Var,
     atoms,
     children,
+    naming_clash,
 )
 
 Valuation = dict[Formula, tuple[int, ...]]
@@ -362,6 +363,8 @@ def parse_model_text(text: str, alg: HeytingAlgebra) -> Model:
 
 
 def _parse_atom(text: str) -> Formula:
+    if clash := naming_clash(text):
+        raise InvalidModel(clash)
     if text.startswith("#"):
         return Nom(text[1:])
     if text.startswith("$"):

@@ -30,73 +30,73 @@ from .heyting import HeytingAlgebra
 class Formula:
     """Base class for modal formula nodes."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)  # set by `cache_hash`
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoNom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Formula):
     name: str
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Minus(Formula):
     lhs: Formula
     rhs: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dia(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxInv(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiaInv(Formula):
     sub: Formula
 
@@ -119,7 +119,7 @@ def cache_hash(base: type) -> None:
 cache_hash(Formula)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inequality:
     lhs: Formula
     rhs: Formula
@@ -128,7 +128,7 @@ class Inequality:
         return f"{print_formula(self.lhs)} <= {print_formula(self.rhs)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuasiInequality:
     premises: tuple[Inequality, ...]
     conclusion: Inequality
@@ -291,6 +291,13 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
+def naming_clash(text: str) -> str | None:
+    """Why the nominal `#name` or co-nominal `$name` breaks the rule that
+    tells c_<name> and C_<name> apart: only a co-nominal's name starts with m or n."""
+    if text[:1] in ("#", "$") and (text[1:2] in ("m", "n")) != (text[:1] == "$"):
+        return f"found {text!r}: names starting with m or n are co-nominals', all others nominals'"
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], alg: HeytingAlgebra):
         self.tokens = tokens
@@ -373,11 +380,8 @@ class _Parser:
         if tok.kind == "ident":
             return Var(tok.text)
         if tok.kind in ("nom", "conom"):
-            # the first-order text tells c_<name> and C_<name> apart this way
-            if (tok.text[1] in "mn") != (tok.kind == "conom"):
-                raise FormulaSyntaxError(
-                    f"found {tok.text!r}: names starting with m or n are "
-                    "co-nominals', all others nominals'", tok.pos)
+            if clash := naming_clash(tok.text):
+                raise FormulaSyntaxError(clash, tok.pos)
             return (Nom if tok.kind == "nom" else CoNom)(tok.text[1:])
         if tok.kind == "const":
             name = tok.text[1:]

@@ -367,3 +367,17 @@ def test_nominal_and_co_nominal_names_are_told_apart(capsys, formula):
     assert code == 2
     assert out == ""
     assert "names starting with m or n are co-nominals'" in err
+
+
+@pytest.mark.parametrize("atom", ["'#n1'", "'$a'"])
+def test_model_atoms_follow_the_naming_rule(tmp_path, capsys, atom):
+    # no formula can name either atom, so a model file may not list it
+    model = tmp_path / "model.yaml"
+    model.write_text(f"states: [v]\nrel:\n  - [v, v, '1']\nval:\n  - [{atom}, v, alpha]\n")
+    code, out, err = run_cli(
+        capsys,
+        "eval", "--algebra", "paper-P", "--model", str(model),
+        "--formula", "<>p", "--state", "v", "--value", "1",
+    )
+    assert code == 2 and out == ""
+    assert "names starting with m or n are co-nominals'" in err

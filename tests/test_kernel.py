@@ -6,7 +6,9 @@
 brute force, and `valid_at` against the kernel on `fol.validity_claim`
 with x pinned; the oracle's first counterexample is checked against a
 reference loop built from the same two references.  A batch's table is
-checked frame by frame against each frame's own table.  The kernel's table
+checked frame by frame against each frame's own table, and values against
+those on the frame with its states renamed, which the oracle's orbit
+minima rely on.  The kernel's table
 primitives (`repeats`/`broadcast`, `combiner`, `fold`) are checked against
 index maps, the algebra's tables and a reference fold.
 """
@@ -14,7 +16,7 @@ index maps, the algebra's tables and a reference fold.
 import random
 import tracemalloc
 from functools import reduce
-from itertools import chain, product
+from itertools import chain, permutations, product
 from math import prod
 
 import pytest
@@ -100,13 +102,19 @@ def test_kernel_matches_fo_eval_on_every_binder_sort(seed):
     # a predicate name, a nominal's and a co-nominal's truth value, each
     # bound by A or E, in random order, over a body that mentions it
     rng = random.Random(seed)
-    f = random_fo(rng, P, preds=("p", "q"), depth=rng.choice([1, 2, 3]))
+    f = bind_every_sort(rng, random_fo(rng, P, preds=("p", "q"), depth=rng.choice([1, 2, 3])))
+    assert_kernel_matches_fo_eval(random_frame(rng, P, rng.choice([1, 2])), f)
+
+
+def bind_every_sort(rng, f):
+    """f under A or E over the predicate p, a nominal's and a co-nominal's
+    truth value, in random order, each over a body that mentions it."""
     for var in rng.sample(["p", NomTV("i1"), CoNomTV("m1")], 3):
         operands = [f, Pred(var, X) if isinstance(var, str) else var]
         rng.shuffle(operands)
         op = rng.choice([FoAnd, FoOr, FoImplies, FoMinus, Preceq])
         f = rng.choice([Forall, Exists])(var, op(*operands))
-    assert_kernel_matches_fo_eval(random_frame(rng, P, rng.choice([1, 2])), f)
+    return f
 
 
 @settings(deadline=None, max_examples=30)
@@ -309,6 +317,35 @@ def test_first_counterexample_matches_reference_loop(text, at, checked_at):
     ce = report.counterexample
     want = reference_first_counterexample(res.source, b, res.correspondent, [1, 2])
     assert (report.frames_checked, ce.state) == want
+
+
+def renamed(frame, perm):
+    """The frame with each state w renamed perm[w]."""
+    rel = [[0] * frame.size for _ in range(frame.size)]
+    for i, j in product(range(frame.size), repeat=2):
+        rel[perm[i]][perm[j]] = frame.rel[i][j]
+    return Frame(frame.algebra, frame.states, tuple(map(tuple, rel)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.integers(2, 3))
+def test_values_are_invariant_under_renaming_the_states(seed, size):
+    # what the oracle's orbit minima rest on: a candidate with binders of
+    # every sort, or a target's degree claim, has at the renamed states of
+    # the renamed frame the values it has at the states of the frame
+    rng = random.Random(seed)
+    frame = random_frame(rng, P, size)
+    if rng.random() < 0.5:
+        f = fol.degree_claim(random_target(rng, size))
+    else:
+        f = bind_every_sort(rng, random_fo(rng, P, preds=("p",), depth=rng.choice([1, 2, 3])))
+    terms = sorted(free_individual_symbols(f), key=str)
+    before = CompiledFo(interp_for_frame(frame), f)
+    for perm in permutations(range(size)):
+        after = CompiledFo(interp_for_frame(renamed(frame, perm)), f)
+        for states in product(range(size), repeat=len(terms)):
+            moved = [perm[w] for w in states]
+            assert after.value(dict(zip(terms, moved))) == before.value(dict(zip(terms, states)))
 
 
 # -- budget: one unit per table cell, charged before any table is built ----------

@@ -1,8 +1,10 @@
 """Correspondence oracle on the worked disjunction example."""
 
 import random
+import time
+from collections import Counter
 from functools import reduce
-from itertools import product
+from itertools import chain, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from mvcorr.fol import (
     BOT, CompiledFo, FoAnd, FoOr, Forall, FoVar, Pred, Rel, degree_claim, frame_property,
     free_individual_symbols, interp_for_frame, parse_fo,
 )
-from mvcorr.heyting import builtin_algebra
+from mvcorr.heyting import builtin_algebra, parse_algebra_text
 from mvcorr.oracle import correspondence_oracle, fo_agree, iter_frames, sample_frames
 from mvcorr.randomgen import random_fo, random_formula
 from mvcorr.semantics import Frame, valid_at, validity_degree
@@ -191,7 +193,7 @@ def test_only_a_counterexample_builds_a_frame(monkeypatch):
     assert report.passed and calls == []
     report = correspondence_oracle(P, phi, GAMMA, parse_fo("A y. R(x, y) =< R(y, x)", P),
                                    sizes=[1, 2])
-    k = report.frames_checked - 5 - 1  # inside the third batch of size 2
+    k = report.frames_checked - 5 - 1  # minimum 44 of size 2, in its second batch
     assert (calls, k) == ([(P, 2)], 45)
     assert report.counterexample.frame == list(iter_frames(P, 2))[k]
     beta = parse_fo("A y. A z. (x = y | y = z | x = z | (R(y, z) =< @gamma))", P)
@@ -237,7 +239,7 @@ def reference_fo(alpha, threshold, budget):
     def per_frame(frame):
         kernel = CompiledFo(interp_for_frame(frame), alpha, budget)
         return lambda w: all(
-            P.le(threshold, kernel.value({X: w, **dict(zip(open_syms, combo))}))
+            frame.algebra.le(threshold, kernel.value({X: w, **dict(zip(open_syms, combo))}))
             for combo in product(range(frame.size), repeat=len(open_syms))
         )
 
@@ -251,7 +253,7 @@ def reference_modal(target, a, budget):
         def at(w):
             if not degree:
                 degree.extend(validity_degree(frame, target, budget))
-            return P.le(a, degree[w])
+            return frame.algebra.le(a, degree[w])
 
         return at
 
@@ -411,3 +413,113 @@ def test_frames_come_in_the_nested_generator_order(name):
 
     for size in (1, 2):
         assert list(iter_frames(alg, size)) == list(nested(size))
+
+
+# -- orbit minima: isomorphic frames are counted, not tabulated ------------------------
+
+
+def is_orbit_minimum(frame):
+    """No renaming of the states gives a lexicographically smaller matrix."""
+    cells = list(chain.from_iterable(frame.rel))
+    return all(cells <= [frame.rel[i][j] for i in perm for j in perm]
+               for perm in permutations(range(frame.size)))
+
+
+def tabulated(monkeypatch):
+    """Per side (by formula), the frames its kernel runs cover, recorded
+    around `oracle.CompiledFo` as the benchmark's tracer wraps it."""
+    runs = Counter()
+
+    def recording(interp, formula, *args, **kwargs):
+        kernel = CompiledFo(interp, formula, *args, **kwargs)
+        runs[formula] += kernel.frames
+        return kernel
+
+    monkeypatch.setattr(oracle, "CompiledFo", recording)
+    return runs
+
+
+def test_only_orbit_minima_are_tabulated(monkeypatch):
+    # 5 + 325 + 4 frames per side, of 634 counted
+    runs = tabulated(monkeypatch)
+    phi = parse_formula("<><>p -> <>p", P)
+    report = correspondence_oracle(P, phi, GAMMA, correspondent("<><>p -> <>p"), sizes=[1, 2],
+                                   samples=4, sample_size=3, seed=1, fo_threshold=P.top)
+    assert report_tuple(report) == (True, 634, 1267)
+    assert sorted(runs.values()) == [5 + 325 + 4] * 2
+    runs.clear()
+    report = correspondence_oracle(P, phi, GAMMA, parse_fo("A y. R(x, y) =< R(y, x)", P),
+                                   sizes=[1, 2])
+    assert not report.passed and is_orbit_minimum(report.counterexample.frame)
+    assert report.counterexample.frame.size == 2 and max(runs.values()) < 5 + 325
+
+
+B3 = parse_algebra_text("elements: [0, h, 1]\nleq: [[0, h], [h, 1]]\n", name="chain3")
+B2 = builtin_algebra("bool2")
+PROPERTIES = {"p -> <>p": "reflexive", "<><>p -> <>p": "transitive",
+              "p -> []<>p": "symmetric", "<>p -> <><>p": "dense", "[]p -> <>p": "serial"}
+
+
+@pytest.mark.parametrize("alg,value,minima", [(B2, "1", 104), (B3, "h", 3411)],
+                         ids=["bool2", "chain3"])
+def test_named_axioms_hold_on_every_three_state_frame(monkeypatch, alg, value, minima):
+    # both candidates of each named axiom at sizes 1-3, every frame counted
+    runs = tabulated(monkeypatch)
+    a, n = alg.element(value), alg.n
+    for text, prop in PROPERTIES.items():
+        res = run_alba(parse_formula(text, alg), a, alg)
+        assert res.succeeded, text
+        for alpha, threshold in ((res.correspondent, alg.top), (frame_property(prop), a)):
+            runs.clear()
+            report = correspondence_oracle(alg, res.source, a, alpha, sizes=[1, 2, 3],
+                                           fo_threshold=threshold, budget=Budget(10**9))
+            assert report_tuple(report) == (True, n + n**4 + n**9,
+                                            n + 2 * n**4 + 3 * n**9), (text, prop)
+            assert sorted(runs.values()) == [n + (n**4 + n**2) // 2 + minima] * 2
+
+
+# fails only on a frame with three states, every pair of them related both ways
+# and some state irreflexive: the first is frame 238 of 512
+THREE_STATE_FAIL = parse_fo("R(x, x) | ((A y. A z. (y = z | R(y, z))) & "
+                            "(E u. E v. E t. (u != v & v != t & u != t)))", B2)
+
+
+def test_three_state_fail_charges_and_reports_as_the_per_frame_loop():
+    target = parse_formula("p -> <>p", B2)
+    sizes = [1, 2, 3]
+
+    def batched(_, budget):
+        return report_tuple(correspondence_oracle(B2, target, B2.top, THREE_STATE_FAIL,
+                                                  sizes=sizes, budget=budget))
+
+    def reference(_, budget):
+        frames = chain.from_iterable(iter_frames(B2, size) for size in sizes)
+        return reference_scan(frames, reference_modal(target, B2.top, budget),
+                              reference_fo(THREE_STATE_FAIL, B2.top, budget))
+
+    want, used = outcome(reference, None, 10**12)
+    assert want[:2] == (False, 2 + 16 + 238 + 1) and want[4] == 0
+    assert outcome(batched, None, 10**12) == (want, used)
+    rng = random.Random(3)
+    for cap in sorted({0, used - 1, used, *(rng.randrange(used) for _ in range(12))}):
+        assert outcome(batched, None, cap) == outcome(reference, None, cap), cap
+
+
+@pytest.mark.parametrize("size", [5, 6, 8])
+def test_a_small_cap_refuses_large_frames_at_once(size):
+    # the renaming search runs only as far as the scan reads, and past five
+    # states not at all, so a cap refuses where the per-frame loop does
+    target, alpha = parse_formula("<><>p -> <>p", P), correspondent("<><>p -> <>p")
+
+    def batched(_, budget):
+        return report_tuple(correspondence_oracle(P, target, GAMMA, alpha, sizes=[size],
+                                                  fo_threshold=P.top, budget=budget))
+
+    def reference(_, budget):
+        return reference_scan(iter_frames(P, size), reference_modal(target, GAMMA, budget),
+                              reference_fo(alpha, P.top, budget))
+
+    start = time.perf_counter()
+    got = outcome(batched, None, 10**6)
+    assert time.perf_counter() - start < 1
+    assert got == outcome(reference, None, 10**6) and got[0] == "refused"

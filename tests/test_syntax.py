@@ -135,11 +135,13 @@ def test_parse_print_roundtrip(f):
 @settings(max_examples=200, deadline=None)
 @given(formulas)
 def test_equal_formulas_hash_equal_after_caching(f):
-    # nodes keep their hash after the first call; an equal formula built
-    # separately must still hash and compare equal, before and after
+    # nodes keep their hash after the first call, in a slot (a node has no
+    # instance dict); an equal formula built separately must still hash and
+    # compare equal, before and after
     copy = parse_formula(print_formula(f), P)
     first = hash(f)
-    assert hash(copy) == first == hash(f)
+    assert hash(copy) == first == hash(f) == f._hash
+    assert not hasattr(f, "__dict__") and not hasattr(Inequality(f, f), "__dict__")
     assert copy == f and {f: 1}[copy] == 1
     assert Inequality(copy, f) == Inequality(f, copy)
     assert hash(Box(f)) == hash(Box(copy)) and Box(f) != Dia(f)
