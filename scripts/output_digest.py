@@ -15,7 +15,11 @@ Run it on two commits of a change that must not alter any output: equal
   three-state frames: of each named axiom against its ALBA correspondent
   at gamma (threshold top) and its named frame property at every value,
   of the 20 FAIL pairs of one axiom's correspondent at gamma against
-  another axiom, and of one check refused inside size 2.
+  another axiom, and of one check refused inside size 2;
+- stepcheck's verdict, `sound` or the failure's text, on 8 seeded
+  two-state frames for every distinct trace step of those ALBA runs and
+  for each step's drop-one mutants (one produced, else one consumed,
+  inequality dropped).
 
 Usage: python scripts/output_digest.py
 """
@@ -24,6 +28,7 @@ import hashlib
 import json
 import random
 import sys
+from dataclasses import replace
 from itertools import permutations
 
 from mvcorr.alba import run_alba
@@ -31,8 +36,9 @@ from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
 from mvcorr.fol import frame_property, print_fo, simplify_display, to_dict
 from mvcorr.heyting import builtin_algebra
-from mvcorr.oracle import correspondence_oracle
+from mvcorr.oracle import correspondence_oracle, sample_frames
 from mvcorr.randomgen import random_inequality
+from mvcorr.stepcheck import verify_step
 from mvcorr.svb import svb_correspondent
 from mvcorr.syntax import parse_formula, parse_input, parse_inequality
 from mvcorr.trees import is_inductive
@@ -76,13 +82,37 @@ def regression_corpus(alg) -> list:
     return [parse_inequality(t, alg) for t in PAPER_INEQUALITIES] + generated
 
 
-def alba_lines(target, a: int, alg) -> list[str]:
+def alba_lines(target, a: int, alg, steps: list) -> list[str]:
+    """The run's outputs; its trace steps are appended to `steps`."""
     result = run_alba(target, a, alg)
     lines = [f"alba {target} @{alg.element_name(a)}: {result.status}"]
     if result.succeeded:
         lines += [print_fo(result.correspondent), result.display,
                   json.dumps(to_dict(result.correspondent))]
-    return lines + [step.describe() for step in result.all_steps()]
+    trace = result.all_steps()
+    steps += trace
+    return lines + [step.describe() for step in trace]
+
+
+def drop_one(step) -> list:
+    """The step with one produced (else consumed) inequality dropped, as
+    `tests/test_stepcheck.py` makes its mutants."""
+    for side in ("after", "before"):
+        system = getattr(step, side)
+        if len(system) > 1:
+            return [replace(step, **{side: system[:k] + system[k + 1:]})
+                    for k in range(len(system))]
+    return []
+
+
+def stepcheck_lines(steps: list, alg) -> list[str]:
+    frames = sample_frames(alg, 2, 8, seed=1010)
+    lines = []
+    for step in dict.fromkeys(steps):
+        for checked in (step, *drop_one(step)):
+            failure = verify_step(checked, frames)
+            lines.append(failure.describe() if failure else f"{checked.describe()} | sound")
+    return lines
 
 
 def oracle_line(label: str, alg, source, a: int, alpha, threshold=None,
@@ -121,15 +151,17 @@ def oracle_lines(alg) -> list[str]:
 def main() -> int:
     alg = builtin_algebra("paper-P")
     lines: list[str] = []
+    steps: list = []
     for text in NAMED_AXIOMS + ("p <= @0",) + CLASSICAL:
         for a in range(alg.n):
-            lines += alba_lines(parse_input(text, alg), a, alg)
+            lines += alba_lines(parse_input(text, alg), a, alg, steps)
     for ineq in regression_corpus(alg):
-        lines += alba_lines(ineq, alg.element("gamma"), alg)
+        lines += alba_lines(ineq, alg.element("gamma"), alg, steps)
     for text in CLASSICAL:
         alpha = svb_correspondent(parse_formula(text, alg))
         lines += [f"svb {text}", print_fo(alpha), print_fo(simplify_display(alpha))]
     lines += oracle_lines(alg)
+    lines += stepcheck_lines(steps, alg)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"sha256 {digest}")
     return 0

@@ -694,41 +694,3 @@ def run_alba(
     result.correspondent = _conjoin(parts)
     result.correspondent_global = Forall(FoVar("x"), result.correspondent)
     return result
-
-
-# -- system comparison helpers ---------------------------------------------------------
-
-
-def normalize_fresh_names(system: System) -> System:
-    """Rename fresh nominals to j1, j2, ... and fresh co-nominals to
-    n1, n2, ... by order of first appearance (reserved names fixed)."""
-    order = sorted(system, key=str)
-    mapping: dict[Formula, Formula] = {}
-    j = n = 0
-    for ineq in order:
-        for atom in sorted(atoms(ineq.lhs) | atoms(ineq.rhs), key=str):
-            if atom in mapping:
-                continue
-            if isinstance(atom, Nom) and atom.name != RESERVED_NOM:
-                j += 1
-                mapping[atom] = Nom(f"j{j}")
-            elif isinstance(atom, CoNom) and atom.name != RESERVED_CONOM:
-                n += 1
-                mapping[atom] = CoNom(f"n{n}")
-
-    def rename(f: Formula) -> Formula:
-        if f in mapping:
-            return mapping[f]
-        subs = children(f)
-        if not subs:
-            return f
-        return rebuild(f, tuple(rename(c) for c in subs))
-
-    return tuple(Inequality(rename(i.lhs), rename(i.rhs)) for i in order)
-
-
-def systems_equal(s1: System, s2: System) -> bool:
-    """Multiset equality up to fresh-name normalization."""
-    a = sorted(str(i) for i in normalize_fresh_names(s1))
-    b = sorted(str(i) for i in normalize_fresh_names(s2))
-    return a == b

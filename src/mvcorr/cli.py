@@ -23,7 +23,7 @@ from .fol import parse_fo, print_fo, simplify_display, to_dict
 from .heyting import HeytingAlgebra, resolve_algebra
 from .alba import run_alba
 from .oracle import correspondence_oracle
-from .semantics import a_true_at, eval_formula, parse_model_text
+from .semantics import eval_formula, parse_model_text
 from .svb import svb_correspondent
 from .syntax import Const, Inequality, parse_formula, parse_input
 from .trees import branch_table, formula_inequality, is_inductive, is_sahlqvist
@@ -180,7 +180,7 @@ def cmd_eval(args) -> int:
     formula = parse_formula(args.formula, alg)
     value = eval_formula(model, formula, args.state)
     a = alg.element(args.value)
-    holds = a_true_at(model, formula, args.state, a)
+    holds = alg.le(a, value)
     payload = _base_payload(args, alg, "eval")
     payload.update(
         formula=args.formula,

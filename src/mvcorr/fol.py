@@ -409,16 +409,16 @@ def relation_bytes(cells: Iterable[int]) -> bytes:
 class CompiledFo:
     """A formula tabulated by the table kernel over one interpretation, and
     over the frames whose `relation_bytes` `following` lists too: a batch
-    of frames of one size that share the interpretation's pinned symbols.
+    of frames of one size.
 
     Every subformula becomes a flat row-major `bytes` table, one element
     index per cell, with one axis per free symbol, axes ordered by binding
     depth so that each quantifier folds the last axis of its body.  A
     connective repeats blocks of its operands' tables out to its own axes
     (`broadcast`) and maps each pair of cells through the algebra's
-    operation table (`combiner`).  Symbols the interpretation fixes are
-    pinned instead.  The plan depends only on the algebra, the formula, the
-    frame size and the pinned symbols; per batch only the subformulas that
+    operation table (`combiner`).  Only the frame is read from `interp`;
+    every free symbol gets an axis.  The plan depends only on the algebra,
+    the formula and the frame size; per batch only the subformulas that
     read the relation run, with the frames as their outermost axis, and
     `value(env, frame)` reads the root table.  Values equal fo_eval's.
 
@@ -433,8 +433,7 @@ class CompiledFo:
     def __init__(self, interp: FoInterp, f: Fo, budget: Budget | None = None,
                  following: Iterable[bytes] = ()):
         frame = interp.frame
-        pins = tuple(tuple(d.items()) for d in (interp.consts, interp.tvs, interp.preds))
-        plan = _plan(frame.algebra, f, frame.size, pins)
+        plan = _plan(frame.algebra, f, frame.size)
         self.cells = plan.cells
         room = BATCH_CELLS // plan.cells
         if budget is not None:
@@ -449,7 +448,7 @@ class CompiledFo:
 
     def value(self, env: dict | None = None, frame: int = 0) -> int:
         """Value on the batch's frame number `frame` under an assignment of
-        the free symbols that are not pinned."""
+        the free symbols."""
         env = {} if env is None else env
         index = frame * self.span
         for sym, stride, base in self.root:
@@ -470,8 +469,8 @@ _GATHER, _OP, _FOLD = range(3)
 class _Plan:
     """The tables one formula needs on frames of one size.
 
-    Construction only walks the formula, numbering the axes (unpinned free
-    symbols count down from -1, binders up from 0 in preorder, so sorted
+    Construction only walks the formula, numbering the axes (free symbols
+    count down from -1, binders up from 0 in preorder, so sorted
     axes are in binding-depth order) and listing the nodes in postorder as
     (axes, cells, step, constant).  The first `run` allocates the tables,
     `bytes` of element indices, after the caller has charged `cells`; it
@@ -480,10 +479,9 @@ class _Plan:
     are kept; every `run` computes the others for its batch of frames.
     """
 
-    def __init__(self, alg: HeytingAlgebra, f: Fo, size: int, pins: tuple):
+    def __init__(self, alg: HeytingAlgebra, f: Fo, size: int):
         self.alg = alg
         self.size = size
-        self.pinned = {k: v for group in pins for k, v in group}
         self.domains: dict[int, object] = {}
         self.sizes: dict[int, int] = {}
         self.free: dict = {}
@@ -506,18 +504,16 @@ class _Plan:
         self.domains[axis] = domain
         self.sizes[axis] = self.alg.n ** self.size if domain is _ROWS else len(domain)
 
-    def _symbol(self, sym, scope: dict) -> tuple:
-        """(axis, None) for a symbol with an axis, (None, value) when pinned."""
+    def _symbol(self, sym, scope: dict) -> int:
+        """The axis of a bound or free symbol."""
         if sym in scope:
-            return scope[sym], None
-        if sym in self.pinned:
-            return None, self.pinned[sym]
+            return scope[sym]
         if sym not in self.free:
             axis = self.free[sym] = -1 - len(self.free)
             # a free truth-value symbol may take any element
             self._axis(axis, range(self.alg.n) if isinstance(sym, Fo)
                        else domain_of(self.alg, self.size, sym))
-        return self.free[sym], None
+        return self.free[sym]
 
     def _add(self, axes: tuple, step: tuple, constant: bool) -> int:
         cells = 1
@@ -527,7 +523,7 @@ class _Plan:
         return len(self.nodes) - 1
 
     def _leaf(self, operands: tuple, fn, reads_rel: bool = False) -> int:
-        axes = tuple(sorted({a for a, _ in operands if a is not None}))
+        axes = tuple(sorted(set(operands)))
         return self._add(axes, ("leaf", operands, fn), not reads_rel)
 
     def _walk(self, f: Fo, scope: dict) -> int:
@@ -593,7 +589,7 @@ class _Plan:
                 _, operands, fn = step
                 where = {a: k for k, a in enumerate(axes)}
                 table = [
-                    fn(*[v if a is None else combo[where[a]] for a, v in operands])
+                    fn(*[combo[where[a]] for a in operands])
                     for combo in product(*(self._values(a) for a in axes))
                 ]
                 if constant:
@@ -863,21 +859,6 @@ def _over_valuations(target: ModalFormula | syntax.Inequality, body: Fo) -> Fo:
         else:
             body = Forall(CoNomConst(atom.name), Forall(CoNomTV(atom.name), body))
     return body
-
-
-def st_faithfulness_check(model: Model, f, budget: Budget | None = None) -> bool:
-    """Dual-path check: the modal value at every state equals the value of
-    the translation in the corresponding first-order model."""
-    from .semantics import compile_eval
-
-    interp = interp_for_model(model)
-    translated = standard_translation(f)
-    x = FoVar("x")
-    values = compile_eval(f, model.frame)(model.valuation)
-    return all(
-        value == fo_eval(interp, translated, {x: w}, budget)
-        for w, value in enumerate(values)
-    )
 
 
 # -- frame property library ------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 import yaml
 
 from .budget import Budget
-from .errors import InvalidModel, UnboundAtom
+from .errors import FormulaSyntaxError, InvalidModel, UnboundAtom
 from .heyting import HeytingAlgebra
 from .syntax import (
     And,
@@ -37,14 +37,13 @@ from .syntax import (
     DiaInv,
     Formula,
     Implies,
-    Inequality,
     Minus,
     Nom,
     Or,
     Var,
-    atoms,
     children,
     naming_clash,
+    tokenize,
 )
 
 Valuation = dict[Formula, tuple[int, ...]]
@@ -173,21 +172,6 @@ def eval_formula(model: Model, f: Formula, w) -> int:
     return compile_eval(f, model.frame)(model.valuation)[w]
 
 
-def a_true_at(model: Model, f: Formula, w, a: int) -> bool:
-    """f holds at w to degree at least a under this model's valuation."""
-    return model.frame.algebra.le(a, eval_formula(model, f, w))
-
-
-def check_inequality(model: Model, ineq: Inequality, w, a: int) -> bool:
-    """Local a-truth of lhs <= rhs: value(a & lhs) below value(rhs)."""
-    alg = model.frame.algebra
-    if isinstance(w, str):
-        w = model.frame.state_index(w)
-    lhs = eval_formula(model, ineq.lhs, w)
-    rhs = eval_formula(model, ineq.rhs, w)
-    return alg.le(alg.meet(a, lhs), rhs)
-
-
 # -- valuation enumeration ----------------------------------------------------
 
 
@@ -244,87 +228,15 @@ def valid_at(frame: Frame, target, w, a: int, budget: Budget | None = None) -> b
     return frame.algebra.le(a, validity_degree(frame, target, budget)[w])
 
 
-# -- complex algebra ----------------------------------------------------------
-
-
-@dataclass
-class ComplexAlgebra:
-    """Algebra of all fuzzy subsets of a frame, with the two relation operators."""
-
-    frame: Frame
-    carrier: list[tuple[int, ...]]
-    index: dict[tuple[int, ...], int]
-    algebra: HeytingAlgebra
-    dia_op: list[int]
-    box_op: list[int]
-
-    def apply_dia(self, e: int) -> int:
-        return self.dia_op[e]
-
-
-def complex_algebra(frame: Frame, budget: Budget | None = None) -> ComplexAlgebra:
-    """Build the full function algebra over the frame, and validate it.
-
-    The operators are checked completely join-/meet-preserving; on a finite
-    carrier binary plus empty joins already give complete preservation.
-    """
-    alg = frame.algebra
-    n = frame.size
-    if budget is not None:
-        budget.charge(alg.n ** n)
-    carrier = [tuple(row) for row in product(range(alg.n), repeat=n)]
-    index = {row: i for i, row in enumerate(carrier)}
-    names = ["f" + "".join(alg.element_name(v) for v in row) for row in carrier]
-    leq = [
-        [all(alg.le(x, y) for x, y in zip(r1, r2)) for r2 in carrier]
-        for r1 in carrier
-    ]
-    pointwise = HeytingAlgebra(names, leq, name="complex")
-
-    dia_op = [index[modal_image(alg, frame.rel, row, True)] for row in carrier]
-    box_op = [index[modal_image(alg, frame.rel, row, False)] for row in carrier]
-
-    ca = ComplexAlgebra(frame, carrier, index, pointwise, dia_op, box_op)
-    _validate_complex(ca, budget)
-    return ca
-
-
-def _validate_complex(ca: ComplexAlgebra, budget: Budget | None) -> None:
-    alg = ca.algebra
-    if ca.dia_op[alg.bot] != alg.bot:
-        raise InvalidModel("diamond operator does not preserve the empty join")
-    if ca.box_op[alg.top] != alg.top:
-        raise InvalidModel("box operator does not preserve the empty meet")
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if budget is not None:
-                budget.charge()
-            if ca.dia_op[alg.join(x, y)] != alg.join(ca.dia_op[x], ca.dia_op[y]):
-                raise InvalidModel("diamond operator does not preserve joins")
-            if ca.box_op[alg.meet(x, y)] != alg.meet(ca.box_op[x], ca.box_op[y]):
-                raise InvalidModel("box operator does not preserve meets")
-
-
-def complex_validates(ca: ComplexAlgebra, ineq: Inequality,
-                      budget: Budget | None = None) -> bool:
-    """Equational validity of lhs <= rhs in the complex algebra: both sides
-    evaluated as elements of it, value vectors over the frame's states,
-    under every valuation of the inequality's atoms."""
-    lhs, rhs = compile_eval(ineq.lhs, ca.frame), compile_eval(ineq.rhs, ca.frame)
-    for val in iter_valuations(ca.frame, atoms(ineq.lhs) | atoms(ineq.rhs)):
-        if budget is not None:
-            budget.charge()
-        if not ca.algebra.le(ca.index[lhs(val)], ca.index[rhs(val)]):
-            return False
-    return True
-
-
 # -- frame/model files --------------------------------------------------------
 
 
 def parse_frame_text(text: str, alg: HeytingAlgebra) -> Frame:
     """Load a frame from structured text with `states` and `rel` fields."""
-    doc = _load_doc(text)
+    return _frame_from_doc(_load_doc(text), alg)
+
+
+def _frame_from_doc(doc: dict, alg: HeytingAlgebra) -> Frame:
     states = tuple(str(s) for s in doc.get("states", []))
     if not states:
         raise InvalidModel("frame needs a nonempty `states` list")
@@ -333,6 +245,7 @@ def parse_frame_text(text: str, alg: HeytingAlgebra) -> Frame:
     if len(idx) != len(states):
         dup = next(s for s in states if states.count(s) > 1)
         raise InvalidModel(f"state {dup!r} is listed more than once")
+    seen = set()
     for entry in doc.get("rel", []):
         try:
             src, dst, value = entry
@@ -340,36 +253,54 @@ def parse_frame_text(text: str, alg: HeytingAlgebra) -> Frame:
             raise InvalidModel(f"bad rel entry {entry!r}")
         if str(src) not in idx or str(dst) not in idx:
             raise InvalidModel(f"rel entry {entry!r} names unknown states")
-        rel[idx[str(src)]][idx[str(dst)]] = alg.element(str(value))
+        pair = idx[str(src)], idx[str(dst)]
+        if pair in seen:
+            raise InvalidModel(f"rel entry {entry!r} repeats the pair ({src}, {dst})")
+        seen.add(pair)
+        rel[pair[0]][pair[1]] = alg.element(str(value))
     return Frame(alg, states, tuple(tuple(row) for row in rel))
 
 
 def parse_model_text(text: str, alg: HeytingAlgebra) -> Model:
     """Load a model: a frame plus a `val: [[atom, state, value], ...]` field."""
-    frame = parse_frame_text(text, alg)
     doc = _load_doc(text)
+    frame = _frame_from_doc(doc, alg)
     rows: dict[Formula, list[int]] = {}
     defaults: dict[type, int] = {Var: alg.bot, Nom: alg.bot, CoNom: alg.top}
+    seen = set()
     for entry in doc.get("val", []):
         try:
             atom_text, state, value = entry
         except (TypeError, ValueError):
             raise InvalidModel(f"bad val entry {entry!r}")
         atom = _parse_atom(str(atom_text))
+        if atom is None:
+            raise InvalidModel(f"val entry {entry!r} does not name an atom")
+        w = frame.state_index(str(state))
+        if (atom, w) in seen:
+            raise InvalidModel(f"val entry {entry!r} repeats {atom} at {state}")
+        seen.add((atom, w))
         if atom not in rows:
             rows[atom] = [defaults[type(atom)]] * frame.size
-        rows[atom][frame.state_index(str(state))] = alg.element(str(value))
+        rows[atom][w] = alg.element(str(value))
     return Model(frame, {k: tuple(v) for k, v in rows.items()})
 
 
-def _parse_atom(text: str) -> Formula:
+def _parse_atom(text: str) -> Formula | None:
+    """The atom a formula names by exactly this text, or None: one
+    identifier, nominal or co-nominal token, under the naming rule."""
+    try:
+        tokens = tokenize(text)
+    except FormulaSyntaxError:
+        return None
+    token = tokens[0]
+    if len(tokens) != 2 or token.kind not in ("ident", "nom", "conom") or token.text != text:
+        return None
     if clash := naming_clash(text):
         raise InvalidModel(clash)
-    if text.startswith("#"):
-        return Nom(text[1:])
-    if text.startswith("$"):
-        return CoNom(text[1:])
-    return Var(text)
+    if token.kind == "ident":
+        return Var(text)
+    return (Nom if token.kind == "nom" else CoNom)(text[1:])
 
 
 def _load_doc(text: str) -> dict:

@@ -72,7 +72,6 @@ class DefiniteImplication:
     rel: list[Fo]  # R(x_i, x_j) atoms and constant conjuncts
     boxed: list[tuple[str, Term, int]]  # (predicate, base variable, depth)
     negatives: list[Fo]  # translations of negative antecedent parts
-    consequent: Fo
 
 
 def _lift_disjunctions(f: Formula) -> list[Formula]:
@@ -147,7 +146,7 @@ def _emit_implication(
 ) -> Fo:
     results: list[Fo] = []
     for delta in _lift_disjunctions(shape.antecedent):
-        info = DefiniteImplication([], [], [], [], BOT)
+        info = DefiniteImplication([], [], [], [])
         _walk_definite(delta, cur, info, ivars, st_fresh)
         pos = standard_translation(shape.consequent, cur, st_fresh)
         if info.negatives:
@@ -205,31 +204,6 @@ def svb_correspondent(f: Formula) -> Fo:
     if shape is None:
         raise NotClassicalSahlqvist(str(f))
     return _emit(shape, FoVar("x"), FreshVars(prefix="x"), FreshVars(prefix="y"))
-
-
-def to_definite_implications(f: Formula) -> list[DefiniteImplication]:
-    """The translated definite implications underlying the correspondent."""
-    shape = is_classical_sahlqvist(f)
-    if shape is None:
-        raise NotClassicalSahlqvist(str(f))
-    out: list[DefiniteImplication] = []
-
-    def collect(node, cur: Term, ivars: FreshVars, st_fresh: FreshVars) -> None:
-        if isinstance(node, SahlImplication):
-            for delta in _lift_disjunctions(node.antecedent):
-                info = DefiniteImplication([], [], [], [], BOT)
-                _walk_definite(delta, cur, info, ivars, st_fresh)
-                info.consequent = standard_translation(node.consequent, cur, st_fresh)
-                out.append(info)
-            return
-        if isinstance(node, SahlBox):
-            collect(node.inner, st_fresh.next(), ivars, st_fresh)
-            return
-        collect(node.lhs, cur, ivars, st_fresh)
-        collect(node.rhs, cur, ivars, st_fresh)
-
-    collect(shape, FoVar("x"), FreshVars(prefix="x"), FreshVars(prefix="y"))
-    return out
 
 
 # -- decorated-substitution check ---------------------------------------------------

@@ -10,7 +10,6 @@ grammar (see README for the full EBNF):
     #i1, $m1            nominal, co-nominal (only a co-nominal's name
                         starts with m or n)
     p <= q              inequality
-    p <= q & r <= s => p <= s    quasi-inequality
 
 Unary operators bind tightest, then /\\, then \\/, then -> (right
 associative) and - (non-associative) at the lowest level.  `~f` is sugar
@@ -253,11 +252,9 @@ TOKEN_RE = re.compile(
   | (?P<box>\[\])
   | (?P<leq><=)
   | (?P<dia><>)
-  | (?P<fatarrow>=>)
   | (?P<arrow>->)
   | (?P<or>\\/)
   | (?P<and>/\\)
-  | (?P<amp>&)
   | (?P<minus>-)
   | (?P<tilde>~)
   | (?P<const>@[A-Za-z0-9_]+)
@@ -396,20 +393,6 @@ class _Parser:
         self.expect("leq")
         return Inequality(lhs, self.formula())
 
-    def quasi(self) -> QuasiInequality:
-        first = self.inequality()
-        ineqs = [first]
-        while self.peek().kind == "amp":
-            self.next()
-            ineqs.append(self.inequality())
-        if self.peek().kind == "fatarrow":
-            self.next()
-            conclusion = self.inequality()
-            return QuasiInequality(tuple(ineqs), conclusion)
-        if len(ineqs) == 1:
-            return QuasiInequality((), ineqs[0])
-        raise FormulaSyntaxError("found '&' chain without '=>'", self.peek().pos)
-
     def done(self) -> None:
         tok = self.peek()
         if tok.kind != "eof":
@@ -427,13 +410,6 @@ def parse_formula(text: str, alg: HeytingAlgebra) -> Formula:
 def parse_inequality(text: str, alg: HeytingAlgebra) -> Inequality:
     p = _Parser(tokenize(text), alg)
     out = p.inequality()
-    p.done()
-    return out
-
-
-def parse_quasi_inequality(text: str, alg: HeytingAlgebra) -> QuasiInequality:
-    p = _Parser(tokenize(text), alg)
-    out = p.quasi()
     p.done()
     return out
 

@@ -346,19 +346,16 @@ def _is_positive_formula(f: Formula) -> bool:
     return all(polarity(f, v) in (POSITIVE, ABSENT) for v in prop_vars(f))
 
 
-def is_sahl_antecedent(f: Formula, definite: bool = False) -> bool:
-    """Built from bottom/top, boxed atoms and negative parts with and/or/dia
-    (definite variant: and/dia only)."""
+def is_sahl_antecedent(f: Formula) -> bool:
+    """Built from bottom/top, boxed atoms and negative parts with and/or/dia."""
     if isinstance(f, Const):
         return f.index in (0, 1)
     if boxed_atom(f) is not None:
         return True
-    if isinstance(f, And):
-        return is_sahl_antecedent(f.lhs, definite) and is_sahl_antecedent(f.rhs, definite)
-    if isinstance(f, Or) and not definite:
-        return is_sahl_antecedent(f.lhs, definite) and is_sahl_antecedent(f.rhs, definite)
+    if isinstance(f, (And, Or)):
+        return is_sahl_antecedent(f.lhs) and is_sahl_antecedent(f.rhs)
     if isinstance(f, Dia):
-        return is_sahl_antecedent(f.sub, definite)
+        return is_sahl_antecedent(f.sub)
     return is_negative_formula(f)
 
 

@@ -7,12 +7,13 @@ Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from itertools import product
 
 import pytest
 
-from mvcorr.alba import run_alba, systems_equal
+from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
 from mvcorr.fol import (
     FoVar,
@@ -177,7 +178,7 @@ def test_criterion_4_worked_reduction(reflexivity_runs):
                 Inequality(Nom("i0"), Const(P.element_name(a), a)),
                 parse_inequality("<>#i0 <= $m0", P),
             )
-            assert systems_equal(res.branches[0].system, want)
+            assert Counter(res.branches[0].system) == Counter(want)
             reflexive = Preceq(TruthConst(P.element_name(a), a), Rel(X, X))
             rep = correspondence_oracle(
                 P, res.source, a, res.correspondent, sizes=[1, 2],

@@ -1,5 +1,7 @@
 """Rewriting engine: worked reduction, rule strategy, traces, soundness."""
 
+from collections import Counter
+
 import pytest
 
 from mvcorr.alba import (
@@ -7,11 +9,9 @@ from mvcorr.alba import (
     AlbaResult,
     first_approximation,
     input_inequality,
-    normalize_fresh_names,
     preprocess,
     reduce_system,
     run_alba,
-    systems_equal,
 )
 from mvcorr.budget import Budget
 from mvcorr.errors import StepCapExceeded
@@ -116,7 +116,7 @@ def test_reflexivity_reduction_exact_system():
             Inequality(Nom("i0"), Const(P.element_name(a), a)),
             parse_inequality("<>#i0 <= $m0", P),
         )
-        assert systems_equal(res.branches[0].system, want)
+        assert Counter(res.branches[0].system) == Counter(want)
 
 
 def test_reflexivity_rule_sequence():
@@ -136,7 +136,7 @@ def test_box_under_ackermann_example():
     system = expected_system(["#i0 <= @gamma", "[]p <= $m0", "#i0 <= p"])
     ok, final, steps = reduce_system(system, pinned, 0, P)
     assert ok
-    assert systems_equal(final, expected_system(["#i0 <= @gamma", "[]#i0 <= $m0"]))
+    assert Counter(final) == Counter(expected_system(["#i0 <= @gamma", "[]#i0 <= $m0"]))
     assert [s.rule for s in steps] == ["ackermann-right"]
 
 
@@ -328,14 +328,6 @@ def test_corpus_correspondents_pass_the_oracle(inductive_corpus):
             report = correspondence_oracle(P, res.source, GAMMA, alpha, sizes=[1, 2],
                                            budget=Budget(10**9), fo_threshold=P.top)
             assert report.passed, (str(ineq), print_fo(alpha), report.describe())
-
-
-def test_normalize_fresh_names():
-    s1 = expected_system(["#i0 <= @gamma", "#j7 <= p", "#i0 <= <>#j7"])
-    s2 = expected_system(["#i0 <= @gamma", "#j1 <= p", "#i0 <= <>#j1"])
-    assert systems_equal(s1, s2)
-    s3 = expected_system(["#i0 <= @gamma", "#j1 <= q", "#i0 <= <>#j1"])
-    assert not systems_equal(s1, s3)
 
 
 def test_ackermann_rules_sound_in_isolation():

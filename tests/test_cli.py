@@ -381,3 +381,16 @@ def test_model_atoms_follow_the_naming_rule(tmp_path, capsys, atom):
     )
     assert code == 2 and out == ""
     assert "names starting with m or n are co-nominals'" in err
+
+
+@pytest.mark.parametrize("atom", ["'<>p'", "'p '", "'#'"])
+def test_model_entries_that_name_no_atom_exit_2(tmp_path, capsys, atom):
+    model = tmp_path / "model.yaml"
+    model.write_text(f"states: [v]\nrel:\n  - [v, v, '1']\nval:\n  - [{atom}, v, alpha]\n")
+    code, out, err = run_cli(
+        capsys,
+        "eval", "--algebra", "paper-P", "--model", str(model),
+        "--formula", "<>p", "--state", "v", "--value", "1",
+    )
+    assert code == 2 and out == ""
+    assert "does not name an atom" in err

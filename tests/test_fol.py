@@ -222,16 +222,6 @@ def test_st_faithfulness_random(seed):
     )
 
 
-def test_st_faithfulness_check_whole_model():
-    from mvcorr.fol import st_faithfulness_check
-
-    rng = random.Random(42)
-    for _ in range(40):
-        frame = random_frame(rng, P, rng.choice([1, 2, 3]))
-        phi = random_formula(rng, P, ("p", "q"), depth=2, extended=True)
-        assert st_faithfulness_check(random_model(rng, frame, phi), phi)
-
-
 def test_boxed_atom_translation_matches_reach_form():
     # the translation of an n-fold box equals the n-step reach condition
     from mvcorr.svb import _reach

@@ -4,7 +4,7 @@
 (the kernel on the second-order translation) against brute force over
 `compile_eval` and `iter_valuations`; the validity degree against the same
 brute force, and `valid_at` against the kernel on `fol.validity_claim`
-with x pinned; the oracle's first counterexample is checked against a
+at each state; the oracle's first counterexample is checked against a
 reference loop built from the same two references.  A batch's table is
 checked frame by frame against each frame's own table, and values against
 those on the frame with its states renamed, which the oracle's orbit
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
-from mvcorr.errors import BudgetExceeded
+from mvcorr.errors import BudgetExceeded, UnboundSymbol
 from mvcorr import fol
 from mvcorr.fol import (
     BOT,
@@ -35,7 +35,6 @@ from mvcorr.fol import (
     Exists,
     FoAnd,
     FoImplies,
-    FoInterp,
     Forall,
     FoMinus,
     FoOr,
@@ -51,6 +50,7 @@ from mvcorr.fol import (
     free_individual_symbols,
     free_pred_names,
     interp_for_frame,
+    interp_for_model,
     relation_bytes,
     repeats,
     validity_claim,
@@ -58,8 +58,8 @@ from mvcorr.fol import (
 from mvcorr.heyting import builtin_algebra, load_algebra
 from mvcorr.oracle import correspondence_oracle, iter_frames
 from mvcorr.randomgen import random_formula, random_fo, random_frame
-from mvcorr.semantics import Frame, compile_eval, iter_valuations, valid_at, validity_degree
-from mvcorr.syntax import Implies, Inequality, atoms, parse_formula
+from mvcorr.semantics import Frame, Model, compile_eval, iter_valuations, valid_at, validity_degree
+from mvcorr.syntax import Implies, Inequality, Var, atoms, parse_formula, parse_inequality
 
 P = builtin_algebra("paper-P")
 X = FoVar("x")
@@ -230,6 +230,20 @@ def brute_valid_at(frame, target, w, a):
     return all(P.le(a, fn(val)[w]) for val in iter_valuations(frame, atoms(target)))
 
 
+def test_frame_validity_examples_match_brute_force():
+    ineqs = [
+        parse_inequality("p <= <>p", P),
+        parse_inequality("[]p <= p", P),
+        parse_inequality("<>(p \\/ q) <= <>p \\/ <>q", P),
+        parse_inequality("[]p /\\ []q <= [](p /\\ q)", P),
+        parse_inequality("@gamma <= <>@1", P),
+    ]
+    for loop in (P.element("gamma"), P.bot, P.top):
+        frame = Frame(P, ("w",), ((loop,),))
+        for ineq in ineqs:
+            assert valid_at(frame, ineq, 0, P.top) == brute_valid_at(frame, ineq, 0, P.top), str(ineq)
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(0, 10**6))
 def test_valid_at_matches_brute_force(seed):
@@ -278,8 +292,8 @@ def test_valid_at_matches_the_pinned_validity_claim(seed, size):
     for a in range(P.n):
         claim = validity_claim(target, a, P)
         for w in range(size):
-            pinned = CompiledFo(FoInterp(frame, {}, {X: w}, {}), claim).value()
-            assert valid_at(frame, target, w, a) == (pinned == P.top)
+            claimed = CompiledFo(interp_for_frame(frame), claim).value({X: w})
+            assert valid_at(frame, target, w, a) == (claimed == P.top)
 
 
 def reference_first_counterexample(target, a, alpha, sizes):
@@ -349,6 +363,17 @@ def test_values_are_invariant_under_renaming_the_states(seed, size):
 
 
 # -- budget: one unit per table cell, charged before any table is built ----------
+
+
+def test_kernel_reads_only_the_frame_of_its_interpretation():
+    # the model fixes p, but the kernel leaves it free
+    frame = Frame(P, ("w", "v"), ((P.top, P.bot), (P.bot, P.top)))
+    interp = interp_for_model(Model(frame, {Var("p"): (P.top, P.bot)}))
+    f = Forall(Y, FoImplies(Rel(X, Y), Pred("p", Y)))
+    kernel = CompiledFo(interp, f)
+    with pytest.raises(UnboundSymbol):
+        kernel.value({X: 0})
+    assert kernel.value({X: 0, "p": interp.preds["p"]}) == fo_eval(interp, f, {X: 0}) == P.top
 
 
 def test_budget_charges_plan_cells_up_front():

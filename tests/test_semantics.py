@@ -1,5 +1,7 @@
-"""Model checking, validity enumeration, and the complex-algebra bridge."""
+"""Model checking, validity enumeration, the modal operators' laws, and
+frame and model files."""
 
+import random
 from itertools import product
 
 import pytest
@@ -9,16 +11,14 @@ from hypothesis import strategies as st
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded, InvalidModel, UnboundAtom
 from mvcorr.heyting import builtin_algebra
+from mvcorr.randomgen import random_frame
 from mvcorr.semantics import (
     Frame,
     Model,
-    a_true_at,
-    check_inequality,
-    complex_algebra,
-    complex_validates,
     compile_eval,
     eval_formula,
     iter_valuations,
+    operation,
     parse_frame_text,
     parse_model_text,
     valid_at,
@@ -26,16 +26,15 @@ from mvcorr.semantics import (
 from mvcorr.syntax import (
     And,
     Box,
+    BoxInv,
     CoNom,
     Const,
     Dia,
-    Implies,
-    Inequality,
+    DiaInv,
     Nom,
     Or,
     Var,
     parse_formula,
-    parse_inequality,
     polarity,
     POSITIVE,
     NEGATIVE,
@@ -124,7 +123,7 @@ def test_witness_valuation_breaks_gamma_validity():
     f = frame1(P, pel("alpha"))
     m = Model(f, {Var("p"): (P.top,)})
     phi = parse_formula("~p \\/ <>p", P)
-    assert not a_true_at(m, phi, "w", pel("gamma"))
+    assert not P.le(pel("gamma"), eval_formula(m, phi, "w"))
 
 
 def test_one_validity_of_classical_tautology_fails():
@@ -132,30 +131,6 @@ def test_one_validity_of_classical_tautology_fails():
     phi = parse_formula("~p \\/ <>p", P)
     for loop in range(P.n):
         assert not valid_at(frame1(P, loop), phi, "w", P.top)
-
-
-def test_a_true_antitone_in_a():
-    phi = parse_formula("~p \\/ <>p", P)
-    m = Model(frame1(P, pel("gamma")), {Var("p"): (pel("beta"),)})
-    for a in range(P.n):
-        for b in range(P.n):
-            if P.le(b, a) and a_true_at(m, phi, "w", a):
-                assert a_true_at(m, phi, "w", b)
-
-
-def test_check_inequality_examples():
-    f = frame1(P, P.bot)
-    m = Model(f, {Var("p"): (pel("gamma"),), Var("q"): (pel("alpha"),)})
-    ineq = Inequality(Var("p"), Var("q"))
-    # beta & gamma = beta, not below alpha
-    assert not check_inequality(m, ineq, "w", pel("beta"))
-    # with a = 1 this is plain inequality truth
-    assert check_inequality(m, Inequality(Var("q"), Var("p")), "w", P.top)
-    # truth of lhs <= rhs coincides with truth of lhs -> rhs at value 1
-    for vp, vq in product(range(P.n), repeat=2):
-        m2 = Model(f, {Var("p"): (vp,), Var("q"): (vq,)})
-        lhs_imp = eval_formula(m2, Implies(Var("p"), Var("q")), "w")
-        assert check_inequality(m2, ineq, "w", P.top) == (lhs_imp == P.top)
 
 
 def test_budget_exceeded_is_reported():
@@ -217,46 +192,37 @@ def test_disjunction_lemma_small_instances():
                 assert direct == split
 
 
-# -- complex algebra -----------------------------------------------------------
+# -- modal operators -------------------------------------------------------------
 
 
-def test_complex_algebra_bool2_single_state():
-    f = frame1(B2, B2.top)
-    ca = complex_algebra(f)
-    assert ca.algebra.n == 2
-    for e, row in enumerate(ca.carrier):
-        expected = (B2.meet(B2.top, row[0]),)
-        assert ca.carrier[ca.apply_dia(e)] == expected
+@pytest.mark.parametrize("alg", [P, B2], ids=["paper-P", "bool2"])
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10**6), size=st.integers(1, 3))
+def test_modal_operators_are_normal_and_adjoint(alg, seed, size):
+    """On every pair of value vectors: the diamonds preserve bottom and
+    binary joins, the boxes top and binary meets, and <i> -| [] and
+    <> -| [i] hold pointwise.  ALBA's residuation rules rest on these."""
+    frame = random_frame(random.Random(seed), alg, size)
+    vectors = list(product(range(alg.n), repeat=size))
+    image = {kind: {u: operation(frame, kind(Var("p")))(u) for u in vectors}
+             for kind in (Dia, DiaInv, Box, BoxInv)}
+    join = operation(frame, Or(Var("p"), Var("q")))
+    meet = operation(frame, And(Var("p"), Var("q")))
 
+    def le(u, v):
+        return all(map(alg.le, u, v))
 
-def test_complex_algebra_p_operator_preservation():
-    ca = complex_algebra(frame1(P, pel("gamma")))
-    assert ca.algebra.n == 5
-    # join preservation over all 25 pairs is asserted inside the builder;
-    # spot-check one pair here
-    x = ca.index[(pel("alpha"),)]
-    y = ca.index[(pel("beta"),)]
-    assert ca.apply_dia(ca.algebra.join(x, y)) == ca.algebra.join(
-        ca.apply_dia(x), ca.apply_dia(y)
-    )
-
-
-def test_frame_validity_matches_complex_algebra():
-    ineqs = [
-        parse_inequality("p <= <>p", P),
-        parse_inequality("[]p <= p", P),
-        parse_inequality("<>(p \\/ q) <= <>p \\/ <>q", P),
-        parse_inequality("[]p /\\ []q <= [](p /\\ q)", P),
-        parse_inequality("@gamma <= <>@1", P),
-    ]
-    frames = [frame1(P, pel("gamma")), frame1(P, P.bot), frame1(P, P.top)]
-    for f in frames:
-        ca = complex_algebra(f)
-        for ineq in ineqs:
-            direct = all(
-                valid_at(f, ineq, w, P.top) for w in range(f.size)
-            )
-            assert direct == complex_validates(ca, ineq), str(ineq)
+    bot, top = (alg.bot,) * size, (alg.top,) * size
+    assert image[Dia][bot] == image[DiaInv][bot] == bot
+    assert image[Box][top] == image[BoxInv][top] == top
+    for u in vectors:
+        for v in vectors:
+            for dia in (image[Dia], image[DiaInv]):
+                assert dia[join(u, v)] == join(dia[u], dia[v])
+            for box in (image[Box], image[BoxInv]):
+                assert box[meet(u, v)] == meet(box[u], box[v])
+            assert le(image[DiaInv][u], v) == le(u, image[Box][v])
+            assert le(image[Dia][u], v) == le(u, image[BoxInv][v])
 
 
 # -- file formats ---------------------------------------------------------------
@@ -275,6 +241,24 @@ def test_duplicate_state_names_rejected():
         parse_frame_text("states: [a, a]\nrel:\n  - [a, a, '1']\n", P)
     with pytest.raises(InvalidModel):
         parse_model_text("states: [a, b, a]\nval:\n  - [p, a, '1']\n", P)
+
+
+def test_repeated_rel_and_val_entries_rejected():
+    with pytest.raises(InvalidModel, match="repeats the pair"):
+        parse_frame_text(FRAME_DOC + "  - [w, v, beta]\n", P)
+    with pytest.raises(InvalidModel, match="repeats p at w"):
+        parse_model_text(FRAME_DOC + "val:\n  - [p, w, beta]\n  - [p, w, alpha]\n", P)
+    # the same atom at two states, and two atoms at one state, are fine
+    m = parse_model_text(FRAME_DOC + "val:\n  - [p, w, beta]\n  - [p, v, alpha]\n"
+                         "  - [q, w, beta]\n", P)
+    assert m.valuation[Var("p")] == (pel("beta"), pel("alpha"))
+
+
+@pytest.mark.parametrize("atom", ["'<>p'", "'p '", "'#'"])
+def test_model_atoms_must_be_atoms(atom):
+    # no formula names these, so they would be read and never used
+    with pytest.raises(InvalidModel, match="does not name an atom"):
+        parse_model_text(FRAME_DOC + f"val:\n  - [{atom}, w, beta]\n", P)
 
 
 def test_parse_frame_and_model_text():

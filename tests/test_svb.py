@@ -19,7 +19,7 @@ from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, sample_frames
 from mvcorr.randomgen import random_fo, random_frame
 from mvcorr.alba import run_alba
-from mvcorr.svb import check_c_elimination, svb_correspondent, to_definite_implications
+from mvcorr.svb import check_c_elimination, svb_correspondent
 from mvcorr.syntax import parse_formula
 
 P = builtin_algebra("paper-P")
@@ -90,20 +90,6 @@ def test_negative_antecedent_part_is_curried():
     raw = svb_correspondent(parse_formula("p /\\ ~q -> <>p", P))
     assert not free_pred_names(raw)
     assert print_fo(simplify_display(raw)) == "R(x, x)"
-
-
-def test_definite_decomposition_examples():
-    # a single box context yields one implication
-    infos = to_definite_implications(parse_formula("[](p -> <>p)", P))
-    assert len(infos) == 1
-    # a disjunctive antecedent splits into definite parts
-    infos = to_definite_implications(parse_formula("p \\/ q -> <>p \\/ <>q", P))
-    assert len(infos) == 2
-    # the variable-disjoint disjunction contributes one each
-    infos = to_definite_implications(
-        parse_formula("(p -> <>p) \\/ (q -> <><>q)", P)
-    )
-    assert len(infos) == 2
 
 
 def test_every_corpus_formula_is_a_correspondent_for_every_a():

@@ -23,13 +23,13 @@ from mvcorr.syntax import (
     Minus,
     Nom,
     Or,
+    QuasiInequality,
     Var,
     atoms,
     in_base_language,
     parse_formula,
     parse_inequality,
     parse_input,
-    parse_quasi_inequality,
     polarity,
     print_formula,
     prop_vars,
@@ -80,9 +80,11 @@ def test_extended_atoms():
 def test_inequality_and_quasi():
     ineq = parse_inequality("p <= <>p", P)
     assert ineq == Inequality(Var("p"), Dia(Var("p")))
-    q = parse_quasi_inequality("p <= q & q <= r => p <= r", P)
-    assert len(q.premises) == 2
-    assert q.conclusion == Inequality(Var("p"), Var("r"))
+    # quasi-inequalities are printed, not parsed
+    q = QuasiInequality((ineq, parse_inequality("<>p <= q", P)), parse_inequality("p <= q", P))
+    assert str(q) == "p <= <>p & <>p <= q => p <= q"
+    with pytest.raises(FormulaSyntaxError):
+        parse_input(str(q), P)
     assert isinstance(parse_input("p <= <>p", P), Inequality)
 
 
