@@ -33,8 +33,6 @@ from typing import Iterator, Optional
 from .errors import StepCapExceeded
 from .fol import (
     _conjoin,
-    CoNomConst,
-    CoNomTV,
     Fo,
     FoImplies,
     Forall,
@@ -42,6 +40,7 @@ from .fol import (
     NomConst,
     NomTV,
     FreshVars,
+    for_every_value,
     print_fo,
     simplify_display,
     standard_translation,
@@ -600,20 +599,6 @@ def branch_quasi(system: System) -> QuasiInequality:
     return QuasiInequality(tuple(system), conclusion)
 
 
-def _fresh_symbols(system: System) -> tuple[list[str], list[str]]:
-    noms: list[str] = []
-    conoms: list[str] = []
-    for ineq in system:
-        for atom in sorted(atoms(ineq.lhs) | atoms(ineq.rhs), key=str):
-            if isinstance(atom, Nom) and atom.name != RESERVED_NOM:
-                if atom.name not in noms:
-                    noms.append(atom.name)
-            if isinstance(atom, CoNom) and atom.name != RESERVED_CONOM:
-                if atom.name not in conoms:
-                    conoms.append(atom.name)
-    return noms, conoms
-
-
 def branch_correspondent(system: System) -> Fo:
     """First-order form of `system => i0 <= m0` with `c_i0` freed to x."""
     fresh = FreshVars()
@@ -627,15 +612,15 @@ def branch_correspondent(system: System) -> Fo:
         ),
     )
     out: Fo = FoImplies(premise, conclusion)
-    noms, conoms = _fresh_symbols(system)
-    for name in reversed(conoms):
-        out = Forall(CoNomConst(name), Forall(CoNomTV(name), out))
-    for name in reversed(noms):
-        out = Forall(NomConst(name), Forall(NomTV(name), out))
-    out = Forall(
-        NomTV(RESERVED_NOM),
-        Forall(CoNomConst(RESERVED_CONOM), Forall(CoNomTV(RESERVED_CONOM), out)),
-    )
+    # the system's nominals, then its co-nominals, each in order of appearance
+    seen = dict.fromkeys(atom for ineq in system
+                         for atom in sorted(atoms(ineq.lhs) | atoms(ineq.rhs), key=str))
+    for reserved in (Nom(RESERVED_NOM), CoNom(RESERVED_CONOM)):
+        seen.pop(reserved, None)
+    noms = [atom for atom in seen if isinstance(atom, Nom)]
+    for atom in reversed(noms + [atom for atom in seen if isinstance(atom, CoNom)]):
+        out = for_every_value(atom, out)
+    out = Forall(NomTV(RESERVED_NOM), for_every_value(CoNom(RESERVED_CONOM), out))
     return subst_term(out, NomConst(RESERVED_NOM), FoVar("x"))
 
 

@@ -6,7 +6,9 @@ one unit is one table cell: each evaluation charges every cell of its plan
 before it builds any table, so a refusal allocates nothing.  The oracle
 charges each frame when the scan reaches it, tabulated (an orbit minimum
 or a sample) or not: its first-order cells, then its degree cells (for
-`fo_agree`, the left side's, then the right's).  A kernel table may cover
+`fo_agree`, the left side's, then the right's); a side whose formula has
+free individual symbols other than x is tabulated as its universal closure
+over them, whose fold tables are charged too.  A kernel table may cover
 a batch of minima, never more than the budget left after its first
 frame's charge can pay for.  The frames past one the scan has reached, up
 to the end of both sides' runs or their first disagreement, are charged in

@@ -21,6 +21,7 @@ display is its output printed, and the CLI verifies it as parsed back.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from itertools import chain, islice, product
@@ -28,7 +29,7 @@ from operator import getitem
 from typing import Callable, Iterable, Optional
 
 from .budget import Budget
-from .errors import UnboundSymbol
+from .errors import FormulaSyntaxError, UnboundSymbol
 from .heyting import HeytingAlgebra
 from .semantics import Frame, Model
 from . import syntax
@@ -190,38 +191,28 @@ def terms_of(f: Fo) -> tuple[Term, ...]:
     return ()
 
 
+def free_symbols(f: Fo) -> set:
+    """The symbols of every sort free in f: individual symbols (`Term`s),
+    predicate names and truth-value symbols (`NomTV`, `CoNomTV`)."""
+    if isinstance(f, (NomTV, CoNomTV)):
+        return {f}
+    if isinstance(f, (Forall, Exists)):
+        return free_symbols(f.body) - {f.var}
+    out = set(terms_of(f))
+    if isinstance(f, Pred):
+        out.add(f.name)
+    for c in fo_children(f):
+        out |= free_symbols(c)
+    return out
+
+
 def free_individual_symbols(f: Fo) -> set[Term]:
     """Free individual variables and nominal/co-nominal constants of f."""
-    out: set[Term] = set()
-
-    def walk(node: Fo, bound: frozenset[Term]) -> None:
-        for t in terms_of(node):
-            if t not in bound:
-                out.add(t)
-        if isinstance(node, (Forall, Exists)):
-            walk(node.body, bound | {node.var})
-        else:
-            for c in fo_children(node):
-                walk(c, bound)
-
-    walk(f, frozenset())
-    return out
+    return {s for s in free_symbols(f) if isinstance(s, Term)}
 
 
 def free_pred_names(f: Fo) -> set[str]:
-    out: set[str] = set()
-
-    def walk(node: Fo, bound: frozenset[str]) -> None:
-        if isinstance(node, Pred) and node.name not in bound:
-            out.add(node.name)
-        if isinstance(node, (Forall, Exists)):
-            walk(node.body, bound | {node.var})
-        else:
-            for c in fo_children(node):
-                walk(c, bound)
-
-    walk(f, frozenset())
-    return out
+    return {s for s in free_symbols(f) if isinstance(s, str)}
 
 
 def has_pred_nodes(f: Fo) -> bool:
@@ -852,13 +843,19 @@ def _over_valuations(target: ModalFormula | syntax.Inequality, body: Fo) -> Fo:
     else:
         used = syntax.atoms(target)
     for atom in sorted(used, key=str, reverse=True):
-        if isinstance(atom, syntax.Var):
-            body = Forall(atom.name, body)
-        elif isinstance(atom, syntax.Nom):
-            body = Forall(NomConst(atom.name), Forall(NomTV(atom.name), body))
-        else:
-            body = Forall(CoNomConst(atom.name), Forall(CoNomTV(atom.name), body))
+        body = for_every_value(atom, body)
     return body
+
+
+def for_every_value(atom: ModalFormula, body: Fo) -> Fo:
+    """`body` under every value of a modal atom in the standard translation:
+    a variable's predicate row, a nominal's or co-nominal's state and
+    irreducible value (the rows of `semantics.atom_options`)."""
+    if isinstance(atom, syntax.Var):
+        return Forall(atom.name, body)
+    if isinstance(atom, syntax.Nom):
+        return Forall(NomConst(atom.name), Forall(NomTV(atom.name), body))
+    return Forall(CoNomConst(atom.name), Forall(CoNomTV(atom.name), body))
 
 
 # -- frame property library ------------------------------------------------------
@@ -1030,15 +1027,6 @@ def _is_top(f: Fo) -> bool:
     return isinstance(f, TruthConst) and f.index == 1
 
 
-def _mentions(f: Fo, sym) -> bool:
-    """Whether a symbol of any sort occurs free in f."""
-    if f == sym or sym in terms_of(f) or isinstance(f, Pred) and f.name == sym:
-        return True
-    if getattr(f, "var", None) == sym:
-        return False
-    return any(_mentions(c, sym) for c in fo_children(f))
-
-
 def _binds(f: Fo, t: Term) -> bool:
     """Whether a quantifier in f binds t, so that substituting t in f may
     capture it."""
@@ -1099,7 +1087,7 @@ def _simplify_once(f: Fo) -> Fo:
         if f.lhs == f.rhs:
             return TOP
         # curry nested implications and pull universal quantifiers out
-        if _over_states(f.rhs, Forall) and not _mentions(f.lhs, f.rhs.var):
+        if _over_states(f.rhs, Forall) and f.rhs.var not in free_symbols(f.lhs):
             return Forall(f.rhs.var, FoImplies(f.lhs, f.rhs.body))
         if isinstance(f.rhs, FoImplies) and not isinstance(f.rhs.lhs, Eq):
             return FoImplies(FoAnd(f.lhs, f.rhs.lhs), f.rhs.rhs)
@@ -1114,7 +1102,7 @@ def _simplify_once(f: Fo) -> Fo:
             return Preceq(f.lhs, rhs)
         if isinstance(rhs, FoImplies) and not isinstance(rhs.lhs, Eq):
             return Preceq(FoAnd(f.lhs, rhs.lhs), rhs.rhs)
-    if isinstance(f, (Forall, Exists)) and not _mentions(f.body, f.var):
+    if isinstance(f, (Forall, Exists)) and f.var not in free_symbols(f.body):
         return f.body
     if _over_states(f, Exists):
         # E v. (... & v = t & ...) collapses to the substituted matrix;
@@ -1123,9 +1111,9 @@ def _simplify_once(f: Fo) -> Fo:
         found = _one_point(parts, f.var)
         if found is not None and not _binds(f.body, found[0]):
             return subst_term(_conjoin(found[1]), f.var, found[0])
-        outside = [p for p in parts if not _mentions(p, f.var)]
+        outside = [p for p in parts if f.var not in free_symbols(p)]
         if outside:
-            inside = [p for p in parts if _mentions(p, f.var)]
+            inside = [p for p in parts if f.var in free_symbols(p)]
             return _conjoin(outside + [Exists(f.var, _conjoin(inside))])
     if _over_states(f, Forall):
         body = f.body
@@ -1144,9 +1132,9 @@ def _simplify_once(f: Fo) -> Fo:
                 return subst_term(type(body)(body.lhs, guard[2]), f.var, guard[0])
         if isinstance(body, Preceq):
             # A v. (a & w =< phi) is a =< A v. (w -> phi) when a misses v
-            outside = [p for p in parts if not _mentions(p, f.var)]
+            outside = [p for p in parts if f.var not in free_symbols(p)]
             if outside:
-                inside = [p for p in parts if _mentions(p, f.var)]
+                inside = [p for p in parts if f.var in free_symbols(p)]
                 matrix = FoImplies(_conjoin(inside), body.rhs) if inside else body.rhs
                 return Preceq(_conjoin(outside), Forall(f.var, matrix))
     if isinstance(f, Forall):
@@ -1164,7 +1152,7 @@ def _absorb(f: Fo, known: list[Fo]) -> Fo:
         return FoAnd(_absorb(f.lhs, known), _absorb(f.rhs, known))
     if isinstance(f, FoImplies):
         return FoImplies(f.lhs, _absorb(f.rhs, known))
-    if _over_states(f, Forall) and not any(_mentions(k, f.var) for k in known):
+    if _over_states(f, Forall) and not any(f.var in free_symbols(k) for k in known):
         return Forall(f.var, _absorb(f.body, known))
     return f
 
@@ -1206,15 +1194,15 @@ def _meet_density(prem: list, concl: Fo, value: Fo, symbols: list) -> Optional[t
     c = CoNomConst(value.name)
     if guard is not None and guard[0] == c != guard[1] and c in symbols:
         gone, target = (value, c), guard[2]
-    if target != value or any(_mentions(concl.lhs, s) for s in gone):
+    if target != value or not free_symbols(concl.lhs).isdisjoint(gone):
         return None
     rest, joins = [], []
     for p in prem:
-        if isinstance(p, Preceq) and p.rhs == value and not _mentions(p.lhs, value):
+        if isinstance(p, Preceq) and p.rhs == value and value not in free_symbols(p.lhs):
             if c in gone and _binds(p.lhs, guard[1]):
                 return None
             joins.append(subst_term(p.lhs, c, guard[1]) if c in gone else p.lhs)
-        elif _crisp(p) and not any(_mentions(p, s) for s in gone):
+        elif _crisp(p) and free_symbols(p).isdisjoint(gone):
             rest.append(p)
         else:
             return None
@@ -1232,7 +1220,7 @@ def _join_density(prem: list, concl: Fo, value: Fo) -> Optional[tuple]:
         # the w of `C & w =< u` when p has that shape
         left = _flat_conjuncts(p.lhs) if isinstance(p, Preceq) else []
         w = [q for q in left if q != value]
-        if len(w) == len(left) - 1 and not any(_mentions(q, value) for q in w + [p.rhs]):
+        if len(w) == len(left) - 1 and not any(value in free_symbols(q) for q in w + [p.rhs]):
             return w
         return None
 
@@ -1244,7 +1232,7 @@ def _join_density(prem: list, concl: Fo, value: Fo) -> Optional[tuple]:
         wk = split(p)
         if wk is not None:
             meets.append(FoImplies(_conjoin(wk), p.rhs) if wk else p.rhs)
-        elif _crisp(p) and not _mentions(p, value):
+        elif _crisp(p) and value not in free_symbols(p):
             rest.append(p)
         else:
             return None
@@ -1272,9 +1260,7 @@ def simplify_display(f: Fo) -> Fo:
 
 # -- parsing ------------------------------------------------------------------
 
-import re as _re
-
-_FO_TOKEN = _re.compile(
+_FO_TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<lparen>\()
@@ -1291,42 +1277,21 @@ _FO_TOKEN = _re.compile(
   | (?P<const>@[A-Za-z0-9_]+)
   | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
     """,
-    _re.VERBOSE,
+    re.VERBOSE,
 )
-
-
-def _fo_tokenize(text: str):
-    from .errors import FormulaSyntaxError
-
-    out, pos = [], 0
-    while pos < len(text):
-        m = _FO_TOKEN.match(text, pos)
-        if not m:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
 
 
 def _term_from_name(name: str) -> Term:
     if name.startswith("c_"):
-        base = name[2:]
-        if base[:1] in ("m", "n"):
-            return CoNomConst(base)
-        return NomConst(base)
+        return (CoNomConst if syntax.names_conominal(name[2:]) else NomConst)(name[2:])
     return FoVar(name)
 
 
 def _tv_from_name(name: str) -> Fo:
-    base = name[2:]
-    if base[:1] in ("m", "n"):
-        return CoNomTV(base)
-    return NomTV(base)
+    return (CoNomTV if syntax.names_conominal(name[2:]) else NomTV)(name[2:])
 
 
-class _FoParser:
+class _FoParser(syntax.Cursor):
     """Recursive-descent parser matching print_fo output.
 
     Naming conventions resolve lexical classes: `c_<name>` is an individual
@@ -1335,30 +1300,19 @@ class _FoParser:
     accessibility relation, any other applied identifier a predicate.
     """
 
-    def __init__(self, tokens, alg: Optional[HeytingAlgebra]):
-        self.toks = tokens
+    def __init__(self, tokens: list[syntax.Token], alg: Optional[HeytingAlgebra]):
+        super().__init__(tokens)
         self.alg = alg
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
 
     def error(self, msg: str):
-        from .errors import FormulaSyntaxError
-
-        raise FormulaSyntaxError(msg, self.peek()[2])
+        raise FormulaSyntaxError(msg, self.peek().pos)
 
     def formula(self) -> Fo:
-        kind, text, _ = self.peek()
-        if kind == "ident" and text in ("A", "E"):
+        tok = self.peek()
+        if tok.kind == "ident" and tok.text in ("A", "E"):
             return self.quantified()
         lhs = self.disjunction()
-        kind, _, _ = self.peek()
+        kind = self.peek().kind
         if kind == "arrow":
             self.next()
             return FoImplies(lhs, self.formula())
@@ -1371,36 +1325,38 @@ class _FoParser:
         return lhs
 
     def quantified(self) -> Fo:
-        _, which, _ = self.next()
-        kind, name, _ = self.next()
-        if kind != "ident":
+        which = self.next().text
+        tok = self.next()
+        if tok.kind != "ident":
             self.error("expected a quantified symbol")
-        if self.peek()[0] != "dot":
+        if self.peek().kind != "dot":
             self.error("expected '.' after quantified symbol")
         self.next()
         body = self.formula()
+        name = tok.text
         var = _tv_from_name(name) if name.startswith("C_") else _term_from_name(name)
         return (Forall if which == "A" else Exists)(var, body)
 
     def disjunction(self) -> Fo:
         out = self.conjunction()
-        while self.peek()[0] == "or":
+        while self.peek().kind == "or":
             self.next()
             out = FoOr(out, self.conjunction())
         return out
 
     def conjunction(self) -> Fo:
         out = self.atom()
-        while self.peek()[0] == "and":
+        while self.peek().kind == "and":
             self.next()
             out = FoAnd(out, self.atom())
         return out
 
     def atom(self) -> Fo:
-        kind, text, pos = self.next()
+        tok = self.next()
+        kind, text = tok.kind, tok.text
         if kind == "lparen":
             inner = self.formula()
-            if self.peek()[0] != "rparen":
+            if self.peek().kind != "rparen":
                 self.error("expected ')'")
             self.next()
             return inner
@@ -1417,24 +1373,24 @@ class _FoParser:
         if kind == "ident":
             if text.startswith("C_"):
                 return _tv_from_name(text)
-            if self.peek()[0] == "lparen":
+            if self.peek().kind == "lparen":
                 self.next()
                 first = self._term()
-                if self.peek()[0] == "comma":
+                if self.peek().kind == "comma":
                     self.next()
                     second = self._term()
-                    if self.peek()[0] != "rparen":
+                    if self.peek().kind != "rparen":
                         self.error("expected ')'")
                     self.next()
                     if text != "R":
                         self.error("only R takes two arguments")
                     return Rel(first, second)
-                if self.peek()[0] != "rparen":
+                if self.peek().kind != "rparen":
                     self.error("expected ')'")
                 self.next()
                 return Pred(text, first)
             lhs = _term_from_name(text)
-            kind2, _, _ = self.peek()
+            kind2 = self.peek().kind
             if kind2 == "eq":
                 self.next()
                 return Eq(lhs, self._term())
@@ -1445,19 +1401,15 @@ class _FoParser:
         self.error(f"unexpected token {text!r}")
 
     def _term(self) -> Term:
-        kind, text, _ = self.next()
-        if kind != "ident":
+        tok = self.next()
+        if tok.kind != "ident":
             self.error("expected a term")
-        return _term_from_name(text)
-
-    def done(self):
-        if self.peek()[0] != "eof":
-            self.error(f"trailing input {self.peek()[1]!r}")
+        return _term_from_name(tok.text)
 
 
 def parse_fo(text: str, alg: Optional[HeytingAlgebra] = None) -> Fo:
     """Parse an ASCII first-order formula (the print_fo dialect)."""
-    p = _FoParser(_fo_tokenize(text), alg)
+    p = _FoParser(syntax.tokenize(text, _FO_TOKEN), alg)
     out = p.formula()
     p.done()
     return out

@@ -49,8 +49,10 @@ TOP_ALIASES = ("1", "top", "true")
 class HeytingAlgebra:
     """A finite Heyting (hence bi-Heyting) algebra with precomputed tables.
 
-    Elements are handled as integer indices; after normalization index 0 is
-    bottom and index 1 is top.  Use `element()` to resolve a display name.
+    Elements are handled as integer indices.  The order `leq` on `names` is
+    validated, then renumbered so that index 0 is bottom and index 1 is top,
+    the others keeping their listed order.  Use `element()` to resolve a
+    display name.
     """
 
     def __init__(self, names: Sequence[str], leq: Sequence[Sequence[bool]],
@@ -59,9 +61,13 @@ class HeytingAlgebra:
         self.names: tuple[str, ...] = tuple(names)
         self.n = len(self.names)
         self.leq: tuple[tuple[bool, ...], ...] = tuple(tuple(row) for row in leq)
-        self._index = {nm: i for i, nm in enumerate(self.names)}
         self._validate_order()
-        self.bot, self.top = self._find_bounds()
+        bot, top = self._find_bounds()
+        order = [bot, top] + [i for i in range(self.n) if i not in (bot, top)]
+        self.names = tuple(self.names[i] for i in order)
+        self.leq = tuple(tuple(self.leq[a][b] for b in order) for a in order)
+        self.bot, self.top = 0, 1
+        self._index = {nm: i for i, nm in enumerate(self.names)}
         self.join_table = self._binary_table(self._lub)
         self.meet_table = self._binary_table(self._glb)
         self._check_distributive()
@@ -281,8 +287,7 @@ def load_algebra(spec: dict, name: str | None = None) -> HeytingAlgebra:
 
     `leq` lists order pairs `[low, high]` by element name; the reflexive-
     transitive closure of the listed pairs is taken, so covering pairs
-    suffice.  Element order is normalized so that index 0 is bottom and
-    index 1 is top.
+    suffice.
     """
     try:
         raw_names = [str(x) for x in spec["elements"]]
@@ -300,23 +305,7 @@ def load_algebra(spec: dict, name: str | None = None) -> HeytingAlgebra:
         if a not in index or b not in index:
             raise InvalidAlgebra(f"order pair ({a}, {b}) names unknown elements")
         pairs.add((index[a], index[b]))
-    leq = _transitive_reflexive_closure(len(raw_names), pairs)
-
-    # probe bounds on the raw order, then renumber with bottom at 0, top at 1
-    probe = object.__new__(HeytingAlgebra)
-    probe.names = tuple(raw_names)
-    probe.n = len(raw_names)
-    probe.leq = tuple(tuple(row) for row in leq)
-    probe._index = dict(index)
-    probe._validate_order()
-    bot, top = probe._find_bounds()
-    order = [bot, top] + [i for i in range(len(raw_names)) if i not in (bot, top)]
-    names = [raw_names[i] for i in order]
-    new_leq = [
-        [leq[order[a]][order[b]] for b in range(len(order))]
-        for a in range(len(order))
-    ]
-    return HeytingAlgebra(names, new_leq, name=name)
+    return HeytingAlgebra(raw_names, _transitive_reflexive_closure(len(raw_names), pairs), name=name)
 
 
 def parse_algebra_text(text: str, name: str | None = None) -> HeytingAlgebra:

@@ -8,7 +8,11 @@ counterexample in enumeration order, never a silently partial verdict.
 
 Both sides are a formula with x free at a threshold, invariant under
 renaming the states: the candidate, and the target's `fol.degree_claim`
-at a (a-valid at w iff a is below the degree at w).  So of each size up
+at a (a-valid at w iff a is below the degree at w).  A candidate is read
+under every assignment sending x to w: its side tabulates the universal
+closure over its other free individual symbols, whose fold tables are
+cells like any other (a sentence has one verdict per frame, repeated at
+every state).  Of each size up
 to five states only the orbit minima are tabulated (`_orbit_minima`), in
 batches of at most `BATCH_FRAMES` `fol.relation_bytes`; a frame between
 them, which disagrees exactly when its minimum (enumerated before it)
@@ -36,6 +40,7 @@ from .fol import (
     _X,
     CompiledFo,
     Fo,
+    Forall,
     degree_claim,
     free_individual_symbols,
     has_pred_nodes,
@@ -270,14 +275,17 @@ def _first_disagreement(
 
 class _Truth:
     """One side of the scan: per frame, the states at which a condition on x
-    holds to degree `threshold` under every assignment of its other free
-    individual symbols, one 0/1 byte each, one kernel run of consecutive
-    frames at a time; `reread(frame, i, w)` reads one again, uncharged."""
+    holds to degree `threshold`, one 0/1 byte each, one kernel run of
+    consecutive frames at a time; `reread(frame, i, w)` reads one again,
+    uncharged.  The condition holds under every assignment of its other
+    free individual symbols: the kernel tabulates and folds its universal
+    closure over them."""
 
     def __init__(self, alg: HeytingAlgebra, formula: Fo, threshold: int, budget: Budget,
                  reread: Callable[[Frame, int, int], bool] | None = None):
+        for sym in sorted(free_individual_symbols(formula) - {_X}, key=str):
+            formula = Forall(sym, formula)
         self.alg, self.formula, self.threshold, self.budget = alg, formula, threshold, budget
-        self.open_syms = sorted((t for t in free_individual_symbols(formula) if t != _X), key=str)
         self.mask = bytes(alg.le(threshold, v) for v in range(alg.n)).ljust(256, b"\0")
         self.rels = None
         if reread is not None:
@@ -296,14 +304,11 @@ class _Truth:
                                                 self.budget, islice(rels, i + 1, None))
         self.size, self.rels, self.first, self.end = size, rels, i, i + evaluator.frames
         self.cells = evaluator.cells
-        table = evaluator.table.translate(self.mask)
-        strides = {sym: stride for sym, stride, _ in evaluator.root}
-        if unbound := strides.keys() - {_X, *self.open_syms}:
+        if unbound := {sym for sym, _, _ in evaluator.root} - {_X}:
             raise UnboundSymbol(f"free symbol {min(map(str, unbound))} is unbound")
-        span, stride = evaluator.span, strides.get(_X, 0)
-        if (span, stride) != (size, 1):  # other axes than x's
-            table = b"".join([_every_assignment(table[k:k + span], stride, size)
-                              for k in range(0, len(table), span)])
+        table = evaluator.table.translate(self.mask)
+        if evaluator.span != size:  # a sentence: one verdict per frame, the same at every state
+            table = bytes(v for v in table for _ in range(size))
         self.table = table
 
     def verdicts(self, i: int, end: int) -> bytes:
@@ -311,19 +316,4 @@ class _Truth:
         return self.table[(i - self.first) * self.size:(end - self.first) * self.size]
 
     def reread(self, frame: Frame, i: int, w: int) -> bool:
-        return all(
-            self.alg.le(self.threshold, self.evaluator.value(
-                {_X: w, **dict(zip(self.open_syms, c))}, i - self.first))
-            for c in product(range(self.size), repeat=len(self.open_syms)))
-
-
-def _every_assignment(cells: bytes, stride: int, size: int) -> bytes:
-    """Per state of x, 1 when every cell of the 0/1 table `cells` with x at
-    that state is 1; x's `stride` is 0 when x is not among its axes."""
-    if not stride:
-        return bytes([0 not in cells]) * size
-    acc, block = -1, stride * size  # 0/1 bytes meet as the and of their integers
-    for j in range(0, len(cells), block):
-        for r in range(j, j + stride):
-            acc &= int.from_bytes(cells[r:j + block:stride], "little")
-    return acc.to_bytes(size, "little")
+        return self.alg.le(self.threshold, self.evaluator.value({_X: w}, i - self.first))

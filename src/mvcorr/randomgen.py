@@ -10,7 +10,7 @@ import random
 from typing import Sequence
 
 from .heyting import HeytingAlgebra
-from .semantics import Frame, Model, Valuation
+from .semantics import Frame, Model, Valuation, atom_options
 from .syntax import (
     And,
     Box,
@@ -83,24 +83,9 @@ def random_frame(rng: random.Random, alg: HeytingAlgebra, size: int) -> Frame:
     return Frame(alg, states, rel)
 
 
-def random_valuation(
-    rng: random.Random, frame: Frame, over
-) -> Valuation:
-    alg = frame.algebra
-    n = frame.size
-    val: Valuation = {}
-    for atom in over:
-        if isinstance(atom, Var):
-            val[atom] = tuple(rng.randrange(alg.n) for _ in range(n))
-        elif isinstance(atom, Nom):
-            row = [alg.bot] * n
-            row[rng.randrange(n)] = rng.choice(alg.join_irreducibles)
-            val[atom] = tuple(row)
-        elif isinstance(atom, CoNom):
-            row = [alg.top] * n
-            row[rng.randrange(n)] = rng.choice(alg.meet_irreducibles)
-            val[atom] = tuple(row)
-    return val
+def random_valuation(rng: random.Random, frame: Frame, over) -> Valuation:
+    """Each atom's row drawn uniformly from its `atom_options`."""
+    return {atom: rng.choice(atom_options(frame, atom)) for atom in over}
 
 
 def random_model(rng: random.Random, frame: Frame, f: Formula) -> Model:

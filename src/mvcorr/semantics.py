@@ -83,24 +83,15 @@ class Model:
     valuation: Valuation  # atom node -> value tuple over states
 
     def __post_init__(self):
-        alg = self.frame.algebra
         n = self.frame.size
         for atom, row in self.valuation.items():
             if len(row) != n:
                 raise InvalidModel(f"valuation row for {atom} has wrong length")
-            if isinstance(atom, Nom):
-                hits = [v for v in row if v != alg.bot]
-                if len(hits) != 1 or hits[0] not in alg.join_irreducibles:
-                    raise InvalidModel(
-                        f"nominal {atom} must take one join-irreducible value"
-                    )
-            elif isinstance(atom, CoNom):
-                hits = [v for v in row if v != alg.top]
-                if len(hits) != 1 or hits[0] not in alg.meet_irreducibles:
-                    raise InvalidModel(
-                        f"co-nominal {atom} must take one meet-irreducible value"
-                    )
-            elif not isinstance(atom, Var):
+            if isinstance(atom, Nom) and tuple(row) not in atom_options(self.frame, atom):
+                raise InvalidModel(f"nominal {atom} must take one join-irreducible value")
+            if isinstance(atom, CoNom) and tuple(row) not in atom_options(self.frame, atom):
+                raise InvalidModel(f"co-nominal {atom} must take one meet-irreducible value")
+            if not isinstance(atom, (Var, Nom, CoNom)):
                 raise InvalidModel(f"valuation key {atom} is not an atom")
 
 
@@ -180,24 +171,20 @@ def atom_options(frame: Frame, atom: Formula) -> list[tuple[int, ...]]:
     alg = frame.algebra
     n = frame.size
     if isinstance(atom, Var):
-        return [tuple(row) for row in product(range(alg.n), repeat=n)]
+        return list(product(range(alg.n), repeat=n))
     if isinstance(atom, Nom):
-        out = []
-        for w in range(n):
-            for j in alg.join_irreducibles:
-                row = [alg.bot] * n
-                row[w] = j
-                out.append(tuple(row))
-        return out
-    if isinstance(atom, CoNom):
-        out = []
-        for w in range(n):
-            for m in alg.meet_irreducibles:
-                row = [alg.top] * n
-                row[w] = m
-                out.append(tuple(row))
-        return out
-    raise UnboundAtom(f"not an atom: {atom}")
+        rest, values = alg.bot, alg.join_irreducibles
+    elif isinstance(atom, CoNom):
+        rest, values = alg.top, alg.meet_irreducibles
+    else:
+        raise UnboundAtom(f"not an atom: {atom}")
+    out = []
+    for w in range(n):
+        row = [rest] * n
+        for v in values:
+            row[w] = v
+            out.append(tuple(row))
+    return out
 
 
 def iter_valuations(frame: Frame, over: Iterable[Formula]) -> Iterator[Valuation]:
@@ -237,7 +224,7 @@ def parse_frame_text(text: str, alg: HeytingAlgebra) -> Frame:
 
 
 def _frame_from_doc(doc: dict, alg: HeytingAlgebra) -> Frame:
-    states = tuple(str(s) for s in doc.get("states", []))
+    states = tuple(str(s) for s in _listed(doc, "states"))
     if not states:
         raise InvalidModel("frame needs a nonempty `states` list")
     rel = [[alg.bot] * len(states) for _ in states]
@@ -246,7 +233,7 @@ def _frame_from_doc(doc: dict, alg: HeytingAlgebra) -> Frame:
         dup = next(s for s in states if states.count(s) > 1)
         raise InvalidModel(f"state {dup!r} is listed more than once")
     seen = set()
-    for entry in doc.get("rel", []):
+    for entry in _listed(doc, "rel"):
         try:
             src, dst, value = entry
         except (TypeError, ValueError):
@@ -268,7 +255,7 @@ def parse_model_text(text: str, alg: HeytingAlgebra) -> Model:
     rows: dict[Formula, list[int]] = {}
     defaults: dict[type, int] = {Var: alg.bot, Nom: alg.bot, CoNom: alg.top}
     seen = set()
-    for entry in doc.get("val", []):
+    for entry in _listed(doc, "val"):
         try:
             atom_text, state, value = entry
         except (TypeError, ValueError):
@@ -301,6 +288,13 @@ def _parse_atom(text: str) -> Formula | None:
     if token.kind == "ident":
         return Var(text)
     return (Nom if token.kind == "nom" else CoNom)(text[1:])
+
+
+def _listed(doc: dict, field: str) -> list:
+    value = doc.get(field, [])
+    if not isinstance(value, list):
+        raise InvalidModel(f"`{field}` must be a list, found {value!r}")
+    return value
 
 
 def _load_doc(text: str) -> dict:

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 
-from .errors import FormulaSyntaxError, UnknownConstant
+from .errors import FormulaSyntaxError
 from .heyting import HeytingAlgebra
 
 
@@ -273,11 +273,12 @@ class Token:
     pos: int
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, pattern: re.Pattern = TOKEN_RE) -> list[Token]:
+    """The tokens of `pattern`'s named groups, whitespace dropped, then eof."""
     out = []
     pos = 0
     while pos < len(text):
-        m = TOKEN_RE.match(text, pos)
+        m = pattern.match(text, pos)
         if not m:
             raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup or ""
@@ -288,17 +289,23 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
+def names_conominal(name: str) -> bool:
+    """The rule that tells c_<name> and C_<name> apart: only a co-nominal's
+    name starts with m or n."""
+    return name[:1] in ("m", "n")
+
+
 def naming_clash(text: str) -> str | None:
-    """Why the nominal `#name` or co-nominal `$name` breaks the rule that
-    tells c_<name> and C_<name> apart: only a co-nominal's name starts with m or n."""
-    if text[:1] in ("#", "$") and (text[1:2] in ("m", "n")) != (text[:1] == "$"):
+    """Why the nominal `#name` or co-nominal `$name` breaks `names_conominal`."""
+    if text[:1] in ("#", "$") and names_conominal(text[1:]) != (text[:1] == "$"):
         return f"found {text!r}: names starting with m or n are co-nominals', all others nominals'"
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], alg: HeytingAlgebra):
+class Cursor:
+    """A parser's place in a token list; reading never moves past eof."""
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.alg = alg
         self.i = 0
 
     def peek(self) -> Token:
@@ -306,8 +313,19 @@ class _Parser:
 
     def next(self) -> Token:
         tok = self.tokens[self.i]
-        self.i += 1
+        self.i += tok.kind != "eof"
         return tok
+
+    def done(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+
+
+class _Parser(Cursor):
+    def __init__(self, tokens: list[Token], alg: HeytingAlgebra):
+        super().__init__(tokens)
+        self.alg = alg
 
     def expect(self, kind: str) -> Token:
         tok = self.peek()
@@ -392,11 +410,6 @@ class _Parser:
         lhs = self.formula()
         self.expect("leq")
         return Inequality(lhs, self.formula())
-
-    def done(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
 
 
 def parse_formula(text: str, alg: HeytingAlgebra) -> Formula:

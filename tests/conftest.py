@@ -5,9 +5,9 @@ import random
 import pytest
 
 from mvcorr.heyting import builtin_algebra
-from mvcorr.oracle import iter_frames, sample_frames
+from mvcorr.oracle import iter_frames
 from mvcorr.randomgen import random_inequality
-from mvcorr.syntax import parse_formula, parse_inequality
+from mvcorr.syntax import parse_inequality
 from mvcorr.trees import is_inductive
 
 

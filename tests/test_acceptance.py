@@ -33,7 +33,7 @@ from mvcorr.randomgen import random_fo, random_formula, random_frame, random_mod
 from mvcorr.semantics import eval_formula, valid_at
 from mvcorr.stepcheck import verify_step
 from mvcorr.svb import check_c_elimination, svb_correspondent
-from mvcorr.syntax import Const, Inequality, Nom, Var, children, parse_formula, parse_inequality
+from mvcorr.syntax import Const, Inequality, Nom, children, parse_formula, parse_inequality
 from mvcorr.trees import branch_table, formula_inequality, is_inductive, is_sahlqvist
 
 P = builtin_algebra("paper-P")

@@ -5,28 +5,22 @@ from collections import Counter
 import pytest
 
 from mvcorr.alba import (
-    RESERVED_NOM,
-    AlbaResult,
     first_approximation,
-    input_inequality,
     preprocess,
     reduce_system,
     run_alba,
 )
 from mvcorr.budget import Budget
 from mvcorr.errors import StepCapExceeded
-from mvcorr.fol import FoVar, Rel, frame_property, parse_fo, print_fo, simplify_display
+from mvcorr.fol import FoVar, frame_property, parse_fo, print_fo, simplify_display
 from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, sample_frames
 from mvcorr.stepcheck import verify_trace
 from mvcorr.syntax import (
-    And,
     Const,
-    Dia,
     Inequality,
     Nom,
     CoNom,
-    Var,
     parse_formula,
     parse_inequality,
     parse_input,

@@ -47,6 +47,14 @@ def test_classify_sahlqvist_with_witness(capsys):
     assert "p:d, q:1" in out
 
 
+def test_classify_inductive_with_dependency_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "classify", "--formula", "[](@alpha /\\ p -> q) /\\ []p -> <>[]q"
+    )
+    assert code == 0
+    assert out.startswith("verdict: inductive (order type p:1, q:1; dependency order p < q)")
+
+
 def test_verify_bottom_correspondent(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -394,3 +402,20 @@ def test_model_entries_that_name_no_atom_exit_2(tmp_path, capsys, atom):
     )
     assert code == 2 and out == ""
     assert "does not name an atom" in err
+
+
+@pytest.mark.parametrize("field,text", [
+    ("states", "states: 5\n"),
+    ("rel", "states: [v]\nrel: 5\n"),
+    ("val", "states: [v]\nval: 7\n"),
+])
+def test_model_fields_that_are_not_lists_exit_2(tmp_path, capsys, field, text):
+    model = tmp_path / "model.yaml"
+    model.write_text(text)
+    code, out, err = run_cli(
+        capsys,
+        "eval", "--algebra", "paper-P", "--model", str(model),
+        "--formula", "<>p", "--state", "v", "--value", "1",
+    )
+    assert code == 2 and out == ""
+    assert f"`{field}` must be a list" in err

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvcorr.budget import Budget
-from mvcorr.errors import BudgetExceeded, UnboundSymbol
+from mvcorr.errors import BudgetExceeded, FormulaSyntaxError, UnboundSymbol
 from mvcorr.fol import (
     BOT,
     TOP,
@@ -15,7 +15,6 @@ from mvcorr.fol import (
     CoNomTV,
     Eq,
     Exists,
-    Fo,
     FoAnd,
     FoImplies,
     FoMinus,
@@ -31,6 +30,7 @@ from mvcorr.fol import (
     fo_eval,
     frame_property,
     free_individual_symbols,
+    free_pred_names,
     interp_for_frame,
     interp_for_model,
     is_clean,
@@ -40,11 +40,12 @@ from mvcorr.fol import (
     simplify_display,
     standard_translation,
     subst_pred,
+    subst_term,
     validity_claim,
 )
 from mvcorr.alba import run_alba
 from mvcorr.heyting import builtin_algebra
-from mvcorr.randomgen import random_formula, random_frame, random_model
+from mvcorr.randomgen import random_fo, random_formula, random_frame, random_model
 from mvcorr.semantics import Frame, Model, compile_eval, eval_formula
 from mvcorr.syntax import Box, Dia, Var, parse_formula, parse_inequality, parse_input
 
@@ -338,6 +339,13 @@ def test_parse_fo_roundtrip_on_outputs(f):
     assert parse_fo(print_fo(f), P) == f, print_fo(f)
 
 
+@pytest.mark.parametrize("text", ["", "A", "A x. ", "R(x,", "x =", "R(x, x) -> ", "q(x) | "])
+def test_parse_fo_reports_a_truncated_formula_at_its_end(text):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_fo(text)
+    assert err.value.position == len(text)
+
+
 def test_parse_fo_constant_formula():
     assert parse_fo("@0", P) == BOT
     assert parse_fo("R(x, x)", P) == Rel(X, X)
@@ -447,6 +455,21 @@ def test_subst_pred_replaces_atoms():
     assert decorated == Forall(
         Y, FoImplies(Rel(X, Y), FoAnd(Eq(X, Y), NomTV("i1")))
     )
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10**6))
+def test_free_symbols_are_what_a_substitution_changes(seed):
+    rng = random.Random(seed)
+    terms = (X, Y, FoVar("z"))
+    f = random_fo(rng, P, preds=("p", "q"), variables=("x", "y", "z"),
+                  depth=rng.choice([1, 2, 3]))
+    for _ in range(rng.randrange(4)):
+        f = rng.choice([Forall, Exists])(rng.choice([*terms, "p", "q"]), f)
+    for t in terms:
+        assert (t in free_individual_symbols(f)) == (subst_term(f, t, FoVar("fresh")) != f)
+    for name in ("p", "q"):
+        assert (name in free_pred_names(f)) == (subst_pred(f, name, lambda _: TOP) != f)
 
 
 def test_shared_counter_translations_jointly_clean():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mvcorr.errors import (
     InvalidAlgebra, NoBounds, NotALattice, NotDistributive, UnknownConstant,
 )
-from mvcorr.heyting import builtin_algebra, load_algebra, parse_algebra_text
+from mvcorr.heyting import BUILTIN_SPECS, builtin_algebra, load_algebra, parse_algebra_text
 
 P = builtin_algebra("paper-P")
 B2 = builtin_algebra("bool2")
@@ -241,6 +241,22 @@ def test_aliases_and_normalization():
     assert P.element("bot") == P.bot == 0
     assert P.element("top") == P.top == 1
     assert B2.element("top") == B2.top
+
+
+def test_an_algebra_listed_top_first_is_renumbered():
+    # paper-P's elements listed backwards: top first, bottom last
+    names = ["1", "gamma", "beta", "alpha", "0"]
+    flipped = load_algebra({"elements": names, "leq": BUILTIN_SPECS["paper-P"]["leq"]})
+    assert (flipped.bot, flipped.top) == (0, 1)
+    assert flipped.names == ("0", "1", "gamma", "beta", "alpha")
+    rename = [el(P, nm(flipped, i)) for i in range(flipped.n)]
+    for a, b in product(range(P.n), repeat=2):
+        assert flipped.le(a, b) == P.le(rename[a], rename[b])
+        for op in ("join", "meet", "imp", "coimp"):
+            assert rename[getattr(flipped, op)(a, b)] == getattr(P, op)(rename[a], rename[b])
+    assert sorted(rename[j] for j in flipped.join_irreducibles) == sorted(P.join_irreducibles)
+    assert sorted(rename[m] for m in flipped.meet_irreducibles) == sorted(P.meet_irreducibles)
+    assert {rename[j]: rename[k] for j, k in flipped.kappa.items()} == P.kappa
 
 
 def test_parse_algebra_text_roundtrip():

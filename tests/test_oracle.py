@@ -234,10 +234,15 @@ def reference_scan(frames, left, right):
 
 
 def reference_fo(alpha, threshold, budget):
-    open_syms = sorted((t for t in free_individual_symbols(alpha) if t != X), key=str)
+    """Each frame charges the cells of the candidate's universal closure over
+    its open symbols, as the oracle tabulates it, and reads the candidate
+    itself under every assignment of them."""
+    open_syms = sorted(free_individual_symbols(alpha) - {X}, key=str)
+    closed = reduce(lambda f, v: Forall(v, f), open_syms, alpha)
 
     def per_frame(frame):
-        kernel = CompiledFo(interp_for_frame(frame), alpha, budget)
+        budget.charge(CompiledFo(interp_for_frame(frame), closed).cells)
+        kernel = CompiledFo(interp_for_frame(frame), alpha)
         return lambda w: all(
             frame.algebra.le(threshold, kernel.value({X: w, **dict(zip(open_syms, combo))}))
             for combo in product(range(frame.size), repeat=len(open_syms))
@@ -344,6 +349,20 @@ def test_batches_charge_and_report_as_the_per_frame_loop(
     caps |= {rng.randrange(charges[0], probe.used) for _ in range(8)}
     for cap in sorted(caps):
         assert outcome(batched, case, cap) == outcome(reference, case, cap), cap
+
+
+def test_an_open_symbol_costs_what_its_closure_costs():
+    # the oracle folds y universally: R(x, y) is read as A y. R(x, y)
+    y = FoVar("y")
+    target = parse_formula("p -> <>p", P)
+    for a in (P.bot, GAMMA):  # a pass over all 630 frames, a failure
+        reports = []
+        for candidate in (Rel(X, y), Forall(y, Rel(X, y))):
+            budget = Budget(10**9)
+            reports.append((report_tuple(correspondence_oracle(
+                P, target, a, candidate, sizes=[1, 2], budget=budget)), budget.used))
+        assert reports[0] == reports[1]
+        assert reports[0][0][0] == (a == P.bot)
 
 
 GAMMA_CORRESPONDENTS = {text: correspondent(text) for text in

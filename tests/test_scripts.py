@@ -21,18 +21,6 @@ def run_script(name, *args, cwd=ROOT):
     )
 
 
-def test_classify_examples():
-    done = run_script("classify_examples.py")
-    assert done.returncode == 0, done.stderr
-    verdicts = [line.strip() for line in done.stdout.splitlines()
-                if line.startswith("  ") and not line.startswith("    ")]
-    assert verdicts == [
-        "sahlqvist, order type p:d, q:1",
-        "not inductive",
-        "inductive, order type p:1, q:1, dependency p < q",
-    ]
-
-
 def test_property_sweep_one_ok_row_per_axiom_and_value():
     done = run_script("property_sweep.py", "--sizes", "1")
     assert done.returncode == 0, done.stderr

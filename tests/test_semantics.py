@@ -104,6 +104,16 @@ def test_nominal_constraints_enforced():
     Model(f, {Nom("i1"): (pel("alpha"),), CoNom("m1"): (pel("gamma"),)})
 
 
+def test_nominal_rows_have_one_irreducible_cell():
+    # each cell an irreducible of the right kind, but one cell too many
+    f = Frame(P, ("w", "v"), ((P.top, P.top), (P.top, P.top)))
+    with pytest.raises(InvalidModel, match="must take one join-irreducible value"):
+        Model(f, {Nom("i1"): (pel("alpha"), pel("beta"))})
+    with pytest.raises(InvalidModel, match="must take one meet-irreducible value"):
+        Model(f, {CoNom("m1"): (pel("alpha"), pel("gamma"))})
+    Model(f, {Nom("i1"): (P.bot, pel("beta")), CoNom("m1"): (pel("alpha"), P.top)})
+
+
 def test_zero_truth_is_trivial():
     phi = parse_formula("~p \\/ <>p", P)
     for loop in range(P.n):
@@ -259,6 +269,16 @@ def test_model_atoms_must_be_atoms(atom):
     # no formula names these, so they would be read and never used
     with pytest.raises(InvalidModel, match="does not name an atom"):
         parse_model_text(FRAME_DOC + f"val:\n  - [{atom}, w, beta]\n", P)
+
+
+@pytest.mark.parametrize("field,text", [
+    ("states", "states: 5\n"),
+    ("rel", "states: [w]\nrel: 5\n"),
+    ("val", "states: [w]\nval: 7\n"),
+])
+def test_non_list_fields_rejected(field, text):
+    with pytest.raises(InvalidModel, match=f"`{field}` must be a list"):
+        parse_model_text(text, P)
 
 
 def test_parse_frame_and_model_text():

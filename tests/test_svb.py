@@ -16,7 +16,7 @@ from mvcorr.fol import (
     simplify_display,
 )
 from mvcorr.heyting import builtin_algebra
-from mvcorr.oracle import correspondence_oracle, sample_frames
+from mvcorr.oracle import correspondence_oracle
 from mvcorr.randomgen import random_fo, random_frame
 from mvcorr.alba import run_alba
 from mvcorr.svb import check_c_elimination, svb_correspondent

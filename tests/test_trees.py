@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from mvcorr.heyting import builtin_algebra
 from mvcorr.randomgen import random_formula, random_inequality
 from mvcorr.syntax import (
@@ -11,8 +9,6 @@ from mvcorr.syntax import (
     Box,
     Const,
     Dia,
-    Implies,
-    Inequality,
     Or,
     Var,
     parse_formula,
