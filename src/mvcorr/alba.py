@@ -347,10 +347,13 @@ def _moves(system: System, pinned: Inequality, jn: tuple[int, int],
         if ineq == pinned:
             seen.add(ineq)
             continue
-        if ineq in seen or _trivially_true(ineq):
-            rule = "discard-duplicate" if ineq in seen else "discard-true"
-            yield _Move(rule, _replace(system, i, ()), (ineq,), (), fresh=jn)
+        if ineq in seen:  # consumes both copies, produces one
+            yield _Move("discard-duplicate", _replace(system, i, ()), (ineq, ineq), (ineq,),
+                        fresh=jn)
             return  # cleanup is confluent; apply eagerly one at a time
+        if _trivially_true(ineq):
+            yield _Move("discard-true", _replace(system, i, ()), (ineq,), (), fresh=jn)
+            return
         seen.add(ineq)
 
     # 1: splitting

@@ -215,13 +215,6 @@ def free_pred_names(f: Fo) -> set[str]:
     return {s for s in free_symbols(f) if isinstance(s, str)}
 
 
-def has_pred_nodes(f: Fo) -> bool:
-    """True when f lies outside the predicate-free frame fragment."""
-    if isinstance(f, Pred):
-        return True
-    return any(has_pred_nodes(c) for c in fo_children(f))
-
-
 def is_clean(f: Fo) -> bool:
     """No individual variable both free and bound; distinct individual
     quantifiers, distinct variables."""
@@ -1398,7 +1391,7 @@ class _FoParser(syntax.Cursor):
                 self.next()
                 return neq(lhs, self._term())
             self.error("expected a relation, equation or predicate")
-        self.error(f"unexpected token {text!r}")
+        self.error(f"unexpected token {text!r}" if text else "found 'end of input'")
 
     def _term(self) -> Term:
         tok = self.next()

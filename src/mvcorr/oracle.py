@@ -43,7 +43,7 @@ from .fol import (
     Forall,
     degree_claim,
     free_individual_symbols,
-    has_pred_nodes,
+    free_pred_names,
     interp_for_frame,
     relation_bytes,
 )
@@ -130,7 +130,7 @@ def correspondence_oracle(
     it defaults to `a` and is set to top for crisp formulas produced by
     translation pipelines.
     """
-    if has_pred_nodes(alpha):
+    if free_pred_names(alpha):
         raise MvcorrError("correspondent must not contain free predicate symbols")
     threshold = a if fo_threshold is None else fo_threshold
     budget = Budget() if budget is None else budget

@@ -1,19 +1,25 @@
 """Correspondents for classical Sahlqvist formulas, independent of the
 truth-value parameter.
 
-The pipeline translates a definite implication, prenexes the existentials
-out of the antecedent to reach the shape
+The classical shape is read and translated in one recursion: an
+implication whose antecedent is built from bottom/top, boxed atoms and
+negative parts with meet, join and diamond, and whose consequent is
+positive, composed under box, meet and variable-disjoint join
+(Sahlqvist 1975; Blackburn, de Rijke and Venema, Modal Logic, 3.6).
+Anything else raises NotClassicalSahlqvist.
+
+Each implication is translated as a definite implication: the
+existentials are prenexed out of the antecedent to reach the shape
 
     forall x1..xm ( REL  &  BOX-AT  ->  POS ),
 
-reads off the minimal instantiation sigma(P(y)) as the disjunction of the
-relational reach R^r(x_i, y) of the boxed atoms mentioning P, substitutes
-it into the consequent, and emits  forall x1..xm (REL -> sigma(POS)).
-Negative antecedent parts are curried into the consequent first, which
-keeps every antecedent predicate occurrence inside BOX-AT and the
-consequent monotone.  Compositions through box / meet / variable-disjoint
-join recompose the emitted conditions with the matching first-order
-context.
+the minimal instantiation sigma(P(y)) is read off as the disjunction of
+the relational reach R^r(x_i, y) of the boxed atoms mentioning P,
+substituted into the consequent, and  forall x1..xm (REL -> sigma(POS))
+is emitted.  Negative antecedent parts are curried into the consequent
+first, which keeps every antecedent predicate occurrence inside BOX-AT and
+the consequent monotone.  Box, meet and variable-disjoint join recompose
+the emitted conditions with the matching first-order context.
 
 The function never reads an algebra or a truth value, so its output is
 literally identical across truth-value spaces and parameters.
@@ -52,16 +58,56 @@ from .fol import (
     standard_translation,
 )
 from .semantics import Frame
-from .syntax import And, Const, Dia, Formula, Or
-from .trees import (
-    SahlAnd,
-    SahlBox,
-    SahlImplication,
-    SahlOr,
-    boxed_atom,
-    is_classical_sahlqvist,
-    is_negative_formula,
+from .syntax import (
+    NEGATIVE,
+    POSITIVE,
+    And,
+    Box,
+    Const,
+    Dia,
+    Formula,
+    Implies,
+    Or,
+    Var,
+    children,
+    in_base_language,
+    polarity,
+    prop_vars,
 )
+
+
+def boxed_atom(f: Formula) -> Optional[tuple[str, int]]:
+    """(p, d) when f is the variable p under d boxes."""
+    depth = 0
+    while isinstance(f, Box):
+        depth += 1
+        f = f.sub
+    return (f.name, depth) if isinstance(f, Var) else None
+
+
+def _only_classical_constants(f: Formula) -> bool:
+    if isinstance(f, Const):
+        return f.index in (0, 1)
+    return all(_only_classical_constants(c) for c in children(f))
+
+
+def is_negative_formula(f: Formula) -> bool:
+    """Every propositional variable of f occurs negatively, and there is one."""
+    vs = prop_vars(f)
+    return all(polarity(f, v) == NEGATIVE for v in vs) if vs else False
+
+
+def is_sahl_antecedent(f: Formula) -> bool:
+    """Built from bottom/top, boxed atoms and negative parts with and/or/dia."""
+    if isinstance(f, Const):
+        return f.index in (0, 1)
+    if boxed_atom(f) is not None:
+        return True
+    if isinstance(f, (And, Or)):
+        return is_sahl_antecedent(f.lhs) and is_sahl_antecedent(f.rhs)
+    if isinstance(f, Dia):
+        return is_sahl_antecedent(f.sub)
+    return is_negative_formula(f)
 
 
 @dataclass
@@ -116,10 +162,8 @@ def _walk_definite(
         out.rel.append(Rel(cur, nxt))
         _walk_definite(f.sub, nxt, out, ivars, st_fresh)
         return
-    if is_negative_formula(f):
-        out.negatives.append(standard_translation(f, cur, st_fresh))
-        return
-    raise NotClassicalSahlqvist(f"not a definite antecedent part: {f}")
+    # is_sahl_antecedent admitted the rest as negative parts
+    out.negatives.append(standard_translation(f, cur, st_fresh))
 
 
 def _reach(base: Term, depth: int, target: Term, fresh: FreshVars) -> Fo:
@@ -142,13 +186,14 @@ def _reach(base: Term, depth: int, target: Term, fresh: FreshVars) -> Fo:
 
 
 def _emit_implication(
-    shape: SahlImplication, cur: Term, ivars: FreshVars, st_fresh: FreshVars
+    antecedent: Formula, consequent: Formula, cur: Term, ivars: FreshVars,
+    st_fresh: FreshVars,
 ) -> Fo:
     results: list[Fo] = []
-    for delta in _lift_disjunctions(shape.antecedent):
+    for delta in _lift_disjunctions(antecedent):
         info = DefiniteImplication([], [], [], [])
         _walk_definite(delta, cur, info, ivars, st_fresh)
-        pos = standard_translation(shape.consequent, cur, st_fresh)
+        pos = standard_translation(consequent, cur, st_fresh)
         if info.negatives:
             pos = FoImplies(_conjoin(info.negatives), pos)
 
@@ -175,35 +220,35 @@ def _emit_implication(
     return _conjoin(results)
 
 
-def _emit(shape, cur: Term, ivars: FreshVars, st_fresh: FreshVars) -> Fo:
-    if isinstance(shape, SahlImplication):
-        return _emit_implication(shape, cur, ivars, st_fresh)
-    if isinstance(shape, SahlBox):
+def _emit(f: Formula, cur: Term, ivars: FreshVars, st_fresh: FreshVars) -> Fo:
+    """f's correspondent at cur, read through box, meet and
+    variable-disjoint join down to Sahlqvist implications."""
+    if (isinstance(f, Implies) and is_sahl_antecedent(f.lhs)
+            and all(polarity(f.rhs, v) == POSITIVE for v in prop_vars(f.rhs))):
+        return _emit_implication(f.lhs, f.rhs, cur, ivars, st_fresh)
+    if isinstance(f, Box):
         y = st_fresh.next()
-        return Forall(y, FoImplies(Rel(cur, y), _emit(shape.inner, y, ivars, st_fresh)))
-    if isinstance(shape, SahlAnd):
-        return FoAnd(
-            _emit(shape.lhs, cur, ivars, st_fresh),
-            _emit(shape.rhs, cur, ivars, st_fresh),
-        )
-    if isinstance(shape, SahlOr):
-        return FoOr(
-            _emit(shape.lhs, cur, ivars, st_fresh),
-            _emit(shape.rhs, cur, ivars, st_fresh),
-        )
-    raise NotClassicalSahlqvist(f"unrecognized decomposition node {shape!r}")
+        return Forall(y, FoImplies(Rel(cur, y), _emit(f.sub, y, ivars, st_fresh)))
+    if isinstance(f, And):
+        return FoAnd(_emit(f.lhs, cur, ivars, st_fresh), _emit(f.rhs, cur, ivars, st_fresh))
+    if isinstance(f, Or) and not prop_vars(f.lhs) & prop_vars(f.rhs):
+        return FoOr(_emit(f.lhs, cur, ivars, st_fresh), _emit(f.rhs, cur, ivars, st_fresh))
+    raise NotClassicalSahlqvist(str(f))
 
 
 def svb_correspondent(f: Formula) -> Fo:
     """Raw local correspondent of a classical Sahlqvist formula.
 
-    Raises NotClassicalSahlqvist when the shape test rejects f.  The
-    computation is purely syntactic: no algebra and no truth value enter.
+    Raises NotClassicalSahlqvist, naming f, when f is not of the classical
+    shape.  The computation is purely syntactic: no algebra and no truth
+    value enter.
     """
-    shape = is_classical_sahlqvist(f)
-    if shape is None:
-        raise NotClassicalSahlqvist(str(f))
-    return _emit(shape, FoVar("x"), FreshVars(prefix="x"), FreshVars(prefix="y"))
+    if in_base_language(f) and _only_classical_constants(f):
+        try:
+            return _emit(f, FoVar("x"), FreshVars(prefix="x"), FreshVars(prefix="y"))
+        except NotClassicalSahlqvist:
+            pass
+    raise NotClassicalSahlqvist(str(f))
 
 
 # -- decorated-substitution check ---------------------------------------------------

@@ -21,9 +21,7 @@ of them.
 
 Recognition searches order types (and accumulates a dependency order,
 checked acyclic) to decide the residual-friendly and residual-free
-shapes; the classical shape test recognizes implications built from boxed
-atoms and negative parts, composed under box/meet and variable-disjoint
-joins.
+shapes.
 """
 
 from __future__ import annotations
@@ -44,11 +42,7 @@ from .syntax import (
     Var,
     children,
     in_base_language,
-    polarity,
     prop_vars,
-    POSITIVE,
-    NEGATIVE,
-    ABSENT,
 )
 
 DELTA, SLR, SRA, SRR = "delta", "slr", "sra", "srr"
@@ -89,11 +83,8 @@ class SignedNode:
         return SRA in self.roles or SRR in self.roles
 
     def label(self) -> str:
-        sign = "+" if self.sign > 0 else "-"
-        if self.is_leaf:
-            return f"{sign}{self.formula}"
-        names = {Or: "\\/", And: "/\\", Implies: "->", Box: "[]", Dia: "<>"}
-        return f"{sign}{names[type(self.formula)]}"
+        """A leaf's signed formula, such as `+p`."""
+        return f"{'+' if self.sign > 0 else '-'}{self.formula}"
 
 
 def build_signed_tree(f: Formula, sign: int) -> SignedNode:
@@ -145,16 +136,6 @@ def canonical_cut(path: tuple[SignedNode, ...]) -> Optional[int]:
     return None
 
 
-def branch_quality(branch: Branch) -> str:
-    t = canonical_cut(branch.path)
-    if t is None:
-        return NOT_GOOD
-    suffix = branch.path[t:]
-    if all(SRA in n.roles for n in suffix[1:]):
-        return EXCELLENT
-    return GOOD
-
-
 def leaf_is_critical(leaf: SignedNode, eps: dict[str, str]) -> bool:
     if not isinstance(leaf.formula, Var):
         return False
@@ -168,10 +149,6 @@ def _subtree_has_critical(node: SignedNode, eps: dict[str, str]) -> bool:
     return any(_subtree_has_critical(k, eps) for k in node.kids)
 
 
-def _subtree_vars(node: SignedNode) -> set[str]:
-    return prop_vars(node.formula)
-
-
 @dataclass
 class _BranchAnalysis:
     quality: str
@@ -183,7 +160,7 @@ def _analyse_branch(branch: Branch) -> _BranchAnalysis:
     t = canonical_cut(branch.path)
     if t is None:
         return _BranchAnalysis(NOT_GOOD, [])
-    quality = branch_quality(branch)
+    quality = EXCELLENT if all(SRA in n.roles for n in branch.path[t + 1:]) else GOOD
     residuals: list[tuple[SignedNode, str]] = []
     var = branch.leaf.formula.name if isinstance(branch.leaf.formula, Var) else ""
     for i in range(t, len(branch.path)):
@@ -195,15 +172,16 @@ def _analyse_branch(branch: Branch) -> _BranchAnalysis:
     return _BranchAnalysis(quality, residuals)
 
 
+def branch_quality(branch: Branch) -> str:
+    return _analyse_branch(branch).quality
+
+
 @dataclass(frozen=True)
 class OrderType:
     marks: dict  # variable -> ONE | PARTIAL
 
     def __str__(self) -> str:
-        def show(m):
-            return "1" if m == ONE else "d"
-
-        return ", ".join(f"{v}:{show(m)}" for v, m in sorted(self.marks.items()))
+        return ", ".join(f"{v}:{m}" for v, m in sorted(self.marks.items()))
 
 
 @dataclass(frozen=True)
@@ -258,8 +236,7 @@ def _search_shape(ineq: Inequality, require_excellent: bool):
                 if _subtree_has_critical(sibling, eps):
                     ok = False
                     break
-                for q in _subtree_vars(sibling):
-                    precedences.add((q, var))
+                precedences.update((q, var) for q in prop_vars(sibling.formula))
             if not ok:
                 break
         if not ok:
@@ -290,100 +267,6 @@ def is_inductive(ineq: Inequality) -> Optional[tuple[DependencyOrder, OrderType]
 def formula_inequality(f: Formula, alg_top: Const) -> Inequality:
     """A formula classifies through `top <= f`."""
     return Inequality(alg_top, f)
-
-
-# -- classical shape ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SahlImplication:
-    antecedent: Formula
-    consequent: Formula
-
-
-@dataclass(frozen=True)
-class SahlBox:
-    inner: "ClassicalDecomposition"
-
-
-@dataclass(frozen=True)
-class SahlAnd:
-    lhs: "ClassicalDecomposition"
-    rhs: "ClassicalDecomposition"
-
-
-@dataclass(frozen=True)
-class SahlOr:
-    lhs: "ClassicalDecomposition"
-    rhs: "ClassicalDecomposition"
-
-
-ClassicalDecomposition = object  # union of the four shapes above
-
-
-def boxed_atom(f: Formula) -> Optional[tuple[str, int]]:
-    """(p, d) when f is the variable p under d boxes."""
-    depth = 0
-    while isinstance(f, Box):
-        depth += 1
-        f = f.sub
-    return (f.name, depth) if isinstance(f, Var) else None
-
-
-def _only_classical_constants(f: Formula) -> bool:
-    if isinstance(f, Const):
-        return f.index in (0, 1)
-    return all(_only_classical_constants(c) for c in children(f))
-
-
-def is_negative_formula(f: Formula) -> bool:
-    """Every propositional variable of f occurs negatively, and there is one."""
-    vs = prop_vars(f)
-    return all(polarity(f, v) == NEGATIVE for v in vs) if vs else False
-
-
-def _is_positive_formula(f: Formula) -> bool:
-    return all(polarity(f, v) in (POSITIVE, ABSENT) for v in prop_vars(f))
-
-
-def is_sahl_antecedent(f: Formula) -> bool:
-    """Built from bottom/top, boxed atoms and negative parts with and/or/dia."""
-    if isinstance(f, Const):
-        return f.index in (0, 1)
-    if boxed_atom(f) is not None:
-        return True
-    if isinstance(f, (And, Or)):
-        return is_sahl_antecedent(f.lhs) and is_sahl_antecedent(f.rhs)
-    if isinstance(f, Dia):
-        return is_sahl_antecedent(f.sub)
-    return is_negative_formula(f)
-
-
-def is_classical_sahlqvist(f: Formula) -> Optional[ClassicalDecomposition]:
-    """Decomposition through box/meet/variable-disjoint-join down to
-    implications with recognized antecedents and positive consequents."""
-    if not in_base_language(f) or not _only_classical_constants(f):
-        return None
-    if isinstance(f, Implies):
-        if is_sahl_antecedent(f.lhs) and _is_positive_formula(f.rhs):
-            return SahlImplication(f.lhs, f.rhs)
-        return None
-    if isinstance(f, Box):
-        inner = is_classical_sahlqvist(f.sub)
-        return SahlBox(inner) if inner is not None else None
-    if isinstance(f, And):
-        lhs, rhs = is_classical_sahlqvist(f.lhs), is_classical_sahlqvist(f.rhs)
-        if lhs is not None and rhs is not None:
-            return SahlAnd(lhs, rhs)
-        return None
-    if isinstance(f, Or):
-        if prop_vars(f.lhs) & prop_vars(f.rhs):
-            return None
-        lhs, rhs = is_classical_sahlqvist(f.lhs), is_classical_sahlqvist(f.rhs)
-        if lhs is not None and rhs is not None:
-            return SahlOr(lhs, rhs)
-        return None
-    return None
 
 
 # -- reporting -----------------------------------------------------------------

@@ -158,6 +158,30 @@ def test_step_cap_is_distinct():
         reduce_system(system, pinned, 0, P, step_cap=3)
 
 
+def test_step_cap_zero_stops_after_first_approximation():
+    res = run_alba(parse_formula("<><>p -> <>p", P), GAMMA, P, step_cap=0)
+    assert res.status == "step-cap"
+    assert len(res.branches) == 1
+    (branch,) = res.branches
+    assert not branch.success
+    assert [s.rule for s in branch.steps] == ["first-approximation"]
+    assert res.correspondent is None and res.correspondent_global is None
+
+
+@pytest.mark.parametrize("text, copy", [
+    ("<>p /\\ <>p <= <>p", "#i0 <= <>p"),
+    ("[]p /\\ []p <= p", "#i0 <= []p"),
+])
+def test_discard_duplicate_consumes_both_copies(text, copy):
+    res = run_alba(parse_inequality(text, P), GAMMA, P)
+    assert res.status == "success"
+    steps = res.all_steps()
+    (dup,) = [s for s in steps if s.rule == "discard-duplicate"]
+    assert dup.describe() == f"[reduce] discard-duplicate: {copy}; {copy}  ==>  {copy}"
+    failure = verify_trace(steps, sample_frames(P, 2, 8, seed=3))
+    assert failure is None, failure.describe()
+
+
 def test_pinned_inequality_untouched_everywhere():
     for text, a in [("p -> <>p", GAMMA), ("<><>p -> <>p", P.top),
                     ("(p -> @0) -> []q <= <>[]q \\/ []p", P.element("beta"))]:

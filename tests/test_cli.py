@@ -300,6 +300,23 @@ def test_free_predicate_candidate_is_a_usage_error(capsys):
     assert err == "error: correspondent must not contain free predicate symbols\n"
 
 
+def test_fo_cut_short_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--formula", "p -> <>p", "--fo", "A x. ")
+    assert code == 2
+    assert out == ""
+    assert err == "error: syntax error at position 5: found 'end of input'\n"
+
+
+def test_alba_step_cap_exit_1(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "alba", "--algebra", "paper-P", "--value", "gamma",
+        "--formula", "<><>p -> <>p", "--step-cap", "0",
+    )
+    assert code == 1
+    assert out.splitlines()[0] == "status: step-cap"
+
+
 def test_negative_budget_env_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("MVCORR_BUDGET", "-5")
     code, _, err = run_cli(

@@ -346,6 +346,13 @@ def test_parse_fo_reports_a_truncated_formula_at_its_end(text):
     assert err.value.position == len(text)
 
 
+@pytest.mark.parametrize("text", ["A x. ", "R(x,x) -> "])
+def test_parse_fo_names_the_end_of_input(text):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_fo(text)
+    assert str(err.value) == f"syntax error at position {len(text)}: found 'end of input'"
+
+
 def test_parse_fo_constant_formula():
     assert parse_fo("@0", P) == BOT
     assert parse_fo("R(x, x)", P) == Rel(X, X)

@@ -40,6 +40,18 @@ def test_one_correspondent_of_classical_tautology_is_bottom():
     assert report.passed, report.describe()
 
 
+def test_bound_predicate_quantifiers_are_accepted():
+    # the degree claim binds P; only free predicate symbols are refused
+    t = parse_formula("<><>p -> <>p", P)
+    for a in range(P.n):
+        budget = Budget()
+        report = correspondence_oracle(P, t, a, degree_claim(t), sizes=[1, 2], budget=budget)
+        assert report.describe() == "PASS (630 frames, 1255 state checks)"
+        assert budget.used == 767_990
+    with pytest.raises(MvcorrError, match="free predicate symbols"):
+        correspondence_oracle(P, t, P.top, Pred("P", X), sizes=[1])
+
+
 def test_gamma_correspondent_is_reflexivity():
     phi = parse_formula("~p \\/ <>p", P)
     report = correspondence_oracle(

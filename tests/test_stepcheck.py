@@ -23,12 +23,12 @@ from mvcorr.alba import RESERVED_CONOM, RESERVED_NOM, TraceStep, run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
 from mvcorr.heyting import builtin_algebra
-from mvcorr.oracle import iter_frames
+from mvcorr.oracle import correspondence_oracle, iter_frames, sample_frames
 from mvcorr.randomgen import random_formula, random_frame
 from mvcorr.semantics import atom_options, compile_eval, iter_valuations
 from mvcorr.stepcheck import StepFailure, _show, _Tables, verify_step
 from mvcorr.syntax import (
-    CoNom, Inequality, Nom, Var, atoms, children, parse_formula, parse_inequality,
+    CoNom, Inequality, Nom, Var, atoms, children, parse_formula, parse_inequality, parse_input,
 )
 
 P = builtin_algebra("paper-P")
@@ -203,6 +203,60 @@ def test_corpora_cover_every_rule_and_private_atoms():
             "approx-imp-left", "close-uniform-variable"} <= rules
     assert any(s.eliminated for s in P_STEPS) and any(s.introduced for s in P_STEPS)
     assert len(P_MUTANTS) > 50
+
+
+# one input per rule name ALBA records, each firing its rule at gamma
+RULE_INPUTS = {
+    "distribute-dia-or": "<>(p \\/ q) <= <>p \\/ <>q",
+    "distribute-and-or": "<>(@0 \\/ q) <= p",
+    "distribute-box-and": "p <= [](q /\\ <>p)",
+    "distribute-or-and": "<>p <= q \\/ ([]p /\\ q)",
+    "distribute-imp-or": "p <= (q \\/ r) -> <>p",
+    "distribute-imp-and": "[]p <= q -> (p /\\ <>q)",
+    "split-meet": "[]p /\\ []p <= p",
+    "split-join": "p <= []p \\/ q",
+    "close-uniform-variable": "q <= p",
+    "first-approximation": "q <= q",
+    "discard-duplicate": "<>p /\\ <>p <= <>p",
+    "discard-true": "q <= p",
+    "ackermann-right": "q <= q",
+    "ackermann-left": "[]p -> p",
+    "approx-dia": "<><>p -> <>p",
+    "approx-box": "[]p -> [][]p",
+    "approx-imp-left": "[]<>@1 <= q -> []q",
+    "approx-imp-right": "p -> q <= []p -> []q",
+    "residuate-box": "[]p -> <>p",
+    "residuate-dia": "[](@gamma /\\ @1) -> @beta \\/ q \\/ (@beta -> q) <= @alpha /\\ []p \\/ <>q",
+    "residuate-imp": "p -> q <= []p -> []q",
+    "residuate-and": "(@0 \\/ q -> @beta -> @beta) -> @1 /\\ q \\/ (@gamma \\/ @1) <= "
+                     "((@alpha -> @alpha) -> @beta -> @1) \\/ <>q /\\ (@1 /\\ @1)",
+    "co-residuate-or": "[](@gamma /\\ @1) -> @beta \\/ q \\/ (@beta -> q) <= "
+                       "@alpha /\\ []p \\/ <>q",
+}
+
+
+def _gamma_run(text):
+    return run_alba(parse_input(text, P), P.element("gamma"), P)
+
+
+def test_rule_table_names_every_rule():
+    recorded = {s.rule for t in RULE_INPUTS.values() for s in _gamma_run(t).all_steps()}
+    assert recorded == set(RULE_INPUTS)
+    assert len(RULE_INPUTS) == 23
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_INPUTS))
+def test_every_rule_is_verified_per_step(rule):
+    res = _gamma_run(RULE_INPUTS[rule])
+    steps = res.all_steps()
+    assert rule in {s.rule for s in steps}
+    frames = sample_frames(P, 2, 8, seed=3)
+    for step in steps:
+        failure = verify_step(step, frames)
+        assert failure is None, failure.describe()
+    report = correspondence_oracle(P, res.source, res.value, res.correspondent,
+                                   sizes=[1, 2], fo_threshold=P.top)
+    assert report.passed, report.describe()
 
 
 @pytest.mark.parametrize("step", UNSOUND, ids=lambda s: s.rule)
@@ -384,6 +438,21 @@ def test_split_join_charge_matches_the_documented_rule():
     # both sides' tables over the shared atoms
     compared = 2 * 25**3
     assert budget.used == subformulas + consumed + produced + compared
+
+
+def test_first_approximation_charge(monkeypatch):
+    step = _gamma_run("<><>p -> <>p").branches[0].steps[0]
+    assert step.rule == "first-approximation"
+    frames = sample_frames(P, 2, 8, seed=3)
+    budget = Budget(10**9)
+    assert verify_step(step, frames, budget) is None
+    assert budget.used == 32_640 == 8 * 4_080
+    # a cap below one frame's cells is refused before any table is built
+    monkeypatch.setattr(stepcheck, "compile_eval", None)
+    budget = Budget(100)
+    with pytest.raises(BudgetExceeded):
+        verify_step(step, frames, budget)
+    assert budget.used == 4_080
 
 
 def test_cells_charged_per_frame():

@@ -2,8 +2,13 @@
 
 import random
 
+import pytest
+
+from mvcorr.errors import NotClassicalSahlqvist
+from mvcorr.fol import FoImplies, FoOr
 from mvcorr.heyting import builtin_algebra
 from mvcorr.randomgen import random_formula, random_inequality
+from mvcorr.svb import svb_correspondent
 from mvcorr.syntax import (
     And,
     Box,
@@ -25,11 +30,8 @@ from mvcorr.trees import (
     branches,
     build_signed_tree,
     formula_inequality,
-    is_classical_sahlqvist,
     is_inductive,
     is_sahlqvist,
-    SahlImplication,
-    SahlOr,
 )
 
 P = builtin_algebra("paper-P")
@@ -186,32 +188,33 @@ def _walk(f):
         yield from _walk(c)
 
 
-# -- classical shape ------------------------------------------------------------
+# -- classical shape: svb_correspondent accepts or refuses -----------------------
 
 
 def test_classical_accepts_basic_axioms():
     for text in ("p -> <>p", "[]p -> [][]p", "p -> []<>p", "[]p -> <>p",
                  "<>p -> <><>p", "[]p -> p"):
-        f = parse_formula(text, P)
-        assert is_classical_sahlqvist(f) is not None, text
+        svb_correspondent(parse_formula(text, P))
 
 
 def test_classical_boxed_negation_rejected():
     f = parse_formula("[]~p -> [][]~p", P)
-    assert is_classical_sahlqvist(f) is None
+    with pytest.raises(NotClassicalSahlqvist):
+        svb_correspondent(f)
 
 
 def test_classical_variable_disjoint_disjunction():
     good = parse_formula("(p -> <>p) \\/ (q -> <><>q)", P)
-    assert isinstance(is_classical_sahlqvist(good), SahlOr)
+    assert isinstance(svb_correspondent(good), FoOr)
     shared = parse_formula("(p -> <>p) \\/ (p -> <><>p)", P)
-    assert is_classical_sahlqvist(shared) is None
+    with pytest.raises(NotClassicalSahlqvist):
+        svb_correspondent(shared)
 
 
 def test_classical_negative_part_in_antecedent():
     f = parse_formula("p /\\ ~q -> <>p", P)
-    decomp = is_classical_sahlqvist(f)
-    assert isinstance(decomp, SahlImplication)
+    # the negative part ~q is curried into the consequent
+    assert isinstance(svb_correspondent(f), FoImplies)
 
 
 def test_classical_implies_sahlqvist_for_all_one():
@@ -226,7 +229,7 @@ def test_classical_implies_sahlqvist_for_all_one():
     ]
     for text in corpus:
         f = parse_formula(text, P)
-        assert is_classical_sahlqvist(f) is not None, text
+        svb_correspondent(f)
         eps = is_sahlqvist(formula_inequality(f, TOP))
         assert eps is not None, text
         assert all(m == ONE for m in eps.marks.values()), text
@@ -234,4 +237,5 @@ def test_classical_implies_sahlqvist_for_all_one():
 
 def test_non_classical_constant_rejected():
     f = parse_formula("@gamma /\\ p -> <>p", P)
-    assert is_classical_sahlqvist(f) is None
+    with pytest.raises(NotClassicalSahlqvist):
+        svb_correspondent(f)
