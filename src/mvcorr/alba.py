@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import StepCapExceeded
 from .fol import (
@@ -67,12 +67,14 @@ from .syntax import (
     QuasiInequality,
     Var,
     atoms,
+    bottom,
     children,
     is_pure,
     polarity,
     prop_vars,
     rebuild,
     substitute,
+    top,
 )
 
 RESERVED_NOM = "i0"
@@ -112,7 +114,6 @@ class AlbaResult:
     algebra: HeytingAlgebra
     value: int
     source: Inequality  # lhs <= rhs before the @a conjunct is added
-    pre: list[Inequality]
     pre_steps: list[TraceStep]
     branches: list[AlbaBranch]
     quasi: list[QuasiInequality] = field(default_factory=list)
@@ -148,7 +149,7 @@ def input_inequality(target: Formula | Inequality, alg: HeytingAlgebra) -> Inequ
         return target
     if isinstance(target, Implies):
         return Inequality(target.lhs, target.rhs)
-    return Inequality(Const(alg.element_name(alg.top), alg.top), target)
+    return Inequality(top(alg), target)
 
 
 # -- phase 1: preprocessing ----------------------------------------------------
@@ -255,24 +256,14 @@ def _close_uniform_variables(
     for var in sorted(prop_vars(ineq.lhs) | prop_vars(ineq.rhs)):
         sign = polarity(Implies(ineq.lhs, ineq.rhs), var)
         if sign == POSITIVE:
-            value = Const(alg.element_name(alg.bot), alg.bot)
+            value = bottom(alg)
         elif sign == NEGATIVE:
-            value = Const(alg.element_name(alg.top), alg.top)
+            value = top(alg)
         else:
             continue
-        new = Inequality(
-            substitute(ineq.lhs, var, value), substitute(ineq.rhs, var, value)
-        )
-        trace.append(
-            TraceStep(
-                "preprocess",
-                "close-uniform-variable",
-                -1,
-                (ineq,),
-                (new,),
-                eliminated=(var,),
-            )
-        )
+        new = Inequality(substitute(ineq.lhs, var, value), substitute(ineq.rhs, var, value))
+        trace.append(TraceStep("preprocess", "close-uniform-variable", -1, (ineq,), (new,),
+                               eliminated=(var,)))
         return new
     return ineq
 
@@ -295,221 +286,158 @@ def first_approximation(
         Inequality(Nom(RESERVED_NOM), a_const),
         Inequality(member.rhs, CoNom(RESERVED_CONOM)),
     )
-    trace.append(
-        TraceStep(
-            "first-approx",
-            "first-approximation",
-            branch,
-            (member,),
-            system,
-            introduced=(Nom(RESERVED_NOM), CoNom(RESERVED_CONOM)),
-        )
-    )
+    trace.append(TraceStep("first-approx", "first-approximation", branch, (member,), system,
+                           introduced=(Nom(RESERVED_NOM), CoNom(RESERVED_CONOM))))
     return system
 
 
 # -- phase 2: reduction ----------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Move:
-    rule: str
-    system: System
-    before: System
-    after: System
-    eliminated: tuple[str, ...] = ()
-    introduced: tuple[Formula, ...] = ()
-    fresh: tuple[int, int] = (0, 0)  # updated (nominal, co-nominal) counters
-
-
-def _replace(system: System, index: int, new: tuple[Inequality, ...]) -> System:
-    return system[:index] + new + system[index + 1:]
+# A rule application: its trace step and the system it leads to.
+Move = tuple[TraceStep, System]
 
 
 def _trivially_true(ineq: Inequality) -> bool:
-    if ineq.lhs == ineq.rhs:
-        return True
-    if isinstance(ineq.rhs, Const) and ineq.rhs.index == 1:
-        return True
-    if isinstance(ineq.lhs, Const) and ineq.lhs.index == 0:
-        return True
-    return False
+    return (ineq.lhs == ineq.rhs or (isinstance(ineq.rhs, Const) and ineq.rhs.index == 1)
+            or (isinstance(ineq.lhs, Const) and ineq.lhs.index == 0))
 
 
-def _moves(system: System, pinned: Inequality, jn: tuple[int, int],
-           alg: HeytingAlgebra) -> Iterator[_Move]:
-    """Applicable rule applications in strategy priority order."""
-    free = [i for i, ineq in enumerate(system) if ineq != pinned]
-
-    # 0: cleanup (discard duplicate or trivially true inequalities)
+def _cleanup(system: System, pinned: Inequality, branch: int) -> Optional[Move]:
+    """The first discard of a duplicate or trivially true inequality, if any;
+    cleanup is confluent, so it is applied eagerly, one discard at a time."""
     seen: set[Inequality] = set()
     for i, ineq in enumerate(system):
-        if ineq == pinned:
-            seen.add(ineq)
-            continue
-        if ineq in seen:  # consumes both copies, produces one
-            yield _Move("discard-duplicate", _replace(system, i, ()), (ineq, ineq), (ineq,),
-                        fresh=jn)
-            return  # cleanup is confluent; apply eagerly one at a time
-        if _trivially_true(ineq):
-            yield _Move("discard-true", _replace(system, i, ()), (ineq,), (), fresh=jn)
-            return
+        if ineq != pinned and (ineq in seen or _trivially_true(ineq)):
+            step = (TraceStep("reduce", "discard-duplicate", branch, (ineq, ineq), (ineq,))
+                    if ineq in seen  # consumes both copies, produces one
+                    else TraceStep("reduce", "discard-true", branch, (ineq,), ()))
+            return step, system[:i] + system[i + 1:]
         seen.add(ineq)
+    return None
+
+
+def _rewrites(system: System, pinned: Inequality, branch: int, options) -> Iterator[Move]:
+    """The rewrites `options(ineq)` lists, as (rule, products, introduced
+    atoms), for each inequality but the pinned one, in system order; the
+    products take the consumed inequality's place."""
+    for i, ineq in enumerate(system):
+        if ineq != pinned:
+            for rule, after, introduced in options(ineq):
+                step = TraceStep("reduce", rule, branch, (ineq,), after, introduced=introduced)
+                yield step, system[:i] + after + system[i + 1:]
+
+
+def _moves(system: System, pinned: Inequality, jn: tuple[int, int], branch: int,
+           alg: HeytingAlgebra) -> Iterator[Move]:
+    """Applicable rule applications in strategy priority order."""
+    # 0: cleanup
+    cleanup = _cleanup(system, pinned, branch)
+    if cleanup is not None:
+        yield cleanup
+        return
 
     # 1: splitting
-    for i in free:
-        for rule, parts in _splits(system[i]):
-            yield _Move(rule, _replace(system, i, parts), (system[i],), parts, fresh=jn)
+    yield from _rewrites(system, pinned, branch,
+                         lambda ineq: [(rule, parts, ()) for rule, parts in _splits(ineq)])
 
     # 2: variable elimination
-    yield from _ackermann_moves(system, pinned, jn, alg)
+    yield from _ackermann_moves(system, branch, alg)
 
-    # 3: approximation
-    yield from _approximation_moves(system, pinned, jn)
+    # 3: approximation, with fresh atoms numbered past jn
+    j, n = Nom(f"j{jn[0] + 1}"), CoNom(f"n{jn[1] + 1}")
+    yield from _rewrites(system, pinned, branch, lambda ineq: _approximations(ineq, j, n))
 
     # 4: residuation toward displayed variables
-    yield from _residuation_moves(system, pinned, jn)
+    yield from _rewrites(system, pinned, branch, _residuations)
 
 
-def _ackermann_moves(system: System, pinned: Inequality, jn,
-                     alg: HeytingAlgebra) -> Iterator[_Move]:
-    variables = sorted({v for ineq in system for v in prop_vars(ineq.lhs) | prop_vars(ineq.rhs)})
-    for var in variables:
-        for direction in ("right", "left"):
-            move = _try_ackermann(system, pinned, var, direction, jn, alg)
-            if move is not None:
-                yield move
+def _ackermann_moves(system: System, branch: int, alg: HeytingAlgebra) -> Iterator[Move]:
+    """Eliminate a variable p by substitution: `right` replaces p by the join
+    of its lower bounds `b <= p`, `left` by the meet of its upper bounds
+    `p <= b`, where every other inequality has p of the matching polarity."""
+    for var in sorted(_system_vars(system)):
+        v = Var(var)
+        mentioning = [ineq for ineq in system
+                      if var in prop_vars(ineq.lhs) | prop_vars(ineq.rhs)]
+        for direction, op, empty in (("right", Or, bottom(alg)), ("left", And, top(alg))):
+            right = direction == "right"
+            bounds = [ineq for ineq in mentioning
+                      if (ineq.rhs if right else ineq.lhs) == v
+                      and var not in prop_vars(ineq.lhs if right else ineq.rhs)]
+            others = [ineq for ineq in mentioning if ineq not in bounds]
+            want_lhs, want_rhs = (POSITIVE, NEGATIVE) if right else (NEGATIVE, POSITIVE)
+            if any(polarity(ineq.lhs, var) not in (want_lhs, ABSENT)
+                   or polarity(ineq.rhs, var) not in (want_rhs, ABSENT) for ineq in others):
+                continue
+            parts = [b.lhs if right else b.rhs for b in bounds]
+            replacement = reduce(op, parts) if parts else empty
+            after = tuple(Inequality(substitute(ineq.lhs, var, replacement),
+                                     substitute(ineq.rhs, var, replacement))
+                          for ineq in others)
+            substituted = dict(zip(others, after))
+            step = TraceStep("reduce", f"ackermann-{direction}", branch,
+                             tuple(bounds + others), after, eliminated=(var,))
+            yield step, tuple(substituted.get(ineq, ineq) for ineq in system
+                              if ineq not in bounds)
 
 
-def _try_ackermann(
-    system: System, pinned: Inequality, var: str, direction: str, jn,
-    alg: HeytingAlgebra,
-) -> Optional[_Move]:
-    v = Var(var)
-    bounds: list[Inequality] = []
-    others: list[tuple[int, Inequality]] = []
-    for i, ineq in enumerate(system):
-        if var not in prop_vars(ineq.lhs) | prop_vars(ineq.rhs):
-            continue
-        if direction == "right" and ineq.rhs == v and var not in prop_vars(ineq.lhs):
-            bounds.append(ineq)
-            continue
-        if direction == "left" and ineq.lhs == v and var not in prop_vars(ineq.rhs):
-            bounds.append(ineq)
-            continue
-        others.append((i, ineq))
-    if not bounds and not others:
-        return None
-    want_lhs = (POSITIVE, ABSENT) if direction == "right" else (NEGATIVE, ABSENT)
-    want_rhs = (NEGATIVE, ABSENT) if direction == "right" else (POSITIVE, ABSENT)
-    for _, ineq in others:
-        if polarity(ineq.lhs, var) not in want_lhs:
-            return None
-        if polarity(ineq.rhs, var) not in want_rhs:
-            return None
-    if direction == "right":
-        empty = Const(alg.element_name(alg.bot), alg.bot)
-        replacement = _fold(Or, [b.lhs for b in bounds], empty)
-    else:
-        empty = Const(alg.element_name(alg.top), alg.top)
-        replacement = _fold(And, [b.rhs for b in bounds], empty)
-    out: list[Inequality] = []
-    changed: list[Inequality] = []
-    for ineq in system:
-        if ineq in bounds:
-            continue
-        if any(ineq == o for _, o in others):
-            new = Inequality(
-                substitute(ineq.lhs, var, replacement),
-                substitute(ineq.rhs, var, replacement),
-            )
-            out.append(new)
-            changed.append(new)
-        else:
-            out.append(ineq)
-    rule = f"ackermann-{direction}"
-    return _Move(
-        rule,
-        tuple(out),
-        tuple(bounds) + tuple(o for _, o in others),
-        tuple(changed),
-        eliminated=(var,),
-        fresh=jn,
-    )
+def _approximations(ineq: Inequality, j: Nom, n: CoNom) -> list:
+    """The approximation rewrites of ineq; each introduces the fresh j or n."""
+    lhs, rhs = ineq.lhs, ineq.rhs
+    options = []
+    if isinstance(lhs, Nom) and isinstance(rhs, Dia) and not is_pure(rhs.sub):
+        options.append(("approx-dia", (Inequality(j, rhs.sub), Inequality(lhs, Dia(j))), (j,)))
+    if isinstance(rhs, CoNom) and isinstance(lhs, Box) and not is_pure(lhs.sub):
+        options.append(("approx-box", (Inequality(lhs.sub, n), Inequality(Box(n), rhs)), (n,)))
+    if isinstance(rhs, CoNom) and isinstance(lhs, Implies):
+        if not is_pure(lhs.lhs):
+            options.append(("approx-imp-left", (Inequality(j, lhs.lhs),
+                                                Inequality(Implies(j, lhs.rhs), rhs)), (j,)))
+        if not is_pure(lhs.rhs):
+            options.append(("approx-imp-right", (Inequality(lhs.rhs, n),
+                                                 Inequality(Implies(lhs.lhs, n), rhs)), (n,)))
+    return options
 
 
-def _fold(op, parts: list[Formula], empty: Formula) -> Formula:
-    return reduce(op, parts) if parts else empty
+def _residuations(ineq: Inequality) -> list:
+    """The residuation rewrites of ineq, toward a displayed variable."""
+    lhs, rhs = ineq.lhs, ineq.rhs
+    options = []
+    # box on the right: adjoint moves the inverse diamond left
+    if isinstance(rhs, Box) and not is_pure(rhs.sub):
+        options.append(("residuate-box", Inequality(DiaInv(lhs), rhs.sub)))
+    # diamond on the left: adjoint moves the inverse box right
+    if isinstance(lhs, Dia) and not is_pure(lhs.sub):
+        options.append(("residuate-dia", Inequality(lhs.sub, BoxInv(rhs))))
+    # implication on the right: uncurry
+    if isinstance(rhs, Implies) and not is_pure(rhs):
+        options.append(("residuate-imp", Inequality(And(lhs, rhs.lhs), rhs.rhs)))
+    # conjunction on the left: keep a conjunct that is not variable-free,
+    # move the other across as an implication
+    if isinstance(lhs, And):
+        if not is_pure(lhs.lhs):
+            options.append(("residuate-and", Inequality(lhs.lhs, Implies(lhs.rhs, rhs))))
+        if not is_pure(lhs.rhs):
+            options.append(("residuate-and", Inequality(lhs.rhs, Implies(lhs.lhs, rhs))))
+    # disjunction on the right: move a disjunct across as a difference
+    if isinstance(rhs, Or):
+        if not is_pure(rhs.rhs):
+            options.append(("co-residuate-or", Inequality(Minus(lhs, rhs.lhs), rhs.rhs)))
+        if not is_pure(rhs.lhs):
+            options.append(("co-residuate-or", Inequality(Minus(lhs, rhs.rhs), rhs.lhs)))
+    return [(rule, (new,), ()) for rule, new in options]
 
 
-def _approximation_moves(system: System, pinned: Inequality, jn) -> Iterator[_Move]:
-    j_count, n_count = jn
-    j, n = Nom(f"j{j_count + 1}"), CoNom(f"n{n_count + 1}")
-    for i, ineq in enumerate(system):
-        if ineq == pinned:
-            continue
-        lhs, rhs = ineq.lhs, ineq.rhs
-        options = []
-        if isinstance(lhs, Nom) and isinstance(rhs, Dia) and not is_pure(rhs.sub):
-            options.append(("approx-dia", j, (Inequality(j, rhs.sub), Inequality(lhs, Dia(j)))))
-        if isinstance(rhs, CoNom) and isinstance(lhs, Box) and not is_pure(lhs.sub):
-            options.append(("approx-box", n, (Inequality(lhs.sub, n), Inequality(Box(n), rhs))))
-        if isinstance(rhs, CoNom) and isinstance(lhs, Implies):
-            if not is_pure(lhs.lhs):
-                options.append(("approx-imp-left", j, (Inequality(j, lhs.lhs),
-                                                       Inequality(Implies(j, lhs.rhs), rhs))))
-            if not is_pure(lhs.rhs):
-                options.append(("approx-imp-right", n, (Inequality(lhs.rhs, n),
-                                                        Inequality(Implies(lhs.lhs, n), rhs))))
-        for rule, fresh, parts in options:
-            counts = (j_count + 1, n_count) if fresh == j else (j_count, n_count + 1)
-            yield _Move(rule, _replace(system, i, parts), (ineq,), parts,
-                        introduced=(fresh,), fresh=counts)
-
-
-def _residuation_moves(system: System, pinned: Inequality, jn) -> Iterator[_Move]:
-    for i, ineq in enumerate(system):
-        if ineq == pinned:
-            continue
-        lhs, rhs = ineq.lhs, ineq.rhs
-        options = []
-        # box on the right: adjoint moves the inverse diamond left
-        if isinstance(rhs, Box) and not is_pure(rhs.sub):
-            options.append(("residuate-box", Inequality(DiaInv(lhs), rhs.sub)))
-        # diamond on the left: adjoint moves the inverse box right
-        if isinstance(lhs, Dia) and not is_pure(lhs.sub):
-            options.append(("residuate-dia", Inequality(lhs.sub, BoxInv(rhs))))
-        # implication on the right: uncurry
-        if isinstance(rhs, Implies) and not is_pure(rhs):
-            options.append(("residuate-imp", Inequality(And(lhs, rhs.lhs), rhs.rhs)))
-        # conjunction on the left: keep a conjunct that is not variable-free,
-        # move the other across as an implication
-        if isinstance(lhs, And):
-            if not is_pure(lhs.lhs):
-                options.append(("residuate-and", Inequality(lhs.lhs, Implies(lhs.rhs, rhs))))
-            if not is_pure(lhs.rhs):
-                options.append(("residuate-and", Inequality(lhs.rhs, Implies(lhs.lhs, rhs))))
-        # disjunction on the right: move a disjunct across as a difference
-        if isinstance(rhs, Or):
-            if not is_pure(rhs.rhs):
-                options.append(("co-residuate-or", Inequality(Minus(lhs, rhs.lhs), rhs.rhs)))
-            if not is_pure(rhs.lhs):
-                options.append(("co-residuate-or", Inequality(Minus(lhs, rhs.rhs), rhs.lhs)))
-        for rule, new in options:
-            yield _Move(rule, _replace(system, i, (new,)), (ineq,), (new,), fresh=jn)
-
-
-def _numbered(system: System) -> tuple[int, int]:
-    """The highest k of the nominals j<k> and of the co-nominals n<k> in the
-    system, 0 when there are none: fresh atoms are numbered past them."""
-    j = n = 0
-    for ineq in system:
-        for atom in atoms(ineq.lhs) | atoms(ineq.rhs):
-            k = int(atom.name[1:]) if atom.name[1:].isdigit() else 0
-            if isinstance(atom, Nom) and atom.name[0] == "j":
-                j = max(j, k)
-            elif isinstance(atom, CoNom) and atom.name[0] == "n":
-                n = max(n, k)
+def _numbered(found: Iterable[Formula], jn: tuple[int, int]) -> tuple[int, int]:
+    """The highest k of the nominals j<k> and of the co-nominals n<k> among
+    the atoms found and the numbers jn: fresh atoms are numbered past them."""
+    j, n = jn
+    for atom in found:
+        k = int(atom.name[1:]) if atom.name[1:].isdigit() else 0
+        if isinstance(atom, Nom) and atom.name[0] == "j":
+            j = max(j, k)
+        elif isinstance(atom, CoNom) and atom.name[0] == "n":
+            n = max(n, k)
     return j, n
 
 
@@ -520,11 +448,6 @@ def _system_vars(system: System) -> set[str]:
     return out
 
 
-def _canonical_key(system: System) -> tuple:
-    # multiset key: a duplicate-discarding move must change the key
-    return tuple(sorted(str(i) for i in system))
-
-
 def reduce_system(
     system: System,
     pinned: Inequality,
@@ -533,65 +456,41 @@ def reduce_system(
     step_cap: int = 10_000,
 ) -> tuple[bool, System, list[TraceStep]]:
     """Depth-first search over rule applications; the preferred strategy is
-    the first path explored.  Raises StepCapExceeded when the cap is hit."""
+    the first path explored.  Once no variable is left only discards are
+    followed, without search and outside the cap.  Raises StepCapExceeded
+    when the cap is hit."""
     visited: set[tuple] = set()
     stuck: list[System] = []
     steps_taken = 0
 
-    def cleanup_tail(current: System) -> list[tuple[_Move, System]]:
-        out: list[tuple[_Move, System]] = []
-        while True:
-            move = next(
-                (m for m in _moves(current, pinned, (0, 0), alg)
-                 if m.rule.startswith("discard-")),
-                None,
-            )
-            if move is None:
-                return out
-            out.append((move, current))
-            current = move.system
-
-    def dfs(current: System, jn: tuple[int, int]) -> Optional[list[tuple[_Move, System]]]:
+    def dfs(current: System, jn: tuple[int, int]) -> Optional[list[Move]]:
         nonlocal steps_taken
         if not _system_vars(current):
-            return cleanup_tail(current)
-        key = _canonical_key(current)
+            move = _cleanup(current, pinned, branch)
+            return [] if move is None else [move] + dfs(move[1], jn)
+        # multiset key: a duplicate-discarding move must change the key
+        key = tuple(sorted(str(i) for i in current))
         if key in visited:
             return None
         visited.add(key)
         had_move = False
-        for move in _moves(current, pinned, jn, alg):
+        for step, successor in _moves(current, pinned, jn, branch, alg):
             steps_taken += 1
             if steps_taken > step_cap:
-                raise StepCapExceeded(
-                    f"reduction exceeded the {step_cap}-step cap"
-                )
+                raise StepCapExceeded(f"reduction exceeded the {step_cap}-step cap")
             had_move = True
-            tail = dfs(move.system, move.fresh)
+            tail = dfs(successor, _numbered(step.introduced, jn))
             if tail is not None:
-                return [(move, current)] + tail
+                return [(step, successor)] + tail
         if not had_move:
             stuck.append(current)
         return None
 
-    path = dfs(system, _numbered(system))
+    path = dfs(system, _numbered(
+        (atom for ineq in system for atom in atoms(ineq.lhs) | atoms(ineq.rhs)), (0, 0)))
     if path is None:
-        final = stuck[0] if stuck else system
-        return False, final, []
-    steps = [
-        TraceStep(
-            "reduce",
-            move.rule,
-            branch,
-            move.before,
-            move.after,
-            eliminated=move.eliminated,
-            introduced=move.introduced,
-        )
-        for move, _ in path
-    ]
-    final = path[-1][0].system if path else system
-    return True, final, steps
+        return False, stuck[0] if stuck else system, []
+    return True, path[-1][1] if path else system, [step for step, _ in path]
 
 
 # -- phase 3: translation and output -----------------------------------------------
@@ -665,15 +564,8 @@ def run_alba(
         if not ok:
             status = "failure"
 
-    result = AlbaResult(
-        status=status,
-        algebra=alg,
-        value=a,
-        source=source,
-        pre=pre,
-        pre_steps=pre_steps,
-        branches=branches,
-    )
+    result = AlbaResult(status=status, algebra=alg, value=a, source=source,
+                        pre_steps=pre_steps, branches=branches)
     if status != "success":
         return result
 

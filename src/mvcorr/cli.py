@@ -25,7 +25,7 @@ from .alba import run_alba
 from .oracle import correspondence_oracle
 from .semantics import eval_formula, parse_model_text
 from .svb import svb_correspondent
-from .syntax import Const, Inequality, parse_formula, parse_input
+from .syntax import Inequality, parse_formula, parse_input, top
 from .trees import branch_table, formula_inequality, is_inductive, is_sahlqvist
 
 SCHEMA = "mvcorr.report/1"
@@ -202,7 +202,7 @@ def cmd_classify(args) -> int:
     if isinstance(target, Inequality):
         ineq = target
     else:
-        ineq = formula_inequality(target, Const(alg.element_name(alg.top), alg.top))
+        ineq = formula_inequality(target, top(alg))
     eps = is_sahlqvist(ineq)
     inductive = is_inductive(ineq)
     rows = branch_table(ineq)
@@ -284,7 +284,8 @@ def cmd_alba(args) -> int:
     lines = [f"status: {result.status}"]
     for b in result.branches:
         lines.append(f"branch {b.index}: {b.initial}")
-        lines.append("  reduced: " + "; ".join(str(i) for i in b.system))
+        label = "reduced" if b.success else "unreduced"
+        lines.append(f"  {label}: " + "; ".join(str(i) for i in b.system))
     if result.succeeded:
         alpha = (
             result.correspondent_global if args.want_global else result.correspondent

@@ -2,9 +2,9 @@
 truth-value parameter.
 
 The classical shape is read and translated in one recursion: an
-implication whose antecedent is built from bottom/top, boxed atoms and
-negative parts with meet, join and diamond, and whose consequent is
-positive, composed under box, meet and variable-disjoint join
+implication whose antecedent is built from bottom/top, boxed atoms,
+negative and variable-free parts with meet, join and diamond, and whose
+consequent is positive, composed under box, meet and variable-disjoint join
 (Sahlqvist 1975; Blackburn, de Rijke and Venema, Modal Logic, 3.6).
 Anything else raises NotClassicalSahlqvist.
 
@@ -16,10 +16,11 @@ existentials are prenexed out of the antecedent to reach the shape
 the minimal instantiation sigma(P(y)) is read off as the disjunction of
 the relational reach R^r(x_i, y) of the boxed atoms mentioning P,
 substituted into the consequent, and  forall x1..xm (REL -> sigma(POS))
-is emitted.  Negative antecedent parts are curried into the consequent
-first, which keeps every antecedent predicate occurrence inside BOX-AT and
-the consequent monotone.  Box, meet and variable-disjoint join recompose
-the emitted conditions with the matching first-order context.
+is emitted.  Negative and variable-free antecedent parts are curried into
+the consequent first, which keeps every antecedent predicate occurrence
+inside BOX-AT and the consequent monotone.  Box, meet and variable-disjoint
+join recompose the emitted conditions with the matching first-order
+context.
 
 The function never reads an algebra or a truth value, so its output is
 literally identical across truth-value spaces and parameters.
@@ -98,7 +99,8 @@ def is_negative_formula(f: Formula) -> bool:
 
 
 def is_sahl_antecedent(f: Formula) -> bool:
-    """Built from bottom/top, boxed atoms and negative parts with and/or/dia."""
+    """Built from bottom/top, boxed atoms, negative and variable-free parts
+    with and/or/dia."""
     if isinstance(f, Const):
         return f.index in (0, 1)
     if boxed_atom(f) is not None:
@@ -107,7 +109,7 @@ def is_sahl_antecedent(f: Formula) -> bool:
         return is_sahl_antecedent(f.lhs) and is_sahl_antecedent(f.rhs)
     if isinstance(f, Dia):
         return is_sahl_antecedent(f.sub)
-    return is_negative_formula(f)
+    return is_negative_formula(f) or not prop_vars(f)
 
 
 @dataclass
@@ -117,7 +119,7 @@ class DefiniteImplication:
     bound: list[FoVar]  # x1..xm, in introduction order
     rel: list[Fo]  # R(x_i, x_j) atoms and constant conjuncts
     boxed: list[tuple[str, Term, int]]  # (predicate, base variable, depth)
-    negatives: list[Fo]  # translations of negative antecedent parts
+    negatives: list[Fo]  # translations of negative and variable-free parts
 
 
 def _lift_disjunctions(f: Formula) -> list[Formula]:
@@ -162,7 +164,7 @@ def _walk_definite(
         out.rel.append(Rel(cur, nxt))
         _walk_definite(f.sub, nxt, out, ivars, st_fresh)
         return
-    # is_sahl_antecedent admitted the rest as negative parts
+    # is_sahl_antecedent admitted the rest as negative or variable-free parts
     out.negatives.append(standard_translation(f, cur, st_fresh))
 
 

@@ -17,6 +17,7 @@ from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, sample_frames
 from mvcorr.stepcheck import verify_trace
 from mvcorr.syntax import (
+    And,
     Const,
     Inequality,
     Nom,
@@ -353,7 +354,7 @@ def test_ackermann_rules_sound_in_isolation():
     # preserve the satisfying assignments (the elimination lemmas)
     import random as _random
 
-    from mvcorr.alba import _ackermann_moves, TraceStep
+    from mvcorr.alba import _ackermann_moves
     from mvcorr.randomgen import random_formula
     from mvcorr.oracle import sample_frames
     from mvcorr.stepcheck import verify_step
@@ -370,12 +371,41 @@ def test_ackermann_rules_sound_in_isolation():
             lhs = random_formula(rng, P, ("p", "q"), depth=2, extended=True)
             rhs = random_formula(rng, P, ("p", "q"), depth=2, extended=True)
             system.append(Inequality(lhs, rhs))
-        for move in _ackermann_moves(tuple(system), pinned, (0, 0), P):
-            step = TraceStep(
-                "reduce", move.rule, 0, move.before, move.after,
-                eliminated=move.eliminated, introduced=move.introduced,
-            )
+        for step, _ in _ackermann_moves(tuple(system), 0, P):
             failure = verify_step(step, frames)
             assert failure is None, failure.describe()
             verified += 1
     assert verified >= 12
+
+
+# -- trace replay ----------------------------------------------------------------------
+
+
+def replay(start, steps):
+    """The multiset of inequalities left by applying the steps in order to
+    `start`: each step removes what it consumed, which must be there, and
+    adds what it produced."""
+    held = Counter(start)
+    for step in steps:
+        for ineq in step.before:
+            assert held[ineq] > 0, step.describe()
+            held[ineq] -= 1
+        held.update(step.after)
+    return +held
+
+
+def test_trace_replays_to_its_result(inductive_corpus):
+    runs = [run_alba(parse_input(text, P), a, P)
+            for text in sorted(NAMED_AXIOMS) + CLASSICAL for a in range(P.n)]
+    runs += [run_alba(ineq, GAMMA, P) for ineq in inductive_corpus]
+    # each discards a duplicate, which consumes both copies
+    runs += [run_alba(parse_inequality(text, P), GAMMA, P)
+             for text in ("<>p /\\ <>p <= <>p", "[]p /\\ []p <= p")]
+    runs.append(run_alba(parse_formula("<><>p -> <>p", P), GAMMA, P, step_cap=0))
+    for res in runs:
+        a_const = Const(P.element_name(res.value), res.value)
+        start = Inequality(And(res.source.lhs, a_const), res.source.rhs)
+        assert replay([start], res.pre_steps) == Counter(b.initial for b in res.branches)
+        for b in res.branches:
+            assert b.success or res.status == "step-cap"
+            assert replay([b.initial], b.steps) == Counter(b.system), str(res.source)

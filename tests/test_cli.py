@@ -26,6 +26,7 @@ def test_alba_reflexivity_example(capsys):
         "--formula", "p -> <>p", "--verify", "sizes=1,2",
     )
     assert code == 0
+    assert "  reduced: #i0 <= @gamma; <>#i0 <= $m0" in out
     assert "display: @gamma =< R(x, x)" in out
     assert "PASS" in out
 
@@ -237,6 +238,7 @@ def test_alba_failure_exit(capsys):
     )
     assert code == 1
     assert "status: failure" in out
+    assert out.splitlines()[2].startswith("  unreduced: ")
 
 
 def test_negative_step_cap_is_a_usage_error(capsys):
@@ -315,6 +317,7 @@ def test_alba_step_cap_exit_1(capsys):
     )
     assert code == 1
     assert out.splitlines()[0] == "status: step-cap"
+    assert out.splitlines()[2] == "  unreduced: #i0 <= <><>p; #i0 <= @gamma; <>p <= $m0"
 
 
 def test_negative_budget_env_is_a_usage_error(monkeypatch, capsys):

@@ -92,6 +92,21 @@ def test_negative_antecedent_part_is_curried():
     assert print_fo(simplify_display(raw)) == "R(x, x)"
 
 
+def test_variable_free_boxed_antecedent_part_is_curried():
+    raw = svb_correspondent(parse_formula("[]@0 -> p", P))
+    assert print_fo(raw) == "(A y1. (R(x, y1) -> @0)) -> @0"
+
+
+@pytest.mark.parametrize("text", ["[]@0 -> p", "[]@0 /\\ []p -> p"])
+def test_variable_free_antecedent_part_passes_the_oracle(text):
+    for alg in (B2, P):
+        f = parse_formula(text, alg)
+        alpha = svb_correspondent(f)
+        for a in range(1, alg.n):
+            rep = correspondence_oracle(alg, f, a, alpha, sizes=[1, 2])
+            assert rep.passed, (alg.name, alg.element_name(a), rep.describe())
+
+
 def test_every_corpus_formula_is_a_correspondent_for_every_a():
     for text in CORPUS:
         f = parse_formula(text, P)
