@@ -15,7 +15,12 @@ Run it on two commits of a change that must not alter any output: equal
   three-state frames: of each named axiom against its ALBA correspondent
   at gamma (threshold top) and its named frame property at every value,
   of the 20 FAIL pairs of one axiom's correspondent at gamma against
-  another axiom, and of one check refused inside size 2;
+  another axiom, and of one check refused inside size 2; of inputs whose
+  truth constants, value or threshold are moved by the swap of alpha and
+  beta, against their ALBA correspondent and reflexivity;
+- `fo_agree`'s report and budget units, same frames: each named axiom's
+  ALBA correspondent at gamma (threshold top) against its named frame
+  property and against reflexivity, at thresholds gamma, alpha and 1;
 - stepcheck's verdict, `sound` or the failure's text, on 8 seeded
   two-state frames for every distinct trace step of those ALBA runs and
   for each step's drop-one mutants (one produced, else one consumed,
@@ -36,7 +41,7 @@ from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
 from mvcorr.fol import frame_property, print_fo, simplify_display, to_dict
 from mvcorr.heyting import builtin_algebra
-from mvcorr.oracle import correspondence_oracle, sample_frames
+from mvcorr.oracle import correspondence_oracle, fo_agree, sample_frames
 from mvcorr.randomgen import random_inequality
 from mvcorr.stepcheck import verify_step
 from mvcorr.svb import svb_correspondent
@@ -115,18 +120,27 @@ def stepcheck_lines(steps: list, alg) -> list[str]:
     return lines
 
 
-def oracle_line(label: str, alg, source, a: int, alpha, threshold=None,
-                cap=None) -> str:
+FRAMES = dict(sizes=[1, 2], samples=4, sample_size=3, seed=1)
+# constants, values and thresholds that the swap of alpha and beta moves
+SWAP_BREAKING = ("p /\\ @alpha <= <>p", "@beta -> <>p", "p -> []<>p")
+
+
+def outcome_line(label: str, check, cap=None) -> str:
+    """`check(budget)`'s report, or its refusal, and the units it used."""
     budget = Budget(cap)
     try:
-        report = correspondence_oracle(alg, source, a, alpha, sizes=[1, 2], samples=4,
-                                       sample_size=3, seed=1, budget=budget,
-                                       fo_threshold=threshold)
+        report = check(budget)
         outcome = (f"{report.describe()}; {report.frames_checked} frames, "
                    f"{report.states_checked} states")
     except BudgetExceeded as exc:
         outcome = f"refused: {exc}"
-    return f"oracle {label}: {outcome}; {budget.used} units"
+    return f"{label}: {outcome}; {budget.used} units"
+
+
+def oracle_line(label: str, alg, source, a: int, alpha, threshold=None,
+                cap=None) -> str:
+    return outcome_line(f"oracle {label}", lambda budget: correspondence_oracle(
+        alg, source, a, alpha, budget=budget, fo_threshold=threshold, **FRAMES), cap)
 
 
 def oracle_lines(alg) -> list[str]:
@@ -145,6 +159,23 @@ def oracle_lines(alg) -> list[str]:
     run = runs["<><>p -> <>p"]
     lines.append(oracle_line(f"<><>p -> <>p @gamma capped at {REFUSED_CAP}", alg, run.source,
                              gamma, run.correspondent, alg.top, REFUSED_CAP))
+    alpha = alg.element("alpha")
+    for text in SWAP_BREAKING:
+        for a in (gamma, alpha, alg.top):
+            run = run_alba(parse_input(text, alg), a, alg)
+            label = f"{text} @{alg.element_name(a)}"
+            if run.succeeded:
+                lines.append(oracle_line(label, alg, run.source, a, run.correspondent, alg.top))
+            lines.append(oracle_line(f"{label} reflexive", alg, run.source, a,
+                                     frame_property("reflexive")))
+    for text, run in runs.items():
+        for prop in dict.fromkeys((PROPERTIES[text], "reflexive")):
+            for threshold in (gamma, alpha, alg.top):
+                lines.append(outcome_line(
+                    f"fo_agree {text} @gamma {prop} @{alg.element_name(threshold)}",
+                    lambda budget: fo_agree(alg, run.correspondent, frame_property(prop),
+                                            threshold_alpha=alg.top, threshold_beta=threshold,
+                                            budget=budget, **FRAMES)))
     return lines
 
 

@@ -457,10 +457,12 @@ def reduce_system(
 ) -> tuple[bool, System, list[TraceStep]]:
     """Depth-first search over rule applications; the preferred strategy is
     the first path explored.  Once no variable is left only discards are
-    followed, without search and outside the cap.  Raises StepCapExceeded
-    when the cap is hit."""
+    followed, without search and outside the cap.  A failed search returns
+    the first system it got stuck at and the steps that led there.  Raises
+    StepCapExceeded when the cap is hit."""
     visited: set[tuple] = set()
-    stuck: list[System] = []
+    stuck: list[tuple[System, list[TraceStep]]] = []
+    trail: list[TraceStep] = []  # the steps from `system` to the one being searched
     steps_taken = 0
 
     def dfs(current: System, jn: tuple[int, int]) -> Optional[list[Move]]:
@@ -479,17 +481,19 @@ def reduce_system(
             if steps_taken > step_cap:
                 raise StepCapExceeded(f"reduction exceeded the {step_cap}-step cap")
             had_move = True
+            trail.append(step)
             tail = dfs(successor, _numbered(step.introduced, jn))
+            trail.pop()
             if tail is not None:
                 return [(step, successor)] + tail
         if not had_move:
-            stuck.append(current)
+            stuck.append((current, list(trail)))
         return None
 
     path = dfs(system, _numbered(
         (atom for ineq in system for atom in atoms(ineq.lhs) | atoms(ineq.rhs)), (0, 0)))
     if path is None:
-        return False, stuck[0] if stuck else system, []
+        return (False, *stuck[0]) if stuck else (False, system, [])
     return True, path[-1][1] if path else system, [step for step, _ in path]
 
 

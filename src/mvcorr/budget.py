@@ -15,8 +15,9 @@ to the end of both sides' runs or their first disagreement, are charged in
 one sum when it fits under `cap`, and otherwise up to the frame refused,
 so `used` and the point of refusal are those of one table per frame.  The
 re-read of a counterexample's state is not charged, nor is the search for
-orbit minima, which reads only as far as the scan and stops at five
-states, where a frame's renamings still cost less than most tables.
+orbit minima, which runs once per process and frame size and group, as
+far as any scan has read, and stops at five states, where a frame's
+renamings still cost less than most tables.
 
 The per-step checker `stepcheck` charges the same way, for each frame before
 it builds that frame's tables: one unit per cell of each subformula's code

@@ -206,6 +206,13 @@ def free_symbols(f: Fo) -> set:
     return out
 
 
+def truth_constants(f: Fo) -> set[int]:
+    """The elements the truth constants of f name."""
+    if isinstance(f, TruthConst):
+        return {f.index}
+    return set().union(*map(truth_constants, fo_children(f)))
+
+
 def free_individual_symbols(f: Fo) -> set[Term]:
     """Free individual variables and nominal/co-nominal constants of f."""
     return {s for s in free_symbols(f) if isinstance(s, Term)}

@@ -19,13 +19,15 @@ isomorphisms `kappa` / `lam` between them, and verifies exhaustively:
   and dually for lam,
 * kappa and lam are mutually inverse.
 
-Instances are immutable after load and safe to share between threads.
+Instances are immutable after load, but for their automorphisms, computed
+once on first use, and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -127,6 +129,34 @@ class HeytingAlgebra:
             if out == self.bot:
                 return out
         return out
+
+    @cached_property
+    def automorphisms(self) -> tuple[bytes, ...]:
+        """The order automorphisms, hence the lattice and Heyting ones, each
+        the bytes of its images, in ascending order (the identity first).
+        Found on first use by backtracking over the join-irreducibles: a
+        bijection of them that preserves and reflects the order extends, by
+        joins, to exactly one automorphism."""
+        irr, leq = self.join_irreducibles, self.leq
+        below = [[j for j in irr if leq[j][u]] for u in range(self.n)]
+        found: list[bytes] = []
+        image: dict[int, int] = {}
+
+        def extend(k: int) -> None:
+            if k == len(irr):
+                found.append(bytes(self.join_all(map(image.__getitem__, js)) for js in below))
+                return
+            j = irr[k]
+            for m in irr:
+                if m not in image.values() and all(
+                        leq[i][j] == leq[image[i]][m] and leq[j][i] == leq[m][image[i]]
+                        for i in irr[:k]):
+                    image[j] = m
+                    extend(k + 1)
+                    del image[j]
+
+        extend(0)
+        return tuple(sorted(found))
 
     def fingerprint(self) -> str:
         """Stable hash of the carrier and all operation tables."""

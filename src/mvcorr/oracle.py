@@ -12,26 +12,31 @@ at a (a-valid at w iff a is below the degree at w).  A candidate is read
 under every assignment sending x to w: its side tabulates the universal
 closure over its other free individual symbols, whose fold tables are
 cells like any other (a sentence has one verdict per frame, repeated at
-every state).  Of each size up
-to five states only the orbit minima are tabulated (`_orbit_minima`), in
-batches of at most `BATCH_FRAMES` `fol.relation_bytes`; a frame between
-them, which disagrees exactly when its minimum (enumerated before it)
-does, is counted and charged as if read, so the first counterexample,
-counts, charges and refusals are those of one table per frame (see
-`budget`).  A kernel run (`fol.CompiledFo`) tabulates consecutive frames
-of a batch, masked to one 0/1 verdict byte per state and compared a run
-at a time.  Besides one per kernel run for its interpretation, only a
-counterexample gets a `Frame`, from `iter_frames` (the reference for the
-enumeration order) or the samples, and is read again, uncharged, per
-state.
+every state).  Both sides also keep their verdicts under the algebra's
+automorphisms that fix both thresholds and every truth constant
+(`_symmetries`), applied to every cell.  Of each size up to five states
+only the minima of the orbits under renamings times those automorphisms
+are tabulated (`_orbit_minima`, searched once per process), in batches
+of at most `BATCH_FRAMES` `fol.relation_bytes`; a frame between them,
+which disagrees exactly when its minimum (enumerated before it) does, is
+counted and charged as if read, so the first counterexample, counts,
+charges and refusals are those of one table per frame (see `budget`).
+A kernel run (`fol.CompiledFo`) tabulates consecutive frames of a batch,
+masked to one 0/1 verdict byte per state and compared a run at a time.
+Besides one per kernel run for its interpretation, only a counterexample
+gets a `Frame`, from `iter_frames` (the reference for the enumeration
+order) or the samples, and is read again, uncharged, per state.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, permutations, product, repeat
-from operator import and_, floordiv, itemgetter, le, mod
+from itertools import chain, compress, islice, permutations, product, repeat
+from math import factorial
+from operator import floordiv, itemgetter, le, mod
+from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional
 
 from .budget import Budget
@@ -46,6 +51,7 @@ from .fol import (
     free_pred_names,
     interp_for_frame,
     relation_bytes,
+    truth_constants,
 )
 from .heyting import HeytingAlgebra
 from .randomgen import random_frame
@@ -136,10 +142,11 @@ def correspondence_oracle(
     budget = Budget() if budget is None else budget
     modal = _Truth(alg, degree_claim(target), a, budget,
                    lambda frame, i, w: valid_at(frame, target, w, a))
+    fo = _Truth(alg, alpha, threshold, budget)
     return _first_disagreement(
-        _frames(alg, sizes, samples, sample_size, seed),
+        _frames(alg, sizes, samples, sample_size, seed, _symmetries(alg, modal, fo)),
         modal,
-        _Truth(alg, alpha, threshold, budget),
+        fo,
         budget,
         right_first=True,  # each frame's first-order side is charged first
     )
@@ -159,21 +166,33 @@ def fo_agree(
 ) -> OracleReport:
     """Pointwise agreement of two local first-order conditions."""
     budget = Budget() if budget is None else budget
+    left = _Truth(alg, alpha, threshold_alpha, budget)
+    right = _Truth(alg, beta, threshold_beta, budget)
     return _first_disagreement(
-        _frames(alg, sizes, samples, sample_size, seed),
-        _Truth(alg, alpha, threshold_alpha, budget),
-        _Truth(alg, beta, threshold_beta, budget),
+        _frames(alg, sizes, samples, sample_size, seed, _symmetries(alg, left, right)),
+        left,
+        right,
         budget,
     )
 
 
+def _symmetries(alg: HeytingAlgebra, *sides: _Truth) -> tuple[bytes, ...]:
+    """The automorphisms of `alg` other than the identity that fix each
+    side's threshold and truth constants: every verdict on a frame is the
+    verdict on its image under any of them."""
+    fixed = set().union(*(side.constants for side in sides))
+    return tuple(s for s in alg.automorphisms[1:] if all(s[v] == v for v in fixed))
+
+
 def _frames(
     alg: HeytingAlgebra, sizes: Iterable[int], samples: int, sample_size: int,
-    seed: int,
+    seed: int, group: tuple[bytes, ...],
 ) -> Iterator[Batch]:
     """The `_orbit_minima` of every size asked for, once, then the seeded
-    samples, in batches of one size made as the scan reaches them.  A
-    request for frames without states raises ValueError at once."""
+    samples, in batches of one size made as the scan reaches them.  A size
+    whose renamings times `group` and the identity pass `MAX_GROUP` drops
+    `group`.  A request for frames without states raises ValueError at
+    once."""
     sizes = list(dict.fromkeys(sizes))
     if any(size < 1 for size in sizes):
         raise ValueError(f"frame sizes must be at least 1, got {sizes}")
@@ -191,8 +210,10 @@ def _frames(
 
     def frames() -> Iterator[Batch]:
         for size in sizes:
+            kept = group if factorial(size) * (len(group) + 1) <= MAX_GROUP else ()
             # in `iter_frames` order, which alone builds a counterexample's frame
-            yield from batches(size, chain(_orbit_minima(alg.n, size), [alg.n ** (size * size)]),
+            yield from batches(size, chain(_orbit_minima(alg.n, size, kept),
+                                           [alg.n ** (size * size)]),
                                lambda numbers, size=size: _relations(alg.n, size, numbers),
                                lambda p, size=size: next(islice(iter_frames(alg, size), p, None)))
         if samples:
@@ -204,24 +225,84 @@ def _frames(
     return frames()
 
 
-def _orbit_minima(n: int, size: int) -> Iterator[int]:
+# the most images a frame is compared with: its renamings up to five
+# states, where they still cost less than tabulating it
+MAX_GROUP = 120
+
+
+class _Minima:
+    """The orbit minima of one (n, size, group) found so far, in a compact
+    array, and the search that finds the next ones."""
+
+    def __init__(self, n: int, size: int, group: tuple[bytes, ...]):
+        self.numbers = array("Q")
+        self.search = _search(n, size, group)
+        self.lock = Lock()
+
+    def past(self, read: int) -> bool:
+        """Whether there are more than `read` minima, searching as far as
+        the next one if need be."""
+        with self.lock:
+            while len(self.numbers) <= read:
+                chunk = next(self.search, None)
+                if chunk is None:
+                    return False
+                self.numbers.extend(chunk)
+            return True
+
+
+# every minima search of the process, kept as far as a scan has read it
+_MINIMA: dict[tuple[int, int, tuple[bytes, ...]], _Minima] = {}
+
+
+def _orbit_minima(n: int, size: int, group: tuple[bytes, ...]) -> Iterator[int]:
     """The numbers in `iter_frames` order of the frames over n elements whose
-    cells are the least of their orbit under renaming the states (McKay,
-    J. Algorithms 1998), found in chunks as far as a scan reads.  Past five
-    states, where a frame's size! - 1 renamings (719 at six) can cost more
-    than tabulating it, every frame."""
-    if size > 5:
+    cells are the least of their orbit (McKay, J. Algorithms 1998) under
+    renaming the states and applying the element maps of `group`, searched
+    once per process and only as far as any scan reads.  Past five states,
+    where a frame's size! - 1 renamings (719 at six) can cost more than
+    tabulating it, every frame."""
+    if factorial(size) > MAX_GROUP:
         yield from range(n ** (size * size))
         return
+    key = (n, size, group)
+    minima = _MINIMA.get(key)
+    if minima is None:
+        minima = _MINIMA.setdefault(key, _Minima(n, size, group))
+    i = 0
+    while minima.past(i):
+        chunk = minima.numbers[i:i + 4096]
+        i += len(chunk)
+        yield from chunk
+
+
+def _search(n: int, size: int, group: tuple[bytes, ...]) -> Iterator[list[int]]:
+    """Per chunk of frames in `iter_frames` order, the numbers of its orbit
+    minima: the frames no renaming makes smaller, of those the ones no
+    element map of `group`, after any renaming, makes smaller."""
     renamings = [itemgetter(*[i * size + j for i in perm for j in perm])
                  for perm in islice(permutations(range(size)), 1, None)]
-    frames, numbers, take = product(range(n), repeat=size * size), count(), 64
-    while chunk := list(islice(frames, take)):
-        minimal = [True] * len(chunk)  # no renaming makes the cells smaller
-        for renamed in renamings:
-            minimal = list(map(and_, minimal, map(le, chunk, map(renamed, chunk))))
-        yield from compress(islice(numbers, len(chunk)), minimal)
-        take = min(2 * take, 4096)
+    maps = [s.ljust(256, b"\0") for s in group]
+    frames, total, first, take = product(range(n), repeat=size * size), n ** (size * size), 0, 64
+    while first < total:
+        yield _least(list(islice(frames, take)), first, renamings, maps)
+        first, take = first + take, min(2 * take, 4096)
+
+
+def _least(chunk: list[tuple], first: int, renamings: list, maps: list[bytes]) -> list[int]:
+    """The numbers of the orbit minima among `chunk`, frames first, first + 1,
+    ...: each image drops the frames it makes smaller from those left."""
+    numbers = list(range(first, first + len(chunk)))
+    for renamed in renamings:
+        minimal = list(map(le, chunk, map(renamed, chunk)))
+        numbers, chunk = list(compress(numbers, minimal)), list(compress(chunk, minimal))
+    for table in maps:
+        moved = [bytes(cells).translate(table) for cells in chunk]
+        for image in (tuple, *renamings):
+            minimal = list(map(le, chunk, map(image, moved)))
+            numbers, chunk, moved = (list(compress(numbers, minimal)),
+                                     list(compress(chunk, minimal)), list(compress(moved, minimal)))
+    return numbers
 
 
 def _relations(n: int, size: int, numbers: list[int]) -> list[bytes]:
@@ -286,6 +367,7 @@ class _Truth:
         for sym in sorted(free_individual_symbols(formula) - {_X}, key=str):
             formula = Forall(sym, formula)
         self.alg, self.formula, self.threshold, self.budget = alg, formula, threshold, budget
+        self.constants = truth_constants(formula) | {threshold}
         self.mask = bytes(alg.le(threshold, v) for v in range(alg.n)).ljust(256, b"\0")
         self.rels = None
         if reread is not None:

@@ -1,10 +1,11 @@
 """Shared fixtures: algebras, frame pools, and the regression corpus."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from mvcorr.heyting import builtin_algebra
+from mvcorr.heyting import builtin_algebra, load_algebra
 from mvcorr.oracle import iter_frames
 from mvcorr.randomgen import random_inequality
 from mvcorr.syntax import parse_inequality
@@ -29,6 +30,14 @@ def bool2_frames_upto2(B2):
 @pytest.fixture(scope="session")
 def p_frames_size1(P):
     return list(iter_frames(P, 1))
+
+
+def boolean_algebra(atoms):
+    """The subsets of `atoms` under inclusion, the empty one named 0."""
+    subsets = [frozenset(c) for r in range(len(atoms) + 1) for c in combinations(atoms, r)]
+    name = {s: "".join(sorted(s)) or "0" for s in subsets}
+    return load_algebra({"elements": list(name.values()),
+                         "leq": [[name[s], name[t]] for s in subsets for t in subsets if s <= t]})
 
 
 def paper_inequalities(alg):

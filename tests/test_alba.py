@@ -402,10 +402,17 @@ def test_trace_replays_to_its_result(inductive_corpus):
     runs += [run_alba(parse_inequality(text, P), GAMMA, P)
              for text in ("<>p /\\ <>p <= <>p", "[]p /\\ []p <= p")]
     runs.append(run_alba(parse_formula("<><>p -> <>p", P), GAMMA, P, step_cap=0))
-    for res in runs:
+    # failed searches: a stuck branch's steps lead to the system it got stuck at
+    failed = [run_alba(parse_inequality(text, P), a, P)
+              for text in ("[](p \\/ q) <= <>(p /\\ q)", "[]<>p <= <>[]p") for a in range(P.n)]
+    assert all(res.status == "failure" for res in failed)
+    for res in runs + failed:
         a_const = Const(P.element_name(res.value), res.value)
         start = Inequality(And(res.source.lhs, a_const), res.source.rhs)
         assert replay([start], res.pre_steps) == Counter(b.initial for b in res.branches)
         for b in res.branches:
-            assert b.success or res.status == "step-cap"
+            assert b.success or res.status in ("step-cap", "failure")
             assert replay([b.initial], b.steps) == Counter(b.system), str(res.source)
+    stuck = failed[P.top].branches[0]
+    assert [step.rule for step in stuck.steps][-1] == "ackermann-left"
+    assert "; ".join(map(str, stuck.system)) == "<i>#i0 - (q -> [i]$m0) <= q; #i0 <= @1"

@@ -4,7 +4,7 @@ Derived expectations are computed by independent brute-force oracles
 (subset enumeration over the carrier) and also frozen as literals.
 """
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mvcorr.errors import (
     InvalidAlgebra, NoBounds, NotALattice, NotDistributive, UnknownConstant,
 )
+from conftest import boolean_algebra
 from mvcorr.heyting import BUILTIN_SPECS, builtin_algebra, load_algebra, parse_algebra_text
 
 P = builtin_algebra("paper-P")
@@ -269,3 +270,35 @@ def test_parse_algebra_text_roundtrip():
 def test_fingerprint_stable():
     assert P.fingerprint() == builtin_algebra("paper-P").fingerprint()
     assert P.fingerprint() != B2.fingerprint()
+
+
+# -- automorphisms ----------------------------------------------------------------
+
+
+CHAIN4 = parse_algebra_text("elements: [0, a, b, 1]\nleq: [[0, a], [a, b], [b, 1]]\n")
+B4, B8 = boolean_algebra("ab"), boolean_algebra("abc")
+
+
+def order_automorphisms(alg):
+    """Every permutation of the elements that preserves and reflects the order."""
+    return [perm for perm in permutations(range(alg.n))
+            if all(alg.le(a, b) == alg.le(perm[a], perm[b])
+                   for a, b in product(range(alg.n), repeat=2))]
+
+
+@pytest.mark.parametrize("alg,count", [(B2, 1), (CHAIN4, 1), (P, 2), (B4, 2), (B8, 6)],
+                         ids=["bool2", "chain4", "paper-P", "B4", "B8"])
+def test_automorphisms_are_the_order_automorphisms(alg, count):
+    found = [tuple(s) for s in alg.automorphisms]
+    assert found == order_automorphisms(alg) and len(found) == count
+    assert found[0] == tuple(range(alg.n))
+    for s in found[1:]:
+        for table in (alg.join_table, alg.meet_table, alg.imp_table, alg.coimp_table):
+            assert all(s[table[a][b]] == table[s[a]][s[b]]
+                       for a, b in product(range(alg.n), repeat=2))
+
+
+def test_paper_p_automorphism_swaps_alpha_and_beta():
+    swap = P.automorphisms[1]
+    assert {nm(P, v): nm(P, swap[v]) for v in range(P.n)} == {
+        "0": "0", "alpha": "beta", "beta": "alpha", "gamma": "gamma", "1": "1"}

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded, UnboundSymbol
-from mvcorr import fol
+from mvcorr import fol, oracle
 from mvcorr.fol import (
     BOT,
     CoNomTV,
@@ -360,6 +360,60 @@ def test_values_are_invariant_under_renaming_the_states(seed, size):
         for states in product(range(size), repeat=len(terms)):
             moved = [perm[w] for w in states]
             assert after.value(dict(zip(terms, moved))) == before.value(dict(zip(terms, states)))
+
+
+GAMMA, ALPHA = P.element("gamma"), P.element("alpha")
+SWAP = P.automorphisms[1]  # alpha and beta exchanged
+
+
+def swapped(frame):
+    """The frame with alpha and beta exchanged in every cell."""
+    return Frame(P, frame.states, tuple(tuple(SWAP[v] for v in row) for row in frame.rel))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_values_commute_with_the_swap_that_fixes_the_constants(seed, size):
+    # what the oracle's larger orbit group rests on: a candidate with binders
+    # of every sort, or a target's degree claim, whose truth constants the
+    # alpha/beta swap fixes, takes on the swapped frame the swapped values
+    rng = random.Random(seed)
+    frame = random_frame(rng, P, size)
+    while True:
+        if rng.random() < 0.5:
+            f = fol.degree_claim(random_target(rng, size))
+        else:
+            f = bind_every_sort(rng, random_fo(rng, P, preds=("p",),
+                                               depth=rng.choice([1, 2, 3])))
+        if all(SWAP[c] == c for c in fol.truth_constants(f)):
+            break
+    terms = sorted(free_individual_symbols(f), key=str)
+    before = CompiledFo(interp_for_frame(frame), f)
+    after = CompiledFo(interp_for_frame(swapped(frame)), f)
+    for states in product(range(size), repeat=len(terms)):
+        env = dict(zip(terms, states))
+        assert after.value(env) == SWAP[before.value(env)]
+
+
+def test_a_constant_or_threshold_the_swap_moves_leaves_it_out_of_the_group():
+    # the control: @alpha keeps its value on the swapped frame instead of
+    # taking the swapped one, so the oracle's group drops the swap once
+    # @alpha occurs, or once a or a threshold is alpha
+    frame = Frame(P, ("w",), ((ALPHA,),))
+    with_alpha = FoOr(Rel(X, X), fol.TruthConst("alpha", ALPHA))
+    assert CompiledFo(interp_for_frame(swapped(frame)), with_alpha).value({X: 0}) == P.join(
+        SWAP[ALPHA], ALPHA) != SWAP[CompiledFo(interp_for_frame(frame), with_alpha).value({X: 0})]
+
+    def group(*sides):
+        return oracle._symmetries(P, *(oracle._Truth(P, f, t, Budget()) for f, t in sides))
+
+    assert group((Rel(X, X), GAMMA), (fol.degree_claim(parse_formula("p -> <>p", P)), P.top)) \
+        == (SWAP,)
+    assert group((with_alpha, GAMMA)) == ()
+    assert group((Rel(X, X), ALPHA)) == ()
+    assert group((Rel(X, X), GAMMA), (Rel(X, X), ALPHA)) == ()
+    assert group((Rel(X, X), GAMMA), (fol.degree_claim(parse_formula("p /\\ @beta -> <>p", P)),
+                                      GAMMA)) == ()
 
 
 # -- budget: one unit per table cell, charged before any table is built ----------

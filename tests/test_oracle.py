@@ -1,10 +1,13 @@
 """Correspondence oracle on the worked disjunction example."""
 
 import random
+import sys
+import threading
 import time
+import tracemalloc
 from collections import Counter
 from functools import reduce
-from itertools import chain, permutations, product
+from itertools import chain, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 import mvcorr.fol as fol
 import mvcorr.oracle as oracle
+from conftest import boolean_algebra
 from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded, MvcorrError
@@ -290,6 +294,8 @@ def correspondent(text):
 
 
 GAMMA = P.element("gamma")
+B3 = parse_algebra_text("elements: [0, h, 1]\nleq: [[0, h], [h, 1]]\n", name="chain3")
+B2 = builtin_algebra("bool2")
 # sizes 1 and 2, then `samples` three-state frames: a modal target at value
 # `a` against a first-order candidate at top, or two candidates
 SCANS = {
@@ -449,11 +455,13 @@ def test_frames_come_in_the_nested_generator_order(name):
 # -- orbit minima: isomorphic frames are counted, not tabulated ------------------------
 
 
-def is_orbit_minimum(frame):
-    """No renaming of the states gives a lexicographically smaller matrix."""
+def is_orbit_minimum(frame, group):
+    """No renaming of the states, followed by the identity or an element map
+    of `group`, gives a lexicographically smaller matrix."""
     cells = list(chain.from_iterable(frame.rel))
-    return all(cells <= [frame.rel[i][j] for i in perm for j in perm]
-               for perm in permutations(range(frame.size)))
+    return all(cells <= [s[frame.rel[i][j]] for i in perm for j in perm]
+               for perm in permutations(range(frame.size))
+               for s in (range(frame.algebra.n), *group))
 
 
 def tabulated(monkeypatch):
@@ -470,23 +478,152 @@ def tabulated(monkeypatch):
     return runs
 
 
+ALPHA, SWAP = P.element("alpha"), P.automorphisms[1]
+B4, B8 = boolean_algebra("ab"), boolean_algebra("abc")
+
+
 def test_only_orbit_minima_are_tabulated(monkeypatch):
-    # 5 + 325 + 4 frames per side, of 634 counted
+    # at gamma the alpha/beta swap joins the renamings: 4 + 189 + 4 frames per
+    # side, of 634 counted; at alpha only the renamings, 5 + 325 + 4
     runs = tabulated(monkeypatch)
     phi = parse_formula("<><>p -> <>p", P)
-    report = correspondence_oracle(P, phi, GAMMA, correspondent("<><>p -> <>p"), sizes=[1, 2],
-                                   samples=4, sample_size=3, seed=1, fo_threshold=P.top)
-    assert report_tuple(report) == (True, 634, 1267)
-    assert sorted(runs.values()) == [5 + 325 + 4] * 2
+    for a, want in ((GAMMA, 4 + 189 + 4), (ALPHA, 5 + 325 + 4)):
+        runs.clear()
+        report = correspondence_oracle(P, phi, a, run_alba(phi, a, P).correspondent, sizes=[1, 2],
+                                       samples=4, sample_size=3, seed=1, fo_threshold=P.top)
+        assert report_tuple(report) == (True, 634, 1267)
+        assert sorted(runs.values()) == [want] * 2
     runs.clear()
     report = correspondence_oracle(P, phi, GAMMA, parse_fo("A y. R(x, y) =< R(y, x)", P),
                                    sizes=[1, 2])
-    assert not report.passed and is_orbit_minimum(report.counterexample.frame)
-    assert report.counterexample.frame.size == 2 and max(runs.values()) < 5 + 325
+    assert not report.passed and is_orbit_minimum(report.counterexample.frame, [SWAP])
+    assert report.counterexample.frame.size == 2 and max(runs.values()) < 4 + 189
 
 
-B3 = parse_algebra_text("elements: [0, h, 1]\nleq: [[0, h], [h, 1]]\n", name="chain3")
-B2 = builtin_algebra("bool2")
+def test_the_group_fixes_thresholds_and_truth_constants(monkeypatch):
+    # the swap is kept only while a, both thresholds and every constant are
+    # fixed by it; the orbit minima of each size are read with that group
+    groups = []
+    monkeypatch.setattr(oracle, "_orbit_minima",
+                        lambda n, size, group: groups.append(group) or iter([0]))
+    t = parse_formula("p -> <>p", P)
+    reflexive = frame_property("reflexive")
+    for a, alpha, threshold, kept in [
+        (GAMMA, reflexive, None, True), (P.top, reflexive, None, True),
+        (P.bot, reflexive, GAMMA, True), (ALPHA, reflexive, None, False),
+        (GAMMA, reflexive, ALPHA, False),
+        (GAMMA, parse_fo("R(x, x) | @gamma", P), None, True),
+        (GAMMA, parse_fo("R(x, x) | @alpha", P), None, False),
+    ]:
+        groups.clear()
+        correspondence_oracle(P, t, a, alpha, sizes=[1], fo_threshold=threshold)
+        assert groups == [(SWAP,) if kept else ()], (a, str(alpha), threshold)
+    groups.clear()
+    correspondence_oracle(P, parse_formula("p /\\ @beta -> <>p", P), GAMMA, reflexive, sizes=[1])
+    assert groups == [()]
+    for thresholds, kept in (((GAMMA, P.top), True), ((GAMMA, ALPHA), False)):
+        groups.clear()
+        fo_agree(P, reflexive, parse_fo("R(x, x) & @1", P), [1], *thresholds)
+        assert groups == [(SWAP,) if kept else ()]
+
+
+def test_the_group_is_dropped_past_120_images(monkeypatch):
+    # paper-P's swap up to four states (4! * 2 = 48 images), not at five
+    # (240); the six automorphisms of the eight-element Boolean algebra up to
+    # three states (36), not at four (144)
+    calls = []
+    monkeypatch.setattr(oracle, "_orbit_minima",
+                        lambda n, size, group: calls.append((size, len(group))) or iter([0]))
+    list(oracle._frames(P, [1, 2, 3, 4, 5], 0, 3, 0, (SWAP,)))
+    assert calls == [(1, 1), (2, 1), (3, 1), (4, 1), (5, 0)]
+    calls.clear()
+    list(oracle._frames(B8, [3, 4], 0, 3, 0, B8.automorphisms[1:]))
+    assert calls == [(3, 5), (4, 0)]
+
+
+def least_of_orbits(alg, size):
+    """The frame numbers of the least frame of each orbit under renaming the
+    states and every automorphism, by walking each orbit once."""
+    cells = size * size
+    images = [[(perm[i // size] * size + perm[i % size]) for i in range(cells)]
+              for perm in permutations(range(size))]
+    seen, least = set(), []
+    for number, flat in enumerate(product(range(alg.n), repeat=cells)):
+        if number in seen:
+            continue
+        least.append(number)
+        for s in alg.automorphisms:
+            for where in images:
+                moved = [0] * cells
+                for i, v in enumerate(flat):
+                    moved[where[i]] = s[v]
+                seen.add(reduce(lambda acc, v: acc * alg.n + v, moved, 0))
+    return least
+
+
+@pytest.mark.parametrize("alg,sizes", [(B2, (1, 2)), (B3, (1, 2)), (P, (1, 2)), (B4, (1, 2, 3))],
+                         ids=["bool2", "chain3", "paper-P", "B4"])
+def test_orbit_minima_are_the_least_of_each_orbit(alg, sizes):
+    group = alg.automorphisms[1:]
+    for size in sizes:
+        assert list(oracle._orbit_minima(alg.n, size, group)) == least_of_orbits(alg, size)
+
+
+def test_three_state_minima_of_paper_p():
+    # 165 676 of 1 953 125 frames, against 327 125 under the renamings alone
+    # (the minima are shared with every other scan of this process)
+    assert sum(1 for _ in oracle._orbit_minima(P.n, 3, (SWAP,))) == 165_676
+
+
+def test_minima_are_searched_once_and_only_as_far_as_read(monkeypatch):
+    monkeypatch.setattr(oracle, "_MINIMA", {})
+    first = list(islice(oracle._orbit_minima(P.n, 4, (SWAP,)), 5))
+    kept = oracle._MINIMA[P.n, 4, (SWAP,)]
+    assert 5 <= len(kept.numbers) < 64  # the first chunk of 64 frames
+    searched = []
+    monkeypatch.setattr(oracle, "_least", lambda *args: searched.append(args) or [])
+    assert list(islice(oracle._orbit_minima(P.n, 4, (SWAP,)), 5)) == first
+    assert searched == []
+
+
+def test_minima_kept_for_sizes_one_and_two_take_little_memory(monkeypatch):
+    # what the benchmark's scans keep: sizes 1-2 with and without the swap
+    monkeypatch.setattr(oracle, "_MINIMA", {})
+    tracemalloc.start()
+    try:
+        for size, group in product((1, 2), ((), (SWAP,))):
+            assert sum(1 for _ in oracle._orbit_minima(P.n, size, group)) > 0
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 500_000
+
+
+def test_threads_reading_one_search_get_every_minimum(monkeypatch):
+    # eight threads start one search at once, twenty times over
+    want = least_of_orbits(P, 2)
+    got = [None] * 8
+
+    def read(k):
+        got[k] = list(oracle._orbit_minima(P.n, 2, (SWAP,)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(oracle, "_MINIMA", {})
+            got = [None] * 8
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(len(got))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert got == [want] * len(got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 PROPERTIES = {"p -> <>p": "reflexive", "<><>p -> <>p": "transitive",
               "p -> []<>p": "symmetric", "<>p -> <><>p": "dense", "[]p -> <>p": "serial"}
 
