@@ -4,9 +4,9 @@ Given an inequality `lhs <= rhs` (or a formula, read as `top <= f`, with a
 top-level implication read as its inequality) and an algebra element `a`,
 the engine works on `lhs & @a <= rhs`:
 
-1. preprocessing distributes joins on the left / meets on the right as far
-   as possible, splits, and closes variables occurring with uniform
-   polarity;
+1. preprocessing distributes joins on the left / meets on the right along
+   each side's skeleton (`trees.skeleton`, never below an inner node),
+   splits, and closes variables occurring with uniform polarity;
 2. each resulting inequality is approximated into a system
    `{i0 <= core, i0 <= @a, rhs <= m0}` with reserved atoms i0 / m0, which
    no input may contain; the pinned `i0 <= @a` is carried through untouched;
@@ -73,9 +73,11 @@ from .syntax import (
     polarity,
     prop_vars,
     rebuild,
+    signed_children,
     substitute,
     top,
 )
+from .trees import skeleton, splits
 
 RESERVED_NOM = "i0"
 RESERVED_CONOM = "m0"
@@ -155,60 +157,44 @@ def input_inequality(target: Formula | Inequality, alg: HeytingAlgebra) -> Inequ
 # -- phase 1: preprocessing ----------------------------------------------------
 
 
-def _join_step(f: Formula) -> Optional[tuple[str, Formula]]:
-    """A join bubbled up through the top of a left-hand side."""
-    if isinstance(f, Dia) and isinstance(f.sub, Or):
-        return "distribute-dia-or", Or(Dia(f.sub.lhs), Dia(f.sub.rhs))
-    if isinstance(f, And) and isinstance(f.rhs, Or):
-        g, a, b = f.lhs, f.rhs.lhs, f.rhs.rhs
-        return "distribute-and-or", Or(And(g, a), And(g, b))
-    if isinstance(f, And) and isinstance(f.lhs, Or):
-        a, b, g = f.lhs.lhs, f.lhs.rhs, f.rhs
-        return "distribute-and-or", Or(And(a, g), And(b, g))
-    return None
+_NAMES = {Dia: "dia", Box: "box", And: "and", Or: "or", Implies: "imp"}
 
 
-def _meet_step(f: Formula) -> Optional[tuple[str, Formula]]:
-    """A meet bubbled up through the top of a right-hand side."""
-    if isinstance(f, Box) and isinstance(f.sub, And):
-        return "distribute-box-and", And(Box(f.sub.lhs), Box(f.sub.rhs))
-    if isinstance(f, Or) and isinstance(f.rhs, And):
-        g, a, b = f.lhs, f.rhs.lhs, f.rhs.rhs
-        return "distribute-or-and", And(Or(g, a), Or(g, b))
-    if isinstance(f, Or) and isinstance(f.lhs, And):
-        a, b, g = f.lhs.lhs, f.lhs.rhs, f.rhs
-        return "distribute-or-and", And(Or(a, g), Or(b, g))
-    if isinstance(f, Implies) and isinstance(f.lhs, Or):
-        a, b, g = f.lhs.lhs, f.lhs.rhs, f.rhs
-        return "distribute-imp-or", And(Implies(a, g), Implies(b, g))
-    if isinstance(f, Implies) and isinstance(f.rhs, And):
-        g, a, b = f.lhs, f.rhs.lhs, f.rhs.rhs
-        return "distribute-imp-and", And(Implies(g, a), Implies(g, b))
-    return None
+def _with_child(f: Formula, i: int, g: Formula) -> Formula:
+    subs = list(children(f))
+    subs[i] = g
+    return rebuild(f, tuple(subs))
 
 
-def _distribute(f: Formula, step) -> Optional[tuple[str, Formula]]:
-    """One `step` at the first subformula of f, in preorder, it applies to."""
-    found = step(f)
-    if found:
-        return found
-    for i, c in enumerate(children(f)):
-        found = _distribute(c, step)
+def _distribute(f: Formula, sign: int) -> Optional[tuple[str, Formula]]:
+    """The first distribution in f at `sign`, in preorder through skeleton
+    nodes only: at a skeleton node that does not split, a splitting child
+    moves above it, a join on the positive side and a meet on the negative
+    one.  A node tries its right operand first, an implication its antecedent."""
+    if not skeleton(f, sign):
+        return None
+    kids = signed_children(f, sign)
+    if not splits(f, sign):
+        for i in (0, 1) if isinstance(f, Implies) else reversed(range(len(kids))):
+            c, s = kids[i]
+            if splits(c, s):
+                rule = f"distribute-{_NAMES[type(f)]}-{_NAMES[type(c)]}"
+                return rule, (Or if sign > 0 else And)(_with_child(f, i, c.lhs),
+                                                       _with_child(f, i, c.rhs))
+    for i, (c, s) in enumerate(kids):
+        found = _distribute(c, s)
         if found:
-            rule, new = found
-            subs = list(children(f))
-            subs[i] = new
-            return rule, rebuild(f, tuple(subs))
+            return found[0], _with_child(f, i, found[1])
     return None
 
 
 def _splits(ineq: Inequality) -> list[tuple[str, System]]:
     """The splitting steps that apply: a meet on the right, a join on the left."""
     out = []
-    if isinstance(ineq.rhs, And):
+    if splits(ineq.rhs, -1):
         parts = (Inequality(ineq.lhs, ineq.rhs.lhs), Inequality(ineq.lhs, ineq.rhs.rhs))
         out.append(("split-meet", parts))
-    if isinstance(ineq.lhs, Or):
+    if splits(ineq.lhs, 1):
         parts = (Inequality(ineq.lhs.lhs, ineq.rhs), Inequality(ineq.lhs.rhs, ineq.rhs))
         out.append(("split-join", parts))
     return out
@@ -224,11 +210,11 @@ def preprocess(
         ineq = work.pop(0)
         # distribution to fixpoint, left side first
         while True:
-            found = _distribute(ineq.lhs, _join_step)
+            found = _distribute(ineq.lhs, 1)
             if found:
                 new = Inequality(found[1], ineq.rhs)
             else:
-                found = _distribute(ineq.rhs, _meet_step)
+                found = _distribute(ineq.rhs, -1)
                 if not found:
                     break
                 new = Inequality(ineq.lhs, found[1])

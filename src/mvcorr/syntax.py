@@ -138,7 +138,6 @@ class QuasiInequality:
         return " & ".join(str(p) for p in self.premises) + f" => {self.conclusion}"
 
 
-BINARY = {Or: "\\/", And: "/\\", Implies: "->", Minus: "-"}
 UNARY = {Box: "[]", Dia: "<>", BoxInv: "[i]", DiaInv: "<i>"}
 
 
@@ -211,26 +210,26 @@ MIXED = "mixed"
 ABSENT = "absent"
 
 
+def signed_children(f: Formula, sign: int) -> tuple[tuple[Formula, int], ...]:
+    """Each child of f with its sign when f has `sign`: -> flips its
+    antecedent, the co-implication - its right operand."""
+    if isinstance(f, Implies):
+        return ((f.lhs, -sign), (f.rhs, sign))
+    if isinstance(f, Minus):
+        return ((f.lhs, sign), (f.rhs, -sign))
+    return tuple([(c, sign) for c in children(f)])
+
+
 def polarity(f: Formula, var: str) -> str:
-    """Sign of all occurrences of var in f; -> flips its left child."""
+    """Sign of all occurrences of var in f, by `signed_children`."""
     signs: set[int] = set()
-
-    def walk(node: Formula, sign: int) -> None:
-        if isinstance(node, Var) and node.name == var:
+    stack = [(f, 1)]
+    while stack:
+        node, sign = stack.pop()
+        if not isinstance(node, Var):
+            stack += signed_children(node, sign)
+        elif node.name == var:
             signs.add(sign)
-        elif isinstance(node, (Implies, Minus)):
-            # co-implication is antitone in its right argument instead
-            if isinstance(node, Implies):
-                walk(node.lhs, -sign)
-                walk(node.rhs, sign)
-            else:
-                walk(node.lhs, sign)
-                walk(node.rhs, -sign)
-        else:
-            for c in children(node):
-                walk(c, sign)
-
-    walk(f, 1)
     if not signs:
         return ABSENT
     if signs == {1}:

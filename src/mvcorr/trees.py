@@ -8,6 +8,9 @@ roles (syntactically right adjoint, syntactically right residual):
     +|  or: delta+srr   and: delta+sra   imp: srr   box: sra   dia: slr
     -|  or: delta+sra   and: delta+srr   imp: slr   box: slr   dia: sra
 
+The rewriting engine reads the same table: `skeleton` and `splits` tell
+its preprocessing where it may distribute.
+
 A branch is *good* when some cut splits it into a skeleton-only prefix
 (from the root) followed by an inner-only suffix; the cut maximizing the
 prefix is canonical.  A good branch is *excellent* when, at the canonical
@@ -40,9 +43,9 @@ from .syntax import (
     Inequality,
     Or,
     Var,
-    children,
     in_base_language,
     prop_vars,
+    signed_children,
 )
 
 DELTA, SLR, SRA, SRR = "delta", "slr", "sra", "srr"
@@ -77,7 +80,7 @@ class SignedNode:
         return not self.kids
 
     def skeleton_capable(self) -> bool:
-        return DELTA in self.roles or SLR in self.roles
+        return skeleton(self.formula, self.sign)
 
     def inner_capable(self) -> bool:
         return SRA in self.roles or SRR in self.roles
@@ -87,21 +90,28 @@ class SignedNode:
         return f"{'+' if self.sign > 0 else '-'}{self.formula}"
 
 
+def _roles(f: Formula, sign: int) -> frozenset[str]:
+    return _ROLES.get((sign, type(f)), frozenset())
+
+
+def skeleton(f: Formula, sign: int) -> bool:
+    """Whether f at `sign` is a delta adjoint or a left residual; nodes the
+    table does not list (atoms, nominals, -, inverse modalities) are not."""
+    return bool(_roles(f, sign) & {DELTA, SLR})
+
+
+def splits(f: Formula, sign: int) -> bool:
+    """Whether f at `sign` is `+\\/` or `-/\\`, a delta adjoint and right residual."""
+    return {DELTA, SRR} <= _roles(f, sign)
+
+
 def build_signed_tree(f: Formula, sign: int) -> SignedNode:
     """Sign-propagated tree with role classification; input must be the
     base language (no nominals, no co-implication, no inverse modalities)."""
     if not in_base_language(f):
         raise ValueError("signed trees are defined over the base language")
-    if isinstance(f, (Var, Const)):
-        return SignedNode(f, sign, (), frozenset())
-    if isinstance(f, Implies):
-        kids = (
-            build_signed_tree(f.lhs, -sign),
-            build_signed_tree(f.rhs, sign),
-        )
-    else:
-        kids = tuple(build_signed_tree(c, sign) for c in children(f))
-    return SignedNode(f, sign, kids, _ROLES[(sign, type(f))])
+    kids = tuple(build_signed_tree(c, s) for c, s in signed_children(f, sign))
+    return SignedNode(f, sign, kids, _roles(f, sign))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Shared fixtures: algebras, frame pools, and the regression corpus."""
+"""Shared fixtures: algebras, frame pools, the regression corpus, and one
+input per ALBA rule."""
 
 import random
 from itertools import combinations
@@ -70,6 +71,36 @@ def generated_inductive(alg, seed=2024, want=12, variables=("p", "q", "r")):
         if is_inductive(ineq) is not None:
             out.append(ineq)
     return out
+
+
+# one input per rule name ALBA records, each firing its rule at gamma
+RULE_INPUTS = {
+    "distribute-dia-or": "<>(p \\/ q) <= <>p \\/ <>q",
+    "distribute-and-or": "<>(@0 \\/ q) <= p",
+    "distribute-box-and": "p <= [](q /\\ <>p)",
+    "distribute-or-and": "<>p <= q \\/ ([]p /\\ q)",
+    "distribute-imp-or": "p <= (q \\/ r) -> <>p",
+    "distribute-imp-and": "[]p <= q -> (p /\\ <>q)",
+    "split-meet": "[]p /\\ []p <= p",
+    "split-join": "p <= []p \\/ q",
+    "close-uniform-variable": "q <= p",
+    "first-approximation": "q <= q",
+    "discard-duplicate": "<>p /\\ <>p <= <>p",
+    "discard-true": "q <= p",
+    "ackermann-right": "q <= q",
+    "ackermann-left": "[]p -> p",
+    "approx-dia": "<><>p -> <>p",
+    "approx-box": "[]p -> [][]p",
+    "approx-imp-left": "[]<>@1 <= q -> []q",
+    "approx-imp-right": "p -> q <= []p -> []q",
+    "residuate-box": "[]p -> <>p",
+    "residuate-dia": "[](@gamma /\\ @1) -> @beta \\/ q \\/ (@beta -> q) <= @alpha /\\ []p \\/ <>q",
+    "residuate-imp": "p -> q <= []p -> []q",
+    "residuate-and": "(@0 \\/ q -> @beta -> @beta) -> @1 /\\ q \\/ (@gamma \\/ @1) <= "
+                     "((@alpha -> @alpha) -> @beta -> @1) \\/ <>q /\\ (@1 /\\ @1)",
+    "co-residuate-or": "[](@gamma /\\ @1) -> @beta \\/ q \\/ (@beta -> q) <= "
+                       "@alpha /\\ []p \\/ <>q",
+}
 
 
 @pytest.fixture(scope="session")

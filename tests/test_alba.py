@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import RULE_INPUTS
 from mvcorr.alba import (
     first_approximation,
     preprocess,
@@ -86,6 +87,24 @@ def test_preprocess_right_side_distribution():
     rules = [s.rule for s in steps]
     assert rules[0] == "distribute-imp-or"
     assert rules[1] == "split-meet"
+
+
+def test_preprocess_does_not_distribute_below_the_skeleton():
+    # the join sits under +[], an inner node: distributing it there would
+    # copy p into both disjuncts
+    start = parse_inequality("[]([]p /\\ (p \\/ @gamma)) /\\ @gamma <= <>[]p", P)
+    steps = []
+    preprocess(start, P, steps)
+    assert not any(s.rule.startswith("distribute-") for s in steps)
+
+
+def test_preprocess_distributes_in_a_right_hand_antecedent():
+    # the antecedent of -> on the right is positive, and +<> is a skeleton node
+    start = parse_inequality("p /\\ @gamma <= <>(q \\/ r) -> s", P)
+    steps = []
+    preprocess(start, P, steps)
+    rules = [s.rule for s in steps]
+    assert rules[:3] == ["distribute-dia-or", "distribute-imp-or", "split-meet"]
 
 
 # -- first approximation -------------------------------------------------------------
@@ -328,6 +347,55 @@ def test_steps_sound_on_sampled_frames(bool2_frames_upto2):
         res2 = run_alba(parse_formula(text, B2), B2.top, B2)
         failure = verify_trace(res2.all_steps(), bool2_frames_upto2)
         assert failure is None, failure.describe()
+
+
+# inductive inputs on which reduction once failed at every non-zero value,
+# because preprocessing distributed below the skeleton; the last three are
+# Sahlqvist
+INDUCTIVE_REGRESSIONS = [
+    "[]<><>@0 <= <>((p -> q) \\/ @beta /\\ p)",
+    "[](q /\\ @0 /\\ (@0 \\/ q)) <= <>([]q \\/ q)",
+    "[](@0 -> @alpha) -> (p -> @gamma) /\\ (p \\/ @1) <= <>(@alpha /\\ @1 /\\ @0)",
+    "[][]@gamma -> (q \\/ q) /\\ (@gamma \\/ p) <= <>(@gamma /\\ @beta \\/ @1 /\\ p)",
+    "[]((q \\/ @0) /\\ (q -> @beta)) <= @alpha",
+    "<>@gamma /\\ @0 -> (p -> @0) /\\ (@beta \\/ p) <= <>((@beta -> @0) -> <>p)",
+    "[]((@0 \\/ @alpha) /\\ (q \\/ @alpha)) <= <>(<>@gamma -> <>q)",
+    "[]([]p /\\ (p \\/ @gamma)) <= <>[]p",
+    "[]<>q <= <>(@0 \\/ q \\/ @0 /\\ p)",
+    "[]<>[]p <= <>(<>p \\/ @alpha /\\ @beta)",
+    "(@1 -> @beta) /\\ @beta \\/ []<>r <= <>(@gamma /\\ @0 \\/ <>r)",
+]
+
+
+@pytest.mark.parametrize("text", INDUCTIVE_REGRESSIONS)
+def test_inductive_inputs_reduce_at_every_value(text):
+    # the inductive contract: success at every non-zero value, every step
+    # sound, and the correspondent and its display, parsed back, correct
+    ineq = parse_inequality(text, P)
+    assert is_inductive(ineq) is not None
+    frames = sample_frames(P, 2, 8, seed=3)
+    for a in range(1, P.n):
+        res = run_alba(ineq, a, P)
+        assert res.succeeded, (P.element_name(a), res.status)
+        failure = verify_trace(res.all_steps(), frames)
+        assert failure is None, failure.describe()
+        for alpha in (res.correspondent, parse_fo(res.display, P)):
+            report = correspondence_oracle(P, res.source, a, alpha, sizes=[1, 2],
+                                           budget=Budget(10**9), fo_threshold=P.top)
+            assert report.passed, (P.element_name(a), print_fo(alpha), report.describe())
+
+
+def test_preprocessing_keeps_the_inductive_shape(inductive_corpus):
+    # distribution along the skeleton only: a preprocessing step that
+    # consumes an inductive inequality produces only inductive ones
+    inputs = [parse_inequality(t, P) for t in INDUCTIVE_REGRESSIONS] + inductive_corpus
+    inputs += [parse_input(t, P) for t in RULE_INPUTS.values()]
+    for target in inputs:
+        for step in run_alba(target, GAMMA, P).pre_steps:
+            (consumed,) = step.before
+            if is_inductive(consumed) is not None:
+                assert all(is_inductive(made) is not None for made in step.after), \
+                    step.describe()
 
 
 def test_corpus_reduces(inductive_corpus):

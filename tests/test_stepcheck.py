@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generated_inductive, paper_inequalities
+from conftest import RULE_INPUTS, generated_inductive, paper_inequalities
 from mvcorr import stepcheck
 from mvcorr.alba import RESERVED_CONOM, RESERVED_NOM, TraceStep, run_alba
 from mvcorr.budget import Budget
@@ -203,36 +203,6 @@ def test_corpora_cover_every_rule_and_private_atoms():
             "approx-imp-left", "close-uniform-variable"} <= rules
     assert any(s.eliminated for s in P_STEPS) and any(s.introduced for s in P_STEPS)
     assert len(P_MUTANTS) > 50
-
-
-# one input per rule name ALBA records, each firing its rule at gamma
-RULE_INPUTS = {
-    "distribute-dia-or": "<>(p \\/ q) <= <>p \\/ <>q",
-    "distribute-and-or": "<>(@0 \\/ q) <= p",
-    "distribute-box-and": "p <= [](q /\\ <>p)",
-    "distribute-or-and": "<>p <= q \\/ ([]p /\\ q)",
-    "distribute-imp-or": "p <= (q \\/ r) -> <>p",
-    "distribute-imp-and": "[]p <= q -> (p /\\ <>q)",
-    "split-meet": "[]p /\\ []p <= p",
-    "split-join": "p <= []p \\/ q",
-    "close-uniform-variable": "q <= p",
-    "first-approximation": "q <= q",
-    "discard-duplicate": "<>p /\\ <>p <= <>p",
-    "discard-true": "q <= p",
-    "ackermann-right": "q <= q",
-    "ackermann-left": "[]p -> p",
-    "approx-dia": "<><>p -> <>p",
-    "approx-box": "[]p -> [][]p",
-    "approx-imp-left": "[]<>@1 <= q -> []q",
-    "approx-imp-right": "p -> q <= []p -> []q",
-    "residuate-box": "[]p -> <>p",
-    "residuate-dia": "[](@gamma /\\ @1) -> @beta \\/ q \\/ (@beta -> q) <= @alpha /\\ []p \\/ <>q",
-    "residuate-imp": "p -> q <= []p -> []q",
-    "residuate-and": "(@0 \\/ q -> @beta -> @beta) -> @1 /\\ q \\/ (@gamma \\/ @1) <= "
-                     "((@alpha -> @alpha) -> @beta -> @1) \\/ <>q /\\ (@1 /\\ @1)",
-    "co-residuate-or": "[](@gamma /\\ @1) -> @beta \\/ q \\/ (@beta -> q) <= "
-                       "@alpha /\\ []p \\/ <>q",
-}
 
 
 def _gamma_run(text):
