@@ -87,8 +87,9 @@ def sample_frames(
 class Counterexample:
     frame: Frame
     state: int
-    modal_verdict: bool
-    fo_verdict: bool
+    modal_verdict: bool  # the left side's verdict
+    fo_verdict: bool  # the right side's verdict
+    sides: tuple[str, str]  # what `describe` calls the left and right side
 
     def describe(self) -> str:
         rel = [
@@ -97,7 +98,7 @@ class Counterexample:
         ]
         return (
             f"state {self.frame.states[self.state]} of frame {rel}: "
-            f"modal side {self.modal_verdict}, first-order side {self.fo_verdict}"
+            f"{self.sides[0]} {self.modal_verdict}, {self.sides[1]} {self.fo_verdict}"
         )
 
 
@@ -148,6 +149,7 @@ def correspondence_oracle(
         modal,
         fo,
         budget,
+        ("modal side", "first-order side"),
         right_first=True,  # each frame's first-order side is charged first
     )
 
@@ -164,7 +166,7 @@ def fo_agree(
     seed: int = 0,
     budget: Budget | None = None,
 ) -> OracleReport:
-    """Pointwise agreement of two local first-order conditions."""
+    """Pointwise agreement of two local first-order conditions, alpha the left side."""
     budget = Budget() if budget is None else budget
     left = _Truth(alg, alpha, threshold_alpha, budget)
     right = _Truth(alg, beta, threshold_beta, budget)
@@ -173,6 +175,7 @@ def fo_agree(
         left,
         right,
         budget,
+        ("left side", "right side"),
     )
 
 
@@ -314,13 +317,13 @@ def _relations(n: int, size: int, numbers: list[int]) -> list[bytes]:
 
 def _first_disagreement(
     batches: Iterable[Batch], left: _Truth, right: _Truth, budget: Budget,
-    right_first: bool = False,
+    sides: tuple[str, str], right_first: bool = False,
 ) -> OracleReport:
-    """Compare two sides one common kernel run at a time, reading (and
-    charging) the left one first unless `right_first`.  The frames after
-    it up to the run's end or first disagreement are charged in one sum if
-    the budget can pay for it, else up to the frame it refuses; a
-    disagreement is re-read per state on its `Frame`."""
+    """Compare two sides, named `sides`, one common kernel run at a time,
+    reading (and charging) the left one first unless `right_first`.  The
+    frames after it up to the run's end or first disagreement are charged
+    in one sum if the budget can pay for it, else up to the frame it
+    refuses; a disagreement is re-read per state on its `Frame`."""
     frames_checked = states_checked = 0
     order = (right, left) if right_first else (left, right)
     for size, rels, places, frame in batches:
@@ -349,7 +352,7 @@ def _first_disagreement(
                 if relation_bytes(chain.from_iterable(found.rel)) != rels[d]:
                     raise AssertionError(f"frame {d} of the batch is not {found.rel}")
                 return OracleReport(False, frames_checked, states_checked - size + w + 1,
-                                    Counterexample(found, w, *verdicts))
+                                    Counterexample(found, w, *verdicts, sides))
             i = end
     return OracleReport(True, frames_checked, states_checked)
 

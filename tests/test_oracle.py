@@ -98,6 +98,13 @@ def test_fo_agree_distinguishes():
         threshold_beta=P.top,
     )
     assert not report.passed
+    # both sides are first-order conditions: the report names them by place
+    assert report.describe() == (
+        "FAIL at state w0 of frame [['gamma']]: left side True, right side False")
+    report = correspondence_oracle(P, parse_inequality("p <= <>p", P), P.top,
+                                   frame_property("symmetric"), sizes=[1])
+    assert report.describe() == (
+        "FAIL at state w0 of frame [['0']]: modal side False, first-order side True")
 
 
 def test_sampled_frames_deterministic():
