@@ -31,8 +31,6 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
-import yaml
-
 from .errors import (
     InvalidAlgebra,
     NoBounds,
@@ -340,6 +338,7 @@ def load_algebra(spec: dict, name: str | None = None) -> HeytingAlgebra:
 
 def parse_algebra_text(text: str, name: str | None = None) -> HeytingAlgebra:
     """Parse an algebra file (YAML or JSON syntax) and load it."""
+    import yaml  # only files need the parser; the built-in algebras do not
     try:
         spec = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -22,8 +22,6 @@ from itertools import product
 from operator import getitem
 from typing import Callable, Iterable, Iterator
 
-import yaml
-
 from .budget import Budget
 from .errors import FormulaSyntaxError, InvalidModel, UnboundAtom
 from .heyting import HeytingAlgebra
@@ -298,6 +296,7 @@ def _listed(doc: dict, field: str) -> list:
 
 
 def _load_doc(text: str) -> dict:
+    import yaml  # only files need the parser
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

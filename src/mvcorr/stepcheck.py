@@ -8,35 +8,33 @@ produced side).  The first-approximation step ties local validity of the
 input inequality at a state to the system with the reserved atoms based at
 that state, and is checked by its own routine.
 
-Both checks are table operations over one axis per atom, in one order per
-step: the shared atoms by name (so shared cells run as in
-`iter_valuations`), then the consumed side's private atoms, then the
-produced side's; for first-approximation i0, the source's variables, m0.
-Every table (a subformula's, an inequality's, a system's) is row-major
-over its own atoms in that order, so a child's axes are an in-order
-subsequence of its parent's: the parent reads the child through
+Both checks are table operations in the `fol` kernel's layout, over one
+axis per atom, in one order per step: the shared atoms by name (so shared
+cells run as in `iter_valuations`), then the consumed side's private
+atoms, then the produced side's; for first-approximation i0, the source's
+variables, m0.  Every table (a subformula's, an inequality's, a system's)
+is row-major over its own atoms in that order, so a child's axes are an
+in-order subsequence of its parent's: the parent reads the child through
 `fol.repeats`/`fol.broadcast`, and private atoms, trailing axes, fold out
-with `fol.fold`.  Per frame, each subformula gets one table of value codes,
-shared by both systems: a leaf (an atom, or a subformula without atoms) is
-evaluated with `compile_eval`, and every other subformula is built from its
-children's tables.  Each inequality is decided once per pair of value
-vectors that occurs.
+with `fol.fold`.  The tables of subformulas and inequalities, built by
+`_Tables` and shared by both systems, add the frame's states as the
+innermost axis.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from math import prod
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
 from .budget import Budget
 from .fol import broadcast, combiner, fold, repeats
 from .heyting import builtin_algebra
-from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations, operation
-from .syntax import CoNom, Formula, Inequality, Nom, Var, atoms, children
+from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations
+from .syntax import (And, Box, BoxInv, CoNom, Dia, DiaInv, Formula, Implies, Inequality, Minus,
+                     Nom, Or, Var, atoms, children)
 
 
 @dataclass
@@ -50,88 +48,105 @@ class StepFailure:
         return f"{self.step.describe()} | frame {rel}: {self.message}"
 
 
-class _Tables:
-    """One frame's dense codes of subformula values, shared by a step's systems.
+_W, _U = "w", "u"  # state axes: a table's own states, and a modality's successors
+_LEAF, _OP, _IMAGE = range(3)
 
-    A subformula's table holds, per valuation of its own atoms (in the
-    step's axis order, row-major), the code of its value vector; the
-    vectors follow in code order, one per distinct vector.  Codes are
-    fixed-width cells of an `array`, as narrow as the vector count allows.
-    A leaf, an atom or a subformula without atoms, is evaluated with
-    `compile_eval` under each valuation of its at most one atom; above the
-    leaves a connective applies its `operation` once per pair of operand
-    codes that occurs, and a modality once per distinct vector of its
-    operand.  `start` drops the previous frame's tables.
+
+def _atoms(ineq: Inequality) -> set:
+    return atoms(ineq.lhs) | atoms(ineq.rhs)
+
+
+def _sides(f: Formula | Inequality) -> tuple:
+    return (f.lhs, f.rhs) if isinstance(f, Inequality) else children(f)
+
+
+class _Tables:
+    """A step's subformula and inequality tables in the `fol` kernel's layout:
+    row-major over their own atoms, then the frame's states, one algebra
+    element per byte.
+
+    A leaf (an atom, or a subformula without atoms) is evaluated with
+    `compile_eval` under each valuation of its at most one atom.  A
+    connective broadcasts both operands to its own axes and maps the cell
+    pairs through the algebra's table with one `combiner`; an inequality
+    maps them through its order, as 0/1.  A modality broadcasts its operand
+    to a (w, u) pair of state axes, combines it with the relation at (w, u),
+    at (u, w) if inverse, by meet for a diamond and implication for a box,
+    and folds u by joins or meets.  The axes are planned per call, and per
+    frame size the `repeats`; `build` builds every table of one frame.
     """
 
-    def __init__(self, formulas: Iterable[Formula], order: tuple):
+    def __init__(self, ineqs: Iterable[Inequality], order: tuple):
         self.order = order
-        self.axes: dict = {}  # every subformula with a table -> its atoms
-        for f in formulas:
-            self._plan(f)
+        self.nodes: dict = {}  # each table's subformula or inequality -> its atoms, operands
+        for ineq in ineqs:
+            self._plan(ineq)
+        self.slot = {f: k for k, f in enumerate(self.nodes)}  # operands first
+        self.sized: dict = {}  # frame size -> the atoms' sizes, their charge, tasks
 
-    def _plan(self, f: Formula) -> None:
-        if f not in self.axes:
-            own = atoms(f)
-            self.axes[f] = tuple(a for a in self.order if a in own)
-            if own:
-                for sub in children(f):
-                    self._plan(sub)
+    def _plan(self, f: Formula | Inequality) -> None:
+        if f not in self.nodes:
+            own = _atoms(f) if isinstance(f, Inequality) else atoms(f)
+            subs = _sides(f) if own or isinstance(f, Inequality) else ()
+            for sub in subs:
+                self._plan(sub)
+            self.nodes[f] = tuple(a for a in self.order if a in own), subs
 
     def cells(self, sizes: dict) -> int:
         """Cells of the subformula tables that one frame builds."""
-        return sum(prod(sizes[a] for a in axes) for axes in self.axes.values())
+        return sum(prod(sizes[a] for a in axes) for f, (axes, _) in self.nodes.items()
+                   if isinstance(f, Formula))
 
-    def start(self, frame: Frame, sizes: dict) -> None:
-        self.frame, self.sizes, self.memo = frame, sizes, {}
+    def build(self, frame: Frame, budget: Budget | None, charge: Callable[[dict], int]) -> dict:
+        """Charge `budget` the frame's `charge`, then build its tables; the
+        atoms' sizes."""
+        n = self.n = frame.size
+        if n not in self.sized:
+            self.sized[n] = self._tasks(frame, charge)
+        self.sizes, units, tasks = self.sized[n]
+        if budget is not None:
+            budget.charge(units)
+        self.tables = tables = []
+        for kind, *task in tasks:
+            if kind == _LEAF:
+                f, axes = task
+                fn = compile_eval(f, frame)
+                table = b"".join([bytes(fn(val)) for val in iter_valuations(frame, axes)])
+            elif kind == _OP:
+                combine, (lhs, lreps), (rhs, rreps) = task
+                table = combine(broadcast(tables[lhs], lreps), broadcast(tables[rhs], rreps))
+            else:  # the operand at each (w, u), weighed by the relation there, folded over u
+                weigh, fold_u, sub, wu, forward = task
+                rel = bytes(chain.from_iterable(frame.rel if forward else zip(*frame.rel)))
+                operand = broadcast(tables[sub], wu)
+                table = fold(weigh(rel * (len(operand) // len(rel)), operand), n, *fold_u)
+            tables.append(table)
+        return self.sizes
 
-    def __call__(self, f: Formula) -> tuple[array, list]:
-        """f's codes and vectors on the current frame."""
-        if f not in self.memo:
-            self.memo[f] = self._evaluate(f)
-        return self.memo[f]
-
-    def _evaluate(self, f: Formula) -> tuple[array, list]:
-        frame, ids, subs = self.frame, {}, children(f) if self.axes[f] else ()
-        if not subs:  # an atom, or a subformula without atoms
-            fn = compile_eval(f, frame)
-            codes = [ids.setdefault(fn(val), len(ids))
-                     for val in iter_valuations(frame, self.axes[f])]
-        elif len(subs) == 1:
-            op = operation(frame, f)
-            codes, vecs = self(subs[0])
-            recode = [ids.setdefault(op(v), len(ids)) for v in vecs]
-            codes = map(recode.__getitem__, codes)
-        else:
-            op, (lhs, rhs) = operation(frame, f), subs
-            lvecs, rvecs = self(lhs)[1], self(rhs)[1]
-            keys = self.pairs(lhs, rhs, self.axes[f])
-            recode = {k: ids.setdefault(op(lvecs[k // len(rvecs)], rvecs[k % len(rvecs)]), len(ids))
-                      for k in dict.fromkeys(keys)}
-            codes = map(recode.__getitem__, keys)
-        typecode = next(t for t in "BHIQ" if len(ids) <= 256 ** array(t).itemsize)
-        return array(typecode, codes), list(ids)
-
-    def pairs(self, lhs: Formula, rhs: Formula, axes: tuple) -> bytes | list:
-        """Per cell of `axes`, lhs code * number of rhs vectors + rhs code;
-        `bytes`, packed as one integer as in `fol.combiner`, while keys fit a byte."""
-        count = len(self(rhs)[1])
-        left, right = self.gather(lhs, axes), self.gather(rhs, axes)
-        if len(self(lhs)[1]) * count <= 256:  # so both codes are one byte
-            packed = int.from_bytes(left, "little") * count + int.from_bytes(right, "little")
-            return packed.to_bytes(len(left), "little")
-        return [x * count + y for x, y in zip(left, right)]
-
-    def gather(self, f: Formula, axes: tuple) -> array:
-        """f's codes read at each cell of `axes`, which hold f's own axes in
-        order: `broadcast` on the code bytes, each block `width` times as long."""
-        codes = self(f)[0]
-        reps = repeats(self.axes[f], axes, self.sizes)
-        if not reps:
-            return codes
-        width = codes.itemsize
-        reps = tuple((m, inner * width) for m, inner in reps)
-        return array(codes.typecode, broadcast(codes.tobytes(), reps))
+    def _tasks(self, frame: Frame, charge: Callable[[dict], int]) -> tuple:
+        """Per frame size: the atoms' sizes, their `charge` and each table's task."""
+        alg, n = frame.algebra, frame.size
+        sizes = {a: len(atom_options(frame, a)) for a in self.order}
+        dims = {**sizes, _W: n, _U: n}
+        join, meet, imp = (combiner(alg.n, t) for t in
+                           (alg.join_table, alg.meet_table, alg.imp_table))
+        ops = {Or: join, And: meet, Implies: imp, Minus: combiner(alg.n, alg.coimp_table),
+               Inequality: combiner(alg.n, [[int(le) for le in row] for row in alg.leq]),
+               Dia: (meet, (join, alg.join_table, alg.bot)),
+               Box: (imp, (meet, alg.meet_table, alg.top))}
+        ops[DiaInv], ops[BoxInv] = ops[Dia], ops[Box]
+        tasks = []
+        for f, (axes, subs) in self.nodes.items():
+            if not subs:
+                task = _LEAF, f, axes
+            elif len(subs) == 2:
+                task = _OP, ops[type(f)], *((self.slot[s], repeats(
+                    self.nodes[s][0] + (_W,), axes + (_W,), dims)) for s in subs)
+            else:
+                task = (_IMAGE, *ops[type(f)], self.slot[subs[0]],
+                        repeats((_U,), (_W, _U), dims), isinstance(f, (Dia, Box)))
+            tasks.append(task)
+        return sizes, charge(sizes), tasks
 
 
 class _System:
@@ -141,8 +156,8 @@ class _System:
         self.ineqs = tuple(ineqs)
         self.axes = axes
         # per inequality, its atoms in axis order
-        self.own = [tuple(a for a in axes if a in atoms(i.lhs) | atoms(i.rhs))
-                    for i in self.ineqs]
+        self.own = [tuple(a for a in axes if a in own) for own in map(_atoms, self.ineqs)]
+        self.sized: dict = {}  # frame size -> cells, per inequality its slot and `repeats`
 
     def cells(self, sizes: dict) -> int:
         """Cells of the inequality and system tables that one frame's
@@ -152,17 +167,16 @@ class _System:
 
     def masks(self, tables: _Tables) -> bytes:
         """Per cell, 1 when every inequality holds at every state, else 0."""
-        le, sizes = tables.frame.algebra.le, tables.sizes
-        cells = prod(sizes[a] for a in self.axes)
+        sizes, n = tables.sizes, tables.n
+        if n not in self.sized:
+            self.sized[n] = prod(sizes[a] for a in self.axes), [
+                (tables.slot[i], repeats(own, self.axes, sizes))
+                for i, own in zip(self.ineqs, self.own)]
+        cells, reads = self.sized[n]
         table = int.from_bytes(b"\1" * cells, "little")
-        for ineq, own in zip(self.ineqs, self.own):
-            lvecs, rvecs = tables(ineq.lhs)[1], tables(ineq.rhs)[1]
-            pair = bytes([all(map(le, lv, rv)) for lv in lvecs for rv in rvecs])
-            keys = tables.pairs(ineq.lhs, ineq.rhs, own)
-            own_table = (keys.translate(pair.ljust(256, b"\0")) if isinstance(keys, bytes)
-                         else bytes(map(pair.__getitem__, keys)))
-            own_table = broadcast(own_table, repeats(own, self.axes, sizes))
-            table &= int.from_bytes(own_table, "little")
+        for k, reps in reads:
+            held = fold(tables.tables[k], n, *_FOLDS[True])  # at every state
+            table &= int.from_bytes(broadcast(held, reps), "little")
         return table.to_bytes(cells, "little")
 
 
@@ -179,28 +193,27 @@ def verify_step(
     if step.rule == "first-approximation":
         return _verify_first_approximation(step, frames, budget)
 
-    before_atoms = set().union(*(atoms(i.lhs) | atoms(i.rhs) for i in step.before))
-    after_atoms = set().union(*(atoms(i.lhs) | atoms(i.rhs) for i in step.after))
+    before_atoms = set().union(*map(_atoms, step.before))
+    after_atoms = set().union(*map(_atoms, step.after))
     eliminated, introduced = {Var(v) for v in step.eliminated}, set(step.introduced)
     shared = tuple(sorted((before_atoms | after_atoms) - eliminated - introduced, key=str))
     private_before = tuple(sorted(before_atoms & eliminated, key=str))
     private_after = tuple(sorted(after_atoms & introduced, key=str))
     before = _System(step.before, shared + private_before)
     after = _System(step.after, shared + private_after)
-    tables = _Tables((side for i in step.before + step.after for side in (i.lhs, i.rhs)),
-                     shared + private_before + private_after)
+    tables = _Tables(step.before + step.after, shared + private_before + private_after)
 
     # a closed uniform variable ranges universally (the rule keeps the
     # extremal instance); an eliminated variable ranges existentially
     # (the elimination lemma trades the variable for its bound)
     universal_before = step.rule == "close-uniform-variable"
 
+    def charge(sizes: dict) -> int:
+        return (tables.cells(sizes) + before.cells(sizes) + after.cells(sizes)
+                + 2 * prod(sizes[a] for a in shared))
+
     for frame in frames:
-        sizes = {a: len(atom_options(frame, a)) for a in tables.order}
-        if budget is not None:
-            budget.charge(tables.cells(sizes) + before.cells(sizes) + after.cells(sizes)
-                          + 2 * prod(sizes[a] for a in shared))
-        tables.start(frame, sizes)
+        sizes = tables.build(frame, budget, charge)
         lhs = fold(before.masks(tables), prod(sizes[a] for a in private_before),
                    *_FOLDS[universal_before])
         rhs = fold(after.masks(tables), prod(sizes[a] for a in private_after), *_FOLDS[False])
@@ -219,30 +232,26 @@ def _verify_first_approximation(
     # produced: the three-inequality system with i0 based at that state
     (source,) = step.before
     i0, m0 = Nom(RESERVED_NOM), CoNom(RESERVED_CONOM)
-    variables = tuple(sorted(atoms(source.lhs) | atoms(source.rhs), key=str))
+    variables = tuple(sorted(_atoms(source), key=str))
     # i0 options run state by state, so with i0 first the cells where it is
     # based at one state form one chunk
     premises = _System(step.after, (i0,) + variables + (m0,))
     conclusion = _System((Inequality(i0, m0),), premises.axes)
-    tables = _Tables((side for i in (source,) + premises.ineqs + conclusion.ineqs
-                      for side in (i.lhs, i.rhs)), premises.axes)
+    tables = _Tables((source,) + premises.ineqs + conclusion.ineqs, premises.axes)
+
+    def charge(sizes: dict) -> int:
+        return (tables.cells(sizes) + prod(sizes[a] for a in variables)
+                + premises.cells(sizes) + conclusion.cells(sizes))
 
     for frame in frames:
-        n, le = frame.size, frame.algebra.le
-        sizes = {a: len(atom_options(frame, a)) for a in premises.axes}
-        if budget is not None:
-            budget.charge(tables.cells(sizes) + prod(sizes[a] for a in variables)
-                          + premises.cells(sizes) + conclusion.cells(sizes))
-        tables.start(frame, sizes)
-        lvecs, rvecs = tables(source.lhs)[1], tables(source.rhs)[1]
-        pairs = {(lvecs[k // len(rvecs)], rvecs[k % len(rvecs)])
-                 for k in set(tables.pairs(source.lhs, source.rhs, variables))}
+        n = frame.size
+        sizes = tables.build(frame, budget, charge)
         held = int.from_bytes(premises.masks(tables), "little")
         failed = ~int.from_bytes(conclusion.masks(tables), "little")
         cells = prod(sizes.values())
         broken = fold((held & failed).to_bytes(cells, "little"), cells // n, *_FOLDS[False])
         for w in range(n):
-            local_w = all(le(lv[w], rv[w]) for lv, rv in pairs)
+            local_w = 0 not in tables.tables[tables.slot[source]][w::n]
             system = broken[w] == 0
             if local_w != system:
                 return StepFailure(step, frame, f"local validity {local_w} at state {w}, "

@@ -110,7 +110,11 @@ def build_signed_tree(f: Formula, sign: int) -> SignedNode:
     base language (no nominals, no co-implication, no inverse modalities)."""
     if not in_base_language(f):
         raise ValueError("signed trees are defined over the base language")
-    kids = tuple(build_signed_tree(c, s) for c, s in signed_children(f, sign))
+    return _signed_tree(f, sign)
+
+
+def _signed_tree(f: Formula, sign: int) -> SignedNode:
+    kids = tuple(_signed_tree(c, s) for c, s in signed_children(f, sign))
     return SignedNode(f, sign, kids, _roles(f, sign))
 
 

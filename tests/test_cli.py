@@ -153,6 +153,19 @@ def test_python_m_runs_the_cli_from_a_checkout():
     assert "PASS" in done.stdout
 
 
+def test_importing_the_cli_does_not_load_yaml():
+    # only algebra, frame and model files need the parser
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, mvcorr, mvcorr.cli; print('yaml' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_svb_with_comparison(capsys):
     code, out, _ = run_cli(
         capsys,

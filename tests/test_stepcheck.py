@@ -22,7 +22,7 @@ from mvcorr import stepcheck
 from mvcorr.alba import RESERVED_CONOM, RESERVED_NOM, TraceStep, run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
-from mvcorr.heyting import builtin_algebra
+from mvcorr.heyting import builtin_algebra, load_algebra
 from mvcorr.oracle import correspondence_oracle, iter_frames, sample_frames
 from mvcorr.randomgen import random_formula, random_frame
 from mvcorr.semantics import atom_options, compile_eval, iter_valuations
@@ -294,40 +294,53 @@ def test_bottom_up_codes_match_compile_eval(seed, size, reverse):
     frame = random_frame(rng, P, size)
     # the axes by name, or reversed
     order = tuple(sorted(atoms(f), key=str, reverse=reverse))
-    tables = _Tables([f], order)
-    tables.start(frame, {a: len(atom_options(frame, a)) for a in order})
-    codes, vectors = tables(f)
+    tables = _Tables([Inequality(f, f)], order)
+    tables.build(frame, None, lambda sizes: 0)
+    table = tables.tables[tables.slot[f]]
     fn = compile_eval(f, frame)
-    # row-major over the axis order
+    # row-major over the axis order, then one element per state
     valuations = [dict(zip(order, combo))
                   for combo in product(*(atom_options(frame, a) for a in order))]
-    assert [vectors[c] for c in codes] == [fn(val) for val in valuations]
-    assert len(set(vectors)) == len(vectors)
+    assert len(table) == len(valuations) * size
+    assert [tuple(table[k:k + size]) for k in range(0, len(table), size)] == [
+        fn(val) for val in valuations]
 
 
 def test_shared_subformulas_compile_once_per_frame(monkeypatch):
     # compile_eval runs once per frame on each leaf (an atom or an atom-free
-    # subformula); every compound subformula with atoms is built bottom-up
+    # subformula); every other table is built once per frame from its
+    # operands' tables, whichever inequalities share it
     compiled, built = Counter(), Counter()
 
     def counting(f, frame):
         compiled[f] += 1
         return compile_eval(f, frame)
 
-    def building(tables, f):
-        built[f] += 1
-        return evaluate(tables, f)
+    def counted(f, op):
+        def run(*args):
+            built[f] += 1
+            return op(*args)
+        return run
 
-    evaluate = _Tables._evaluate
+    def tasks(self, frame, charge):
+        sizes, units, plan = planned(self, frame, charge)
+        return sizes, units, [task if task[0] == stepcheck._LEAF
+                              else (task[0], counted(f, task[1]), *task[2:])
+                              for f, task in zip(self.nodes, plan)]
+
+    planned = _Tables._tasks
     monkeypatch.setattr(stepcheck, "compile_eval", counting)
-    monkeypatch.setattr(_Tables, "_evaluate", building)
+    monkeypatch.setattr(_Tables, "_tasks", tasks)
     step = _step("split-join", ["<>p \\/ []q <= []r"], ["<>p <= []r", "[]q <= []r"])
     frames = [random_frame(random.Random(seed), P, 2) for seed in range(3)]
+    frames += [random_frame(random.Random(seed), P, 1) for seed in range(2)]
     assert verify_step(step, frames) is None
     assert compiled == {parse_formula(t, P): len(frames) for t in ("p", "q", "r")}
     # <>p, []q and []r occur in both systems, []r in all three inequalities
-    for t in ("<>p", "[]q", "[]r"):
+    for t in ("<>p", "[]q", "[]r", "<>p \\/ []q"):
         assert built[parse_formula(t, P)] == len(frames)
+    assert set(built.values()) == {len(frames)}
+    assert len(built) == 4 + 3  # and the three inequalities
     # nothing is kept from one call to the next
     verify_step(step, frames)
     assert compiled == {parse_formula(t, P): 2 * len(frames) for t in ("p", "q", "r")}
@@ -340,6 +353,22 @@ def test_shared_subformulas_compile_once_per_frame(monkeypatch):
     assert {parse_formula(t, P) for t in ("p", "#i0", "$m0")} <= set(compiled)
     assert set(compiled.values()) == {len(frames)}
     assert not any(atoms(f) and children(f) for f in compiled)
+
+
+def test_chain_past_the_packed_range_matches_reference():
+    # 17 * 17 > 256: every combiner reads the algebra's table cell by cell
+    chain = load_algebra({"elements": [str(i) for i in range(17)],
+                          "leq": [[str(i), str(i + 1)] for i in range(16)]})
+    steps = _unique_steps([run_alba(parse_formula(t, chain), a, chain)
+                           for t in NAMED_AXIOMS for a in (1, 8)])
+    assert {"first-approximation", "ackermann-right"} <= {s.rule for s in steps}
+    rng = random.Random(17)
+    frames = [random_frame(rng, chain, 1) for _ in range(3)]
+    mutants = _mutants(steps)
+    assert mutants
+    for step in steps:
+        assert assert_same_failure(step, frames) is None
+    assert any(assert_same_failure(step, frames) is not None for step in mutants)
 
 
 # -- budget --------------------------------------------------------------------------
@@ -431,3 +460,36 @@ def test_cells_charged_per_frame():
     verify_step(BIG, frames[:1], one)
     verify_step(BIG, frames, three)
     assert three.used == 3 * one.used
+
+
+CAP_STEPS = [s for s in P_STEPS + P_MUTANTS + UNSOUND if reference_cells(s, 2) <= REFERENCE_CAP]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.floats(0, 1.2))
+def test_a_random_cap_refuses_at_the_frame_that_passes_it(seed, fraction):
+    rng = random.Random(seed)
+    step = rng.choice(CAP_STEPS)
+    frames = [random_frame(rng, P, rng.choice([1, 2])) for _ in range(4)]
+    # per frame: its charge and its own verdict, unlimited
+    charges, failures = [], []
+    for frame in frames:
+        budget = Budget(10**9)
+        failures.append(verify_step(step, [frame], budget))
+        charges.append(budget.used)
+    cap = int(fraction * sum(charges))
+    unlimited = Budget(10**9)
+    want = verify_step(step, frames, unlimited)
+    budget, running = Budget(cap), 0
+    for charge, failure in zip(charges, failures):
+        running += charge
+        if running > cap:  # refused at this frame, before it is checked
+            with pytest.raises(BudgetExceeded):
+                verify_step(step, frames, budget)
+            assert budget.used == running
+            return
+        if failure is not None:
+            break
+    got = verify_step(step, frames, budget)
+    assert (got and got.describe()) == (want and want.describe())
+    assert budget.used == running == unlimited.used

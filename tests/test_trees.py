@@ -1,9 +1,11 @@
 """Signed trees: worked-example goldens and recognition invariants."""
 
 import random
+import sys
 
 import pytest
 
+from mvcorr import trees
 from mvcorr.errors import NotClassicalSahlqvist
 from mvcorr.fol import FoImplies, FoOr
 from mvcorr.heyting import builtin_algebra
@@ -50,6 +52,29 @@ def test_signed_tree_sign_propagation():
     # -(<>[]q \/ []p): leaves -q, -p
     g = parse_formula("<>[]q \\/ []p", P)
     assert leaf_signs(build_signed_tree(g, -1)) == [("q", -1), ("p", -1)]
+
+
+def test_signed_tree_checks_the_language_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return in_base_language(f)
+
+    in_base_language = trees.in_base_language
+    monkeypatch.setattr(trees, "in_base_language", counting)
+    f = Var("p")
+    for _ in range(400):
+        f = Box(f)
+    # the recursive walks take two frames per level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2_000)
+    try:
+        tree = build_signed_tree(f, 1)
+        assert calls == [f]
+        assert leaf_signs(tree) == [("p", 1)]
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_signed_tree_inductive_example():
