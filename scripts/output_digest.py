@@ -21,9 +21,10 @@ Run it on two commits of a change that must not alter any output: equal
 - `fo_agree`'s report and budget units, same frames: each named axiom's
   ALBA correspondent at gamma (threshold top) against its named frame
   property and against reflexivity, at thresholds gamma, alpha and 1;
-- stepcheck's verdict, `sound` or the failure's text, on 8 seeded
-  two-state frames for every distinct trace step of those ALBA runs and
-  for each step's drop-one mutants (one produced, else one consumed,
+- stepcheck's verdict, `sound` or the failure's text, and its budget
+  units, on 8 seeded two-state frames and on 8 seeded frames alternating
+  one and two states, for every distinct trace step of those ALBA runs
+  and for each step's drop-one mutants (one produced, else one consumed,
   inequality dropped).
 
 Usage: python scripts/output_digest.py
@@ -51,6 +52,7 @@ from mvcorr.trees import is_inductive
 NAMED_AXIOMS = ("p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p")
 PROPERTIES = dict(zip(NAMED_AXIOMS, ("reflexive", "transitive", "symmetric", "dense", "serial")))
 REFUSED_CAP = 1_000_000  # inside size 2 of transitivity's correspondent at gamma
+STEPCHECK_CAP = 10**12  # above every step's charge: no step check is refused
 CLASSICAL = (
     "[]p -> p",
     "[]p -> [][]p",
@@ -111,12 +113,16 @@ def drop_one(step) -> list:
 
 
 def stepcheck_lines(steps: list, alg) -> list[str]:
-    frames = sample_frames(alg, 2, 8, seed=1010)
+    two = sample_frames(alg, 2, 8, seed=1010)
+    mixed = [f for pair in zip(sample_frames(alg, 1, 4, seed=1011), two) for f in pair]
     lines = []
-    for step in dict.fromkeys(steps):
-        for checked in (step, *drop_one(step)):
-            failure = verify_step(checked, frames)
-            lines.append(failure.describe() if failure else f"{checked.describe()} | sound")
+    for frames in (two, mixed):
+        for step in dict.fromkeys(steps):
+            for checked in (step, *drop_one(step)):
+                budget = Budget(STEPCHECK_CAP)
+                failure = verify_step(checked, frames, budget)
+                verdict = failure.describe() if failure else f"{checked.describe()} | sound"
+                lines.append(f"{verdict}; {budget.used} units")
     return lines
 
 

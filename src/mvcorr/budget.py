@@ -25,12 +25,13 @@ over its own atoms (atoms included; a subformula shared by several
 inequalities counts once), of each inequality's table over its atoms, of
 each system's tables over its axes and of the tables over the shared atoms
 on which the two sides are compared (for first-approximation, the source's
-atoms).  A cell is one valuation of a table's atoms, one unit whatever the
-state axis: a subformula's cell holds one byte per state.  The reference
-evaluator `fol.fo_eval` charges one unit per node visited.  When the budget
-runs out the oracle raises BudgetExceeded instead of silently truncating: an
-oracle result must never be partial.  A negative cap, given or from MVCORR_BUDGET, raises
-ValueError.
+atoms).  That bounds what it builds: a table without a modal operator is
+built only at a call's first frame of each size.  A cell is one valuation of
+a table's atoms, one unit whatever the state axis: a subformula's cell holds
+one byte per state.  The reference evaluator `fol.fo_eval` charges one unit
+per node visited.  When the budget runs out the oracle raises BudgetExceeded
+instead of silently truncating: an oracle result must never be partial.  A
+negative cap, given or from MVCORR_BUDGET, raises ValueError.
 """
 
 from __future__ import annotations

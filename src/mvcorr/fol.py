@@ -628,8 +628,8 @@ class _Plan:
         return root * len(rels) if self.nodes[-1][3] else root
 
 
-# plans hold no frame data; a few dozen cover the sizes of one oracle run
-_plan = lru_cache(maxsize=32)(_Plan)
+# plans hold no frame data; the named axioms' oracle checks need 45 (15 formulas, sizes 1-3)
+_plan = lru_cache(maxsize=128)(_Plan)
 
 
 def _execute(task: tuple, tables: list, frames: int) -> bytes:

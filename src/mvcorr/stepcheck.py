@@ -49,7 +49,7 @@ class StepFailure:
 
 
 _W, _U = "w", "u"  # state axes: a table's own states, and a modality's successors
-_LEAF, _OP, _IMAGE = range(3)
+_LEAF, _OP, _IMAGE, _KEPT = range(4)
 
 
 def _atoms(ineq: Inequality) -> set:
@@ -58,6 +58,10 @@ def _atoms(ineq: Inequality) -> set:
 
 def _sides(f: Formula | Inequality) -> tuple:
     return (f.lhs, f.rhs) if isinstance(f, Inequality) else children(f)
+
+
+def _reads_relation(f: Formula | Inequality) -> bool:
+    return isinstance(f, (Dia, Box, DiaInv, BoxInv)) or any(map(_reads_relation, _sides(f)))
 
 
 class _Tables:
@@ -73,7 +77,9 @@ class _Tables:
     to a (w, u) pair of state axes, combines it with the relation at (w, u),
     at (u, w) if inverse, by meet for a diamond and implication for a box,
     and folds u by joins or meets.  The axes are planned per call, and per
-    frame size the `repeats`; `build` builds every table of one frame.
+    frame size the `repeats`; `build` builds every table of one frame, but
+    one without a modal operator, which reads no relation, only at the
+    call's first frame of each size.  The charge stays per frame.
     """
 
     def __init__(self, ineqs: Iterable[Inequality], order: tuple):
@@ -82,7 +88,8 @@ class _Tables:
         for ineq in ineqs:
             self._plan(ineq)
         self.slot = {f: k for k, f in enumerate(self.nodes)}  # operands first
-        self.sized: dict = {}  # frame size -> the atoms' sizes, their charge, tasks
+        self.kept = {k for k, f in enumerate(self.nodes) if not _reads_relation(f)}
+        self.sized: dict = {}  # frame size -> the atoms' sizes, their charge, tasks or kept tables
 
     def _plan(self, f: Formula | Inequality) -> None:
         if f not in self.nodes:
@@ -107,8 +114,10 @@ class _Tables:
         if budget is not None:
             budget.charge(units)
         self.tables = tables = []
-        for kind, *task in tasks:
-            if kind == _LEAF:
+        for k, (kind, *task) in enumerate(tasks):
+            if kind == _KEPT:
+                (table,) = task
+            elif kind == _LEAF:
                 f, axes = task
                 fn = compile_eval(f, frame)
                 table = b"".join([bytes(fn(val)) for val in iter_valuations(frame, axes)])
@@ -120,6 +129,8 @@ class _Tables:
                 rel = bytes(chain.from_iterable(frame.rel if forward else zip(*frame.rel)))
                 operand = broadcast(tables[sub], wu)
                 table = fold(weigh(rel * (len(operand) // len(rel)), operand), n, *fold_u)
+            if kind != _KEPT and k in self.kept:  # the same on every frame of this size
+                tasks[k] = _KEPT, table
             tables.append(table)
         return self.sizes
 

@@ -300,12 +300,16 @@ def naming_clash(text: str) -> str | None:
         return f"found {text!r}: names starting with m or n are co-nominals', all others nominals'"
 
 
+MAX_NESTING = 16  # levels of operators every command handles under the default recursion limit
+
+
 class Cursor:
     """A parser's place in a token list; reading never moves past eof."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # the parser's own recursion, parentheses included
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -315,13 +319,29 @@ class Cursor:
         self.i += tok.kind != "eof"
         return tok
 
-    def done(self) -> None:
+    def nested(self, parse):
+        """`parse()` one level deeper, refused well before Python's own limit."""
+        self.depth += 1
+        if self.depth > 2 * MAX_NESTING:
+            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels", self.peek().pos)
+        out = parse()
+        self.depth -= 1
+        return out
+
+    def done(self, *roots: Formula) -> None:
+        """Refuse trailing input, and formulas nested past MAX_NESTING levels."""
         tok = self.peek()
         if tok.kind != "eof":
             raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+        for _ in range(MAX_NESTING + 1):
+            roots = [sub for node in roots for sub in children(node)]
+        if roots:
+            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels", 0)
 
 
 class _Parser(Cursor):
+    prefix = {"box": Box, "dia": Dia, "boxinv": BoxInv, "diainv": DiaInv}
+
     def __init__(self, tokens: list[Token], alg: HeytingAlgebra):
         super().__init__(tokens)
         self.alg = alg
@@ -339,7 +359,7 @@ class _Parser(Cursor):
         tok = self.peek()
         if tok.kind == "arrow":
             self.next()
-            return Implies(lhs, self.formula())
+            return Implies(lhs, self.nested(self.formula))
         if tok.kind == "minus":
             self.next()
             return Minus(lhs, self.disjunction())
@@ -361,27 +381,18 @@ class _Parser(Cursor):
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "box":
+        if tok.kind in self.prefix:
             self.next()
-            return Box(self.unary())
-        if tok.kind == "dia":
-            self.next()
-            return Dia(self.unary())
-        if tok.kind == "boxinv":
-            self.next()
-            return BoxInv(self.unary())
-        if tok.kind == "diainv":
-            self.next()
-            return DiaInv(self.unary())
+            return self.prefix[tok.kind](self.nested(self.unary))
         if tok.kind == "tilde":
             self.next()
-            return Implies(self.unary(), bottom(self.alg))
+            return Implies(self.nested(self.unary), bottom(self.alg))
         return self.atom()
 
     def atom(self) -> Formula:
         tok = self.next()
         if tok.kind == "lparen":
-            inner = self.formula()
+            inner = self.nested(self.formula)
             closing = self.peek()
             if closing.kind != "rparen":
                 raise FormulaSyntaxError(
@@ -415,14 +426,14 @@ def parse_formula(text: str, alg: HeytingAlgebra) -> Formula:
     """Parse a formula; `~f` expands to `f -> @0`, constants resolve in alg."""
     p = _Parser(tokenize(text), alg)
     out = p.formula()
-    p.done()
+    p.done(out)
     return out
 
 
 def parse_inequality(text: str, alg: HeytingAlgebra) -> Inequality:
     p = _Parser(tokenize(text), alg)
     out = p.inequality()
-    p.done()
+    p.done(out.lhs, out.rhs)
     return out
 
 

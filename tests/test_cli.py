@@ -11,6 +11,7 @@ import pytest
 from mvcorr import cli
 from mvcorr.cli import main
 from mvcorr.fol import BOT
+from mvcorr.syntax import MAX_NESTING
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +218,38 @@ def test_eval_with_model_file(tmp_path, capsys):
     assert code == 0
     assert "value(<>p) at w = gamma" in out
     assert "gamma-true: yes" in out
+
+
+def test_every_command_runs_at_the_nesting_limit(tmp_path, capsys):
+    model = tmp_path / "model.yaml"
+    model.write_text("states: [w]\nrel:\n  - [w, w, gamma]\nval:\n  - [p, w, '1']\n")
+    commands = {"classify": [], "alba": ["--value", "gamma", "--verify", "sizes=1"], "svb": [],
+                "verify": ["--fo", "R(x, x)", "--sizes", "1"],
+                "eval": ["--model", str(model), "--state", "w"]}
+    deepest = "[]" * (MAX_NESTING - 1) + "(p -> p)"
+    refused = [f"error: syntax error at position 0: nested deeper than {MAX_NESTING} levels"]
+    for command, options in commands.items():
+        texts = [deepest] + ([f"{deepest} <= p"] if command in ("classify", "alba") else [])
+        for text in texts:
+            code, out, err = run_cli(capsys, command, *options, "--formula", text)
+            # a verdict, or the budget's refusal of a check too large to finish
+            assert code in (0, 1), (command, text)
+            assert out and not err or err.startswith("inconclusive: evaluation budget")
+            code, out, err = run_cli(capsys, command, *options, "--formula", "[]" + text)
+            assert (code, out, err.splitlines()) == (2, "", refused), (command, text)
+
+
+def test_deep_nesting_exits_2_without_a_traceback():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mvcorr", "alba", "--value", "gamma",
+         "--formula", "[]" * 200 + "(p -> p)"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "nested deeper" in done.stderr
 
 
 def test_structured_output_reproducible(capsys):

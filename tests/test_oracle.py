@@ -179,6 +179,26 @@ def test_refused_degree_table_is_not_kept():
         valid_at(frame, phi, 1, P.top, budget)
 
 
+def test_the_named_axioms_plans_stay_cached():
+    # each axiom's degree claim, its property and its ALBA correspondent at
+    # sizes 1-2 and three: 45 plans, all kept from one round to the next
+    gamma = P.element("gamma")
+    runs = [run_alba(parse_formula(t, P), gamma, P) for t in PROPERTIES]
+
+    def check_all():
+        for run, prop in zip(runs, PROPERTIES.values()):
+            for alpha, threshold in ((frame_property(prop), None), (run.correspondent, P.top)):
+                report = correspondence_oracle(P, run.source, gamma, alpha, sizes=[1, 2],
+                                               samples=4, sample_size=3, seed=1,
+                                               fo_threshold=threshold)
+                assert report.passed, report.describe()
+
+    check_all()
+    misses = fol._plan.cache_info().misses
+    check_all()
+    assert fol._plan.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("text,value", [("p -> <>p", "gamma"), ("~p \\/ <>p", "1")])
 def test_valid_at_reads_only_the_counterexample(monkeypatch, text, value):
     # verdicts come from whole tables: a PASS never calls valid_at, and a

@@ -25,10 +25,10 @@ from mvcorr.errors import BudgetExceeded
 from mvcorr.heyting import builtin_algebra, load_algebra
 from mvcorr.oracle import correspondence_oracle, iter_frames, sample_frames
 from mvcorr.randomgen import random_formula, random_frame
-from mvcorr.semantics import atom_options, compile_eval, iter_valuations
+from mvcorr.semantics import Frame, atom_options, compile_eval, iter_valuations
 from mvcorr.stepcheck import StepFailure, _show, _Tables, verify_step
 from mvcorr.syntax import (
-    CoNom, Inequality, Nom, Var, atoms, children, parse_formula, parse_inequality, parse_input,
+    CoNom, Inequality, Nom, Var, atoms, parse_formula, parse_inequality, parse_input,
 )
 
 P = builtin_algebra("paper-P")
@@ -306,10 +306,11 @@ def test_bottom_up_codes_match_compile_eval(seed, size, reverse):
         fn(val) for val in valuations]
 
 
-def test_shared_subformulas_compile_once_per_frame(monkeypatch):
-    # compile_eval runs once per frame on each leaf (an atom or an atom-free
-    # subformula); every other table is built once per frame from its
-    # operands' tables, whichever inequalities share it
+def test_relation_free_tables_are_built_once_per_size(monkeypatch):
+    # a table that reads no relation (an atom, a modality-free leaf, a
+    # connective or inequality over such tables) is built at the call's
+    # first frame of each size; one that reads the relation is built once
+    # per frame, whichever inequalities share it
     compiled, built = Counter(), Counter()
 
     def counting(f, frame):
@@ -328,6 +329,10 @@ def test_shared_subformulas_compile_once_per_frame(monkeypatch):
                               else (task[0], counted(f, task[1]), *task[2:])
                               for f, task in zip(self.nodes, plan)]
 
+    def parsed(counts):
+        return {parse_formula(t, P) if "<=" not in t else parse_inequality(t, P): k
+                for t, k in counts.items()}
+
     planned = _Tables._tasks
     monkeypatch.setattr(stepcheck, "compile_eval", counting)
     monkeypatch.setattr(_Tables, "_tasks", tasks)
@@ -335,24 +340,42 @@ def test_shared_subformulas_compile_once_per_frame(monkeypatch):
     frames = [random_frame(random.Random(seed), P, 2) for seed in range(3)]
     frames += [random_frame(random.Random(seed), P, 1) for seed in range(2)]
     assert verify_step(step, frames) is None
-    assert compiled == {parse_formula(t, P): len(frames) for t in ("p", "q", "r")}
+    assert compiled == parsed({"p": 2, "q": 2, "r": 2})  # once per size
     # <>p, []q and []r occur in both systems, []r in all three inequalities
-    for t in ("<>p", "[]q", "[]r", "<>p \\/ []q"):
-        assert built[parse_formula(t, P)] == len(frames)
-    assert set(built.values()) == {len(frames)}
-    assert len(built) == 4 + 3  # and the three inequalities
+    assert built == parsed({t: 5 for t in ("<>p", "[]q", "[]r", "<>p \\/ []q",
+                                           "<>p \\/ []q <= []r", "<>p <= []r", "[]q <= []r")})
     # nothing is kept from one call to the next
     verify_step(step, frames)
-    assert compiled == {parse_formula(t, P): 2 * len(frames) for t in ("p", "q", "r")}
+    assert compiled == parsed({"p": 4, "q": 4, "r": 4})
     # first-approximation: the conclusion #i0 <= $m0 shares its sides with
-    # the premises
+    # the premises; only <>p and the inequalities over it read the relation
     compiled.clear()
+    built.clear()
     steps = run_alba(parse_formula("p -> <>p", P), P.top, P).all_steps()
     step = next(s for s in steps if s.rule == "first-approximation")
     assert verify_step(step, frames) is None
-    assert {parse_formula(t, P) for t in ("p", "#i0", "$m0")} <= set(compiled)
-    assert set(compiled.values()) == {len(frames)}
-    assert not any(atoms(f) and children(f) for f in compiled)
+    assert compiled == parsed({"p": 2, "@1": 2, "#i0": 2, "$m0": 2})
+    assert built == parsed({"p /\\ @1": 2, "<>p": 5, "p /\\ @1 <= <>p": 5, "#i0 <= p": 2,
+                            "#i0 <= @1": 2, "<>p <= $m0": 5, "#i0 <= $m0": 2})
+
+
+def test_atom_free_modal_leaves_are_built_per_frame():
+    # []@0 and <>@1 have no atoms but read the relation: with no successors
+    # the step holds, with every successor at 1 it fails for p above 0
+    step = _step("split-join", ["p /\\ <>@1 <= []@0"], ["p <= @1"])
+    empty = Frame(P, ("w0", "w1"), ((0, 0), (0, 0)))
+    full = Frame(P, ("w0", "w1"), ((P.top,) * 2,) * 2)
+    for frames in ([empty, full], [full, empty], [empty, empty, full]):
+        failure = assert_same_failure(step, frames)
+        assert failure is not None and failure.frame == full
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.lists(st.integers(1, 2), min_size=2, max_size=5))
+def test_frames_of_mixed_sizes_in_any_order_match_reference(seed, sizes):
+    rng = random.Random(seed)
+    steps = [s for s in P_STEPS + P_MUTANTS if reference_cells(s, 2) <= REFERENCE_CAP]
+    assert_same_failure(rng.choice(steps), [random_frame(rng, P, k) for k in sizes])
 
 
 def test_chain_past_the_packed_range_matches_reference():

@@ -8,6 +8,7 @@ from mvcorr.errors import FormulaSyntaxError, UnknownConstant
 from mvcorr.heyting import builtin_algebra
 from mvcorr.syntax import (
     ABSENT,
+    MAX_NESTING,
     MIXED,
     NEGATIVE,
     POSITIVE,
@@ -26,6 +27,7 @@ from mvcorr.syntax import (
     QuasiInequality,
     Var,
     atoms,
+    children,
     in_base_language,
     parse_formula,
     parse_inequality,
@@ -86,6 +88,35 @@ def test_inequality_and_quasi():
     with pytest.raises(FormulaSyntaxError):
         parse_input(str(q), P)
     assert isinstance(parse_input("p <= <>p", P), Inequality)
+
+
+def _height(f):
+    return 1 + max(map(_height, children(f)), default=-1)
+
+
+@pytest.mark.parametrize("text", [
+    "[]" * (MAX_NESTING - 1) + "(p -> p)",  # boxes over an implication
+    "p -> " * MAX_NESTING + "p",  # right-nested implications
+    "p" + " /\\ p" * MAX_NESTING,  # a left-nested chain
+    "~" * MAX_NESTING + "p",
+    # parentheses add no level, but the parser's own recursion stops at twice the limit
+    "(" * 2 * MAX_NESTING + "p" + ")" * 2 * MAX_NESTING,
+])
+def test_nesting_past_the_limit_is_a_syntax_error(text):
+    assert _height(parse_formula(text, P)) == (0 if text[0] == "(" else MAX_NESTING)
+    assert _height(parse_inequality(f"{text} <= p", P).lhs) == _height(
+        parse_inequality(f"p <= {text}", P).rhs)
+    deeper = f"({text})" if text[0] == "(" else f"[]({text})"
+    for wrong in (deeper, f"{deeper} <= p", f"p <= {deeper}"):
+        with pytest.raises(FormulaSyntaxError, match=f"nested deeper than {MAX_NESTING} levels"):
+            parse_input(wrong, P)
+
+
+def test_very_deep_input_is_refused_before_the_recursion_limit():
+    for text in ("(" * 10_000 + "p" + ")" * 10_000, "[]" * 10_000 + "p",
+                 "p -> " * 10_000 + "p", "p" + " \\/ p" * 10_000):
+        with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+            parse_formula(text, P)
 
 
 def test_syntax_errors_carry_position():
