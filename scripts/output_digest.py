@@ -22,10 +22,12 @@ Run it on two commits of a change that must not alter any output: equal
   ALBA correspondent at gamma (threshold top) against its named frame
   property and against reflexivity, at thresholds gamma, alpha and 1;
 - stepcheck's verdict, `sound` or the failure's text, and its budget
-  units, on 8 seeded two-state frames and on 8 seeded frames alternating
-  one and two states, for every distinct trace step of those ALBA runs
-  and for each step's drop-one mutants (one produced, else one consumed,
-  inequality dropped).
+  units, on 8 seeded two-state frames, on 8 seeded frames alternating
+  one and two states, and on 8 seeded frames in runs of 3 two-state, 1
+  one-state and 4 two-state frames (so batches of one size split and
+  failures fall inside them), for every distinct trace step of those
+  ALBA runs and for each step's drop-one mutants (one produced, else one
+  consumed, inequality dropped).
 
 Usage: python scripts/output_digest.py
 """
@@ -115,8 +117,10 @@ def drop_one(step) -> list:
 def stepcheck_lines(steps: list, alg) -> list[str]:
     two = sample_frames(alg, 2, 8, seed=1010)
     mixed = [f for pair in zip(sample_frames(alg, 1, 4, seed=1011), two) for f in pair]
+    runs = sample_frames(alg, 2, 7, seed=1012)
+    runs[3:3] = sample_frames(alg, 1, 1, seed=1013)
     lines = []
-    for frames in (two, mixed):
+    for frames in (two, mixed, runs):
         for step in dict.fromkeys(steps):
             for checked in (step, *drop_one(step)):
                 budget = Budget(STEPCHECK_CAP)

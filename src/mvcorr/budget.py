@@ -19,19 +19,20 @@ orbit minima, which runs once per process and frame size and group, as
 far as any scan has read, and stops at five states, where a frame's
 renamings still cost less than most tables.
 
-The per-step checker `stepcheck` charges the same way, for each frame before
-it builds that frame's tables: one unit per cell of each subformula's table
-over its own atoms (atoms included; a subformula shared by several
-inequalities counts once), of each inequality's table over its atoms, of
-each system's tables over its axes and of the tables over the shared atoms
-on which the two sides are compared (for first-approximation, the source's
-atoms).  That bounds what it builds: a table without a modal operator is
-built only at a call's first frame of each size.  A cell is one valuation of
-a table's atoms, one unit whatever the state axis: a subformula's cell holds
-one byte per state.  The reference evaluator `fol.fo_eval` charges one unit
-per node visited.  When the budget runs out the oracle raises BudgetExceeded
-instead of silently truncating: an oracle result must never be partial.  A
-negative cap, given or from MVCORR_BUDGET, raises ValueError.
+The per-step checker `stepcheck` charges every frame one unit per cell of
+each subformula's table over its own atoms (atoms included; a subformula
+shared by several inequalities counts once), of each inequality's table
+over its atoms, of each system's tables over its axes and of the tables
+over the shared atoms on which the two sides are compared (for
+first-approximation, the source's atoms), whatever the state axis: a bound
+on what it builds.  It builds a batch of same-size frames at once, under
+`fol.BATCH_CELLS` and the budget left after the first frame's charge, paid
+before building; the later frames are charged once the batch is checked, up
+to the first that fails, as if checked one at a time.  The reference
+evaluator `fol.fo_eval` charges one unit per node visited.  When the budget
+runs out the oracle raises BudgetExceeded instead of silently truncating:
+an oracle result must never be partial.  A negative cap, given or from
+MVCORR_BUDGET, raises ValueError.
 """
 
 from __future__ import annotations

@@ -385,8 +385,8 @@ def _restore(env: dict, key, saved) -> None:
         env[key] = saved
 
 
-# the ceiling on the cells of one batch's tables; a batch of one frame may
-# pass it, as a single frame always could
+# the ceiling on a batch's table cells, in the oracle's kernel runs and in
+# stepcheck's batches; a batch of one frame may pass it, as one frame always could
 BATCH_CELLS = 1 << 16
 
 
@@ -1260,6 +1260,10 @@ def simplify_display(f: Fo) -> Fo:
 
 # -- parsing ------------------------------------------------------------------
 
+# first-order nesting accepted, in height and in the parser's own recursion:
+# above ALBA's displays (of all measured shapes but one), below what commands handle
+MAX_FO_NESTING = 180
+
 _FO_TOKEN = re.compile(
     r"""
     (?P<ws>\s+)
@@ -1300,6 +1304,8 @@ class _FoParser(syntax.Cursor):
     accessibility relation, any other applied identifier a predicate.
     """
 
+    limit, reach, subs = MAX_FO_NESTING, MAX_FO_NESTING, staticmethod(fo_children)
+
     def __init__(self, tokens: list[syntax.Token], alg: Optional[HeytingAlgebra]):
         super().__init__(tokens)
         self.alg = alg
@@ -1315,7 +1321,7 @@ class _FoParser(syntax.Cursor):
         kind = self.peek().kind
         if kind == "arrow":
             self.next()
-            return FoImplies(lhs, self.formula())
+            return FoImplies(lhs, self.nested(self.formula))
         if kind == "preceq":
             self.next()
             return Preceq(lhs, self.disjunction())
@@ -1332,7 +1338,7 @@ class _FoParser(syntax.Cursor):
         if self.peek().kind != "dot":
             self.error("expected '.' after quantified symbol")
         self.next()
-        body = self.formula()
+        body = self.nested(self.formula)
         name = tok.text
         var = _tv_from_name(name) if name.startswith("C_") else _term_from_name(name)
         return (Forall if which == "A" else Exists)(var, body)
@@ -1355,7 +1361,7 @@ class _FoParser(syntax.Cursor):
         tok = self.next()
         kind, text = tok.kind, tok.text
         if kind == "lparen":
-            inner = self.formula()
+            inner = self.nested(self.formula)
             if self.peek().kind != "rparen":
                 self.error("expected ')'")
             self.next()
@@ -1411,5 +1417,5 @@ def parse_fo(text: str, alg: Optional[HeytingAlgebra] = None) -> Fo:
     """Parse an ASCII first-order formula (the print_fo dialect)."""
     p = _FoParser(syntax.tokenize(text, _FO_TOKEN), alg)
     out = p.formula()
-    p.done()
+    p.done(out)
     return out

@@ -16,21 +16,21 @@ variables, m0.  Every table (a subformula's, an inequality's, a system's)
 is row-major over its own atoms in that order, so a child's axes are an
 in-order subsequence of its parent's: the parent reads the child through
 `fol.repeats`/`fol.broadcast`, and private atoms, trailing axes, fold out
-with `fol.fold`.  The tables of subformulas and inequalities, built by
-`_Tables` and shared by both systems, add the frame's states as the
-innermost axis.
+with `fol.fold`.  Every table spans a batch of frames of one size as its
+outermost axis; those of subformulas and inequalities, built by `_Tables`
+and shared by both systems, add the frame's states as the innermost axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from math import prod
 from typing import Callable, Iterable, Optional
 
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
 from .budget import Budget
-from .fol import broadcast, combiner, fold, repeats
+from .fol import BATCH_CELLS, broadcast, combiner, fold, repeats
 from .heyting import builtin_algebra
 from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations
 from .syntax import (And, Box, BoxInv, CoNom, Dia, DiaInv, Formula, Implies, Inequality, Minus,
@@ -49,7 +49,7 @@ class StepFailure:
 
 
 _W, _U = "w", "u"  # state axes: a table's own states, and a modality's successors
-_LEAF, _OP, _IMAGE, _KEPT = range(4)
+_LEAF, _OP, _IMAGE = range(3)
 
 
 def _atoms(ineq: Inequality) -> set:
@@ -65,9 +65,9 @@ def _reads_relation(f: Formula | Inequality) -> bool:
 
 
 class _Tables:
-    """A step's subformula and inequality tables in the `fol` kernel's layout:
-    row-major over their own atoms, then the frame's states, one algebra
-    element per byte.
+    """A step's subformula and inequality tables in the `fol` kernel's layout
+    on a batch of frames of one size: the frame outermost, row-major over
+    their own atoms, then the frame's states, one algebra element per byte.
 
     A leaf (an atom, or a subformula without atoms) is evaluated with
     `compile_eval` under each valuation of its at most one atom.  A
@@ -77,9 +77,9 @@ class _Tables:
     to a (w, u) pair of state axes, combines it with the relation at (w, u),
     at (u, w) if inverse, by meet for a diamond and implication for a box,
     and folds u by joins or meets.  The axes are planned per call, and per
-    frame size the `repeats`; `build` builds every table of one frame, but
+    frame size the `repeats`; `build` builds every table of a batch, but
     one without a modal operator, which reads no relation, only at the
-    call's first frame of each size.  The charge stays per frame.
+    call's first frame of each size, then repeats it across each batch.
     """
 
     def __init__(self, ineqs: Iterable[Inequality], order: tuple):
@@ -89,7 +89,7 @@ class _Tables:
             self._plan(ineq)
         self.slot = {f: k for k, f in enumerate(self.nodes)}  # operands first
         self.kept = {k for k, f in enumerate(self.nodes) if not _reads_relation(f)}
-        self.sized: dict = {}  # frame size -> the atoms' sizes, their charge, tasks or kept tables
+        self.sized: dict = {}  # frame size -> the atoms' sizes, their charge, tasks, kept tables
 
     def _plan(self, f: Formula | Inequality) -> None:
         if f not in self.nodes:
@@ -104,35 +104,45 @@ class _Tables:
         return sum(prod(sizes[a] for a in axes) for f, (axes, _) in self.nodes.items()
                    if isinstance(f, Formula))
 
-    def build(self, frame: Frame, budget: Budget | None, charge: Callable[[dict], int]) -> dict:
-        """Charge `budget` the frame's `charge`, then build its tables; the
-        atoms' sizes."""
+    def check(self, step: TraceStep, frames: Iterable[Frame], budget: Budget | None,
+              charge: Callable[[dict], int], verdicts: Callable, describe: Callable
+              ) -> Optional[StepFailure]:
+        """The first frame where a batch's two `verdicts()`, in equal slices per
+        frame, differ, and `describe(frame, cell, left, right)` there.  A batch's
+        later frames are charged once it is checked, up to that frame."""
+        for _, run in groupby(frames, lambda frame: frame.size):
+            for frame in run:
+                batch, units = self.build(frame, budget, charge, run)
+                lhs, rhs = verdicts()
+                k = len(lhs) if lhs == rhs else next(
+                    k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                d, cell = divmod(k, len(lhs) // len(batch))
+                if budget is not None:  # the batch's size keeps this within the cap
+                    budget.charge(units * min(d, len(batch) - 1))
+                if d < len(batch):
+                    return StepFailure(step, batch[d], describe(batch[d], cell, lhs[k], rhs[k]))
+        return None
+
+    def build(self, frame: Frame, budget: Budget | None, charge: Callable[[dict], int],
+              following: Iterable[Frame] = ()) -> tuple:
+        """Charge `budget` the frame's `charge`, then build the tables of a batch:
+        `frame` and as many next frames of its size in `following` as fit under
+        `BATCH_CELLS` charged cells and the budget left.  The batch, the charge."""
         n = self.n = frame.size
         if n not in self.sized:
-            self.sized[n] = self._tasks(frame, charge)
-        self.sizes, units, tasks = self.sized[n]
+            self.sized[n] = *self._tasks(frame, charge), {}
+        self.sizes, units, tasks, fixed = self.sized[n]
+        room = BATCH_CELLS // max(units, 1)
         if budget is not None:
             budget.charge(units)
+            room = min(room, 1 + (budget.cap - budget.used) // units)
+        self.batch = batch = [frame, *islice(following, max(room - 1, 0))]
         self.tables = tables = []
-        for k, (kind, *task) in enumerate(tasks):
-            if kind == _KEPT:
-                (table,) = task
-            elif kind == _LEAF:
-                f, axes = task
-                fn = compile_eval(f, frame)
-                table = b"".join([bytes(fn(val)) for val in iter_valuations(frame, axes)])
-            elif kind == _OP:
-                combine, (lhs, lreps), (rhs, rreps) = task
-                table = combine(broadcast(tables[lhs], lreps), broadcast(tables[rhs], rreps))
-            else:  # the operand at each (w, u), weighed by the relation there, folded over u
-                weigh, fold_u, sub, wu, forward = task
-                rel = bytes(chain.from_iterable(frame.rel if forward else zip(*frame.rel)))
-                operand = broadcast(tables[sub], wu)
-                table = fold(weigh(rel * (len(operand) // len(rel)), operand), n, *fold_u)
-            if kind != _KEPT and k in self.kept:  # the same on every frame of this size
-                tasks[k] = _KEPT, table
-            tables.append(table)
-        return self.sizes
+        for k, task in enumerate(tasks):
+            if k in self.kept and k not in fixed:  # the same on every frame of this size
+                fixed[k] = _run(task, fixed, [frame])
+            tables.append(fixed[k] * len(batch) if k in self.kept else _run(task, tables, batch))
+        return batch, units
 
     def _tasks(self, frame: Frame, charge: Callable[[dict], int]) -> tuple:
         """Per frame size: the atoms' sizes, their `charge` and each table's task."""
@@ -160,6 +170,25 @@ class _Tables:
         return sizes, charge(sizes), tasks
 
 
+def _run(task: tuple, tables, frames: list) -> bytes:
+    """One task's table on `frames`, reading its operands' in `tables`."""
+    kind, *task = task
+    if kind == _LEAF:
+        f, axes = task
+        return b"".join([bytes(fn(val)) for frame in frames for fn in [compile_eval(f, frame)]
+                         for val in iter_valuations(frame, axes)])
+    if kind == _OP:
+        combine, (lhs, lreps), (rhs, rreps) = task
+        return combine(broadcast(tables[lhs], lreps), broadcast(tables[rhs], rreps))
+    # the operand at each (w, u), weighed by the relation there, folded over u
+    weigh, fold_u, sub, wu, forward = task
+    operand, n = broadcast(tables[sub], wu), frames[0].size
+    per = len(operand) // (len(frames) * n * n)
+    rel = b"".join([bytes(chain.from_iterable(f.rel if forward else zip(*f.rel))) * per
+                    for f in frames])
+    return fold(weigh(rel, operand), n, *fold_u)
+
+
 class _System:
     """Truth tables of a fixed inequality list over fixed atom axes."""
 
@@ -177,13 +206,14 @@ class _System:
         return own + max(1, len(self.ineqs)) * prod(sizes[a] for a in self.axes)
 
     def masks(self, tables: _Tables) -> bytes:
-        """Per cell, 1 when every inequality holds at every state, else 0."""
+        """Per frame and cell, 1 when every inequality holds at every state, else 0."""
         sizes, n = tables.sizes, tables.n
         if n not in self.sized:
             self.sized[n] = prod(sizes[a] for a in self.axes), [
                 (tables.slot[i], repeats(own, self.axes, sizes))
                 for i, own in zip(self.ineqs, self.own)]
         cells, reads = self.sized[n]
+        cells *= len(tables.batch)
         table = int.from_bytes(b"\1" * cells, "little")
         for k, reps in reads:
             held = fold(tables.tables[k], n, *_FOLDS[True])  # at every state
@@ -223,17 +253,15 @@ def verify_step(
         return (tables.cells(sizes) + before.cells(sizes) + after.cells(sizes)
                 + 2 * prod(sizes[a] for a in shared))
 
-    for frame in frames:
-        sizes = tables.build(frame, budget, charge)
-        lhs = fold(before.masks(tables), prod(sizes[a] for a in private_before),
-                   *_FOLDS[universal_before])
-        rhs = fold(after.masks(tables), prod(sizes[a] for a in private_after), *_FOLDS[False])
-        if lhs != rhs:
-            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            val = next(islice(iter_valuations(frame, shared), k, None))
-            return StepFailure(step, frame, f"consumed side {lhs[k] == 1}, produced side "
-                               f"{rhs[k] == 1} under {_show(val, frame)}")
-    return None
+    def verdicts() -> tuple:
+        sizes = tables.sizes
+        return (fold(before.masks(tables), prod(sizes[a] for a in private_before),
+                     *_FOLDS[universal_before]),
+                fold(after.masks(tables), prod(sizes[a] for a in private_after), *_FOLDS[False]))
+
+    return tables.check(step, frames, budget, charge, verdicts, lambda frame, cell, lhs, rhs: (
+        f"consumed side {lhs == 1}, produced side {rhs == 1} under "
+        f"{_show(next(islice(iter_valuations(frame, shared), cell, None)), frame)}"))
 
 
 def _verify_first_approximation(
@@ -254,20 +282,21 @@ def _verify_first_approximation(
         return (tables.cells(sizes) + prod(sizes[a] for a in variables)
                 + premises.cells(sizes) + conclusion.cells(sizes))
 
-    for frame in frames:
-        n = frame.size
-        sizes = tables.build(frame, budget, charge)
+    def verdicts() -> tuple:
+        # per frame and state w: local validity at w, and whether no cell
+        # with i0 based at w holds the premises and fails the conclusion
+        n, cells, count = tables.n, prod(tables.sizes.values()), len(tables.batch)
         held = int.from_bytes(premises.masks(tables), "little")
         failed = ~int.from_bytes(conclusion.masks(tables), "little")
-        cells = prod(sizes.values())
-        broken = fold((held & failed).to_bytes(cells, "little"), cells // n, *_FOLDS[False])
-        for w in range(n):
-            local_w = 0 not in tables.tables[tables.slot[source]][w::n]
-            system = broken[w] == 0
-            if local_w != system:
-                return StepFailure(step, frame, f"local validity {local_w} at state {w}, "
-                                   f"system validity {system}")
-    return None
+        broken = fold((held & failed).to_bytes(count * cells, "little"), cells // n,
+                      *_FOLDS[False])
+        table = tables.tables[tables.slot[source]]
+        span = len(table) // count
+        return (bytes(0 not in table[d * span + w:(d + 1) * span:n]
+                      for d in range(count) for w in range(n)), bytes(b == 0 for b in broken))
+
+    return tables.check(step, frames, budget, charge, verdicts, lambda frame, w, local, system: (
+        f"local validity {local == 1} at state {w}, system validity {system == 1}"))
 
 
 def verify_trace(

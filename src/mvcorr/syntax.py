@@ -306,6 +306,9 @@ MAX_NESTING = 16  # levels of operators every command handles under the default 
 class Cursor:
     """A parser's place in a token list; reading never moves past eof."""
 
+    # the height accepted, the parser's own recursion allowed, a node's children
+    limit, reach, subs = MAX_NESTING, 2 * MAX_NESTING, staticmethod(children)
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
@@ -322,21 +325,21 @@ class Cursor:
     def nested(self, parse):
         """`parse()` one level deeper, refused well before Python's own limit."""
         self.depth += 1
-        if self.depth > 2 * MAX_NESTING:
-            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels", self.peek().pos)
+        if self.depth > self.reach:
+            raise FormulaSyntaxError(f"nested deeper than {self.limit} levels", self.peek().pos)
         out = parse()
         self.depth -= 1
         return out
 
     def done(self, *roots: Formula) -> None:
-        """Refuse trailing input, and formulas nested past MAX_NESTING levels."""
+        """Refuse trailing input, and formulas nested past `limit` levels."""
         tok = self.peek()
         if tok.kind != "eof":
             raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
-        for _ in range(MAX_NESTING + 1):
-            roots = [sub for node in roots for sub in children(node)]
+        for _ in range(self.limit + 1):
+            roots = [sub for node in roots for sub in self.subs(node)]
         if roots:
-            raise FormulaSyntaxError(f"nested deeper than {MAX_NESTING} levels", 0)
+            raise FormulaSyntaxError(f"nested deeper than {self.limit} levels", 0)
 
 
 class _Parser(Cursor):

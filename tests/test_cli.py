@@ -10,7 +10,7 @@ import pytest
 
 from mvcorr import cli
 from mvcorr.cli import main
-from mvcorr.fol import BOT
+from mvcorr.fol import BOT, MAX_FO_NESTING
 from mvcorr.syntax import MAX_NESTING
 
 
@@ -239,17 +239,37 @@ def test_every_command_runs_at_the_nesting_limit(tmp_path, capsys):
             assert (code, out, err.splitlines()) == (2, "", refused), (command, text)
 
 
-def test_deep_nesting_exits_2_without_a_traceback():
+def run_mvcorr(*argv):
+    """`python -m mvcorr` in a subprocess, with its default recursion limit."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "mvcorr", "alba", "--value", "gamma",
-         "--formula", "[]" * 200 + "(p -> p)"],
-        capture_output=True, text=True, env=env, cwd=root, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", "mvcorr", *argv],
+                          capture_output=True, text=True, env=env, cwd=root, timeout=120)
+
+
+def test_deep_nesting_exits_2_without_a_traceback():
+    done = run_mvcorr("alba", "--value", "gamma", "--formula", "[]" * 200 + "(p -> p)")
     assert done.returncode == 2 and done.stdout == ""
     assert len(done.stderr.splitlines()) == 1 and "nested deeper" in done.stderr
+
+
+@pytest.mark.parametrize("shape", [
+    lambda k: "(" * k + "R(x, x)" + ")" * k,  # the parser's own recursion
+    lambda k: "A y. " * k + "R(x, x)",  # the formula's height
+])
+def test_deep_first_order_input_exits_2_without_a_traceback(shape):
+    verify = ("verify", "--formula", "p -> <>p", "--sizes", "1", "--fo")
+    done = run_mvcorr(*verify, shape(MAX_FO_NESTING))
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr[-300:]
+    assert "PASS" in done.stdout
+    # one level deeper, and the depths that used to end in a RecursionError
+    for depth in (MAX_FO_NESTING + 1, 250, 400):
+        done = run_mvcorr(*verify, shape(depth))
+        (line,) = done.stderr.splitlines()
+        assert (done.returncode, done.stdout) == (2, "")
+        assert line.startswith("error: syntax error at position ")
+        assert line.endswith(f": nested deeper than {MAX_FO_NESTING} levels")
 
 
 def test_structured_output_reproducible(capsys):

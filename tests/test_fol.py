@@ -10,6 +10,7 @@ from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded, FormulaSyntaxError, UnboundSymbol
 from mvcorr.fol import (
     BOT,
+    MAX_FO_NESTING,
     TOP,
     CoNomConst,
     CoNomTV,
@@ -27,6 +28,7 @@ from mvcorr.fol import (
     Preceq,
     Rel,
     TruthConst,
+    fo_children,
     fo_eval,
     frame_property,
     free_individual_symbols,
@@ -351,6 +353,28 @@ def test_parse_fo_names_the_end_of_input(text):
     with pytest.raises(FormulaSyntaxError) as err:
         parse_fo(text)
     assert str(err.value) == f"syntax error at position {len(text)}: found 'end of input'"
+
+
+def _fo_height(f):
+    level, height = [f], -1
+    while level:
+        level, height = [sub for node in level for sub in fo_children(node)], height + 1
+    return height
+
+
+@pytest.mark.parametrize("shape", [
+    lambda k: "A y. " * k + "R(x, x)",  # quantifiers
+    lambda k: "R(x, x) -> " * k + "R(x, x)",  # right-nested implications
+    lambda k: "R(x, x)" + " & R(x, x)" * k,  # a left-nested chain: the height check
+    lambda k: "A y. R(x, y) -> " * (k // 2) + "R(x, x)",  # both, alternating
+])
+def test_first_order_nesting_past_the_limit_is_a_syntax_error(shape):
+    # parentheses past the limit are refused as well, tested in a subprocess
+    # (tests/test_cli.py), where the stack starts as shallow as the CLI's
+    limit = MAX_FO_NESTING
+    assert _fo_height(parse_fo(shape(limit), P)) == limit
+    with pytest.raises(FormulaSyntaxError, match=f"nested deeper than {limit} levels"):
+        parse_fo(shape(limit + 2), P)
 
 
 def test_parse_fo_constant_formula():

@@ -11,6 +11,7 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import cache
 from itertools import product
 
 import pytest
@@ -22,6 +23,7 @@ from mvcorr import stepcheck
 from mvcorr.alba import RESERVED_CONOM, RESERVED_NOM, TraceStep, run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
+from mvcorr.fol import BATCH_CELLS
 from mvcorr.heyting import builtin_algebra, load_algebra
 from mvcorr.oracle import correspondence_oracle, iter_frames, sample_frames
 from mvcorr.randomgen import random_formula, random_frame
@@ -306,11 +308,9 @@ def test_bottom_up_codes_match_compile_eval(seed, size, reverse):
         fn(val) for val in valuations]
 
 
-def test_relation_free_tables_are_built_once_per_size(monkeypatch):
-    # a table that reads no relation (an atom, a modality-free leaf, a
-    # connective or inequality over such tables) is built at the call's
-    # first frame of each size; one that reads the relation is built once
-    # per frame, whichever inequalities share it
+def _count_builds(monkeypatch):
+    """Counters of `compile_eval` calls and of the operations run per
+    table, by the table's subformula or inequality."""
     compiled, built = Counter(), Counter()
 
     def counting(f, frame):
@@ -329,20 +329,39 @@ def test_relation_free_tables_are_built_once_per_size(monkeypatch):
                               else (task[0], counted(f, task[1]), *task[2:])
                               for f, task in zip(self.nodes, plan)]
 
-    def parsed(counts):
-        return {parse_formula(t, P) if "<=" not in t else parse_inequality(t, P): k
-                for t, k in counts.items()}
-
     planned = _Tables._tasks
     monkeypatch.setattr(stepcheck, "compile_eval", counting)
     monkeypatch.setattr(_Tables, "_tasks", tasks)
+    return compiled, built
+
+
+def _parsed(counts):
+    return {parse_formula(t, P) if "<=" not in t else parse_inequality(t, P): k
+            for t, k in counts.items()}
+
+
+def _charge(step, frame):
+    budget = Budget(10**9)
+    verify_step(step, [frame], budget)
+    return budget.used
+
+
+def test_relation_free_tables_are_built_once_per_size(monkeypatch):
+    # a table that reads no relation (an atom, a modality-free leaf, a
+    # connective or inequality over such tables) is built at the call's
+    # first frame of each size; one that reads the relation is built once
+    # per batch, whichever inequalities share it
+    compiled, built = _count_builds(monkeypatch)
+    parsed = _parsed
     step = _step("split-join", ["<>p \\/ []q <= []r"], ["<>p <= []r", "[]q <= []r"])
     frames = [random_frame(random.Random(seed), P, 2) for seed in range(3)]
     frames += [random_frame(random.Random(seed), P, 1) for seed in range(2)]
     assert verify_step(step, frames) is None
     assert compiled == parsed({"p": 2, "q": 2, "r": 2})  # once per size
-    # <>p, []q and []r occur in both systems, []r in all three inequalities
-    assert built == parsed({t: 5 for t in ("<>p", "[]q", "[]r", "<>p \\/ []q",
+    # <>p, []q and []r occur in both systems, []r in all three inequalities;
+    # a two-state frame's charge is above BATCH_CELLS, so each is its own
+    # batch, and the two one-state frames are one
+    assert built == parsed({t: 4 for t in ("<>p", "[]q", "[]r", "<>p \\/ []q",
                                            "<>p \\/ []q <= []r", "<>p <= []r", "[]q <= []r")})
     # nothing is kept from one call to the next
     verify_step(step, frames)
@@ -355,8 +374,81 @@ def test_relation_free_tables_are_built_once_per_size(monkeypatch):
     step = next(s for s in steps if s.rule == "first-approximation")
     assert verify_step(step, frames) is None
     assert compiled == parsed({"p": 2, "@1": 2, "#i0": 2, "$m0": 2})
-    assert built == parsed({"p /\\ @1": 2, "<>p": 5, "p /\\ @1 <= <>p": 5, "#i0 <= p": 2,
-                            "#i0 <= @1": 2, "<>p <= $m0": 5, "#i0 <= $m0": 2})
+    assert built == parsed({"p /\\ @1": 2, "<>p": 2, "p /\\ @1 <= <>p": 2, "#i0 <= p": 2,
+                            "#i0 <= @1": 2, "<>p <= $m0": 2, "#i0 <= $m0": 2})
+
+
+def test_a_small_step_builds_each_table_once_on_the_pool(monkeypatch):
+    step = _step("split-join", ["<>p \\/ []p <= []p"], ["<>p <= []p", "[]p <= []p"])
+    pool = sample_frames(P, 2, 8, seed=1010)
+    assert 8 * _charge(step, pool[0]) <= BATCH_CELLS
+    compiled, built = _count_builds(monkeypatch)
+    budget = Budget(10**9)
+    assert verify_step(step, pool, budget) is None
+    assert compiled == _parsed({"p": 1})
+    assert built == _parsed({t: 1 for t in ("<>p", "[]p", "<>p \\/ []p", "<>p \\/ []p <= []p",
+                                            "<>p <= []p", "[]p <= []p")})
+    assert budget.used == 8 * _charge(step, pool[0])
+
+
+def test_batches_take_as_many_frames_as_fit_under_the_ceiling(monkeypatch):
+    # a charge above half the ceiling leaves one frame per batch; one
+    # above a third, two
+    frames = [random_frame(random.Random(seed), P, 2) for seed in range(5)]
+    charges = {s: _charge(s, frames[0]) for s in P_STEPS}
+    for share in (2, 3):
+        step = next(s for s, c in charges.items()
+                    if BATCH_CELLS // share < c <= BATCH_CELLS // (share - 1)
+                    and s.rule != "first-approximation")
+        _, built = _count_builds(monkeypatch)
+        budget = Budget(10**9)
+        assert verify_step(step, frames, budget) is None
+        assert budget.used == 5 * charges[step]
+        tables = [f for f in built if stepcheck._reads_relation(f)]
+        assert tables and {built[f] for f in tables} == {-(-5 // (share - 1))}
+        monkeypatch.undo()
+
+
+@cache
+def _verdicts_on_a_pool():
+    """Mutants whose one-frame charge lets five frames of either size share
+    a batch, each with the frames of a fixed pool it holds on and fails on,
+    by size."""
+    pool = {size: [random_frame(random.Random(100 + k), P, size) for k in range(6)]
+            for size in (1, 2)}
+    out = []
+    for step in P_MUTANTS:
+        if (reference_cells(step, 2) <= REFERENCE_CAP
+                and 5 * _charge(step, pool[2][0]) <= BATCH_CELLS):
+            holds = {z: [f for f in frames if verify_step(step, [f]) is None]
+                     for z, frames in pool.items()}
+            fails = {z: [f for f in frames if f not in holds[z]] for z, frames in pool.items()}
+            out.append((step, holds, fails))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(1, 2),
+       st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+def test_a_failure_inside_a_batch_matches_one_frame_at_a_time(seed, first, lengths, data):
+    # runs of alternating sizes, each one batch; the first failing frame
+    # follows at least one frame of its run on which the mutant holds
+    rng = random.Random(seed)
+    sizes = [(first, 3 - first)[r % 2] for r in range(len(lengths))]
+    r = data.draw(st.integers(0, len(lengths) - 1))
+    step, holds, fails = rng.choice([(s, h, f) for s, h, f in _verdicts_on_a_pool()
+                                     if f[sizes[r]] and all(h[z] for z in sizes[:r + 1])])
+    runs = [[rng.choice(holds[z]) for _ in range(k)] for z, k in zip(sizes[:r + 1], lengths)]
+    runs += [[random_frame(rng, P, z) for _ in range(k)] for z, k in zip(sizes, lengths)][r + 1:]
+    at = sum(map(len, runs[:r])) + rng.randint(1, lengths[r])
+    frames = [f for run in runs for f in run]
+    frames.insert(at, rng.choice(fails[sizes[r]]))
+    want = reference_verify_step(step, frames)
+    assert want is not None and want.frame == frames[at]
+    budget = Budget(10**9)
+    got = verify_step(step, frames, budget)
+    assert got.describe() == want.describe()
+    assert budget.used == sum(_charge(step, f) for f in frames[:at + 1])
 
 
 def test_atom_free_modal_leaves_are_built_per_frame():
