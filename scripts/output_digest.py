@@ -21,6 +21,10 @@ Run it on two commits of a change that must not alter any output: equal
 - `fo_agree`'s report and budget units, same frames: each named axiom's
   ALBA correspondent at gamma (threshold top) against its named frame
   property and against reflexivity, at thresholds gamma, alpha and 1;
+- the oracle's report and budget units on every three-state frame of bool2
+  (512) at 1 and of the three-element chain (19 683) at its middle
+  element: each named axiom against its ALBA correspondent (threshold
+  top) and its named frame property;
 - stepcheck's verdict, `sound` or the failure's text, and its budget
   units, on 8 seeded two-state frames, on 8 seeded frames alternating
   one and two states, and on 8 seeded frames in runs of 3 two-state, 1
@@ -43,7 +47,7 @@ from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
 from mvcorr.fol import frame_property, print_fo, simplify_display, to_dict
-from mvcorr.heyting import builtin_algebra
+from mvcorr.heyting import builtin_algebra, parse_algebra_text
 from mvcorr.oracle import correspondence_oracle, fo_agree, sample_frames
 from mvcorr.randomgen import random_inequality
 from mvcorr.stepcheck import verify_step
@@ -55,6 +59,7 @@ NAMED_AXIOMS = ("p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -
 PROPERTIES = dict(zip(NAMED_AXIOMS, ("reflexive", "transitive", "symmetric", "dense", "serial")))
 REFUSED_CAP = 1_000_000  # inside size 2 of transitivity's correspondent at gamma
 STEPCHECK_CAP = 10**12  # above every step's charge: no step check is refused
+THREE_STATE_CAP = 10**9  # above every three-state scan's charge
 CLASSICAL = (
     "[]p -> p",
     "[]p -> [][]p",
@@ -189,6 +194,23 @@ def oracle_lines(alg) -> list[str]:
     return lines
 
 
+def three_state_lines() -> list[str]:
+    chain3 = parse_algebra_text("elements: [0, h, 1]\nleq: [[0, h], [h, 1]]\n", name="chain3")
+    lines = []
+    for alg, value in ((builtin_algebra("bool2"), "1"), (chain3, "h")):
+        a = alg.element(value)
+        for text in NAMED_AXIOMS:
+            run = run_alba(parse_formula(text, alg), a, alg)
+            label = f"{alg.name} {text} @{value} at three states"
+            for alpha, threshold, against in ((run.correspondent, alg.top, "ALBA"),
+                                              (frame_property(PROPERTIES[text]), a, "property")):
+                lines.append(outcome_line(
+                    f"{label} {against}", lambda budget: correspondence_oracle(
+                        alg, run.source, a, alpha, sizes=[3], budget=budget, fo_threshold=threshold),
+                    THREE_STATE_CAP))
+    return lines
+
+
 def main() -> int:
     alg = builtin_algebra("paper-P")
     lines: list[str] = []
@@ -202,6 +224,7 @@ def main() -> int:
         alpha = svb_correspondent(parse_formula(text, alg))
         lines += [f"svb {text}", print_fo(alpha), print_fo(simplify_display(alpha))]
     lines += oracle_lines(alg)
+    lines += three_state_lines()
     lines += stepcheck_lines(steps, alg)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"sha256 {digest}")

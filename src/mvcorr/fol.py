@@ -24,9 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import chain, islice, product
+from itertools import product
 from operator import getitem
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .budget import Budget
 from .errors import FormulaSyntaxError, UnboundSymbol
@@ -390,51 +390,40 @@ def _restore(env: dict, key, saved) -> None:
 BATCH_CELLS = 1 << 16
 
 
-def relation_bytes(cells: Iterable[int]) -> bytes:
-    """A relation's cells, row-major, as the kernel reads them: padded to
-    256 bytes for `translate` while every position fits a byte."""
-    flat = bytes(cells)
-    return flat.ljust(256, b"\0") if len(flat) <= 256 else flat
-
-
 class CompiledFo:
-    """A formula tabulated by the table kernel over one interpretation, and
-    over the frames whose `relation_bytes` `following` lists too: a batch
-    of frames of one size.
+    """A formula tabulated by the table kernel over a batch of frames of one
+    size from one flat buffer `rels` of their relations, frame-major, each
+    frame's cells row-major (`Frame.cells`), one element per byte.
 
     Every subformula becomes a flat row-major `bytes` table, one element
     index per cell, with one axis per free symbol, axes ordered by binding
     depth so that each quantifier folds the last axis of its body.  A
     connective repeats blocks of its operands' tables out to its own axes
     (`broadcast`) and maps each pair of cells through the algebra's
-    operation table (`combiner`).  Only the frame is read from `interp`;
-    every free symbol gets an axis.  The plan depends only on the algebra,
-    the formula and the frame size; per batch only the subformulas that
-    read the relation run, with the frames as their outermost axis, and
-    `value(env, frame)` reads the root table.  Values equal fo_eval's.
+    operation table (`combiner`); every free symbol gets an axis.  The
+    plan depends only on the algebra, the formula and the frame size; per
+    batch only the subformulas that read the relation run, with the frames
+    as their outermost axis, and `value(env, frame)` reads the root table.
+    Values equal fo_eval's.
 
     The budget is charged `cells`, one frame's table cells, before any
-    table is built.  The batch covers `frames` frames: `interp.frame`, then
-    the relations of `following` in order (consumed only as far as the
-    batch reaches), as many as fit under `BATCH_CELLS` and as the budget
-    left after that charge can pay for.  It charges nothing for them;
-    whoever reads frame k > 0 charges `cells` for it first.
+    table is built.  The batch covers `frames` frames, the first of `rels`:
+    as many as it holds, fit under `BATCH_CELLS` and the budget left after
+    that charge can pay for.  It charges nothing for them; whoever reads
+    frame k > 0 charges `cells` for it first.
     """
 
-    def __init__(self, interp: FoInterp, f: Fo, budget: Budget | None = None,
-                 following: Iterable[bytes] = ()):
-        frame = interp.frame
-        plan = _plan(frame.algebra, f, frame.size)
+    def __init__(self, alg: HeytingAlgebra, f: Fo, size: int, rels: bytes,
+                 budget: Budget | None = None):
+        plan = _plan(alg, f, size)
         self.cells = plan.cells
         room = BATCH_CELLS // plan.cells
         if budget is not None:
             budget.charge(plan.cells)
             room = min(room, 1 + (budget.cap - budget.used) // plan.cells)
-        rels = [relation_bytes(chain.from_iterable(frame.rel)),
-                *islice(following, max(room - 1, 0))]
-        self.frames = len(rels)
+        self.frames = min(max(room, 1), len(rels) // (size * size))
         self.root = plan.root
-        self.table = plan.run(rels)
+        self.table = plan.run(rels[:self.frames * size * size], self.frames)
         self.span = len(self.table) // self.frames  # root cells per frame
 
     def value(self, env: dict | None = None, frame: int = 0) -> int:
@@ -465,9 +454,12 @@ class _Plan:
     axes are in binding-depth order) and listing the nodes in postorder as
     (axes, cells, step, constant).  The first `run` allocates the tables,
     `bytes` of element indices, after the caller has charged `cells`; it
-    fixes each operand's `repeats` and each operation's `combiner`.  The
-    constant tables (those of subformulas that never read the relation)
-    are kept; every `run` computes the others for its batch of frames.
+    fixes each operand's `repeats`, each operation's `combiner` (from
+    `operations`) and each relation leaf's positions in a frame's cells.
+    The constant tables (those of subformulas that never read the relation)
+    are kept; every `run` computes the others for its batch of frames,
+    gathering a relation leaf by one strided slice of the batch's cells per
+    position, or taking them whole where the positions are in order.
     """
 
     def __init__(self, alg: HeytingAlgebra, f: Fo, size: int):
@@ -536,16 +528,12 @@ class _Plan:
             operands = (self._symbol(f.name, scope), self._symbol(f.arg, scope))
             return self._leaf(operands, lambda row, s: row[s])
         if isinstance(f, (FoOr, FoAnd, FoImplies, FoMinus, Preceq)):
-            if isinstance(f, Preceq):
-                op = [[top if le else bot for le in row] for row in alg.leq]
-            else:
-                op = {FoOr: alg.join_table, FoAnd: alg.meet_table,
-                      FoImplies: alg.imp_table, FoMinus: alg.coimp_table}[type(f)]
             left, right = self._walk(f.lhs, scope), self._walk(f.rhs, scope)
             laxes, _, _, lconst = self.nodes[left]
             raxes, _, _, rconst = self.nodes[right]
             axes = tuple(sorted(set(laxes) | set(raxes)))
-            return self._add(axes, ("op", op, left, right), lconst and rconst)
+            op = {FoOr: "join", FoAnd: "meet", FoImplies: "imp", FoMinus: "coimp", Preceq: "le"}
+            return self._add(axes, ("op", op[type(f)], left, right), lconst and rconst)
         if isinstance(f, (Forall, Exists)):
             forall = isinstance(f, Forall)
             axis = self.bound
@@ -557,7 +545,7 @@ class _Plan:
                 return self._leaf((), lambda: top if forall else bot)
             if not baxes or baxes[-1] != axis:  # vacuous quantifier
                 return body
-            op, unit = (alg.meet_table, top) if forall else (alg.join_table, bot)
+            op, unit = ("meet", top) if forall else ("join", bot)
             return self._add(baxes[:-1], ("fold", op, body, self.sizes[axis], unit), constant)
         raise TypeError(f"not a first-order formula: {f!r}")
 
@@ -574,7 +562,7 @@ class _Plan:
         # axes of the operation that reads them
         tables: list = [None] * (self.rel_slot + 1)
         steps: list = []
-        n = self.alg.n
+        ops = operations(self.alg)
         for i, (axes, _, step, constant) in enumerate(self.nodes):
             if step[0] == "leaf":
                 _, operands, fn = step
@@ -586,16 +574,16 @@ class _Plan:
                 if constant:
                     tables[i] = bytes(table)
                     continue
-                # positions in the relation, translated while they fit a byte
-                positions = bytes(table) if self.size * self.size <= 256 else table
-                task = (_GATHER, self.rel_slot, positions)
+                # positions in a frame's cells; None where they are its own order
+                own = table == list(range(self.size * self.size))
+                task = (_GATHER, self.rel_slot, None if own else table)
             elif step[0] == "op":
-                _, op, left, right = step
-                task = (_OP, combiner(n, op), self._operand(axes, left, tables),
+                _, name, left, right = step
+                task = (_OP, ops[name][1], self._operand(axes, left, tables),
                         self._operand(axes, right, tables))
             else:
-                _, op, body, m, unit = step
-                task = (_FOLD, combiner(n, op), op, body, m, unit)
+                _, name, body, m, unit = step
+                task = (_FOLD, *ops[name], body, m, unit)
             if constant:
                 tables[i] = _execute(task, tables, 1)
             else:
@@ -613,19 +601,20 @@ class _Plan:
             child = len(tables) - 1
         return child, (), True
 
-    def run(self, rels: list[bytes]) -> bytes:
-        """Root table of the formula on a batch of frames with these
-        `relation_bytes`.  Every table that reads the relation, and the
-        root, has the frames as its outermost axis: frame k owns the k-th of
-        len(rels) equal slices, which equals that frame's own table."""
+    def run(self, rels: bytes, frames: int) -> bytes:
+        """Root table of the formula on a batch of `frames` frames whose
+        cells `rels` holds, frame-major.  Every table that reads the
+        relation, and the root, has the frames as its outermost axis: frame
+        k owns the k-th of `frames` equal slices, which equals that frame's
+        own table."""
         if self.tables is None:
             self._build()
         tables = self.tables.copy()
         tables[self.rel_slot] = rels
         for i, task in self.steps:
-            tables[i] = _execute(task, tables, len(rels))
+            tables[i] = _execute(task, tables, frames)
         root = tables[self.rel_slot - 1]
-        return root * len(rels) if self.nodes[-1][3] else root
+        return root * frames if self.nodes[-1][3] else root
 
 
 # plans hold no frame data; the named axioms' oracle checks need 45 (15 formulas, sizes 1-3)
@@ -639,15 +628,19 @@ def _execute(task: tuple, tables: list, frames: int) -> bytes:
     kind = task[0]
     if kind == _GATHER:
         _, slot, positions = task
-        if isinstance(positions, bytes):
-            return b"".join([positions.translate(rel) for rel in tables[slot]])
-        return b"".join([bytes(map(rel.__getitem__, positions)) for rel in tables[slot]])
+        rels = tables[slot]
+        if positions is None:
+            return rels
+        out, width, step = bytearray(len(positions) * frames), len(positions), len(rels) // frames
+        for j, q in enumerate(positions):
+            out[j::width] = rels[q::step]
+        return bytes(out)
     if kind == _OP:
         _, combine, (lslot, lreps, lconst), (rslot, rreps, rconst) = task
         lhs = tables[lslot] * frames if lconst else broadcast(tables[lslot], lreps)
         rhs = tables[rslot] * frames if rconst else broadcast(tables[rslot], rreps)
         return combine(lhs, rhs)
-    _, combine, op, body, m, unit = task
+    _, op, combine, body, m, unit = task
     return fold(tables[body], m, combine, op, unit)
 
 
@@ -669,11 +662,20 @@ def combiner(n: int, op: list) -> Callable[[bytes, bytes], bytes]:
     return lambda lhs, rhs: bytes(map(getitem, map(rows.__getitem__, lhs), rhs))
 
 
+@lru_cache(maxsize=16)
+def operations(alg: HeytingAlgebra) -> dict[str, tuple[list, Callable]]:
+    """The algebra's join, meet, imp, coimp and order as bottom or top (le),
+    each as its table and its `combiner`, made once per algebra."""
+    tables = {"join": alg.join_table, "meet": alg.meet_table, "imp": alg.imp_table,
+              "coimp": alg.coimp_table, "le": [[int(le) for le in row] for row in alg.leq]}
+    return {name: (op, combiner(alg.n, op)) for name, op in tables.items()}
+
+
 def fold(table: bytes, m: int, combine: Callable, op: list, unit: int) -> bytes:
-    """Fold every chunk of m consecutive cells with the operation `op`
-    (`combine` cell by cell): over the m strided slices when there are at
-    least as many chunks as cells per chunk, else over each chunk's
-    distinct values."""
+    """Fold every chunk of m consecutive cells with the lattice operation
+    `op` (`combine` cell by cell): over the m strided slices when there are
+    at least as many chunks as cells per chunk, else over the elements each
+    chunk holds, each looked up once with `find`."""
     if len(table) >= m * m:
         out = table[0::m]
         for k in range(1, m):
@@ -682,8 +684,9 @@ def fold(table: bytes, m: int, combine: Callable, op: list, unit: int) -> bytes:
     out = bytearray()
     for i in range(0, len(table), m):
         acc = unit
-        for v in set(table[i:i + m]):
-            acc = op[acc][v]
+        for v in range(len(op)):
+            if table.find(v, i, i + m) >= 0:
+                acc = op[acc][v]
         out.append(acc)
     return bytes(out)
 

@@ -16,16 +16,17 @@ every state).  Both sides also keep their verdicts under the algebra's
 automorphisms that fix both thresholds and every truth constant
 (`_symmetries`), applied to every cell.  Of each size up to five states
 only the minima of the orbits under renamings times those automorphisms
-are tabulated (`_orbit_minima`, searched once per process), in batches
-of at most `BATCH_FRAMES` `fol.relation_bytes`; a frame between them,
-which disagrees exactly when its minimum (enumerated before it) does, is
-counted and charged as if read, so the first counterexample, counts,
-charges and refusals are those of one table per frame (see `budget`).
-A kernel run (`fol.CompiledFo`) tabulates consecutive frames of a batch,
-masked to one 0/1 verdict byte per state and compared a run at a time.
-Besides one per kernel run for its interpretation, only a counterexample
-gets a `Frame`, from `iter_frames` (the reference for the enumeration
-order) or the samples, and is read again, uncharged, per state.
+are tabulated (`_orbit_minima`, searched once per process and kept with
+their cells in `_Minima`); a frame between them, which disagrees exactly
+when its minimum (enumerated before it) does, is counted and charged as if
+read, so the first counterexample, counts, charges and refusals are those
+of one table per frame (see `budget`).  A batch of at most `BATCH_FRAMES`
+is a slice of their numbers and one flat slice of their cells, as past
+five states and for the samples.  A kernel run (`fol.CompiledFo`)
+tabulates consecutive frames of a batch, masked to one 0/1 verdict byte
+per state and compared a run at a time.  Only a counterexample gets a
+`Frame`, from `iter_frames` (the reference for the enumeration order) or
+the samples, and is read again, uncharged, per state.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, islice, permutations, product, repeat
+from itertools import chain, compress, islice, permutations, product
 from math import factorial
-from operator import floordiv, itemgetter, le, mod
+from operator import itemgetter, le
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -46,11 +47,12 @@ from .fol import (
     CompiledFo,
     Fo,
     Forall,
+    Term,
+    broadcast,
     degree_claim,
-    free_individual_symbols,
     free_pred_names,
+    free_symbols,
     interp_for_frame,
-    relation_bytes,
     truth_constants,
 )
 from .heyting import HeytingAlgebra
@@ -58,14 +60,16 @@ from .randomgen import random_frame
 from .semantics import Frame, valid_at
 from .syntax import Formula, Inequality
 
+# no interpretation is built here; perfbench's tracer wraps `interp_for_frame` by this name
+__all__ = ["correspondence_oracle", "fo_agree", "interp_for_frame", "iter_frames", "sample_frames"]
 
 # a run of frames of one size comes in batches of 16, 32, ... frames, at
 # most BATCH_FRAMES: one kernel run then tabulates many frames, while a
 # counterexample early in a run leaves few frames enumerated past it
 BATCH_FRAMES = 128
 
-# a batch: its frames' size, `relation_bytes` and numbers (then the next's), frame k's `Frame`
-Batch = tuple[int, list[bytes], list[int], Callable[[int], Frame]]
+# a batch: its frames' size, cells (frame-major), numbers (then the next's), frame k's `Frame`
+Batch = tuple[int, bytes, list[int], Callable[[int], Frame]]
 
 
 def iter_frames(alg: HeytingAlgebra, size: int) -> Iterator[Frame]:
@@ -194,8 +198,9 @@ def _frames(
     """The `_orbit_minima` of every size asked for, once, then the seeded
     samples, in batches of one size made as the scan reaches them.  A size
     whose renamings times `group` and the identity pass `MAX_GROUP` drops
-    `group`.  A request for frames without states raises ValueError at
-    once."""
+    `group`; past five states, where a frame's size! - 1 renamings (719 at
+    six) can cost more than tabulating it, every frame is tabulated.
+    A request for frames without states raises ValueError at once."""
     sizes = list(dict.fromkeys(sizes))
     if any(size < 1 for size in sizes):
         raise ValueError(f"frame sizes must be at least 1, got {sizes}")
@@ -204,26 +209,31 @@ def _frames(
     if samples and sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
 
-    def batches(size: int, places: Iterator[int], rels: Callable, frame: Callable):
-        # `places`: the numbers of the frames to tabulate, then the frame count
-        take, first = min(16, BATCH_FRAMES), next(places)
-        while len(batch := [first, *islice(places, take)]) > 1:
-            yield size, rels(batch[:-1]), batch, lambda k, b=batch: frame(b[k])
-            first, take = batch[-1], min(2 * take, BATCH_FRAMES)
+    def batches(size: int, places: Iterator[int], cells: Callable, frame: Callable):
+        # `places`: the numbers of the frames to tabulate, then the frame
+        # count; cells(i, k): the cells of the i-th to (i + k - 1)-th of them
+        i, take, first = 0, min(16, BATCH_FRAMES), next(places)
+        while (k := len(batch := [first, *islice(places, take)]) - 1) > 0:
+            yield size, cells(i, k), batch, lambda d, b=batch: frame(b[d])
+            i, first, take = i + k, batch[-1], min(2 * take, BATCH_FRAMES)
 
     def frames() -> Iterator[Batch]:
         for size in sizes:
-            kept = group if factorial(size) * (len(group) + 1) <= MAX_GROUP else ()
+            total = alg.n ** (size * size)
+            if factorial(size) > MAX_GROUP:  # every frame: no minima kept
+                every = product(range(alg.n), repeat=size * size)
+                places, cells = iter(range(total)), lambda i, k, every=every: bytes(
+                    chain.from_iterable(islice(every, k)))
+            else:
+                kept = group if factorial(size) * (len(group) + 1) <= MAX_GROUP else ()
+                places, cells = _orbit_minima(alg.n, size, kept), _minima(alg.n, size, kept).read
             # in `iter_frames` order, which alone builds a counterexample's frame
-            yield from batches(size, chain(_orbit_minima(alg.n, size, kept),
-                                           [alg.n ** (size * size)]),
-                               lambda numbers, size=size: _relations(alg.n, size, numbers),
+            yield from batches(size, chain(places, [total]), cells,
                                lambda p, size=size: next(islice(iter_frames(alg, size), p, None)))
         if samples:
             drawn = sample_frames(alg, sample_size, samples, seed)
-            yield from batches(sample_size, iter(range(samples + 1)), lambda numbers: [
-                relation_bytes(chain.from_iterable(drawn[p].rel)) for p in numbers],
-                drawn.__getitem__)
+            yield from batches(sample_size, iter(range(samples + 1)), lambda i, k: b"".join(
+                [frame.cells for frame in drawn[i:i + k]]), drawn.__getitem__)
 
     return frames()
 
@@ -234,11 +244,14 @@ MAX_GROUP = 120
 
 
 class _Minima:
-    """The orbit minima of one (n, size, group) found so far, in a compact
-    array, and the search that finds the next ones."""
+    """The orbit minima of one (n, size, group) found so far, their numbers
+    in a compact array and their cells in the same order, and the search
+    that finds the next ones."""
 
     def __init__(self, n: int, size: int, group: tuple[bytes, ...]):
         self.numbers = array("Q")
+        self.cells = bytearray()
+        self.width = size * size
         self.search = _search(n, size, group)
         self.lock = Lock()
 
@@ -250,38 +263,41 @@ class _Minima:
                 chunk = next(self.search, None)
                 if chunk is None:
                     return False
-                self.numbers.extend(chunk)
+                self.cells += chunk[1]  # before the numbers that vouch for them
+                self.numbers.extend(chunk[0])
             return True
+
+    def read(self, i: int, k: int) -> bytes:
+        """The cells of minima i to i + k - 1, frame-major."""
+        self.past(i + k - 1)
+        return bytes(self.cells[i * self.width:(i + k) * self.width])
 
 
 # every minima search of the process, kept as far as a scan has read it
 _MINIMA: dict[tuple[int, int, tuple[bytes, ...]], _Minima] = {}
 
 
+def _minima(n: int, size: int, group: tuple[bytes, ...]) -> _Minima:
+    """The process's one store of the minima of (n, size, group)."""
+    key = (n, size, group)
+    return _MINIMA.get(key) or _MINIMA.setdefault(key, _Minima(n, size, group))
+
+
 def _orbit_minima(n: int, size: int, group: tuple[bytes, ...]) -> Iterator[int]:
     """The numbers in `iter_frames` order of the frames over n elements whose
     cells are the least of their orbit (McKay, J. Algorithms 1998) under
     renaming the states and applying the element maps of `group`, searched
-    once per process and only as far as any scan reads.  Past five states,
-    where a frame's size! - 1 renamings (719 at six) can cost more than
-    tabulating it, every frame."""
-    if factorial(size) > MAX_GROUP:
-        yield from range(n ** (size * size))
-        return
-    key = (n, size, group)
-    minima = _MINIMA.get(key)
-    if minima is None:
-        minima = _MINIMA.setdefault(key, _Minima(n, size, group))
-    i = 0
+    once per process and only as far as any scan reads; up to five states."""
+    minima, i = _minima(n, size, group), 0
     while minima.past(i):
         chunk = minima.numbers[i:i + 4096]
         i += len(chunk)
         yield from chunk
 
 
-def _search(n: int, size: int, group: tuple[bytes, ...]) -> Iterator[list[int]]:
-    """Per chunk of frames in `iter_frames` order, the numbers of its orbit
-    minima: the frames no renaming makes smaller, of those the ones no
+def _search(n: int, size: int, group: tuple[bytes, ...]) -> Iterator[tuple[list[int], bytes]]:
+    """Per chunk of frames in `iter_frames` order, the numbers and cells of
+    its orbit minima: the frames no renaming makes smaller, of those the ones no
     element map of `group`, after any renaming, makes smaller."""
     renamings = [itemgetter(*[i * size + j for i in perm for j in perm])
                  for perm in islice(permutations(range(size)), 1, None)]
@@ -292,9 +308,11 @@ def _search(n: int, size: int, group: tuple[bytes, ...]) -> Iterator[list[int]]:
         first, take = first + take, min(2 * take, 4096)
 
 
-def _least(chunk: list[tuple], first: int, renamings: list, maps: list[bytes]) -> list[int]:
-    """The numbers of the orbit minima among `chunk`, frames first, first + 1,
-    ...: each image drops the frames it makes smaller from those left."""
+def _least(chunk: list[tuple], first: int, renamings: list, maps: list[bytes]
+           ) -> tuple[list[int], bytes]:
+    """The numbers and cells of the orbit minima among `chunk`, frames first,
+    first + 1, ...: each image drops the frames it makes smaller from those
+    left."""
     numbers = list(range(first, first + len(chunk)))
     for renamed in renamings:
         minimal = list(map(le, chunk, map(renamed, chunk)))
@@ -305,14 +323,7 @@ def _least(chunk: list[tuple], first: int, renamings: list, maps: list[bytes]) -
             minimal = list(map(le, chunk, map(image, moved)))
             numbers, chunk, moved = (list(compress(numbers, minimal)),
                                      list(compress(chunk, minimal)), list(compress(moved, minimal)))
-    return numbers
-
-
-def _relations(n: int, size: int, numbers: list[int]) -> list[bytes]:
-    """The `relation_bytes` of frames `numbers` of `iter_frames`, a cell of all at a time."""
-    cells = [map(mod, map(floordiv, numbers, repeat(n ** e)), repeat(n))
-             for e in reversed(range(size * size))]
-    return list(map(relation_bytes, zip(*cells)))
+    return numbers, bytes(chain.from_iterable(chunk))
 
 
 def _first_disagreement(
@@ -327,8 +338,8 @@ def _first_disagreement(
     frames_checked = states_checked = 0
     order = (right, left) if right_first else (left, right)
     for size, rels, places, frame in batches:
-        i = 0
-        while i < len(rels):
+        i, width = 0, size * size
+        while i < len(places) - 1:
             for side in order:
                 side.read(size, rels, i)
             end = min(left.end, right.end)
@@ -349,7 +360,7 @@ def _first_disagreement(
                 verdicts = left.reread(found, d, w), right.reread(found, d, w)
                 if verdicts != (lv[k] == 1, rv[k] == 1):
                     raise AssertionError(f"re-read {verdicts} against table bytes {lv[k]}, {rv[k]}")
-                if relation_bytes(chain.from_iterable(found.rel)) != rels[d]:
+                if found.cells != rels[d * width:(d + 1) * width]:
                     raise AssertionError(f"frame {d} of the batch is not {found.rel}")
                 return OracleReport(False, frames_checked, states_checked - size + w + 1,
                                     Counterexample(found, w, *verdicts, sides))
@@ -363,12 +374,15 @@ class _Truth:
     consecutive frames at a time; `reread(frame, i, w)` reads one again,
     uncharged.  The condition holds under every assignment of its other
     free individual symbols: the kernel tabulates and folds its universal
-    closure over them."""
+    closure over them.  Any other free symbol raises UnboundSymbol at once."""
 
     def __init__(self, alg: HeytingAlgebra, formula: Fo, threshold: int, budget: Budget,
                  reread: Callable[[Frame, int, int], bool] | None = None):
-        for sym in sorted(free_individual_symbols(formula) - {_X}, key=str):
+        free = free_symbols(formula) - {_X}
+        for sym in sorted((s for s in free if isinstance(s, Term)), key=str):
             formula = Forall(sym, formula)
+        if unbound := {s for s in free if not isinstance(s, Term)}:
+            raise UnboundSymbol(f"free symbol {min(map(str, unbound))} is unbound")
         self.alg, self.formula, self.threshold, self.budget = alg, formula, threshold, budget
         self.constants = truth_constants(formula) | {threshold}
         self.mask = bytes(alg.le(threshold, v) for v in range(alg.n)).ljust(256, b"\0")
@@ -376,24 +390,20 @@ class _Truth:
         if reread is not None:
             self.reread = reread
 
-    def read(self, size: int, rels: list[bytes], i: int) -> None:
+    def read(self, size: int, rels: bytes, i: int) -> None:
         """Frame i's charge, the run's cells, or past the current run a new
-        kernel run from frame i, whose kernel charges its first frame."""
+        kernel run from frame i of the batch's cells `rels`, whose kernel
+        charges its first frame."""
         if rels is self.rels and i < self.end:
             self.budget.charge(self.cells)
             return
-        rel = rels[i]
-        frame = Frame(self.alg, tuple(f"w{k}" for k in range(size)),
-                      tuple(tuple(rel[k:k + size]) for k in range(0, size * size, size)))
-        evaluator = self.evaluator = CompiledFo(interp_for_frame(frame), self.formula,
-                                                self.budget, islice(rels, i + 1, None))
+        evaluator = self.evaluator = CompiledFo(self.alg, self.formula, size,
+                                                rels[i * size * size:], self.budget)
         self.size, self.rels, self.first, self.end = size, rels, i, i + evaluator.frames
         self.cells = evaluator.cells
-        if unbound := {sym for sym, _, _ in evaluator.root} - {_X}:
-            raise UnboundSymbol(f"free symbol {min(map(str, unbound))} is unbound")
         table = evaluator.table.translate(self.mask)
         if evaluator.span != size:  # a sentence: one verdict per frame, the same at every state
-            table = bytes(v for v in table for _ in range(size))
+            table = broadcast(table, ((size, 1),))
         self.table = table
 
     def verdicts(self, i: int, end: int) -> bytes:

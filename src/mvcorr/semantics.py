@@ -18,7 +18,7 @@ every state of a frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from operator import getitem
 from typing import Callable, Iterable, Iterator
 
@@ -67,6 +67,10 @@ class Frame:
     @property
     def size(self) -> int:
         return len(self.states)
+
+    @property
+    def cells(self) -> bytes:  # the relation row-major, one element per byte: the kernel's input
+        return bytes(chain.from_iterable(self.rel))
 
     def state_index(self, name: str) -> int:
         try:
@@ -196,9 +200,9 @@ def iter_valuations(frame: Frame, over: Iterable[Formula]) -> Iterator[Valuation
 def validity_degree(frame: Frame, target, budget: Budget | None = None) -> tuple[int, ...]:
     """Per state, the target's validity degree: one kernel table of
     `fol.degree_claim`, with x free."""
-    from .fol import _X, CompiledFo, degree_claim, interp_for_frame  # fol imports us
+    from .fol import _X, CompiledFo, degree_claim  # fol imports us
 
-    kernel = CompiledFo(interp_for_frame(frame), degree_claim(target), budget)
+    kernel = CompiledFo(frame.algebra, degree_claim(target), frame.size, frame.cells, budget)
     return tuple(kernel.value({_X: w}) for w in range(frame.size))
 
 

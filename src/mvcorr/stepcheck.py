@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional
 
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
 from .budget import Budget
-from .fol import BATCH_CELLS, broadcast, combiner, fold, repeats
+from .fol import BATCH_CELLS, broadcast, combiner, fold, operations, repeats
 from .heyting import builtin_algebra
 from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations
 from .syntax import (And, Box, BoxInv, CoNom, Dia, DiaInv, Formula, Implies, Inequality, Minus,
@@ -72,11 +72,12 @@ class _Tables:
     A leaf (an atom, or a subformula without atoms) is evaluated with
     `compile_eval` under each valuation of its at most one atom.  A
     connective broadcasts both operands to its own axes and maps the cell
-    pairs through the algebra's table with one `combiner`; an inequality
-    maps them through its order, as 0/1.  A modality broadcasts its operand
-    to a (w, u) pair of state axes, combines it with the relation at (w, u),
-    at (u, w) if inverse, by meet for a diamond and implication for a box,
-    and folds u by joins or meets.  The axes are planned per call, and per
+    pairs through the algebra's table with its `combiner`, made once per
+    algebra (`fol.operations`); an inequality maps them through its order,
+    as 0/1.  A modality broadcasts its operand to a (w, u) pair of state
+    axes, combines it with the relation at (w, u), at (u, w) if inverse, by
+    meet for a diamond and implication for a box, and folds u by joins or
+    meets.  The axes are planned per call, and per
     frame size the `repeats`; `build` builds every table of a batch, but
     one without a modal operator, which reads no relation, only at the
     call's first frame of each size, then repeats it across each batch.
@@ -149,10 +150,9 @@ class _Tables:
         alg, n = frame.algebra, frame.size
         sizes = {a: len(atom_options(frame, a)) for a in self.order}
         dims = {**sizes, _W: n, _U: n}
-        join, meet, imp = (combiner(alg.n, t) for t in
-                           (alg.join_table, alg.meet_table, alg.imp_table))
-        ops = {Or: join, And: meet, Implies: imp, Minus: combiner(alg.n, alg.coimp_table),
-               Inequality: combiner(alg.n, [[int(le) for le in row] for row in alg.leq]),
+        join, meet, imp, coimp, le = (operations(alg)[name][1]
+                                      for name in ("join", "meet", "imp", "coimp", "le"))
+        ops = {Or: join, And: meet, Implies: imp, Minus: coimp, Inequality: le,
                Dia: (meet, (join, alg.join_table, alg.bot)),
                Box: (imp, (meet, alg.meet_table, alg.top))}
         ops[DiaInv], ops[BoxInv] = ops[Dia], ops[Box]

@@ -103,15 +103,27 @@ class DiaInv(Formula):
 def cache_hash(base: type) -> None:
     """Make each node class under `base` keep its hash after the first call:
     the hash of a frozen dataclass walks the whole tree on every call, and
-    formulas key the evaluators' caches."""
-    for cls in base.__subclasses__():
-        def cached(self, field_hash=cls.__hash__):
-            try:
-                return self._hash
-            except AttributeError:
-                object.__setattr__(self, "_hash", field_hash(self))
-                return self._hash
+    formulas key the evaluators' caches.  A first call fills in the hashes
+    missing below its node bottom-up, from an explicit stack, so a deep tree
+    hashes without deep recursion."""
+    field_hashes = {cls: cls.__hash__ for cls in base.__subclasses__()}
 
+    def cached(self):
+        try:
+            return self._hash
+        except AttributeError:
+            stack = [self]
+        while not hasattr(self, "_hash"):
+            node = stack[-1]
+            below = [c for c in map(node.__getattribute__, node.__dataclass_fields__)
+                     if isinstance(c, base) and not hasattr(c, "_hash")]
+            stack += below
+            if not below:
+                stack.pop()
+                object.__setattr__(node, "_hash", field_hashes[type(node)](node))
+        return self._hash
+
+    for cls in field_hashes:
         cls.__hash__ = cached
 
 

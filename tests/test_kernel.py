@@ -16,7 +16,7 @@ index maps, the algebra's tables and a reference fold.
 import random
 import tracemalloc
 from functools import reduce
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -51,7 +51,6 @@ from mvcorr.fol import (
     free_pred_names,
     interp_for_frame,
     interp_for_model,
-    relation_bytes,
     repeats,
     validity_claim,
 )
@@ -72,10 +71,15 @@ CORRESPONDENTS = {
 }
 
 
+def single_frame(frame, f, budget=None):
+    """The kernel on one frame's cells."""
+    return CompiledFo(frame.algebra, f, frame.size, frame.cells, budget)
+
+
 def assert_kernel_matches_fo_eval(frame, f):
     """Every assignment of f's free symbols: states, and all predicate rows."""
     interp = interp_for_frame(frame)
-    kernel = CompiledFo(interp, f)
+    kernel = single_frame(frame, f)
     terms = sorted(free_individual_symbols(f), key=str)
     preds = sorted(free_pred_names(f))
     rows = list(product(range(frame.algebra.n), repeat=frame.size))
@@ -144,21 +148,21 @@ def test_kernel_matches_fo_eval_on_correspondents(key, seed):
 
 
 def flat(frames):
-    """The frames' relations as the kernel reads them."""
-    return [relation_bytes(chain.from_iterable(frame.rel)) for frame in frames]
+    """The frames' relations as the kernel reads them: one buffer, frame-major."""
+    return b"".join(frame.cells for frame in frames)
 
 
 def assert_batch_matches_single_frames(frames, f):
-    """A batch whose later frames come as relation bytes has, frame by
-    frame, the table and cells of each frame's own kernel on its `Frame`,
-    and takes from `following` only the frames it covers."""
-    following = iter(flat(frames[1:]))
-    batch = CompiledFo(interp_for_frame(frames[0]), f, following=following)
+    """A batch over the frames' flat cells has, frame by frame, the table
+    and cells of each frame's own kernel, and reads only the frames it
+    covers."""
+    rels, width = flat(frames), frames[0].size ** 2
+    batch = CompiledFo(P, f, frames[0].size, rels)
     assert batch.frames == min(len(frames), max(1, fol.BATCH_CELLS // batch.cells))
-    assert len(list(following)) == len(frames) - batch.frames
+    assert CompiledFo(P, f, frames[0].size, rels[:batch.frames * width]).table == batch.table
     span = len(batch.table) // batch.frames
     assert span * batch.frames == len(batch.table)
-    singles = [CompiledFo(interp_for_frame(frame), f) for frame in frames[:batch.frames]]
+    singles = [single_frame(frame, f) for frame in frames[:batch.frames]]
     assert batch.table == b"".join(single.table for single in singles), f
     for k, single in enumerate(singles):
         assert (single.frames, single.cells, single.span) == (1, batch.cells, span)
@@ -189,20 +193,36 @@ def test_batch_matches_single_frames(seed):
     FoImplies(Rel(Y, X), Exists(Y, FoAnd(Rel(X, Y), Eq(X, Y)))),
 ], ids=str)
 def test_batch_matches_single_frames_on_edge_cases(size, f):
-    # 17 * 17 > 256: relation positions no longer fit a byte and are
-    # gathered one by one instead of by translate
+    # 17 * 17 > 256: relation positions no longer fit a byte, which the
+    # strided gathers do not need
     rng = random.Random(size)
     assert_batch_matches_single_frames([random_frame(rng, P, size) for _ in range(3)], f)
+
+
+@pytest.mark.parametrize("size,count", [(1, 6), (2, 6), (3, 6), (17, 2)])
+@pytest.mark.parametrize("leaf", [Rel(X, Y), Rel(Y, X), Rel(X, X)], ids=str)
+def test_batched_relation_leaves_match_fo_eval(size, count, leaf):
+    # R(x, y) reads the buffer as it is, R(y, x) and R(x, x) by strided
+    # gathers; 17 states put positions past one byte
+    rng = random.Random(size)
+    frames = [random_frame(rng, P, size) for _ in range(count)]
+    batch = CompiledFo(P, leaf, size, flat(frames))
+    assert batch.frames == count
+    for k, frame in enumerate(frames):
+        interp = interp_for_frame(frame)
+        for x, y in product(range(size), repeat=2):
+            env = {X: x, Y: y}
+            assert batch.value(env, k) == fo_eval(interp, leaf, env), (k, env)
 
 
 def test_batch_stops_at_the_cell_ceiling(monkeypatch):
     f = CORRESPONDENTS[("<><>p -> <>p", P.element("gamma"))]
     rng = random.Random(5)
     frames = [random_frame(rng, P, 2) for _ in range(8)]
-    cells = CompiledFo(interp_for_frame(frames[0]), f).cells
+    cells = single_frame(frames[0], f).cells
     for ceiling, covered in [(3 * cells + 1, 3), (cells - 1, 1), (10**9, 8)]:
         monkeypatch.setattr(fol, "BATCH_CELLS", ceiling)
-        assert CompiledFo(interp_for_frame(frames[0]), f, following=flat(frames[1:])).frames == covered
+        assert CompiledFo(P, f, 2, flat(frames)).frames == covered
         assert_batch_matches_single_frames(frames, f)
 
 
@@ -210,10 +230,10 @@ def test_batch_covers_what_the_budget_can_pay_for():
     f = CORRESPONDENTS[("p -> <>p", P.element("gamma"))]
     rng = random.Random(6)
     frames = [random_frame(rng, P, 2) for _ in range(8)]
-    cells = CompiledFo(interp_for_frame(frames[0]), f).cells
+    cells = single_frame(frames[0], f).cells
     for cap, covered in [(cells, 1), (3 * cells - 1, 2), (3 * cells, 3), (100 * cells, 8)]:
         budget = Budget(cap)
-        kernel = CompiledFo(interp_for_frame(frames[0]), f, budget, flat(frames[1:]))
+        kernel = CompiledFo(P, f, 2, flat(frames), budget)
         assert (kernel.frames, budget.used) == (covered, cells)
 
 
@@ -292,7 +312,7 @@ def test_valid_at_matches_the_pinned_validity_claim(seed, size):
     for a in range(P.n):
         claim = validity_claim(target, a, P)
         for w in range(size):
-            claimed = CompiledFo(interp_for_frame(frame), claim).value({X: w})
+            claimed = single_frame(frame, claim).value({X: w})
             assert valid_at(frame, target, w, a) == (claimed == P.top)
 
 
@@ -354,9 +374,9 @@ def test_values_are_invariant_under_renaming_the_states(seed, size):
     else:
         f = bind_every_sort(rng, random_fo(rng, P, preds=("p",), depth=rng.choice([1, 2, 3])))
     terms = sorted(free_individual_symbols(f), key=str)
-    before = CompiledFo(interp_for_frame(frame), f)
+    before = single_frame(frame, f)
     for perm in permutations(range(size)):
-        after = CompiledFo(interp_for_frame(renamed(frame, perm)), f)
+        after = single_frame(renamed(frame, perm), f)
         for states in product(range(size), repeat=len(terms)):
             moved = [perm[w] for w in states]
             assert after.value(dict(zip(terms, moved))) == before.value(dict(zip(terms, states)))
@@ -388,8 +408,8 @@ def test_values_commute_with_the_swap_that_fixes_the_constants(seed, size):
         if all(SWAP[c] == c for c in fol.truth_constants(f)):
             break
     terms = sorted(free_individual_symbols(f), key=str)
-    before = CompiledFo(interp_for_frame(frame), f)
-    after = CompiledFo(interp_for_frame(swapped(frame)), f)
+    before = single_frame(frame, f)
+    after = single_frame(swapped(frame), f)
     for states in product(range(size), repeat=len(terms)):
         env = dict(zip(terms, states))
         assert after.value(env) == SWAP[before.value(env)]
@@ -401,8 +421,8 @@ def test_a_constant_or_threshold_the_swap_moves_leaves_it_out_of_the_group():
     # @alpha occurs, or once a or a threshold is alpha
     frame = Frame(P, ("w",), ((ALPHA,),))
     with_alpha = FoOr(Rel(X, X), fol.TruthConst("alpha", ALPHA))
-    assert CompiledFo(interp_for_frame(swapped(frame)), with_alpha).value({X: 0}) == P.join(
-        SWAP[ALPHA], ALPHA) != SWAP[CompiledFo(interp_for_frame(frame), with_alpha).value({X: 0})]
+    assert single_frame(swapped(frame), with_alpha).value({X: 0}) == P.join(
+        SWAP[ALPHA], ALPHA) != SWAP[single_frame(frame, with_alpha).value({X: 0})]
 
     def group(*sides):
         return oracle._symmetries(P, *(oracle._Truth(P, f, t, Budget()) for f, t in sides))
@@ -424,7 +444,7 @@ def test_kernel_reads_only_the_frame_of_its_interpretation():
     frame = Frame(P, ("w", "v"), ((P.top, P.bot), (P.bot, P.top)))
     interp = interp_for_model(Model(frame, {Var("p"): (P.top, P.bot)}))
     f = Forall(Y, FoImplies(Rel(X, Y), Pred("p", Y)))
-    kernel = CompiledFo(interp, f)
+    kernel = single_frame(interp.frame, f)
     with pytest.raises(UnboundSymbol):
         kernel.value({X: 0})
     assert kernel.value({X: 0, "p": interp.preds["p"]}) == fo_eval(interp, f, {X: 0}) == P.top
@@ -433,11 +453,11 @@ def test_kernel_reads_only_the_frame_of_its_interpretation():
 def test_budget_charges_plan_cells_up_front():
     frame = random_frame(random.Random(4), P, 2)
     alpha = CORRESPONDENTS[("<><>p -> <>p", P.element("gamma"))]
-    cells = CompiledFo(interp_for_frame(frame), alpha).cells
+    cells = single_frame(frame, alpha).cells
     with pytest.raises(BudgetExceeded):
-        CompiledFo(interp_for_frame(frame), alpha, Budget(cells - 1))
+        single_frame(frame, alpha, Budget(cells - 1))
     budget = Budget(cells)
-    CompiledFo(interp_for_frame(frame), alpha, budget)
+    single_frame(frame, alpha, budget)
     assert budget.used == cells
 
 
@@ -450,7 +470,7 @@ def test_budget_refusal_allocates_nothing():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded):
-            CompiledFo(interp_for_frame(frame), f, Budget(10**7))
+            single_frame(frame, f, Budget(10**7))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

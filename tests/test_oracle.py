@@ -18,10 +18,10 @@ import mvcorr.oracle as oracle
 from conftest import boolean_algebra
 from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
-from mvcorr.errors import BudgetExceeded, MvcorrError
+from mvcorr.errors import BudgetExceeded, MvcorrError, UnboundSymbol
 from mvcorr.fol import (
-    BOT, CompiledFo, FoAnd, FoOr, Forall, FoVar, Pred, Rel, degree_claim, frame_property,
-    free_individual_symbols, interp_for_frame, parse_fo,
+    BOT, CompiledFo, FoAnd, FoOr, Forall, FoVar, NomTV, Pred, Rel, degree_claim,
+    frame_property, free_individual_symbols, parse_fo,
 )
 from mvcorr.heyting import builtin_algebra, parse_algebra_text
 from mvcorr.oracle import correspondence_oracle, fo_agree, iter_frames, sample_frames
@@ -144,6 +144,16 @@ def test_vacuous_frame_requests_are_refused(monkeypatch, request_kw):
     assert built == []
 
 
+def test_an_unbound_symbol_is_refused_before_any_frame():
+    # a free predicate or truth-value symbol gets no fold, whatever the frames
+    for beta in (Pred("p", X), FoAnd(Rel(X, X), NomTV("i"))):
+        budget = Budget()
+        with pytest.raises(UnboundSymbol, match="is unbound"):
+            fo_agree(P, Rel(X, X), beta, sizes=[], threshold_alpha=P.top,
+                     threshold_beta=P.top, budget=budget)
+        assert budget.used == 0
+
+
 # -- the degree table: one per frame, never shared between calls ---------------------
 
 
@@ -165,7 +175,7 @@ def test_identical_oracle_calls_charge_alike():
 def test_refused_degree_table_is_not_kept():
     phi = parse_formula("p -> []<>p", P)
     frame = next(iter_frames(P, 2))
-    cells = CompiledFo(interp_for_frame(frame), degree_claim(phi)).cells
+    cells = CompiledFo(P, degree_claim(phi), 2, frame.cells).cells
     small = Budget(cells - 1)
     for w in (0, 1):
         with pytest.raises(BudgetExceeded):
@@ -284,8 +294,8 @@ def reference_fo(alpha, threshold, budget):
     closed = reduce(lambda f, v: Forall(v, f), open_syms, alpha)
 
     def per_frame(frame):
-        budget.charge(CompiledFo(interp_for_frame(frame), closed).cells)
-        kernel = CompiledFo(interp_for_frame(frame), alpha)
+        budget.charge(CompiledFo(frame.algebra, closed, frame.size, frame.cells).cells)
+        kernel = CompiledFo(frame.algebra, alpha, frame.size, frame.cells)
         return lambda w: all(
             frame.algebra.le(threshold, kernel.value({X: w, **dict(zip(open_syms, combo))}))
             for combo in product(range(frame.size), repeat=len(open_syms))
@@ -496,8 +506,8 @@ def tabulated(monkeypatch):
     around `oracle.CompiledFo` as the benchmark's tracer wraps it."""
     runs = Counter()
 
-    def recording(interp, formula, *args, **kwargs):
-        kernel = CompiledFo(interp, formula, *args, **kwargs)
+    def recording(alg, formula, *args, **kwargs):
+        kernel = CompiledFo(alg, formula, *args, **kwargs)
         runs[formula] += kernel.frames
         return kernel
 
@@ -602,6 +612,36 @@ def test_three_state_minima_of_paper_p():
     assert sum(1 for _ in oracle._orbit_minima(P.n, 3, (SWAP,))) == 165_676
 
 
+@pytest.mark.parametrize("alg,group", [(B2, ()), (B3, ()), (P, ()), (P, (SWAP,))],
+                         ids=["bool2", "chain3", "paper-P", "paper-P-swap"])
+def test_the_store_keeps_each_minimum_s_cells(alg, group):
+    # sizes 1-3: every minimum's cells are its frame's matrix, from
+    # `iter_frames` for the first 20 000 frames and past them from the
+    # `product` order it enumerates in
+    for size in (1, 2, 3):
+        numbers = list(oracle._orbit_minima(alg.n, size, group))
+        wanted, width = set(numbers), size * size
+        every = chain((frame.cells for frame in islice(iter_frames(alg, size), 20_000)),
+                      map(bytes, islice(product(range(alg.n), repeat=width), 20_000, None)))
+        want = b"".join(cells for number, cells in enumerate(every) if number in wanted)
+        assert oracle._minima(alg.n, size, group).read(0, len(numbers)) == want
+
+
+def test_every_batch_holds_its_frames_cells():
+    # the minima of sizes 1-2, the first batches of six states (no minima
+    # kept) and the samples, each batch one flat buffer of its frames' cells
+    batches = chain(oracle._frames(P, [1, 2], 5, 3, 9, (SWAP,)),
+                    islice(oracle._frames(P, [6], 0, 3, 0, (SWAP,)), 2))
+    seen = Counter()
+    for size, cells, places, frame in batches:
+        seen[size] += 1
+        width = size * size
+        assert len(cells) == width * (len(places) - 1)
+        for d in range(len(places) - 1):
+            assert frame(d).cells == cells[d * width:(d + 1) * width], (size, places[d])
+    assert seen == {1: 1, 2: 4, 3: 1, 6: 2}
+
+
 def test_minima_are_searched_once_and_only_as_far_as_read(monkeypatch):
     monkeypatch.setattr(oracle, "_MINIMA", {})
     first = list(islice(oracle._orbit_minima(P.n, 4, (SWAP,)), 5))
@@ -627,12 +667,17 @@ def test_minima_kept_for_sizes_one_and_two_take_little_memory(monkeypatch):
 
 
 def test_threads_reading_one_search_get_every_minimum(monkeypatch):
-    # eight threads start one search at once, twenty times over
+    # eight threads start one search at once, twenty times over, each
+    # reading the minima's numbers and cells batch by batch as a scan does
     want = least_of_orbits(P, 2)
+    every = list(product(range(P.n), repeat=4))
+    want = want, b"".join(bytes(every[p]) for p in want)
     got = [None] * 8
 
     def read(k):
-        got[k] = list(oracle._orbit_minima(P.n, 2, (SWAP,)))
+        batches = list(oracle._frames(P, [2], 0, 3, 0, (SWAP,)))
+        got[k] = ([p for _, _, places, _ in batches for p in places[:-1]],
+                  b"".join(cells for _, cells, _, _ in batches))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

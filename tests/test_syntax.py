@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvcorr.errors import FormulaSyntaxError, UnknownConstant
+from mvcorr.fol import Eq, FoAnd, FoVar, Rel
 from mvcorr.heyting import builtin_algebra
 from mvcorr.syntax import (
     ABSENT,
@@ -178,6 +179,20 @@ def test_equal_formulas_hash_equal_after_caching(f):
     assert copy == f and {f: 1}[copy] == 1
     assert Inequality(copy, f) == Inequality(f, copy)
     assert hash(Box(f)) == hash(Box(copy)) and Box(f) != Dia(f)
+
+
+@pytest.mark.parametrize("leaf,wrap", [
+    (Var("p"), Dia),
+    (Rel(FoVar("x"), FoVar("x")), lambda f: FoAnd(f, Eq(FoVar("x"), FoVar("y")))),
+], ids=["Dia", "FoAnd"])
+def test_thousand_level_chains_hash_without_deep_recursion(leaf, wrap):
+    # the first hash of a deep chain fills in its levels bottom-up; a copy
+    # hashed level by level as it is built, each call one level deep, agrees
+    deep = copy = leaf
+    for _ in range(1000):
+        deep, copy = wrap(deep), wrap(copy)
+        hash(copy)
+    assert hash(deep) == hash(copy) == hash(deep)
 
 
 @given(formulas)
