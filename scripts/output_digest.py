@@ -31,7 +31,15 @@ Run it on two commits of a change that must not alter any output: equal
   one-state and 4 two-state frames (so batches of one size split and
   failures fall inside them), for every distinct trace step of those
   ALBA runs and for each step's drop-one mutants (one produced, else one
-  consumed, inequality dropped).
+  consumed, inequality dropped);
+- refusals: ladders of caps, one unit below the first frame's charge
+  (its builds' charges: both sides for the oracle, one for stepcheck), at
+  it, and five spread between it and the full charge, each line the
+  outcome or the refusal text and the units used, for the oracle on each
+  named axiom's ALBA correspondent (threshold top) and named frame
+  property at gamma, for `fo_agree` on transitivity's correspondent
+  against its property at gamma, and for stepcheck on every distinct
+  trace step of the named axioms on the 8 seeded two-state frames.
 
 Usage: python scripts/output_digest.py
 """
@@ -129,10 +137,13 @@ def stepcheck_lines(steps: list, alg) -> list[str]:
         for step in dict.fromkeys(steps):
             for checked in (step, *drop_one(step)):
                 budget = Budget(STEPCHECK_CAP)
-                failure = verify_step(checked, frames, budget)
-                verdict = failure.describe() if failure else f"{checked.describe()} | sound"
-                lines.append(f"{verdict}; {budget.used} units")
+                lines.append(f"{step_outcome(checked, frames, budget)}; {budget.used} units")
     return lines
+
+
+def step_outcome(step, frames, budget) -> str:
+    failure = verify_step(step, frames, budget)
+    return failure.describe() if failure else f"{step.describe()} | sound"
 
 
 FRAMES = dict(sizes=[1, 2], samples=4, sample_size=3, seed=1)
@@ -141,12 +152,13 @@ SWAP_BREAKING = ("p /\\ @alpha <= <>p", "@beta -> <>p", "p -> []<>p")
 
 
 def outcome_line(label: str, check, cap=None) -> str:
-    """`check(budget)`'s report, or its refusal, and the units it used."""
+    """`check(budget)`'s report (or text), or its refusal, and the units it used."""
     budget = Budget(cap)
     try:
-        report = check(budget)
-        outcome = (f"{report.describe()}; {report.frames_checked} frames, "
-                   f"{report.states_checked} states")
+        outcome = report = check(budget)
+        if not isinstance(report, str):
+            outcome = (f"{report.describe()}; {report.frames_checked} frames, "
+                       f"{report.states_checked} states")
     except BudgetExceeded as exc:
         outcome = f"refused: {exc}"
     return f"{label}: {outcome}; {budget.used} units"
@@ -211,6 +223,42 @@ def three_state_lines() -> list[str]:
     return lines
 
 
+def ladder(check, builds: int) -> list[int]:
+    """Caps below and at the first frame's charge, the sum of the first
+    `builds` charges of `check(budget)`, and five between it and the full
+    charge."""
+    charges, probe = [], Budget(STEPCHECK_CAP)  # above every full charge here
+    real_charge = probe.charge
+    probe.charge = lambda amount=1: charges.append(amount) or real_charge(amount)
+    check(probe)
+    first, full = sum(charges[:builds]), probe.used
+    return [first - 1, first, *(first + (full - first) * k // 6 for k in range(1, 6))]
+
+
+def refusal_lines(alg, steps: list) -> list[str]:
+    gamma = alg.element("gamma")
+    checks = []
+    for text in NAMED_AXIOMS:
+        run = run_alba(parse_formula(text, alg), gamma, alg)
+        for alpha, threshold, against in ((run.correspondent, alg.top, "ALBA"),
+                                          (frame_property(PROPERTIES[text]), None, "property")):
+            checks.append((f"oracle {text} @gamma {against}", 2, lambda budget, run=run,
+                           alpha=alpha, threshold=threshold: correspondence_oracle(
+                               alg, run.source, gamma, alpha, budget=budget,
+                               fo_threshold=threshold, **FRAMES)))
+        if text == "<><>p -> <>p":
+            checks.append((f"fo_agree {text} @gamma transitive", 2, lambda budget, run=run:
+                           fo_agree(alg, run.correspondent, frame_property("transitive"),
+                                    threshold_alpha=alg.top, threshold_beta=gamma,
+                                    budget=budget, **FRAMES)))
+    two = sample_frames(alg, 2, 8, seed=1010)
+    for step in dict.fromkeys(steps):
+        checks.append((f"stepcheck {step.describe()}", 1,
+                       lambda budget, step=step: step_outcome(step, two, budget)))
+    return [outcome_line(f"{label} capped at {cap}", check, cap)
+            for label, builds, check in checks for cap in ladder(check, builds)]
+
+
 def main() -> int:
     alg = builtin_algebra("paper-P")
     lines: list[str] = []
@@ -218,6 +266,8 @@ def main() -> int:
     for text in NAMED_AXIOMS + ("p <= @0",) + CLASSICAL:
         for a in range(alg.n):
             lines += alba_lines(parse_input(text, alg), a, alg, steps)
+        if text == NAMED_AXIOMS[-1]:
+            named_steps = list(steps)
     for ineq in regression_corpus(alg):
         lines += alba_lines(ineq, alg.element("gamma"), alg, steps)
     for text in CLASSICAL:
@@ -226,6 +276,7 @@ def main() -> int:
     lines += oracle_lines(alg)
     lines += three_state_lines()
     lines += stepcheck_lines(steps, alg)
+    lines += refusal_lines(alg, named_steps)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print(f"sha256 {digest}")
     return 0

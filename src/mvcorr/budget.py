@@ -1,48 +1,50 @@
-"""Evaluation budgets for the brute-force oracles.
+"""Evaluation budgets for the brute-force verifiers, and the one rule by
+which both batch and charge their frames.
 
 Every exhaustive enumeration charges work units against a budget.  In the
 table kernel (`fol.CompiledFo`, which also evaluates `semantics.valid_at`)
-one unit is one table cell: each evaluation charges every cell of its plan
-before it builds any table, so a refusal allocates nothing.  The oracle
-charges each frame when the scan reaches it, tabulated (an orbit minimum
-or a sample) or not: its first-order cells, then its degree cells (for
-`fo_agree`, the left side's, then the right's); a side whose formula has
-free individual symbols other than x is tabulated as its universal closure
-over them, whose fold tables are charged too.  A kernel table may cover
-a batch of minima, never more than the budget left after its first
-frame's charge can pay for.  The frames past one the scan has reached, up
-to the end of both sides' runs or their first disagreement, are charged in
-one sum when it fits under `cap`, and otherwise up to the frame refused,
-so `used` and the point of refusal are those of one table per frame.  The
-re-read of a counterexample's state is not charged, nor is the search for
-orbit minima, which runs once per process and frame size and group, as
-far as any scan has read, and stops at five states, where a frame's
-renamings still cost less than most tables.
+one unit is one cell of a formula's plan.  The oracle builds two sides per
+frame, charged in the caller's order: the first-order side, then the degree
+claim, or for `fo_agree` the left side, then the right; a side whose
+formula has free individual symbols other than x is tabulated as its
+universal closure over them, fold tables included.  The per-step checker
+`stepcheck` makes one build per frame: one unit per cell of each
+subformula's table over its own atoms (atoms included; a subformula shared
+by several inequalities counts once), of each inequality's table over its
+atoms, of each system's tables over its axes and of the tables over the
+shared atoms on which the two sides are compared (for first-approximation,
+the source's atoms), whatever the state axis: a bound on what it builds.
+The reference evaluator `fol.fo_eval` charges one unit per node visited.
 
-The per-step checker `stepcheck` charges every frame one unit per cell of
-each subformula's table over its own atoms (atoms included; a subformula
-shared by several inequalities counts once), of each inequality's table
-over its atoms, of each system's tables over its axes and of the tables
-over the shared atoms on which the two sides are compared (for
-first-approximation, the source's atoms), whatever the state axis: a bound
-on what it builds.  It builds a batch of same-size frames at once, under
-`fol.BATCH_CELLS` and the budget left after the first frame's charge, paid
-before building; the later frames are charged once the batch is checked, up
-to the first that fails, as if checked one at a time.  The reference
-evaluator `fol.fo_eval` charges one unit per node visited.  When the budget
-runs out the oracle raises BudgetExceeded instead of silently truncating:
-an oracle result must never be partial.  A negative cap, given or from
-MVCORR_BUDGET, raises ValueError.
+Both verifiers check each run of same-size frames with `scan`, in batches
+of 16, 32, 64, ... frames, each within `BATCH_CELLS` cells for its widest
+build and no longer than the budget left after its first frame can pay
+for.  That first frame is charged build by build before anything is built;
+once the batch's two verdict strings are compared, the frames after it are
+charged up to the first disagreement, in one sum or up to the frame and
+build the budget refuses.  A tabulated frame stands for the untabulated
+frames after it (the oracle's orbit minima), counted and charged with it.
+So `used`, the counts and the point of refusal are those of one table per
+frame, checked in order.  The oracle's re-read of a counterexample and its
+search for orbit minima are not charged.  When the budget runs out a
+verifier raises BudgetExceeded: a result is never partial.  A negative cap,
+given or from MVCORR_BUDGET, raises ValueError.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import chain, islice
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
 
 DEFAULT_CAP = 50_000_000
 ENV_VAR = "MVCORR_BUDGET"
+
+# the ceiling on the cells of a batch's widest build; a batch of one frame
+# may pass it, as one frame always could
+BATCH_CELLS = 1 << 16
 
 
 def default_cap() -> int:
@@ -73,3 +75,38 @@ class Budget:
             raise BudgetExceeded(
                 f"evaluation budget exceeded ({self.used} > {self.cap})"
             )
+
+
+def scan(numbers: Iterable[int], total: int, builds: Sequence[int], budget: Budget,
+         verdicts: Callable[[int, int], tuple[bytes, bytes]]
+         ) -> tuple[int, Optional[tuple[int, int, int, int, int]]]:
+    """Check a run of `total` frames of one size, batch by batch.  `numbers`
+    are the places, increasing, of the frames tabulated; `builds` a frame's
+    charges, in order; `verdicts(i, k)` builds tabulated frames i to
+    i + k - 1 and gives their two verdict strings, in equal slices per
+    frame.  The frames counted, and at the first disagreement the frame's
+    place, its index in the batch, the byte's offset in its slice and the
+    two bytes there."""
+    per, places = sum(builds), chain(numbers, [total])
+    # a short first batch leaves few frames built past an early disagreement
+    counted, i, take, first = 0, 0, 16, next(places)
+    while first < total:
+        for cells in builds:
+            budget.charge(cells)
+        room = min(take, max(BATCH_CELLS // max(builds), 1), 1 + (budget.cap - budget.used) // per)
+        batch = [first, *islice(places, room)]  # the batch's places, then the next
+        k = len(batch) - 1
+        lhs, rhs = verdicts(i, k)
+        j = len(lhs) if lhs == rhs else next(j for j, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+        d, cell = divmod(j, len(lhs) // k)  # d == k where all agree
+        covered = (batch[d] + 1 if d < k else batch[k]) - first
+        paid = min(covered - 1, (budget.cap - budget.used) // per)
+        budget.charge(paid * per)
+        if paid < covered - 1:
+            for cells in builds:
+                budget.charge(cells)  # one of them raises
+        counted += covered
+        if d < k:
+            return counted, (batch[d], d, cell, lhs[j], rhs[j])
+        i, first, take = i + k, batch[k], 2 * take
+    return counted, None

@@ -385,15 +385,11 @@ def _restore(env: dict, key, saved) -> None:
         env[key] = saved
 
 
-# the ceiling on a batch's table cells, in the oracle's kernel runs and in
-# stepcheck's batches; a batch of one frame may pass it, as one frame always could
-BATCH_CELLS = 1 << 16
-
-
 class CompiledFo:
-    """A formula tabulated by the table kernel over a batch of frames of one
-    size from one flat buffer `rels` of their relations, frame-major, each
-    frame's cells row-major (`Frame.cells`), one element per byte.
+    """A formula tabulated by the table kernel from its `_plan` on frames of
+    the plan's size, from one flat buffer `rels` of their relations,
+    frame-major, each frame's cells row-major (`Frame.cells`), one element
+    per byte.
 
     Every subformula becomes a flat row-major `bytes` table, one element
     index per cell, with one axis per free symbol, axes ordered by binding
@@ -404,26 +400,15 @@ class CompiledFo:
     plan depends only on the algebra, the formula and the frame size; per
     batch only the subformulas that read the relation run, with the frames
     as their outermost axis, and `value(env, frame)` reads the root table.
-    Values equal fo_eval's.
-
-    The budget is charged `cells`, one frame's table cells, before any
-    table is built.  The batch covers `frames` frames, the first of `rels`:
-    as many as it holds, fit under `BATCH_CELLS` and the budget left after
-    that charge can pay for.  It charges nothing for them; whoever reads
-    frame k > 0 charges `cells` for it first.
+    Values equal fo_eval's.  The kernel tabulates every frame it is handed
+    and charges nothing: its caller charges the plan's `cells` per frame
+    first (see `budget`).
     """
 
-    def __init__(self, alg: HeytingAlgebra, f: Fo, size: int, rels: bytes,
-                 budget: Budget | None = None):
-        plan = _plan(alg, f, size)
-        self.cells = plan.cells
-        room = BATCH_CELLS // plan.cells
-        if budget is not None:
-            budget.charge(plan.cells)
-            room = min(room, 1 + (budget.cap - budget.used) // plan.cells)
-        self.frames = min(max(room, 1), len(rels) // (size * size))
+    def __init__(self, plan: _Plan, rels: bytes):
+        self.frames = len(rels) // (plan.size * plan.size)
         self.root = plan.root
-        self.table = plan.run(rels[:self.frames * size * size], self.frames)
+        self.table = plan.run(rels, self.frames)
         self.span = len(self.table) // self.frames  # root cells per frame
 
     def value(self, env: dict | None = None, frame: int = 0) -> int:

@@ -19,12 +19,10 @@ only the minima of the orbits under renamings times those automorphisms
 are tabulated (`_orbit_minima`, searched once per process and kept with
 their cells in `_Minima`); a frame between them, which disagrees exactly
 when its minimum (enumerated before it) does, is counted and charged as if
-read, so the first counterexample, counts, charges and refusals are those
-of one table per frame (see `budget`).  A batch of at most `BATCH_FRAMES`
-is a slice of their numbers and one flat slice of their cells, as past
-five states and for the samples.  A kernel run (`fol.CompiledFo`)
-tabulates consecutive frames of a batch, masked to one 0/1 verdict byte
-per state and compared a run at a time.  Only a counterexample gets a
+read (see `budget`).  `budget.scan` checks each run of one size (the
+minima, every frame past five states, the samples): a batch is one flat
+slice of its frames' cells and one kernel run (`fol.CompiledFo`) per side,
+masked to one 0/1 verdict byte per state.  Only a counterexample gets a
 `Frame`, from `iter_frames` (the reference for the enumeration order) or
 the samples, and is read again, uncharged, per state.
 """
@@ -34,17 +32,19 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress, islice, permutations, product
 from math import factorial
 from operator import itemgetter, le
 from threading import Lock
 from typing import Callable, Iterable, Iterator, Optional
 
-from .budget import Budget
+from .budget import Budget, scan
 from .errors import MvcorrError, UnboundSymbol
 from .fol import (
     _X,
     CompiledFo,
+    _plan,
     Fo,
     Forall,
     Term,
@@ -63,21 +63,23 @@ from .syntax import Formula, Inequality
 # no interpretation is built here; perfbench's tracer wraps `interp_for_frame` by this name
 __all__ = ["correspondence_oracle", "fo_agree", "interp_for_frame", "iter_frames", "sample_frames"]
 
-# a run of frames of one size comes in batches of 16, 32, ... frames, at
-# most BATCH_FRAMES: one kernel run then tabulates many frames, while a
-# counterexample early in a run leaves few frames enumerated past it
-BATCH_FRAMES = 128
-
-# a batch: its frames' size, cells (frame-major), numbers (then the next's), frame k's `Frame`
-Batch = tuple[int, bytes, list[int], Callable[[int], Frame]]
+# a run: its frames' size, the numbers of those it tabulates, its frame count, the
+# cells of its i-th to (i + k - 1)-th tabulated frames, frame number p's `Frame`
+Run = tuple[int, Iterable[int], int, Callable[[int, int], bytes], Callable[[int], Frame]]
 
 
-def iter_frames(alg: HeytingAlgebra, size: int) -> Iterator[Frame]:
-    """All frames with `size` states, lexicographic in the matrix entries."""
-    states = tuple(f"w{i}" for i in range(size))
-    starts = range(0, size * size, size)
-    for flat in product(range(alg.n), repeat=size * size):
-        yield Frame(alg, states, tuple(flat[i:i + size] for i in starts))
+def iter_frames(alg: HeytingAlgebra, size: int, start: int = 0) -> Iterator[Frame]:
+    """All frames with `size` states, lexicographic in the matrix entries,
+    from frame number `start` on, whose `size*size` base-n digits are the
+    first frame's entries."""
+    states, width, n = tuple(f"w{i}" for i in range(size)), size * size, alg.n
+    first = tuple(start // n ** (width - 1 - j) % n for j in range(width))
+    # after the first, per entry j from the last: the matrices that keep
+    # the entries before j and raise entry j
+    raised = (product(*([v] for v in first[:j]), range(first[j] + 1, n),
+                      *[range(n)] * (width - j - 1)) for j in reversed(range(width)))
+    for flat in chain([first], *raised):
+        yield Frame(alg, states, tuple(flat[i:i + size] for i in range(0, width, size)))
 
 
 def sample_frames(
@@ -145,9 +147,8 @@ def correspondence_oracle(
         raise MvcorrError("correspondent must not contain free predicate symbols")
     threshold = a if fo_threshold is None else fo_threshold
     budget = Budget() if budget is None else budget
-    modal = _Truth(alg, degree_claim(target), a, budget,
-                   lambda frame, i, w: valid_at(frame, target, w, a))
-    fo = _Truth(alg, alpha, threshold, budget)
+    modal = _Truth(alg, degree_claim(target), a, lambda frame, i, w: valid_at(frame, target, w, a))
+    fo = _Truth(alg, alpha, threshold)
     return _first_disagreement(
         _frames(alg, sizes, samples, sample_size, seed, _symmetries(alg, modal, fo)),
         modal,
@@ -172,8 +173,8 @@ def fo_agree(
 ) -> OracleReport:
     """Pointwise agreement of two local first-order conditions, alpha the left side."""
     budget = Budget() if budget is None else budget
-    left = _Truth(alg, alpha, threshold_alpha, budget)
-    right = _Truth(alg, beta, threshold_beta, budget)
+    left = _Truth(alg, alpha, threshold_alpha)
+    right = _Truth(alg, beta, threshold_beta)
     return _first_disagreement(
         _frames(alg, sizes, samples, sample_size, seed, _symmetries(alg, left, right)),
         left,
@@ -194,9 +195,9 @@ def _symmetries(alg: HeytingAlgebra, *sides: _Truth) -> tuple[bytes, ...]:
 def _frames(
     alg: HeytingAlgebra, sizes: Iterable[int], samples: int, sample_size: int,
     seed: int, group: tuple[bytes, ...],
-) -> Iterator[Batch]:
-    """The `_orbit_minima` of every size asked for, once, then the seeded
-    samples, in batches of one size made as the scan reaches them.  A size
+) -> Iterator[Run]:
+    """One run per size asked for, once, of its `_orbit_minima`, then one
+    of the seeded samples, each read as the scan reaches it.  A size
     whose renamings times `group` and the identity pass `MAX_GROUP` drops
     `group`; past five states, where a frame's size! - 1 renamings (719 at
     six) can cost more than tabulating it, every frame is tabulated.
@@ -209,31 +210,24 @@ def _frames(
     if samples and sample_size < 1:
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
 
-    def batches(size: int, places: Iterator[int], cells: Callable, frame: Callable):
-        # `places`: the numbers of the frames to tabulate, then the frame
-        # count; cells(i, k): the cells of the i-th to (i + k - 1)-th of them
-        i, take, first = 0, min(16, BATCH_FRAMES), next(places)
-        while (k := len(batch := [first, *islice(places, take)]) - 1) > 0:
-            yield size, cells(i, k), batch, lambda d, b=batch: frame(b[d])
-            i, first, take = i + k, batch[-1], min(2 * take, BATCH_FRAMES)
-
-    def frames() -> Iterator[Batch]:
+    def frames() -> Iterator[Run]:
         for size in sizes:
             total = alg.n ** (size * size)
             if factorial(size) > MAX_GROUP:  # every frame: no minima kept
                 every = product(range(alg.n), repeat=size * size)
-                places, cells = iter(range(total)), lambda i, k, every=every: bytes(
+                numbers, cells = range(total), lambda i, k, every=every: bytes(
                     chain.from_iterable(islice(every, k)))
             else:
                 kept = group if factorial(size) * (len(group) + 1) <= MAX_GROUP else ()
-                places, cells = _orbit_minima(alg.n, size, kept), _minima(alg.n, size, kept).read
-            # in `iter_frames` order, which alone builds a counterexample's frame
-            yield from batches(size, chain(places, [total]), cells,
-                               lambda p, size=size: next(islice(iter_frames(alg, size), p, None)))
+                numbers, cells = _orbit_minima(alg.n, size, kept), _minima(alg.n, size, kept).read
+            # `iter_frames` alone builds a counterexample's frame; the benchmark's
+            # tracer hands its frames back as a list
+            yield size, numbers, total, cells, lambda p, size=size: next(iter(
+                iter_frames(alg, size, p)))
         if samples:
             drawn = sample_frames(alg, sample_size, samples, seed)
-            yield from batches(sample_size, iter(range(samples + 1)), lambda i, k: b"".join(
-                [frame.cells for frame in drawn[i:i + k]]), drawn.__getitem__)
+            yield sample_size, range(samples), samples, lambda i, k: b"".join(
+                [frame.cells for frame in drawn[i:i + k]]), drawn.__getitem__
 
     return frames()
 
@@ -327,88 +321,67 @@ def _least(chunk: list[tuple], first: int, renamings: list, maps: list[bytes]
 
 
 def _first_disagreement(
-    batches: Iterable[Batch], left: _Truth, right: _Truth, budget: Budget,
+    runs: Iterable[Run], left: _Truth, right: _Truth, budget: Budget,
     sides: tuple[str, str], right_first: bool = False,
 ) -> OracleReport:
-    """Compare two sides, named `sides`, one common kernel run at a time,
-    reading (and charging) the left one first unless `right_first`.  The
-    frames after it up to the run's end or first disagreement are charged
-    in one sum if the budget can pay for it, else up to the frame it
-    refuses; a disagreement is re-read per state on its `Frame`."""
+    """Compare two sides, named `sides`, run by run under `budget.scan`,
+    charging the left one first unless `right_first`; a disagreement is
+    re-read per state on its `Frame`."""
     frames_checked = states_checked = 0
     order = (right, left) if right_first else (left, right)
-    for size, rels, places, frame in batches:
-        i, width = 0, size * size
-        while i < len(places) - 1:
-            for side in order:
-                side.read(size, rels, i)
-            end = min(left.end, right.end)
-            lv, rv = left.verdicts(i, end), right.verdicts(i, end)
-            k = len(lv) if lv == rv else next(k for k, (x, y) in enumerate(zip(lv, rv)) if x != y)
-            d, w = i + k // size, k % size  # d == end where all agree
-            covered = (places[end] if d == end else places[d] + 1) - places[i]
-            per = left.cells + right.cells
-            paid = min(covered - 1, (budget.cap - budget.used) // per)
-            budget.charge(paid * per)
-            if paid < covered - 1:
-                for side in order:
-                    budget.charge(side.cells)  # one of the two raises
-            frames_checked += covered
-            states_checked += covered * size
-            if d < end:
-                found = frame(d)
-                verdicts = left.reread(found, d, w), right.reread(found, d, w)
-                if verdicts != (lv[k] == 1, rv[k] == 1):
-                    raise AssertionError(f"re-read {verdicts} against table bytes {lv[k]}, {rv[k]}")
-                if found.cells != rels[d * width:(d + 1) * width]:
-                    raise AssertionError(f"frame {d} of the batch is not {found.rel}")
-                return OracleReport(False, frames_checked, states_checked - size + w + 1,
-                                    Counterexample(found, w, *verdicts, sides))
-            i = end
+    for size, numbers, total, cells, frame in runs:
+        batch = [b""]  # the cells of the batch last built
+
+        def verdicts(i: int, k: int) -> tuple[bytes, bytes]:
+            batch[0] = cells(i, k)
+            return left.tabulate(size, batch[0]), right.tabulate(size, batch[0])
+
+        counted, found = scan(numbers, total, [side.plan(size).cells for side in order],
+                              budget, verdicts)
+        frames_checked += counted
+        states_checked += counted * size
+        if found:
+            p, d, w, lv, rv = found
+            at = frame(p)
+            read = left.reread(at, d, w), right.reread(at, d, w)
+            if read != (lv == 1, rv == 1):
+                raise AssertionError(f"re-read {read} against table bytes {lv}, {rv}")
+            if at.cells != batch[0][d * size * size:(d + 1) * size * size]:
+                raise AssertionError(f"frame {p} of the run is not {at.rel}")
+            return OracleReport(False, frames_checked, states_checked - size + w + 1,
+                                Counterexample(at, w, *read, sides))
     return OracleReport(True, frames_checked, states_checked)
 
 
 class _Truth:
     """One side of the scan: per frame, the states at which a condition on x
-    holds to degree `threshold`, one 0/1 byte each, one kernel run of
-    consecutive frames at a time; `reread(frame, i, w)` reads one again,
+    holds to degree `threshold`, one 0/1 byte each, one kernel run of a
+    batch of frames at a time; `reread(frame, d, w)` reads one again,
     uncharged.  The condition holds under every assignment of its other
     free individual symbols: the kernel tabulates and folds its universal
     closure over them.  Any other free symbol raises UnboundSymbol at once."""
 
-    def __init__(self, alg: HeytingAlgebra, formula: Fo, threshold: int, budget: Budget,
+    def __init__(self, alg: HeytingAlgebra, formula: Fo, threshold: int,
                  reread: Callable[[Frame, int, int], bool] | None = None):
         free = free_symbols(formula) - {_X}
         for sym in sorted((s for s in free if isinstance(s, Term)), key=str):
             formula = Forall(sym, formula)
         if unbound := {s for s in free if not isinstance(s, Term)}:
             raise UnboundSymbol(f"free symbol {min(map(str, unbound))} is unbound")
-        self.alg, self.formula, self.threshold, self.budget = alg, formula, threshold, budget
+        self.alg, self.threshold = alg, threshold
         self.constants = truth_constants(formula) | {threshold}
         self.mask = bytes(alg.le(threshold, v) for v in range(alg.n)).ljust(256, b"\0")
-        self.rels = None
+        self.plan = cache(lambda size: _plan(alg, formula, size))  # once per frame size
         if reread is not None:
             self.reread = reread
 
-    def read(self, size: int, rels: bytes, i: int) -> None:
-        """Frame i's charge, the run's cells, or past the current run a new
-        kernel run from frame i of the batch's cells `rels`, whose kernel
-        charges its first frame."""
-        if rels is self.rels and i < self.end:
-            self.budget.charge(self.cells)
-            return
-        evaluator = self.evaluator = CompiledFo(self.alg, self.formula, size,
-                                                rels[i * size * size:], self.budget)
-        self.size, self.rels, self.first, self.end = size, rels, i, i + evaluator.frames
-        self.cells = evaluator.cells
+    def tabulate(self, size: int, rels: bytes) -> bytes:
+        """The verdict bytes of one kernel run on the frames whose cells `rels` holds."""
+        evaluator = self.evaluator = CompiledFo(self.plan(size), rels)
         table = evaluator.table.translate(self.mask)
         if evaluator.span != size:  # a sentence: one verdict per frame, the same at every state
             table = broadcast(table, ((size, 1),))
-        self.table = table
+        return table
 
-    def verdicts(self, i: int, end: int) -> bytes:
-        """The verdict bytes of frames i to end - 1 of the current run."""
-        return self.table[(i - self.first) * self.size:(end - self.first) * self.size]
-
-    def reread(self, frame: Frame, i: int, w: int) -> bool:
-        return self.alg.le(self.threshold, self.evaluator.value({_X: w}, i - self.first))
+    def reread(self, frame: Frame, d: int, w: int) -> bool:
+        return self.alg.le(self.threshold, self.evaluator.value({_X: w}, d))

@@ -199,10 +199,13 @@ def iter_valuations(frame: Frame, over: Iterable[Formula]) -> Iterator[Valuation
 
 def validity_degree(frame: Frame, target, budget: Budget | None = None) -> tuple[int, ...]:
     """Per state, the target's validity degree: one kernel table of
-    `fol.degree_claim`, with x free."""
-    from .fol import _X, CompiledFo, degree_claim  # fol imports us
+    `fol.degree_claim`, with x free, whose cells are charged first."""
+    from .fol import _X, CompiledFo, _plan, degree_claim  # fol imports us
 
-    kernel = CompiledFo(frame.algebra, degree_claim(target), frame.size, frame.cells, budget)
+    plan = _plan(frame.algebra, degree_claim(target), frame.size)
+    if budget is not None:
+        budget.charge(plan.cells)
+    kernel = CompiledFo(plan, frame.cells)
     return tuple(kernel.value({_X: w}) for w in range(frame.size))
 
 

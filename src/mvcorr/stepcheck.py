@@ -19,18 +19,21 @@ in-order subsequence of its parent's: the parent reads the child through
 with `fol.fold`.  Every table spans a batch of frames of one size as its
 outermost axis; those of subformulas and inequalities, built by `_Tables`
 and shared by both systems, add the frame's states as the innermost axis.
+Each run of same-size frames is checked by `budget.scan`, one build of
+every table per batch, charged per frame as `budget` states.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from math import prod
 from typing import Callable, Iterable, Optional
 
 from .alba import RESERVED_CONOM, RESERVED_NOM, TraceStep
-from .budget import Budget
-from .fol import BATCH_CELLS, broadcast, combiner, fold, operations, repeats
+from .budget import Budget, scan
+from .fol import broadcast, combiner, fold, operations, repeats
 from .heyting import builtin_algebra
 from .semantics import Frame, Valuation, atom_options, compile_eval, iter_valuations
 from .syntax import (And, Box, BoxInv, CoNom, Dia, DiaInv, Formula, Implies, Inequality, Minus,
@@ -77,9 +80,9 @@ class _Tables:
     as 0/1.  A modality broadcasts its operand to a (w, u) pair of state
     axes, combines it with the relation at (w, u), at (u, w) if inverse, by
     meet for a diamond and implication for a box, and folds u by joins or
-    meets.  The axes are planned per call, and per
-    frame size the `repeats`; `build` builds every table of a batch, but
-    one without a modal operator, which reads no relation, only at the
+    meets.  The axes are planned per call, and per frame size the `repeats`
+    and a frame's charge (`plan`); `build` builds every table of a batch,
+    but one without a modal operator, which reads no relation, only at the
     call's first frame of each size, then repeats it across each batch.
     """
 
@@ -105,45 +108,23 @@ class _Tables:
         return sum(prod(sizes[a] for a in axes) for f, (axes, _) in self.nodes.items()
                    if isinstance(f, Formula))
 
-    def check(self, step: TraceStep, frames: Iterable[Frame], budget: Budget | None,
-              charge: Callable[[dict], int], verdicts: Callable, describe: Callable
-              ) -> Optional[StepFailure]:
-        """The first frame where a batch's two `verdicts()`, in equal slices per
-        frame, differ, and `describe(frame, cell, left, right)` there.  A batch's
-        later frames are charged once it is checked, up to that frame."""
-        for _, run in groupby(frames, lambda frame: frame.size):
-            for frame in run:
-                batch, units = self.build(frame, budget, charge, run)
-                lhs, rhs = verdicts()
-                k = len(lhs) if lhs == rhs else next(
-                    k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-                d, cell = divmod(k, len(lhs) // len(batch))
-                if budget is not None:  # the batch's size keeps this within the cap
-                    budget.charge(units * min(d, len(batch) - 1))
-                if d < len(batch):
-                    return StepFailure(step, batch[d], describe(batch[d], cell, lhs[k], rhs[k]))
-        return None
+    def plan(self, frame: Frame, charge: Callable[[dict], int]) -> int:
+        """Plan the tables of frames of `frame`'s size, once: one frame's `charge`."""
+        if frame.size not in self.sized:
+            self.sized[frame.size] = *self._tasks(frame, charge), {}
+        return self.sized[frame.size][1]
 
-    def build(self, frame: Frame, budget: Budget | None, charge: Callable[[dict], int],
-              following: Iterable[Frame] = ()) -> tuple:
-        """Charge `budget` the frame's `charge`, then build the tables of a batch:
-        `frame` and as many next frames of its size in `following` as fit under
-        `BATCH_CELLS` charged cells and the budget left.  The batch, the charge."""
-        n = self.n = frame.size
-        if n not in self.sized:
-            self.sized[n] = *self._tasks(frame, charge), {}
-        self.sizes, units, tasks, fixed = self.sized[n]
-        room = BATCH_CELLS // max(units, 1)
-        if budget is not None:
-            budget.charge(units)
-            room = min(room, 1 + (budget.cap - budget.used) // units)
-        self.batch = batch = [frame, *islice(following, max(room - 1, 0))]
+    def build(self, batch: list) -> _Tables:
+        """Build every table of a batch of frames of one planned size."""
+        n = self.n = batch[0].size
+        self.sizes, _, tasks, fixed = self.sized[n]
+        self.batch = batch
         self.tables = tables = []
         for k, task in enumerate(tasks):
             if k in self.kept and k not in fixed:  # the same on every frame of this size
-                fixed[k] = _run(task, fixed, [frame])
+                fixed[k] = _run(task, fixed, batch[:1])
             tables.append(fixed[k] * len(batch) if k in self.kept else _run(task, tables, batch))
-        return batch, units
+        return self
 
     def _tasks(self, frame: Frame, charge: Callable[[dict], int]) -> tuple:
         """Per frame size: the atoms' sizes, their `charge` and each table's task."""
@@ -227,6 +208,22 @@ _FOLDS = {True: (combiner(2, _B2.meet_table), _B2.meet_table, _B2.top),
           False: (combiner(2, _B2.join_table), _B2.join_table, _B2.bot)}
 
 
+def _first_failure(step: TraceStep, frames: Iterable[Frame], budget: Budget | None,
+                   tables: _Tables, charge: Callable[[dict], int], verdicts: Callable,
+                   describe: Callable) -> Optional[StepFailure]:
+    """The first frame where the two `verdicts(tables)` of the batch it is in
+    differ, and `describe(frame, cell, left, right)` there."""
+    budget = Budget(sys.maxsize) if budget is None else budget  # no cap
+    for _, run in groupby(frames, lambda frame: frame.size):
+        run = list(run)
+        _, found = scan(range(len(run)), len(run), [tables.plan(run[0], charge)], budget,
+                        lambda i, k: verdicts(tables.build(run[i:i + k])))
+        if found:
+            d, _, cell, lhs, rhs = found
+            return StepFailure(step, run[d], describe(run[d], cell, lhs, rhs))
+    return None
+
+
 def verify_step(
     step: TraceStep, frames: Iterable[Frame], budget: Budget | None = None
 ) -> Optional[StepFailure]:
@@ -253,15 +250,17 @@ def verify_step(
         return (tables.cells(sizes) + before.cells(sizes) + after.cells(sizes)
                 + 2 * prod(sizes[a] for a in shared))
 
-    def verdicts() -> tuple:
+    def verdicts(tables: _Tables) -> tuple:
         sizes = tables.sizes
         return (fold(before.masks(tables), prod(sizes[a] for a in private_before),
                      *_FOLDS[universal_before]),
                 fold(after.masks(tables), prod(sizes[a] for a in private_after), *_FOLDS[False]))
 
-    return tables.check(step, frames, budget, charge, verdicts, lambda frame, cell, lhs, rhs: (
-        f"consumed side {lhs == 1}, produced side {rhs == 1} under "
-        f"{_show(next(islice(iter_valuations(frame, shared), cell, None)), frame)}"))
+    def describe(frame: Frame, cell: int, lhs: int, rhs: int) -> str:
+        valuation = next(islice(iter_valuations(frame, shared), cell, None))
+        return f"consumed side {lhs == 1}, produced side {rhs == 1} under {_show(valuation, frame)}"
+
+    return _first_failure(step, frames, budget, tables, charge, verdicts, describe)
 
 
 def _verify_first_approximation(
@@ -282,7 +281,7 @@ def _verify_first_approximation(
         return (tables.cells(sizes) + prod(sizes[a] for a in variables)
                 + premises.cells(sizes) + conclusion.cells(sizes))
 
-    def verdicts() -> tuple:
+    def verdicts(tables: _Tables) -> tuple:
         # per frame and state w: local validity at w, and whether no cell
         # with i0 based at w holds the premises and fails the conclusion
         n, cells, count = tables.n, prod(tables.sizes.values()), len(tables.batch)
@@ -295,8 +294,8 @@ def _verify_first_approximation(
         return (bytes(0 not in table[d * span + w:(d + 1) * span:n]
                       for d in range(count) for w in range(n)), bytes(b == 0 for b in broken))
 
-    return tables.check(step, frames, budget, charge, verdicts, lambda frame, w, local, system: (
-        f"local validity {local == 1} at state {w}, system validity {system == 1}"))
+    return _first_failure(step, frames, budget, tables, charge, verdicts, lambda frame, w, lv, sv: (
+        f"local validity {lv == 1} at state {w}, system validity {sv == 1}"))
 
 
 def verify_trace(

@@ -24,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvcorr.alba import run_alba
-from mvcorr.budget import Budget
+from mvcorr.budget import Budget, scan
 from mvcorr.errors import BudgetExceeded, UnboundSymbol
-from mvcorr import fol, oracle
+from mvcorr import budget as budgets, fol, oracle
 from mvcorr.fol import (
     BOT,
     CoNomTV,
@@ -55,7 +55,7 @@ from mvcorr.fol import (
     validity_claim,
 )
 from mvcorr.heyting import builtin_algebra, load_algebra
-from mvcorr.oracle import correspondence_oracle, iter_frames
+from mvcorr.oracle import correspondence_oracle, fo_agree, iter_frames
 from mvcorr.randomgen import random_formula, random_fo, random_frame
 from mvcorr.semantics import Frame, Model, compile_eval, iter_valuations, valid_at, validity_degree
 from mvcorr.syntax import Implies, Inequality, Var, atoms, parse_formula, parse_inequality
@@ -71,9 +71,9 @@ CORRESPONDENTS = {
 }
 
 
-def single_frame(frame, f, budget=None):
+def single_frame(frame, f):
     """The kernel on one frame's cells."""
-    return CompiledFo(frame.algebra, f, frame.size, frame.cells, budget)
+    return CompiledFo(fol._plan(frame.algebra, f, frame.size), frame.cells)
 
 
 def assert_kernel_matches_fo_eval(frame, f):
@@ -153,19 +153,16 @@ def flat(frames):
 
 
 def assert_batch_matches_single_frames(frames, f):
-    """A batch over the frames' flat cells has, frame by frame, the table
-    and cells of each frame's own kernel, and reads only the frames it
-    covers."""
-    rels, width = flat(frames), frames[0].size ** 2
-    batch = CompiledFo(P, f, frames[0].size, rels)
-    assert batch.frames == min(len(frames), max(1, fol.BATCH_CELLS // batch.cells))
-    assert CompiledFo(P, f, frames[0].size, rels[:batch.frames * width]).table == batch.table
+    """A batch over the frames' flat cells covers every frame it is handed
+    and has, frame by frame, the table of each frame's own kernel."""
+    batch = CompiledFo(fol._plan(P, f, frames[0].size), flat(frames))
+    assert batch.frames == len(frames)
     span = len(batch.table) // batch.frames
     assert span * batch.frames == len(batch.table)
-    singles = [single_frame(frame, f) for frame in frames[:batch.frames]]
+    singles = [single_frame(frame, f) for frame in frames]
     assert batch.table == b"".join(single.table for single in singles), f
     for k, single in enumerate(singles):
-        assert (single.frames, single.cells, single.span) == (1, batch.cells, span)
+        assert (single.frames, single.span) == (1, span)
         env = {sym: 0 for sym, _, base in single.root if not base}
         if len(env) == len(single.root):
             assert batch.value(env, k) == single.value(env)
@@ -206,7 +203,7 @@ def test_batched_relation_leaves_match_fo_eval(size, count, leaf):
     # gathers; 17 states put positions past one byte
     rng = random.Random(size)
     frames = [random_frame(rng, P, size) for _ in range(count)]
-    batch = CompiledFo(P, leaf, size, flat(frames))
+    batch = CompiledFo(fol._plan(P, leaf, size), flat(frames))
     assert batch.frames == count
     for k, frame in enumerate(frames):
         interp = interp_for_frame(frame)
@@ -215,26 +212,48 @@ def test_batched_relation_leaves_match_fo_eval(size, count, leaf):
             assert batch.value(env, k) == fo_eval(interp, leaf, env), (k, env)
 
 
+def scanned(frames, f, builds, budget):
+    """The frames of each kernel run `budget.scan` makes over the frames,
+    each checked against the frames' own tables, up to a refusal."""
+    runs = []
+
+    def verdicts(i, k):
+        assert_batch_matches_single_frames(frames[i:i + k], f)
+        runs.append(k)
+        return bytes(k), bytes(k)
+
+    try:
+        assert scan(range(len(frames)), len(frames), builds, budget, verdicts) == (
+            len(frames), None)
+    except BudgetExceeded:
+        pass
+    return runs
+
+
 def test_batch_stops_at_the_cell_ceiling(monkeypatch):
+    # the widest build sets the ceiling, whichever side it is
     f = CORRESPONDENTS[("<><>p -> <>p", P.element("gamma"))]
     rng = random.Random(5)
     frames = [random_frame(rng, P, 2) for _ in range(8)]
-    cells = single_frame(frames[0], f).cells
-    for ceiling, covered in [(3 * cells + 1, 3), (cells - 1, 1), (10**9, 8)]:
-        monkeypatch.setattr(fol, "BATCH_CELLS", ceiling)
-        assert CompiledFo(P, f, 2, flat(frames)).frames == covered
-        assert_batch_matches_single_frames(frames, f)
+    cells = fol._plan(P, f, 2).cells
+    for ceiling, runs in [(3 * cells + 1, [3, 3, 2]), (cells - 1, [1] * 8), (10**9, [8])]:
+        monkeypatch.setattr(budgets, "BATCH_CELLS", ceiling)
+        for builds in ([cells], [cells, 1], [1, cells]):
+            assert scanned(frames, f, builds, Budget(10**9)) == runs
 
 
 def test_batch_covers_what_the_budget_can_pay_for():
+    # the first frame is charged, the batch is cut to what is left, and the
+    # scan refuses at the frame the per-frame loop refuses at
     f = CORRESPONDENTS[("p -> <>p", P.element("gamma"))]
     rng = random.Random(6)
     frames = [random_frame(rng, P, 2) for _ in range(8)]
-    cells = single_frame(frames[0], f).cells
-    for cap, covered in [(cells, 1), (3 * cells - 1, 2), (3 * cells, 3), (100 * cells, 8)]:
+    cells = fol._plan(P, f, 2).cells
+    for cap, runs in [(cells, [1]), (3 * cells - 1, [2]), (3 * cells, [3]),
+                      (5 * cells, [5]), (100 * cells, [8])]:
         budget = Budget(cap)
-        kernel = CompiledFo(P, f, 2, flat(frames), budget)
-        assert (kernel.frames, budget.used) == (covered, cells)
+        assert scanned(frames, f, [cells], budget) == runs
+        assert budget.used == min(cap // cells + 1, 8) * cells
 
 
 def brute_valid_at(frame, target, w, a):
@@ -425,7 +444,7 @@ def test_a_constant_or_threshold_the_swap_moves_leaves_it_out_of_the_group():
         SWAP[ALPHA], ALPHA) != SWAP[single_frame(frame, with_alpha).value({X: 0})]
 
     def group(*sides):
-        return oracle._symmetries(P, *(oracle._Truth(P, f, t, Budget()) for f, t in sides))
+        return oracle._symmetries(P, *(oracle._Truth(P, f, t) for f, t in sides))
 
     assert group((Rel(X, X), GAMMA), (fol.degree_claim(parse_formula("p -> <>p", P)), P.top)) \
         == (SWAP,)
@@ -450,15 +469,28 @@ def test_kernel_reads_only_the_frame_of_its_interpretation():
     assert kernel.value({X: 0, "p": interp.preds["p"]}) == fo_eval(interp, f, {X: 0}) == P.top
 
 
-def test_budget_charges_plan_cells_up_front():
+def test_budget_charges_plan_cells_up_front(monkeypatch):
+    # the kernel charges nothing: `validity_degree` charges its plan's cells,
+    # and the oracle a frame's two sides, before either builds a table
     frame = random_frame(random.Random(4), P, 2)
+    target = parse_formula("<><>p -> <>p", P)
     alpha = CORRESPONDENTS[("<><>p -> <>p", P.element("gamma"))]
-    cells = single_frame(frame, alpha).cells
+    cells = fol._plan(P, fol.degree_claim(target), 2).cells
+    built = []
+    monkeypatch.setattr(fol, "CompiledFo", lambda *args: built.append(args) or CompiledFo(*args))
+    monkeypatch.setattr(oracle, "CompiledFo", fol.CompiledFo)
     with pytest.raises(BudgetExceeded):
-        single_frame(frame, alpha, Budget(cells - 1))
+        validity_degree(frame, target, Budget(cells - 1))
+    assert built == []
     budget = Budget(cells)
-    single_frame(frame, alpha, budget)
-    assert budget.used == cells
+    validity_degree(frame, target, budget)
+    assert budget.used == cells and len(built) == 1
+    first = fol._plan(P, alpha, 1).cells + fol._plan(P, fol.degree_claim(target), 1).cells
+    budget = Budget(first - 1)
+    with pytest.raises(BudgetExceeded):
+        correspondence_oracle(P, target, P.element("gamma"), alpha, sizes=[1],
+                              fo_threshold=P.top, budget=budget)
+    assert (len(built), budget.used) == (1, first)
 
 
 def test_budget_refusal_allocates_nothing():
@@ -467,14 +499,18 @@ def test_budget_refusal_allocates_nothing():
     frame = Frame(P, tuple(f"w{i}" for i in range(size)),
                   tuple((P.bot,) * size for _ in range(size)))
     f = Forall("p", Forall("q", Preceq(Pred("p", X), Pred("q", X))))
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceeded):
-            single_frame(frame, f, Budget(10**7))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
+    # and a degree claim over two predicates at the same size
+    target = parse_formula("p /\\ q -> <>p", P)
+    for refused in (lambda: fo_agree(P, f, f, [size], P.top, P.top, budget=Budget(10**7)),
+                    lambda: valid_at(frame, target, 0, P.top, Budget(10**7))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                refused()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 # -- table primitives ---------------------------------------------------------------

@@ -7,17 +7,18 @@ import time
 import tracemalloc
 from collections import Counter
 from functools import reduce
-from itertools import chain, islice, permutations, product
+from itertools import accumulate, chain, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvcorr.budget as budgets
 import mvcorr.fol as fol
 import mvcorr.oracle as oracle
 from conftest import boolean_algebra
 from mvcorr.alba import run_alba
-from mvcorr.budget import Budget
+from mvcorr.budget import BATCH_CELLS, Budget
 from mvcorr.errors import BudgetExceeded, MvcorrError, UnboundSymbol
 from mvcorr.fol import (
     BOT, CompiledFo, FoAnd, FoOr, Forall, FoVar, NomTV, Pred, Rel, degree_claim,
@@ -175,7 +176,7 @@ def test_identical_oracle_calls_charge_alike():
 def test_refused_degree_table_is_not_kept():
     phi = parse_formula("p -> []<>p", P)
     frame = next(iter_frames(P, 2))
-    cells = CompiledFo(P, degree_claim(phi), 2, frame.cells).cells
+    cells = fol._plan(P, degree_claim(phi), 2).cells
     small = Budget(cells - 1)
     for w in (0, 1):
         with pytest.raises(BudgetExceeded):
@@ -207,6 +208,19 @@ def test_the_named_axioms_plans_stay_cached():
     misses = fol._plan.cache_info().misses
     check_all()
     assert fol._plan.cache_info().misses == misses
+
+
+def test_one_plan_lookup_per_side_and_size(monkeypatch):
+    # sizes 1-2 and three-state samples: each side looks its plan up once per size
+    lookups = []
+    monkeypatch.setattr(oracle, "_plan", lambda *args: lookups.append(args) or fol._plan(*args))
+    text = "p -> []<>p"
+    report = correspondence_oracle(P, parse_formula(text, P), GAMMA, GAMMA_CORRESPONDENTS[text],
+                                   sizes=[1, 2], samples=4, sample_size=3, seed=1,
+                                   fo_threshold=P.top)
+    assert report.passed
+    assert sorted(size for _, _, size in lookups) == [1, 1, 2, 2, 3, 3]
+    assert len({f for _, f, _ in lookups}) == 2
 
 
 @pytest.mark.parametrize("text,value", [("p -> <>p", "gamma"), ("~p \\/ <>p", "1")])
@@ -247,7 +261,7 @@ def test_only_a_counterexample_builds_a_frame(monkeypatch):
     report = correspondence_oracle(P, phi, GAMMA, parse_fo("A y. R(x, y) =< R(y, x)", P),
                                    sizes=[1, 2])
     k = report.frames_checked - 5 - 1  # minimum 44 of size 2, in its second batch
-    assert (calls, k) == ([(P, 2)], 45)
+    assert (calls, k) == ([(P, 2, 45)], 45)
     assert report.counterexample.frame == list(iter_frames(P, 2))[k]
     beta = parse_fo("A y. A z. (x = y | y = z | x = z | (R(y, z) =< @gamma))", P)
     report = fo_agree(P, parse_fo("x = x", P), beta, sizes=[1, 2], threshold_alpha=P.top,
@@ -294,8 +308,8 @@ def reference_fo(alpha, threshold, budget):
     closed = reduce(lambda f, v: Forall(v, f), open_syms, alpha)
 
     def per_frame(frame):
-        budget.charge(CompiledFo(frame.algebra, closed, frame.size, frame.cells).cells)
-        kernel = CompiledFo(frame.algebra, alpha, frame.size, frame.cells)
+        budget.charge(fol._plan(frame.algebra, closed, frame.size).cells)
+        kernel = CompiledFo(fol._plan(frame.algebra, alpha, frame.size), frame.cells)
         return lambda w: all(
             frame.algebra.le(threshold, kernel.value({X: w, **dict(zip(open_syms, combo))}))
             for combo in product(range(frame.size), repeat=len(open_syms))
@@ -381,29 +395,69 @@ def outcome(scan, case, cap):
         return "refused", budget.used
 
 
-@pytest.mark.parametrize("frames_per_batch,cells_per_batch", [
-    (oracle.BATCH_FRAMES, fol.BATCH_CELLS),
-    (40, 2000),  # batches of 16, 32, 40, 40, ... frames, tables split inside them
-])
-@pytest.mark.parametrize("label", sorted(SCANS))
-def test_batches_charge_and_report_as_the_per_frame_loop(
-    monkeypatch, frames_per_batch, cells_per_batch, label
-):
-    # caps from one frame's cells - 1 to a full pass, most inside a batch
-    monkeypatch.setattr(oracle, "BATCH_FRAMES", frames_per_batch)
-    monkeypatch.setattr(fol, "BATCH_CELLS", cells_per_batch)
-    case, charges = SCANS[label], []
-    probe = Budget(10**12)
+def recorded(case):
+    """The per-frame loop's report and its charges, uncapped."""
+    charges, probe = [], Budget(10**12)
     real_charge = probe.charge
     probe.charge = lambda amount=1: charges.append(amount) or real_charge(amount)
-    want = reference(case, probe)
+    return reference(case, probe), charges
+
+
+def capped(want, charges, cap):
+    """The per-frame loop's outcome under `cap`: it refuses at the first
+    charge that takes it past the cap, having charged the same before."""
+    used = next((used for used in accumulate(charges) if used > cap), None)
+    return (want, sum(charges)) if used is None else ("refused", used)
+
+
+# the small ceiling splits each side's tables inside the batches of 16, 32, 64, ...
+CEILINGS = [BATCH_CELLS, 2000]
+
+
+@pytest.mark.parametrize("ceiling", CEILINGS)
+@pytest.mark.parametrize("label", sorted(SCANS))
+def test_batches_charge_and_report_as_the_per_frame_loop(monkeypatch, ceiling, label):
+    # caps from one frame's cells - 1 to a full pass, most inside a batch
+    monkeypatch.setattr(budgets, "BATCH_CELLS", ceiling)
+    case = SCANS[label]
+    want, charges = recorded(case)
     assert want[0] == label.startswith("PASS")
-    assert outcome(batched, case, 10**12) == (want, probe.used)
+    used = sum(charges)
+    assert outcome(batched, case, 10**12) == (want, used)
     rng = random.Random(label)
-    caps = {charges[0] - 1, charges[0], probe.used - 1, probe.used}
-    caps |= {rng.randrange(charges[0], probe.used) for _ in range(8)}
+    caps = {charges[0] - 1, charges[0], used - 1, used}
+    caps |= {rng.randrange(charges[0], used) for _ in range(8)}
     for cap in sorted(caps):
         assert outcome(batched, case, cap) == outcome(reference, case, cap), cap
+
+
+@pytest.mark.parametrize("ceiling", CEILINGS)
+@settings(deadline=None, max_examples=12)
+@given(st.integers(0, 10**6))
+def test_random_candidates_charge_and_report_as_the_per_frame_loop(ceiling, seed):
+    # a random candidate met with or joined to a named axiom's correspondent,
+    # or against itself or another candidate, with caps drawn inside the
+    # scan's batches
+    rng = random.Random(seed)
+    variables = rng.choice([("x",), ("x", "y"), ("y",)])
+    alpha = random_fo(rng, P, preds=(), variables=variables, depth=rng.choice([1, 2, 3]))
+    case = dict(samples=rng.randrange(3), seed=rng.randrange(100))
+    if rng.random() < 0.5:
+        text = rng.choice(sorted(GAMMA_CORRESPONDENTS))
+        corr = GAMMA_CORRESPONDENTS[text]
+        case.update(target=text, a=GAMMA,
+                    alpha=rng.choice([corr, FoAnd(corr, alpha), FoOr(alpha, corr)]))
+    else:
+        case.update(alpha=alpha, threshold=rng.randrange(P.n), beta=rng.choice([
+            alpha, FoOr(alpha, BOT), random_fo(rng, P, preds=(), variables=variables, depth=2)]))
+    want, charges = recorded(case)
+    used = sum(charges)
+    caps = {charges[0] - 1, used - 1, *(rng.randrange(charges[0], used + 1) for _ in range(6))}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(budgets, "BATCH_CELLS", ceiling)
+        assert outcome(batched, case, 10**12) == (want, used)
+        for cap in sorted(caps):
+            assert outcome(batched, case, cap) == capped(want, charges, cap), cap
 
 
 def test_an_open_symbol_costs_what_its_closure_costs():
@@ -501,18 +555,29 @@ def is_orbit_minimum(frame, group):
                for s in (range(frame.algebra.n), *group))
 
 
-def tabulated(monkeypatch):
-    """Per side (by formula), the frames its kernel runs cover, recorded
-    around `oracle.CompiledFo` as the benchmark's tracer wraps it."""
-    runs = Counter()
+def kernel_runs(monkeypatch):
+    """Per side (by formula), the frames of each of its kernel runs,
+    recorded around `oracle.CompiledFo` as the benchmark's tracer wraps it."""
+    runs, owner = {}, {}
 
-    def recording(alg, formula, *args, **kwargs):
-        kernel = CompiledFo(alg, formula, *args, **kwargs)
-        runs[formula] += kernel.frames
+    def planned(alg, formula, size):
+        plan = fol._plan(alg, formula, size)
+        owner[plan] = formula
+        return plan
+
+    def recording(plan, rels):
+        kernel = CompiledFo(plan, rels)
+        runs.setdefault(owner[plan], []).append(kernel.frames)
         return kernel
 
+    monkeypatch.setattr(oracle, "_plan", planned)
     monkeypatch.setattr(oracle, "CompiledFo", recording)
     return runs
+
+
+def covered(runs):
+    """Per side, the frames its kernel runs covered, in order."""
+    return sorted(map(sum, runs.values()))
 
 
 ALPHA, SWAP = P.element("alpha"), P.automorphisms[1]
@@ -522,19 +587,55 @@ B4, B8 = boolean_algebra("ab"), boolean_algebra("abc")
 def test_only_orbit_minima_are_tabulated(monkeypatch):
     # at gamma the alpha/beta swap joins the renamings: 4 + 189 + 4 frames per
     # side, of 634 counted; at alpha only the renamings, 5 + 325 + 4
-    runs = tabulated(monkeypatch)
+    runs = kernel_runs(monkeypatch)
     phi = parse_formula("<><>p -> <>p", P)
     for a, want in ((GAMMA, 4 + 189 + 4), (ALPHA, 5 + 325 + 4)):
         runs.clear()
         report = correspondence_oracle(P, phi, a, run_alba(phi, a, P).correspondent, sizes=[1, 2],
                                        samples=4, sample_size=3, seed=1, fo_threshold=P.top)
         assert report_tuple(report) == (True, 634, 1267)
-        assert sorted(runs.values()) == [want] * 2
+        assert covered(runs) == [want] * 2
     runs.clear()
     report = correspondence_oracle(P, phi, GAMMA, parse_fo("A y. R(x, y) =< R(y, x)", P),
                                    sizes=[1, 2])
     assert not report.passed and is_orbit_minimum(report.counterexample.frame, [SWAP])
-    assert report.counterexample.frame.size == 2 and max(runs.values()) < 4 + 189
+    assert report.counterexample.frame.size == 2 and max(covered(runs)) < 4 + 189
+
+
+def doubling(count, room):
+    """Batches of 16, 32, 64, ... frames, each at most `room`, over `count` frames."""
+    batches, take = [], 16
+    while count:
+        batches.append(min(take, room, count))
+        count, take = count - batches[-1], 2 * take
+    return batches
+
+
+def test_batches_double_up_to_the_ceiling_and_the_budget_s_room(monkeypatch):
+    # transitivity at gamma tabulates 4, 189 and 4 frames per size; each
+    # batch is one kernel run per side, under the wider side's ceiling
+    runs = kernel_runs(monkeypatch)
+    phi = parse_formula("<><>p -> <>p", P)
+    alpha = frame_property("transitive")
+    kw = dict(sizes=[1, 2], samples=4, sample_size=3, seed=1)
+    per = {size: [fol._plan(P, f, size).cells for f in (alpha, degree_claim(phi))]
+           for size in (1, 2, 3)}
+    for ceiling in (BATCH_CELLS, 10 * max(per[2]) + 1, 1):
+        monkeypatch.setattr(budgets, "BATCH_CELLS", ceiling)
+        runs.clear()
+        assert correspondence_oracle(P, phi, GAMMA, alpha, **kw).passed
+        want = [k for size, count in ((1, 4), (2, 189), (3, 4))
+                for k in doubling(count, max(ceiling // max(per[size]), 1))]
+        assert list(runs.values()) == [want] * 2
+        assert ceiling < BATCH_CELLS or want == [4, 16, 32, 64, 77, 4]
+    # a cap that leaves the first two-state batch room for 7 frames: the
+    # scan refuses inside it, as the per-frame loop does
+    monkeypatch.setattr(budgets, "BATCH_CELLS", BATCH_CELLS)
+    runs.clear()
+    cap = 5 * sum(per[1]) + 7 * sum(per[2])
+    with pytest.raises(BudgetExceeded):
+        correspondence_oracle(P, phi, GAMMA, alpha, budget=Budget(cap), **kw)
+    assert list(runs.values()) == [[4, 7]] * 2
 
 
 def test_the_group_fixes_thresholds_and_truth_constants(monkeypatch):
@@ -628,18 +729,49 @@ def test_the_store_keeps_each_minimum_s_cells(alg, group):
 
 
 def test_every_batch_holds_its_frames_cells():
-    # the minima of sizes 1-2, the first batches of six states (no minima
-    # kept) and the samples, each batch one flat buffer of its frames' cells
-    batches = chain(oracle._frames(P, [1, 2], 5, 3, 9, (SWAP,)),
-                    islice(oracle._frames(P, [6], 0, 3, 0, (SWAP,)), 2))
+    # the minima of sizes 1-2, the first 48 frames of six states (no minima
+    # kept) and the samples: each batch the scan builds is one flat buffer of
+    # its frames' cells
     seen = Counter()
-    for size, cells, places, frame in batches:
-        seen[size] += 1
-        width = size * size
-        assert len(cells) == width * (len(places) - 1)
-        for d in range(len(places) - 1):
-            assert frame(d).cells == cells[d * width:(d + 1) * width], (size, places[d])
+    runs = chain(oracle._frames(P, [1, 2], 5, 3, 9, (SWAP,)),
+                 islice(oracle._frames(P, [6], 0, 3, 0, (SWAP,)), 1))
+    for size, numbers, total, cells, frame in runs:
+        if size == 6:
+            numbers, total = range(48), 48
+        numbers, width = list(numbers), size * size
+
+        def verdicts(i, k):
+            seen[size] += 1
+            batch = cells(i, k)
+            assert len(batch) == width * k
+            for d in range(k):
+                assert frame(numbers[i + d]).cells == batch[d * width:(d + 1) * width]
+            return bytes(k), bytes(k)
+
+        assert budgets.scan(numbers, total, [1], Budget(10**9), verdicts) == (total, None)
     assert seen == {1: 1, 2: 4, 3: 1, 6: 2}
+
+
+@pytest.mark.parametrize("alg", [B2, B3], ids=["bool2", "chain3"])
+def test_a_frame_starts_the_enumeration_at_its_number(alg):
+    # from every frame of sizes 1-3, the rest of the order (at sizes 1-2) or
+    # that frame (at three states)
+    for size in (1, 2, 3):
+        every = list(iter_frames(alg, size))
+        for p, frame in enumerate(every):
+            if size < 3:
+                assert list(iter_frames(alg, size, p)) == every[p:], (size, p)
+            else:
+                assert next(iter_frames(alg, size, p)) == frame, p
+
+
+def test_a_counterexample_s_frame_costs_one_frame(monkeypatch):
+    # the frame getter builds paper-P's last three-state frame, and no other
+    built = []
+    monkeypatch.setattr(oracle, "Frame", lambda *args: built.append(args) or Frame(*args))
+    *_, frame = next(oracle._frames(P, [3], 0, 3, 0, (SWAP,)))
+    last = frame(P.n ** 9 - 1)
+    assert len(built) == 1 and last.rel == ((P.n - 1,) * 3,) * 3
 
 
 def test_minima_are_searched_once_and_only_as_far_as_read(monkeypatch):
@@ -675,9 +807,16 @@ def test_threads_reading_one_search_get_every_minimum(monkeypatch):
     got = [None] * 8
 
     def read(k):
-        batches = list(oracle._frames(P, [2], 0, 3, 0, (SWAP,)))
-        got[k] = ([p for _, _, places, _ in batches for p in places[:-1]],
-                  b"".join(cells for _, cells, _, _ in batches))
+        _, numbers, total, cells, _ = next(oracle._frames(P, [2], 0, 3, 0, (SWAP,)))
+        places, batches = [], []
+
+        def verdicts(i, n):
+            batches.append(cells(i, n))
+            return bytes(n), bytes(n)
+
+        budgets.scan((places.append(p) or p for p in numbers), total, [1], Budget(10**9),
+                     verdicts)
+        got[k] = places, b"".join(batches)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -704,7 +843,7 @@ PROPERTIES = {"p -> <>p": "reflexive", "<><>p -> <>p": "transitive",
                          ids=["bool2", "chain3"])
 def test_named_axioms_hold_on_every_three_state_frame(monkeypatch, alg, value, minima):
     # both candidates of each named axiom at sizes 1-3, every frame counted
-    runs = tabulated(monkeypatch)
+    runs = kernel_runs(monkeypatch)
     a, n = alg.element(value), alg.n
     for text, prop in PROPERTIES.items():
         res = run_alba(parse_formula(text, alg), a, alg)
@@ -715,7 +854,7 @@ def test_named_axioms_hold_on_every_three_state_frame(monkeypatch, alg, value, m
                                            fo_threshold=threshold, budget=Budget(10**9))
             assert report_tuple(report) == (True, n + n**4 + n**9,
                                             n + 2 * n**4 + 3 * n**9), (text, prop)
-            assert sorted(runs.values()) == [n + (n**4 + n**2) // 2 + minima] * 2
+            assert covered(runs) == [n + (n**4 + n**2) // 2 + minima] * 2
 
 
 # fails only on a frame with three states, every pair of them related both ways

@@ -19,11 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RULE_INPUTS, generated_inductive, paper_inequalities
-from mvcorr import stepcheck
+from mvcorr import budget as budgets, stepcheck
 from mvcorr.alba import RESERVED_CONOM, RESERVED_NOM, TraceStep, run_alba
-from mvcorr.budget import Budget
+from mvcorr.budget import BATCH_CELLS, Budget
 from mvcorr.errors import BudgetExceeded
-from mvcorr.fol import BATCH_CELLS
 from mvcorr.heyting import builtin_algebra, load_algebra
 from mvcorr.oracle import correspondence_oracle, iter_frames, sample_frames
 from mvcorr.randomgen import random_formula, random_frame
@@ -297,7 +296,8 @@ def test_bottom_up_codes_match_compile_eval(seed, size, reverse):
     # the axes by name, or reversed
     order = tuple(sorted(atoms(f), key=str, reverse=reverse))
     tables = _Tables([Inequality(f, f)], order)
-    tables.build(frame, None, lambda sizes: 0)
+    tables.plan(frame, lambda sizes: 0)
+    tables.build([frame])
     table = tables.tables[tables.slot[f]]
     fn = compile_eval(f, frame)
     # row-major over the axis order, then one element per state
@@ -407,6 +407,36 @@ def test_batches_take_as_many_frames_as_fit_under_the_ceiling(monkeypatch):
         tables = [f for f in built if stepcheck._reads_relation(f)]
         assert tables and {built[f] for f in tables} == {-(-5 // (share - 1))}
         monkeypatch.undo()
+
+
+def test_batches_double_up_to_the_ceiling_and_the_budget_s_room(monkeypatch):
+    # 40 two-state frames: batches of 16, then 32 or what is left, each at
+    # most the ceiling's share and what the budget left after its first
+    # frame can pay for; a refusal comes where the per-frame loop's does
+    step = _step("split-join", ["<>p \\/ []p <= []p"], ["<>p <= []p", "[]p <= []p"])
+    frames = sample_frames(P, 2, 40, seed=1010)
+    units = _charge(step, frames[0])
+    assert 32 * units <= BATCH_CELLS
+    built = []
+    build = _Tables.build
+    monkeypatch.setattr(_Tables, "build", lambda self, batch: built.append(len(batch))
+                        or build(self, batch))
+    for ceiling, cap, want in [
+        (BATCH_CELLS, 40 * units, [16, 24]),
+        (20 * units, 40 * units, [16, 20, 4]),
+        (12 * units + 5, 40 * units, [12, 12, 12, 4]),
+        (BATCH_CELLS, 20 * units, [16, 4]),
+        (BATCH_CELLS, 10 * units + 3, [10]),
+    ]:
+        monkeypatch.setattr(budgets, "BATCH_CELLS", ceiling)
+        built.clear()
+        budget = Budget(cap)
+        if cap < 40 * units:
+            with pytest.raises(BudgetExceeded):
+                verify_step(step, frames, budget)
+        else:
+            assert verify_step(step, frames, budget) is None
+        assert (built, budget.used) == (want, min(cap // units + 1, 40) * units), ceiling
 
 
 @cache
