@@ -17,7 +17,10 @@ Run it on two commits of a change that must not alter any output: equal
   of the 20 FAIL pairs of one axiom's correspondent at gamma against
   another axiom, and of one check refused inside size 2; of inputs whose
   truth constants, value or threshold are moved by the swap of alpha and
-  beta, against their ALBA correspondent and reflexivity;
+  beta, against their ALBA correspondent and reflexivity; of each named
+  axiom's ALBA correspondent at a (threshold top) checked at each b != a
+  where the swap moves a or b, so that a first disagreement found at the
+  swapped thresholds reports the later frame it implies;
 - `fo_agree`'s report and budget units, same frames: each named axiom's
   ALBA correspondent at gamma (threshold top) against its named frame
   property and against reflexivity, at thresholds gamma, alpha and 1;
@@ -25,6 +28,9 @@ Run it on two commits of a change that must not alter any output: equal
   (512) at 1 and of the three-element chain (19 683) at its middle
   element: each named axiom against its ALBA correspondent (threshold
   top) and its named frame property;
+- the same at sizes 1-2 plus 4 seeded three-state frames on the
+  eight-element Boolean algebra at the atom a, whose five automorphisms
+  other than the identity move a or fix it;
 - stepcheck's verdict, `sound` or the failure's text, and its budget
   units, on 8 seeded two-state frames, on 8 seeded frames alternating
   one and two states, and on 8 seeded frames in runs of 3 two-state, 1
@@ -37,7 +43,8 @@ Run it on two commits of a change that must not alter any output: equal
   it, and five spread between it and the full charge, each line the
   outcome or the refusal text and the units used, for the oracle on each
   named axiom's ALBA correspondent (threshold top) and named frame
-  property at gamma, for `fo_agree` on transitivity's correspondent
+  property at gamma, for the oracle on symmetry's correspondent at gamma
+  checked at alpha, for `fo_agree` on transitivity's correspondent
   against its property at gamma, and for stepcheck on every distinct
   trace step of the named axioms on the 8 seeded two-state frames.
 
@@ -49,13 +56,13 @@ import json
 import random
 import sys
 from dataclasses import replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 from mvcorr.alba import run_alba
 from mvcorr.budget import Budget
 from mvcorr.errors import BudgetExceeded
 from mvcorr.fol import frame_property, print_fo, simplify_display, to_dict
-from mvcorr.heyting import builtin_algebra, parse_algebra_text
+from mvcorr.heyting import builtin_algebra, load_algebra, parse_algebra_text
 from mvcorr.oracle import correspondence_oracle, fo_agree, sample_frames
 from mvcorr.randomgen import random_inequality
 from mvcorr.stepcheck import verify_step
@@ -195,6 +202,14 @@ def oracle_lines(alg) -> list[str]:
                 lines.append(oracle_line(label, alg, run.source, a, run.correspondent, alg.top))
             lines.append(oracle_line(f"{label} reflexive", alg, run.source, a,
                                      frame_property("reflexive")))
+    name, moved = alg.element_name, {alpha, alg.element("beta")}
+    for text in NAMED_AXIOMS:
+        for a in range(alg.n):
+            run = run_alba(parse_formula(text, alg), a, alg)
+            for b in range(alg.n):
+                if b != a and moved & {a, b}:
+                    lines.append(oracle_line(f"{text} @{name(a)} at {name(b)}", alg, run.source,
+                                             b, run.correspondent, alg.top))
     for text, run in runs.items():
         for prop in dict.fromkeys((PROPERTIES[text], "reflexive")):
             for threshold in (gamma, alpha, alg.top):
@@ -223,6 +238,23 @@ def three_state_lines() -> list[str]:
     return lines
 
 
+def boolean_lines() -> list[str]:
+    """The oracle on the eight-element Boolean algebra, as the test suite's
+    `boolean_algebra("abc")` builds it, at the atom a."""
+    subsets = [frozenset(c) for r in range(4) for c in combinations("abc", r)]
+    name = {s: "".join(sorted(s)) or "0" for s in subsets}
+    alg = load_algebra({"elements": list(name.values()),
+                        "leq": [[name[s], name[t]] for s in subsets for t in subsets if s <= t]})
+    a, lines = alg.element("a"), []
+    for text in NAMED_AXIOMS:
+        run = run_alba(parse_formula(text, alg), a, alg)
+        for alpha, threshold, against in ((run.correspondent, alg.top, "ALBA"),
+                                          (frame_property(PROPERTIES[text]), None, "property")):
+            lines.append(oracle_line(f"boolean abc {text} @a {against}", alg, run.source, a,
+                                     alpha, threshold))
+    return lines
+
+
 def ladder(check, builds: int) -> list[int]:
     """Caps below and at the first frame's charge, the sum of the first
     `builds` charges of `check(budget)`, and five between it and the full
@@ -246,6 +278,11 @@ def refusal_lines(alg, steps: list) -> list[str]:
                            alpha=alpha, threshold=threshold: correspondence_oracle(
                                alg, run.source, gamma, alpha, budget=budget,
                                fo_threshold=threshold, **FRAMES)))
+        if text == "p -> []<>p":
+            checks.append((f"oracle {text} @gamma at alpha", 2, lambda budget, run=run:
+                           correspondence_oracle(alg, run.source, alg.element("alpha"),
+                                                 run.correspondent, budget=budget,
+                                                 fo_threshold=alg.top, **FRAMES)))
         if text == "<><>p -> <>p":
             checks.append((f"fo_agree {text} @gamma transitive", 2, lambda budget, run=run:
                            fo_agree(alg, run.correspondent, frame_property("transitive"),
@@ -275,6 +312,7 @@ def main() -> int:
         lines += [f"svb {text}", print_fo(alpha), print_fo(simplify_display(alpha))]
     lines += oracle_lines(alg)
     lines += three_state_lines()
+    lines += boolean_lines()
     lines += stepcheck_lines(steps, alg)
     lines += refusal_lines(alg, named_steps)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -26,8 +26,8 @@ first-order correspondent (the reserved `c_i0` becomes the free variable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Optional
 
 from .errors import StepCapExceeded
@@ -112,24 +112,38 @@ class AlbaBranch:
 
 @dataclass
 class AlbaResult:
+    """A run's status and trace; its outputs are built from the branches
+    on first use, and are empty (`None`, `[]`, "") when it did not succeed."""
+
     status: str  # success | failure | step-cap
     algebra: HeytingAlgebra
     value: int
     source: Inequality  # lhs <= rhs before the @a conjunct is added
     pre_steps: list[TraceStep]
     branches: list[AlbaBranch]
-    quasi: list[QuasiInequality] = field(default_factory=list)
-    correspondent: Optional[Fo] = None
-    correspondent_global: Optional[Fo] = None
 
     @property
     def succeeded(self) -> bool:
         return self.status == "success"
 
-    @property
+    @cached_property
+    def quasi(self) -> list[QuasiInequality]:
+        return [branch_quasi(b.system) for b in self.branches] if self.succeeded else []
+
+    @cached_property
+    def correspondent(self) -> Optional[Fo]:
+        """The conjunction of the branches' correspondents, x free."""
+        if not self.succeeded:
+            return None
+        return _conjoin([branch_correspondent(b.system) for b in self.branches])
+
+    @cached_property
+    def correspondent_global(self) -> Optional[Fo]:
+        return None if self.correspondent is None else Forall(FoVar("x"), self.correspondent)
+
+    @cached_property
     def display(self) -> str:
-        """The correspondent as `simplify_display` normalises it, printed;
-        empty when the run did not succeed."""
+        """The correspondent as `simplify_display` normalises it, printed."""
         if not self.succeeded:
             return ""
         return print_fo(simplify_display(self.correspondent))
@@ -554,13 +568,5 @@ def run_alba(
         if not ok:
             status = "failure"
 
-    result = AlbaResult(status=status, algebra=alg, value=a, source=source,
-                        pre_steps=pre_steps, branches=branches)
-    if status != "success":
-        return result
-
-    result.quasi = [branch_quasi(b.system) for b in branches]
-    parts = [branch_correspondent(b.system) for b in branches]
-    result.correspondent = _conjoin(parts)
-    result.correspondent_global = Forall(FoVar("x"), result.correspondent)
-    return result
+    return AlbaResult(status=status, algebra=alg, value=a, source=source,
+                      pre_steps=pre_steps, branches=branches)

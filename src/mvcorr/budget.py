@@ -21,14 +21,18 @@ of 16, 32, 64, ... frames, each within `BATCH_CELLS` cells for its widest
 build and no longer than the budget left after its first frame can pay
 for.  That first frame is charged build by build before anything is built;
 once the batch's two verdict strings are compared, the frames after it are
-charged up to the first disagreement, in one sum or up to the frame and
-build the budget refuses.  A tabulated frame stands for the untabulated
-frames after it (the oracle's orbit minima), counted and charged with it.
-So `used`, the counts and the point of refusal are those of one table per
-frame, checked in order.  The oracle's re-read of a counterexample and its
-search for orbit minima are not charged.  When the budget runs out a
-verifier raises BudgetExceeded: a result is never partial.  A negative cap,
-given or from MVCORR_BUDGET, raises ValueError.
+charged up to the first place a disagreement implies, in one sum or up to
+the frame and build the budget refuses.  A tabulated frame stands for the
+untabulated frames after it (the oracle's orbit minima), counted and
+charged with it, and its disagreement may imply a first disagreeing frame
+after it (the oracle's image of a minimum under an automorphism that
+moves the thresholds): the scan keeps the least place implied and goes on
+while the next tabulated frame comes before it.  Stepcheck's places are
+its own frames.  So `used`, the counts and the point of refusal are those
+of one table per frame, checked in order.  The oracle's re-read of a
+counterexample and its search for orbit minima are not charged.  When the
+budget runs out a verifier raises BudgetExceeded: a result is never
+partial.  A negative cap, given or from MVCORR_BUDGET, raises ValueError.
 """
 
 from __future__ import annotations
@@ -78,18 +82,21 @@ class Budget:
 
 
 def scan(numbers: Iterable[int], total: int, builds: Sequence[int], budget: Budget,
-         verdicts: Callable[[int, int], tuple[bytes, bytes]]
-         ) -> tuple[int, Optional[tuple[int, int, int, int, int]]]:
+         verdicts: Callable[[int, int], tuple[bytes, bytes]],
+         implied: Callable[[int, int, bytes, bytes], int] = lambda place, *_: place,
+         ) -> tuple[int, Optional[tuple[int, int, int, int]]]:
     """Check a run of `total` frames of one size, batch by batch.  `numbers`
     are the places, increasing, of the frames tabulated; `builds` a frame's
     charges, in order; `verdicts(i, k)` builds tabulated frames i to
     i + k - 1 and gives their two verdict strings, in equal slices per
-    frame.  The frames counted, and at the first disagreement the frame's
-    place, its index in the batch, the byte's offset in its slice and the
-    two bytes there."""
+    frame; `implied(place, d, lhs, rhs)` the place of the first frame that
+    the disagreeing slices of the batch's d-th frame, at `place`, imply,
+    never before it (by default that frame).  The frames counted, and at
+    the least implied place the place, and in the slices that implied it
+    the first differing byte's offset and the two bytes there."""
     per, places = sum(builds), chain(numbers, [total])
     # a short first batch leaves few frames built past an early disagreement
-    counted, i, take, first = 0, 0, 16, next(places)
+    counted, i, take, first, found = 0, 0, 16, next(places), None
     while first < total:
         for cells in builds:
             budget.charge(cells)
@@ -97,16 +104,25 @@ def scan(numbers: Iterable[int], total: int, builds: Sequence[int], budget: Budg
         batch = [first, *islice(places, room)]  # the batch's places, then the next
         k = len(batch) - 1
         lhs, rhs = verdicts(i, k)
-        j = len(lhs) if lhs == rhs else next(j for j, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-        d, cell = divmod(j, len(lhs) // k)  # d == k where all agree
-        covered = (batch[d] + 1 if d < k else batch[k]) - first
+        span = len(lhs) // k
+        for d in range(k) if lhs != rhs else ():
+            if found and found[0] <= batch[d]:
+                break
+            left, right = lhs[d * span:(d + 1) * span], rhs[d * span:(d + 1) * span]
+            if left != right:
+                place = implied(batch[d], d, left, right)
+                if not found or place < found[0]:
+                    j = next(j for j in range(span) if left[j] != right[j])
+                    found = place, j, left[j], right[j]
+        # the frames before the next tabulated one, or up to the place found
+        covered = (batch[k] if not found or found[0] >= batch[k] else found[0] + 1) - first
         paid = min(covered - 1, (budget.cap - budget.used) // per)
         budget.charge(paid * per)
         if paid < covered - 1:
             for cells in builds:
                 budget.charge(cells)  # one of them raises
         counted += covered
-        if d < k:
-            return counted, (batch[d], d, cell, lhs[j], rhs[j])
+        if found and found[0] < batch[k]:
+            return counted, found
         i, first, take = i + k, batch[k], 2 * take
     return counted, None

@@ -219,7 +219,7 @@ def _first_failure(step: TraceStep, frames: Iterable[Frame], budget: Budget | No
         _, found = scan(range(len(run)), len(run), [tables.plan(run[0], charge)], budget,
                         lambda i, k: verdicts(tables.build(run[i:i + k])))
         if found:
-            d, _, cell, lhs, rhs = found
+            d, cell, lhs, rhs = found
             return StepFailure(step, run[d], describe(run[d], cell, lhs, rhs))
     return None
 

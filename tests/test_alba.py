@@ -5,7 +5,10 @@ from collections import Counter
 import pytest
 
 from conftest import RULE_INPUTS
+import mvcorr.alba as alba
 from mvcorr.alba import (
+    branch_correspondent,
+    branch_quasi,
     first_approximation,
     preprocess,
     reduce_system,
@@ -13,7 +16,8 @@ from mvcorr.alba import (
 )
 from mvcorr.budget import Budget
 from mvcorr.errors import StepCapExceeded
-from mvcorr.fol import FoVar, frame_property, parse_fo, print_fo, simplify_display
+from mvcorr.fol import (FoVar, Forall, _conjoin, frame_property, parse_fo, print_fo,
+                        simplify_display, to_dict)
 from mvcorr.heyting import builtin_algebra
 from mvcorr.oracle import correspondence_oracle, sample_frames
 from mvcorr.stepcheck import verify_trace
@@ -302,6 +306,32 @@ def test_display_is_the_normalised_correspondent():
     res = run_alba(parse_formula("<>p -> <><>p", P), GAMMA, P)
     assert res.display == print_fo(simplify_display(res.correspondent))
     assert run_alba(parse_inequality("[](p \\/ q) <= <>(p /\\ q)", P), GAMMA, P).display == ""
+
+
+def test_outputs_are_built_on_first_read(monkeypatch):
+    # a run that only reports its status and trace never translates a branch
+    built = []
+    monkeypatch.setattr(alba, "branch_correspondent",
+                        lambda system: built.append(system) or branch_correspondent(system))
+    res = run_alba(parse_formula("<><>p -> <>p", P), GAMMA, P)
+    assert res.succeeded and res.all_steps() and built == []
+    assert res.correspondent is res.correspondent
+    assert built == [b.system for b in res.branches]
+
+
+@pytest.mark.parametrize("text", ["p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p",
+                                  "[]p -> <>p"])
+def test_outputs_are_the_conjunction_of_the_branches(text):
+    # every value: the printed, JSON and display outputs of the run are
+    # those of the branches' correspondents conjoined in order
+    for a in range(P.n):
+        res = run_alba(parse_formula(text, P), a, P)
+        alpha = _conjoin([branch_correspondent(b.system) for b in res.branches])
+        assert print_fo(res.correspondent) == print_fo(alpha)
+        assert to_dict(res.correspondent) == to_dict(alpha)
+        assert res.display == print_fo(simplify_display(alpha))
+        assert res.correspondent_global == Forall(X, alpha)
+        assert res.quasi == [branch_quasi(b.system) for b in res.branches]
 
 
 def test_transitivity_axiom_output_oracle_equivalent():

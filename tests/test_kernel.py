@@ -434,14 +434,17 @@ def test_values_commute_with_the_swap_that_fixes_the_constants(seed, size):
         assert after.value(env) == SWAP[before.value(env)]
 
 
-def test_a_constant_or_threshold_the_swap_moves_leaves_it_out_of_the_group():
+def test_a_constant_the_swap_moves_leaves_it_out_of_the_group():
     # the control: @alpha keeps its value on the swapped frame instead of
     # taking the swapped one, so the oracle's group drops the swap once
-    # @alpha occurs, or once a or a threshold is alpha
+    # @alpha occurs; a threshold the swap moves keeps it, read at its image
     frame = Frame(P, ("w",), ((ALPHA,),))
     with_alpha = FoOr(Rel(X, X), fol.TruthConst("alpha", ALPHA))
     assert single_frame(swapped(frame), with_alpha).value({X: 0}) == P.join(
         SWAP[ALPHA], ALPHA) != SWAP[single_frame(frame, with_alpha).value({X: 0})]
+    for t in range(P.n):
+        assert (P.le(t, single_frame(swapped(frame), Rel(X, X)).value({X: 0}))
+                == P.le(SWAP.index(t), single_frame(frame, Rel(X, X)).value({X: 0})))
 
     def group(*sides):
         return oracle._symmetries(P, *(oracle._Truth(P, f, t) for f, t in sides))
@@ -449,8 +452,8 @@ def test_a_constant_or_threshold_the_swap_moves_leaves_it_out_of_the_group():
     assert group((Rel(X, X), GAMMA), (fol.degree_claim(parse_formula("p -> <>p", P)), P.top)) \
         == (SWAP,)
     assert group((with_alpha, GAMMA)) == ()
-    assert group((Rel(X, X), ALPHA)) == ()
-    assert group((Rel(X, X), GAMMA), (Rel(X, X), ALPHA)) == ()
+    assert group((Rel(X, X), ALPHA)) == (SWAP,)
+    assert group((Rel(X, X), GAMMA), (Rel(X, X), ALPHA)) == (SWAP,)
     assert group((Rel(X, X), GAMMA), (fol.degree_claim(parse_formula("p /\\ @beta -> <>p", P)),
                                       GAMMA)) == ()
 

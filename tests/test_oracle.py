@@ -6,7 +6,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from functools import reduce
+from functools import cache, partial, reduce
 from itertools import accumulate, chain, islice, permutations, product
 
 import pytest
@@ -638,31 +638,50 @@ def test_batches_double_up_to_the_ceiling_and_the_budget_s_room(monkeypatch):
     assert list(runs.values()) == [[4, 7]] * 2
 
 
-def test_the_group_fixes_thresholds_and_truth_constants(monkeypatch):
-    # the swap is kept only while a, both thresholds and every constant are
-    # fixed by it; the orbit minima of each size are read with that group
-    groups = []
+def test_the_group_fixes_truth_constants_and_reads_threshold_images(monkeypatch):
+    # the swap is kept unless it moves a truth constant of either side; each
+    # minimum is read at the thresholds, then at their image under the swap
+    # where that differs
+    groups, pairs = [], []
     monkeypatch.setattr(oracle, "_orbit_minima",
                         lambda n, size, group: groups.append(group) or iter([0]))
+    frames = oracle._frames
+
+    def recording(*args):
+        for run in frames(*args):
+            pairs.append(run.pairs)
+            yield run
+
+    monkeypatch.setattr(oracle, "_frames", recording)
+    beta = P.element("beta")
     t = parse_formula("p -> <>p", P)
     reflexive = frame_property("reflexive")
-    for a, alpha, threshold, kept in [
-        (GAMMA, reflexive, None, True), (P.top, reflexive, None, True),
-        (P.bot, reflexive, GAMMA, True), (ALPHA, reflexive, None, False),
-        (GAMMA, reflexive, ALPHA, False),
-        (GAMMA, parse_fo("R(x, x) | @gamma", P), None, True),
-        (GAMMA, parse_fo("R(x, x) | @alpha", P), None, False),
+    for a, alpha, threshold, kept, read in [
+        (GAMMA, reflexive, None, True, [(GAMMA, GAMMA)]),
+        (P.top, reflexive, None, True, [(P.top, P.top)]),
+        (P.bot, reflexive, GAMMA, True, [(P.bot, GAMMA)]),
+        (ALPHA, reflexive, None, True, [(ALPHA, ALPHA), (beta, beta)]),
+        (GAMMA, reflexive, ALPHA, True, [(GAMMA, ALPHA), (GAMMA, beta)]),
+        (beta, reflexive, P.top, True, [(beta, P.top), (ALPHA, P.top)]),
+        (GAMMA, parse_fo("R(x, x) | @gamma", P), None, True, [(GAMMA, GAMMA)]),
+        (GAMMA, parse_fo("R(x, x) | @alpha", P), None, False, [(GAMMA, GAMMA)]),
+        (ALPHA, parse_fo("R(x, x) | @alpha", P), None, False, [(ALPHA, ALPHA)]),
     ]:
         groups.clear()
+        pairs.clear()
         correspondence_oracle(P, t, a, alpha, sizes=[1], fo_threshold=threshold)
         assert groups == [(SWAP,) if kept else ()], (a, str(alpha), threshold)
+        assert pairs == [tuple(read)], (a, str(alpha), threshold)
     groups.clear()
-    correspondence_oracle(P, parse_formula("p /\\ @beta -> <>p", P), GAMMA, reflexive, sizes=[1])
+    correspondence_oracle(P, parse_formula("p /\\ @beta -> <>p", P), ALPHA, reflexive, sizes=[1])
     assert groups == [()]
-    for thresholds, kept in (((GAMMA, P.top), True), ((GAMMA, ALPHA), False)):
+    for thresholds, read in (((GAMMA, P.top), [(GAMMA, P.top)]),
+                             ((GAMMA, ALPHA), [(GAMMA, ALPHA), (GAMMA, beta)])):
         groups.clear()
-        fo_agree(P, reflexive, parse_fo("R(x, x) & @1", P), [1], *thresholds)
-        assert groups == [(SWAP,) if kept else ()]
+        pairs.clear()
+        fo_agree(P, reflexive, parse_fo("R(x, x) & @1", P), [1], *thresholds, samples=1)
+        assert groups == [(SWAP,)]
+        assert pairs == [tuple(read), (thresholds,)]  # the samples at the thresholds only
 
 
 def test_the_group_is_dropped_past_120_images(monkeypatch):
@@ -672,11 +691,204 @@ def test_the_group_is_dropped_past_120_images(monkeypatch):
     calls = []
     monkeypatch.setattr(oracle, "_orbit_minima",
                         lambda n, size, group: calls.append((size, len(group))) or iter([0]))
-    list(oracle._frames(P, [1, 2, 3, 4, 5], 0, 3, 0, (SWAP,)))
+    list(oracle._frames(P, [1, 2, 3, 4, 5], 0, 3, 0, (SWAP,), (P.top, P.top)))
     assert calls == [(1, 1), (2, 1), (3, 1), (4, 1), (5, 0)]
     calls.clear()
-    list(oracle._frames(B8, [3, 4], 0, 3, 0, B8.automorphisms[1:]))
+    list(oracle._frames(B8, [3, 4], 0, 3, 0, B8.automorphisms[1:], (B8.top, B8.top)))
     assert calls == [(3, 5), (4, 0)]
+
+
+def threshold_fixing(alg, *sides):
+    """The group before it kept the maps that move a threshold: only those
+    that fix both thresholds as well, so every minimum is read at the
+    thresholds alone."""
+    return tuple(s for s in alg.automorphisms[1:]
+                 if all(s[v] == v for side in sides for v in side.constants | {side.threshold}))
+
+
+def kernel_frames(check, budget, group=None):
+    """`check(budget)`'s report or refusal text, the units used and the
+    frames handed to `oracle.CompiledFo`, under `group`'s rule if given."""
+    frames = []
+
+    def recording(plan, rels):
+        kernel = CompiledFo(plan, rels)
+        frames.append(kernel.frames)
+        return kernel
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "CompiledFo", recording)
+        if group is not None:
+            patch.setattr(oracle, "_symmetries", group)
+        try:
+            got = report_tuple(check(budget))
+        except BudgetExceeded as exc:
+            got = str(exc)
+    return got, budget.used, sum(frames)
+
+
+@cache
+def alba_correspondent(alg, text, a):
+    return run_alba(parse_formula(text, alg), a, alg)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6))
+def test_threshold_images_report_and_charge_as_the_threshold_fixing_group(seed):
+    # a named axiom's ALBA correspondent at a checked at b (FAIL mostly where
+    # a != b), its named property at b (PASS), the two against each other in
+    # fo_agree, or another axiom's property (FAIL mostly, with no truth
+    # constant, so every image of b is read), at sizes 1-2 plus samples,
+    # uncapped and under a cap
+    rng = random.Random(seed)
+    alg = rng.choice([P, B4, B8])
+    text, other = rng.sample(sorted(PROPERTIES), 2)
+    a, b, c = rng.randrange(alg.n), rng.randrange(alg.n), rng.randrange(alg.n)
+    run, prop = alba_correspondent(alg, text, a), frame_property(PROPERTIES[text])
+    kw = dict(sizes=[1, 2], samples=rng.randrange(3), sample_size=3, seed=rng.randrange(100))
+    check = rng.choice([
+        lambda budget: correspondence_oracle(alg, run.source, b, run.correspondent,
+                                             fo_threshold=alg.top, budget=budget, **kw),
+        lambda budget: correspondence_oracle(alg, run.source, b, prop, budget=budget, **kw),
+        lambda budget: fo_agree(alg, run.correspondent, prop, threshold_alpha=alg.top,
+                                threshold_beta=b, budget=budget, **kw),
+        lambda budget: correspondence_oracle(alg, run.source, b, frame_property(PROPERTIES[other]),
+                                             budget=budget, **kw),
+        lambda budget: fo_agree(alg, prop, frame_property(PROPERTIES[other]), threshold_alpha=b,
+                                threshold_beta=c, budget=budget, **kw),
+    ])
+    want, used, frames = kernel_frames(check, Budget(10**12), threshold_fixing)
+    got = kernel_frames(check, Budget(10**12))
+    assert got[:2] == (want, used) and got[2] <= frames
+    cap = rng.randrange(used + 1)
+    assert kernel_frames(check, Budget(cap))[:2] == kernel_frames(
+        check, Budget(cap), threshold_fixing)[:2], cap
+
+
+def record_implied(monkeypatch, implied):
+    """Append the cells and the implied place of each disagreement at a
+    moved threshold pair to `implied`."""
+    group = oracle._group
+
+    def recording(*args):
+        kept, pairs, place = group(*args)
+        return kept, pairs, lambda cells, k: implied.append((cells, place(cells, k))) or \
+            implied[-1][1]
+
+    monkeypatch.setattr(oracle, "_group", recording)
+
+
+def test_a_disagreement_at_a_moved_threshold_implies_a_later_counterexample(monkeypatch):
+    # symmetry's correspondent at gamma checked at alpha: two-state minimum 10
+    # first disagrees at (beta, 1), the image of (alpha, 1) under the swap,
+    # which implies frame 15, the least of its swapped frame's orbit (no
+    # renaming needed); no earlier minimum disagrees at (alpha, 1)
+    implied = []
+    record_implied(monkeypatch, implied)
+    run = alba_correspondent(P, "p -> []<>p", GAMMA)
+    check = partial(correspondence_oracle, P, run.source, ALPHA, run.correspondent, sizes=[1, 2],
+                    fo_threshold=P.top)
+    got = kernel_frames(lambda budget: check(budget=budget), Budget(10**12))
+    want = kernel_frames(lambda budget: check(budget=budget), Budget(10**12), threshold_fixing)
+    assert got[:2] == want[:2] and got[2] < want[2]
+    assert implied[0] == (list(iter_frames(P, 2))[10].cells,
+                          (15, (0, 1), list(iter_frames(P, 2))[15].cells))
+    ce = check().counterexample
+    assert ce.frame == list(iter_frames(P, 2))[15] and not is_orbit_minimum(ce.frame, [SWAP])
+    assert report_tuple(check())[:3] == (False, 5 + 16, 5 + 2 * 15 + 2)
+
+
+# x's loop is alpha or beta and y's the other, with R(x, y) = 1 and R(y, x) = 0
+DIAGONAL = "(R({0}, {0}) =< @gamma) & ((R({0}, {0}) =< @0) -> @0) & ((@gamma =< R({0}, {0})) -> @0)"
+CROSSED = (f"E y. (x != y & (@1 =< R(x, y)) & (R(y, x) =< @0) & {DIAGONAL.format('x')} & "
+           f"{DIAGONAL.format('y')} & ((R(x, x) =< R(y, y)) -> @0))")
+
+
+def test_an_implied_counterexample_is_read_through_its_renaming(monkeypatch):
+    # at alpha, "crossed x implies ~R(x, x)" fails where x's loop is alpha:
+    # minimum 258, [[alpha, 0], [1, beta]], disagrees only at beta, at w1;
+    # its swap [[beta, 0], [1, alpha]] renamed is frame 278, whose w0 is w1
+    implied = []
+    record_implied(monkeypatch, implied)
+    left = parse_fo(f"({CROSSED}) -> (R(x, x) -> @0)", P)
+
+    def check(budget):
+        return fo_agree(P, left, parse_fo("x = x", P), sizes=[1, 2], threshold_alpha=ALPHA,
+                        threshold_beta=P.top, budget=budget)
+
+    got = kernel_frames(check, Budget(10**12))
+    assert [place for _, place in implied] == [(278, (1, 0), bytes([ALPHA, P.top, P.bot, 3]))]
+    assert got[0] == (False, 5 + 279, 5 + 2 * 278 + 1, ((ALPHA, P.top), (P.bot, P.element("beta"))),
+                      0, False, True)
+    want = kernel_frames(check, Budget(10**12), threshold_fixing)
+    assert got[:2] == want[:2] and got[2] < want[2]
+
+
+@pytest.mark.parametrize("alg", [P, B8], ids=["paper-P", "B8"])
+def test_an_implied_frame_holds_at_the_thresholds_where_its_minimum_holds_at_the_pair(alg):
+    # every cell of the implied frame is at least a threshold exactly where
+    # the minimum's cell it comes from is at least the pair's threshold
+    group, size = alg.automorphisms[1:], 2
+    numbers = list(oracle._orbit_minima(alg.n, size, group))
+    cells = oracle._minima(alg.n, size, group).read(0, len(numbers))
+    for thresholds in product(range(alg.n), repeat=2):
+        kept, pairs, implied = oracle._group(alg, size, group, thresholds)
+        assert pairs[0] == thresholds and len(set(pairs)) == len(pairs)
+        for i in range(len(numbers)):
+            frame = cells[i * size * size:(i + 1) * size * size]
+            for k in range(1, len(pairs)):
+                _, perm, image = implied(frame, k)
+                for t, pair in zip(thresholds, pairs[k]):
+                    assert [alg.le(t, v) for v in image] == [
+                        alg.le(pair, frame[perm[a] * size + perm[b]])
+                        for a in range(size) for b in range(size)], (thresholds, i, k)
+
+
+def test_the_least_place_over_every_disagreeing_pair_is_reported():
+    # a one-state minimum [a] of the eight-element Boolean algebra read at
+    # thresholds a, b and c disagrees with "x = x" at b and c; whichever
+    # pair implies the earlier place names the counterexample
+    a, b, c = (B8.element(name) for name in "abc")
+    for places in ((7, 5), (5, 7)):
+        frames = {places[0]: c, places[1]: b}  # any one-state frames stand in
+
+        def implied(cells, k):
+            return places[k - 1], (0,), bytes([frames[places[k - 1]]])
+
+        run = oracle.Run(1, [0], 8, lambda i, k: bytes([a]),
+                         lambda p: Frame(B8, ("w0",), ((frames[p],),)),
+                         ((a, B8.top), (b, B8.top), (c, B8.top)), implied)
+        left, right = oracle._Truth(B8, Rel(X, X), a), oracle._Truth(B8, parse_fo("x = x", B8),
+                                                                    B8.top)
+        report = oracle._first_disagreement([run], left, right, Budget(), ("left", "right"))
+        assert report.frames_checked == 6 and report.counterexample.frame.rel == ((frames[5],),)
+
+
+@pytest.mark.parametrize("alg", [P, B8], ids=["paper-P", "B8"])
+def test_an_implied_place_is_the_least_of_the_image_s_orbit(alg):
+    # every two-state minimum moved by each automorphism, its orbit taken
+    # under the renamings and the automorphisms that fix a threshold t
+    group, size = alg.automorphisms[1:], 2
+    numbers = list(oracle._orbit_minima(alg.n, size, group))
+    cells = oracle._minima(alg.n, size, group).read(0, len(numbers))
+    every = list(product(range(alg.n), repeat=size * size))
+    maps = list(map(oracle._padded, alg.automorphisms))
+    for t in range(alg.n):
+        fixing = tuple(h for h in group if h[t] == t)
+        for i in range(len(numbers)):
+            frame = cells[i * size * size:(i + 1) * size * size]
+            for k, s in enumerate(alg.automorphisms):
+                place, perm, least = oracle._implied(
+                    alg.n, size, maps, list(map(oracle._padded, fixing)), frame, k)
+                assert least == bytes(every[place])
+                images = {tuple(h[s[frame[p[a] * size + p[b]]]] for a in range(size)
+                                for b in range(size))
+                          for h in (alg.automorphisms[0], *fixing)
+                          for p in permutations(range(size))}
+                assert every[place] == min(images), (t, i, k)
+                assert any(every[place] == tuple(h[s[frame[perm[a] * size + perm[b]]]]
+                                                 for a in range(size) for b in range(size))
+                           for h in (alg.automorphisms[0], *fixing)), (t, i, k)
 
 
 def least_of_orbits(alg, size):
@@ -733,9 +945,9 @@ def test_every_batch_holds_its_frames_cells():
     # kept) and the samples: each batch the scan builds is one flat buffer of
     # its frames' cells
     seen = Counter()
-    runs = chain(oracle._frames(P, [1, 2], 5, 3, 9, (SWAP,)),
-                 islice(oracle._frames(P, [6], 0, 3, 0, (SWAP,)), 1))
-    for size, numbers, total, cells, frame in runs:
+    runs = chain(oracle._frames(P, [1, 2], 5, 3, 9, (SWAP,), (P.top, P.top)),
+                 islice(oracle._frames(P, [6], 0, 3, 0, (SWAP,), (P.top, P.top)), 1))
+    for size, numbers, total, cells, frame, *_ in runs:
         if size == 6:
             numbers, total = range(48), 48
         numbers, width = list(numbers), size * size
@@ -769,7 +981,7 @@ def test_a_counterexample_s_frame_costs_one_frame(monkeypatch):
     # the frame getter builds paper-P's last three-state frame, and no other
     built = []
     monkeypatch.setattr(oracle, "Frame", lambda *args: built.append(args) or Frame(*args))
-    *_, frame = next(oracle._frames(P, [3], 0, 3, 0, (SWAP,)))
+    frame = next(oracle._frames(P, [3], 0, 3, 0, (SWAP,), (P.top, P.top))).frame
     last = frame(P.n ** 9 - 1)
     assert len(built) == 1 and last.rel == ((P.n - 1,) * 3,) * 3
 
@@ -807,7 +1019,8 @@ def test_threads_reading_one_search_get_every_minimum(monkeypatch):
     got = [None] * 8
 
     def read(k):
-        _, numbers, total, cells, _ = next(oracle._frames(P, [2], 0, 3, 0, (SWAP,)))
+        _, numbers, total, cells, *_ = next(oracle._frames(P, [2], 0, 3, 0, (SWAP,),
+                                                         (P.top, P.top)))
         places, batches = [], []
 
         def verdicts(i, n):

@@ -49,3 +49,14 @@ def test_output_digest_prints_one_sha256_line():
     done = run_script("output_digest.py")
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(r"sha256 [0-9a-f]{64}\n", done.stdout), done.stdout
+
+
+def test_ab_passes_compares_the_repository_with_itself():
+    done = run_script("ab_passes.py", str(ROOT), str(ROOT), "--workload", "stepcheck-traces",
+                      "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    rows = [row for row in done.stdout.splitlines() if not row.startswith("#")]
+    assert [row.split()[0] for row in rows] == ["jobs_per_s", "verdict_s.p50", "verdict_s.tail"]
+    for row in rows:
+        assert re.fullmatch(r"\S+ first [\d.e-]+ second [\d.e-]+ ratio [\d.]+ "
+                            r"second better in [012] of 2", row), row
