@@ -9,6 +9,9 @@ Run it on two commits of a change that must not alter any output: equal
   acceptance criterion 8, at every value of paper-P;
 - the same for the regression corpus (the paper's 9 inequalities and 12
   seeded random inductive ones) at gamma;
+- the display of the staircases `<>^(h-1) p -> ... -> <>p -> p` of heights
+  3-8 at gamma, whose normal forms take up to 36 whole-tree rounds of
+  rewriting;
 - the Sahlqvist-van Benthem correspondent and display of the classical
   corpus;
 - the oracle's report and budget units at sizes 1-2 plus 4 seeded
@@ -84,6 +87,7 @@ CLASSICAL = (
     "[](p -> <>p)",
     "(p -> <>p) \\/ (q -> <><>q)",
 )
+STAIRCASES = tuple(" -> ".join("<>" * k + "p" for k in range(h - 1, -1, -1)) for h in range(3, 9))
 PAPER_INEQUALITIES = (
     "p <= <>p",
     "<><>p <= <>p",
@@ -307,6 +311,9 @@ def main() -> int:
             named_steps = list(steps)
     for ineq in regression_corpus(alg):
         lines += alba_lines(ineq, alg.element("gamma"), alg, steps)
+    for text in STAIRCASES:
+        run = run_alba(parse_input(text, alg), alg.element("gamma"), alg)
+        lines += [f"alba {text} @gamma display", run.display]
     for text in CLASSICAL:
         alpha = svb_correspondent(parse_formula(text, alg))
         lines += [f"svb {text}", print_fo(alpha), print_fo(simplify_display(alpha))]

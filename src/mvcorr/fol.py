@@ -14,9 +14,12 @@ variable occurs both free and bound, distinct quantifiers bind distinct
 variables).  `degree_claim` extends it to the second-order validity
 degree, which is how the oracles check the modal side; `validity_claim`,
 the sentence of local a-validity, stays as its specification.
-`simplify_display` normalises a clean formula by sound rewrites, among
-them the density rules that eliminate nominal and co-nominal symbols; a
-display is its output printed, and the CLI verifies it as parsed back.
+`simplify_display` brings a clean formula to its normal form by sound
+rewrites, innermost first, among them the density rules that eliminate
+nominal and co-nominal symbols.  Each rule lowers its group's measure: the
+size, the `->` count (currying), the non-constant nodes (absorption), or a
+binder's scope or its place right of `->` (quantifier moves).  A display
+is the output printed, and the CLI verifies it as parsed back.
 """
 
 from __future__ import annotations
@@ -1042,11 +1045,8 @@ def _guard(f: Fo) -> Optional[tuple[Term, Term, Fo]]:
     return None
 
 
-def _simplify_once(f: Fo) -> Fo:
-    subs = fo_children(f)
-    if subs:
-        f = fo_rebuild(f, tuple(_simplify_once(c) for c in subs))
-
+def _rewrite(f: Fo) -> Fo:
+    """One rule applied at f, whose children are normal; f if none fires."""
     if isinstance(f, Eq) and f.lhs == f.rhs:
         return TOP
     if isinstance(f, FoAnd):
@@ -1236,20 +1236,25 @@ def _one_point(parts: list[Fo], var: Term) -> Optional[tuple[Term, list[Fo]]]:
 
 
 def simplify_display(f: Fo) -> Fo:
-    """Sound rewriting toward textbook shapes, to a fixpoint or for at
-    most 40 rounds: a correspondent's display."""
-    for _ in range(40):
-        nxt = _simplify_once(f)
-        if nxt == f:
-            return f
-        f = nxt
-    return f
+    """A correspondent's display: f's normal form, children first, each node
+    rewritten until no rule fires there and never visited again after."""
+    normal: dict[int, Fo] = {}  # by id; holding each node keeps its id its own
+
+    def walk(f: Fo) -> Fo:
+        while id(f) not in normal:
+            f = fo_rebuild(f, tuple(map(walk, fo_children(f))))
+            if (nxt := _rewrite(f)) is f:
+                normal[id(f)] = f
+            f = nxt
+        return f
+
+    return walk(f)
 
 
 # -- parsing ------------------------------------------------------------------
 
 # first-order nesting accepted, in height and in the parser's own recursion:
-# above ALBA's displays (of all measured shapes but one), below what commands handle
+# above ALBA's displays (measured shapes but staircases of height 13+), below what commands handle
 MAX_FO_NESTING = 180
 
 _FO_TOKEN = re.compile(

@@ -46,12 +46,15 @@ from mvcorr.fol import (
     validity_claim,
 )
 from mvcorr.alba import run_alba
-from mvcorr.heyting import builtin_algebra
-from mvcorr.randomgen import random_fo, random_formula, random_frame, random_model
+from mvcorr.heyting import builtin_algebra, parse_algebra_text
+from mvcorr.randomgen import (random_fo, random_formula, random_frame, random_model,
+                              random_valuation)
 from mvcorr.semantics import Frame, Model, compile_eval, eval_formula
 from mvcorr.syntax import Box, Dia, Var, parse_formula, parse_inequality, parse_input
 
 P = builtin_algebra("paper-P")
+B2 = builtin_algebra("bool2")
+CHAIN3 = parse_algebra_text("elements: [0, h, 1]\nleq: [[0, h], [h, 1]]\n", name="chain3")
 X, Y = FoVar("x"), FoVar("y")
 
 
@@ -466,16 +469,41 @@ def test_simplifier_does_not_capture_a_substituted_variable():
 
 def test_simplifier_is_idempotent_on_correspondents(inductive_corpus):
     # the named axioms, `p <= @0` and the classical corpus at every value,
-    # the inductive corpus at gamma
+    # the inductive corpus and the height-9 staircase at gamma, whose
+    # normal form lies past 40 whole-tree rounds of rewriting
     texts = ["p -> <>p", "<><>p -> <>p", "p -> []<>p", "<>p -> <><>p", "[]p -> <>p",
              "p <= @0", "[]p -> p", "[]p -> [][]p", "[](p -> <>p)",
              "(p -> <>p) \\/ (q -> <><>q)"]
+    staircase = " -> ".join("<>" * k + "p" for k in range(8, -1, -1))
     runs = [run_alba(parse_input(t, P), a, P) for t in texts for a in range(P.n)]
     runs += [run_alba(ineq, pel("gamma"), P) for ineq in inductive_corpus]
-    assert len(runs) == 71
+    runs.append(run_alba(parse_input(staircase, P), pel("gamma"), P))
+    assert len(runs) == 72
     for res in runs:
         once = simplify_display(res.correspondent)
         assert simplify_display(once) == once, print_fo(once)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 10**6))
+def test_simplifier_is_idempotent_and_sound_on_random_formulas(seed):
+    # random first-order formulas, some compared by `=<` under a
+    # quantifier, on paper-P, bool2 and the three-element chain
+    rng = random.Random(seed)
+    alg = rng.choice([P, B2, CHAIN3])
+    variables = ("x", "y", "z")
+    f = random_fo(rng, alg, variables=variables, depth=rng.choice([2, 3, 4]))
+    if rng.random() < 0.4:
+        f = Preceq(f, random_fo(rng, alg, variables=variables, depth=3))
+        if rng.random() < 0.5:
+            f = rng.choice([Forall, Exists])(FoVar(rng.choice(variables)), f)
+    simp = simplify_display(f)
+    assert simplify_display(simp) == simp, print_fo(f)
+    for _ in range(5):
+        frame = random_frame(rng, alg, rng.choice([1, 2, 3]))
+        interp = interp_for_model(Model(frame, random_valuation(rng, frame, [Var("p"), Var("q")])))
+        env = {FoVar(v): rng.randrange(frame.size) for v in variables}
+        assert fo_eval(interp, f, env) == fo_eval(interp, simp, env), print_fo(f)
 
 
 def test_subst_pred_replaces_atoms():
